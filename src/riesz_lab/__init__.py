@@ -42,6 +42,7 @@ from .errors import (
     ConfigError,
     DegreeMismatchError,
     InvalidGeneratorError,
+    InvariantViolation,
     MalformedInstanceError,
     NoWitnessError,
     PositivityError,

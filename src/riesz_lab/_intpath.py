@@ -68,32 +68,40 @@ def measure_weights(mu: Measure) -> tuple[np.ndarray, int]:
     return vec, scale
 
 
-def _guard(core_mass: int, max_abs: int, degree: int) -> None:
-    if core_mass * (max(max_abs, 1) ** degree) >= INT64_LIMIT:
+def _guard(core_mass: int, max_abs: int, degree: int, terms: int) -> None:
+    # the caller adds up to `terms` batch results of this size, so their
+    # total, not each one, has to stay inside the bound
+    if terms * core_mass * (max(max_abs, 1) ** degree) >= INT64_LIMIT:
         raise IntPathUnavailable("worst-case bound exceeds int64")
 
 
 def form_eval_batch(core: np.ndarray, args: np.ndarray) -> np.ndarray:
     """A(x_1,..,x_m) for a batch: core (n,)*m, args (S, m, n) -> (S,)."""
     S, m, n = args.shape
-    _guard(int(np.abs(core).sum()), int(np.abs(args).max(initial=0)), m)
+    _guard(int(np.abs(core).sum()), int(np.abs(args).max(initial=0)), m, 1)
     out = np.broadcast_to(core, (S,) + core.shape)
     for slot in range(m):
         out = np.einsum("s...j,sj->s...", out, args[:, slot, :])
     return out
 
 
-def poly_eval_batch(core: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """P(x) = A(x,..,x) for a batch: xs (S, n) -> (S,)."""
+def poly_eval_batch(core: np.ndarray, xs: np.ndarray, terms: int = 1) -> np.ndarray:
+    """P(x) = A(x,..,x) for a batch: xs (S, n) -> (S,).
+
+    ``terms`` is how many such batches the caller adds up; the overflow
+    guard bounds their total."""
     m = core.ndim
+    if terms > 1:  # form_eval_batch guards one batch on its own
+        _guard(int(np.abs(core).sum()), int(np.abs(xs).max(initial=0)), m, terms)
     args = np.broadcast_to(xs[:, None, :], (xs.shape[0], m, xs.shape[1]))
     return form_eval_batch(core, args)
 
 
-def measure_poly_eval_batch(weights: np.ndarray, degree: int, xs: np.ndarray) -> np.ndarray:
-    """P(x) = sum w_t x(t)^m for a batch: xs (S, n) -> (S,)."""
+def measure_poly_eval_batch(weights: np.ndarray, degree: int, xs: np.ndarray, terms: int = 1) -> np.ndarray:
+    """P(x) = sum w_t x(t)^m for a batch: xs (S, n) -> (S,); ``terms`` as
+    for `poly_eval_batch`."""
     mass = max(int(np.abs(weights).sum()), 1)  # xs is powered before the dot
-    _guard(mass, int(np.abs(xs).max(initial=0)), degree)
+    _guard(mass, int(np.abs(xs).max(initial=0)), degree, terms)
     powered = xs.astype(np.int64) ** degree
     return powered @ weights
 
@@ -115,7 +123,7 @@ def polarize_tensor_int(tensor: SymTensor) -> dict[tuple[int, ...], Fraction]:
                 parity *= s
             parities[row] = parity
             row += 1
-    values = poly_eval_batch(core, vectors)
+    values = poly_eval_batch(core, vectors, len(signs))  # summed per alpha below
     denominator = scale * (2**m) * math.factorial(m)
     entries: dict[tuple[int, ...], Fraction] = {}
     per_alpha = values.reshape(len(alphas), len(signs))

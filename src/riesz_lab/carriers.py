@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import RepresentationError
+from .errors import InvariantViolation, RepresentationError
 from .lattice import LIMIT, Element, PrincipalIdeal, Space
 from .measures import Measure
 from .polynomials import MEASURE, Polynomial, poly_modulus, to_measure
@@ -120,7 +120,7 @@ def nakano_verify(p: Polynomial, q: Polynomial) -> NakanoReport:
     hypothesis = oc_p or oc_q
     equivalence = pd == cd
     if hypothesis and not equivalence:
-        raise AssertionError("carrier criterion must decide disjointness under order continuity")
+        raise InvariantViolation("carrier criterion must decide disjointness under order continuity")
     return NakanoReport(oc_p, oc_q, pd, cd, hypothesis, equivalence)
 
 

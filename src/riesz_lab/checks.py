@@ -13,6 +13,13 @@ scaled integers through the int64 fast path when its overflow bound allows,
 and on Fractions otherwise.  Both paths consume the same seeded arrays, and
 `os_identity_sides` / `oa_identity_sides` recompute any reported
 counterexample from its serialised arguments alone.
+
+Fraction `Element`s are built from those arrays only where the object path
+reads them: the first failing sample, which `_failure` re-verifies; the
+first three samples of a passing Krivine check, which are spot-checked
+through genuine radical elements; and every sample when the object sweep
+runs (``force_object``, or the int64 bound refusing the instance).  Sampled
+omega1 checks have no int64 path and draw Elements directly.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from ._intpath import (
     measure_weights,
     poly_eval_batch,
 )
-from .errors import DegreeMismatchError
+from .errors import DegreeMismatchError, InvariantViolation
 from .lattice import (
     LIMIT,
     Element,
@@ -243,7 +250,7 @@ def _failure(
     sides = os_identity_sides(thing, mode, args) if kind == "os" else oa_identity_sides(thing, mode, args)
     lhs, rhs = sides
     if lhs == rhs:
-        raise AssertionError("reported mismatch did not re-verify on the object path")
+        raise InvariantViolation("reported mismatch did not re-verify on the object path")
     return CheckVerdict(mode, False, checked, decisive, _payload(mode, index, list(args), lhs, rhs))
 
 
@@ -373,12 +380,13 @@ def orthogonal_additivity_check(
 
 
 def _evaluator(poly: Polynomial):
+    """Batch P on int arrays; ``terms`` is how many batches the caller sums."""
     if poly.kind == TENSOR:
         core, _ = dense_core(poly.rep)
-        return lambda xs: poly_eval_batch(core, xs)
+        return lambda xs, terms: poly_eval_batch(core, xs, terms)
     weights, _ = measure_weights(poly.rep)
     degree = poly.degree
-    return lambda xs: measure_poly_eval_batch(weights, degree, xs)
+    return lambda xs, terms: measure_poly_eval_batch(weights, degree, xs, terms)
 
 
 def _object_sweep(poly: Polynomial, mode: str, tuples: Sequence[Sequence[Element]]) -> CheckVerdict:
@@ -425,7 +433,7 @@ def _run_disjoint_additivity(poly, samples, seed_seq, force_object, positive, mo
     if not force_object:
         try:
             ev = _evaluator(poly)
-            bad = _first_diff(ev(xs + ys), ev(xs) + ev(ys))
+            bad = _first_diff(ev(xs + ys, 1), ev(xs, 2) + ev(ys, 2))
             if bad is None:
                 return CheckVerdict(mode, True, samples)
             return _failure("oa", mode, poly, _pair_elements(poly.space, xs, ys, bad), bad, bad + 1)
@@ -455,7 +463,7 @@ def _oa_pos_neg(poly, samples, seed_seq, force_object):
         try:
             ev = _evaluator(poly)
             sign = -1 if poly.degree % 2 else 1
-            bad = _first_diff(ev(vals), ev(np.maximum(vals, 0)) + sign * ev(np.maximum(-vals, 0)))
+            bad = _first_diff(ev(vals, 1), ev(np.maximum(vals, 0), 2) + sign * ev(np.maximum(-vals, 0), 2))
             if bad is None:
                 return CheckVerdict(OA_POS_NEG, True, samples)
             return _failure("oa", OA_POS_NEG, poly, [_element(poly.space, vals[bad])], bad, bad + 1)
@@ -478,8 +486,8 @@ def _oa_valuation(poly, samples, seed_seq, force_object):
     if not force_object:
         try:
             ev = _evaluator(poly)
-            lhs = ev(np.maximum(xs, ys)) + ev(np.minimum(xs, ys))
-            bad = _first_diff(lhs, ev(xs) + ev(ys))
+            lhs = ev(np.maximum(xs, ys), 2) + ev(np.minimum(xs, ys), 2)
+            bad = _first_diff(lhs, ev(xs, 2) + ev(ys, 2))
             if bad is None:
                 return CheckVerdict(OA_VALUATION, True, samples)
             return _failure("oa", OA_VALUATION, poly, _pair_elements(poly.space, xs, ys, bad), bad, bad + 1)
@@ -509,8 +517,8 @@ def _oa_k_valuation(poly, samples, seed_seq, force_object):
                 if tup.shape[0] == 0:
                     continue
                 sorted_args = -np.sort(-tup, axis=1)
-                lhs = sum(ev(sorted_args[:, i, :]) for i in range(k))
-                rhs = sum(ev(tup[:, i, :]) for i in range(k))
+                lhs = sum(ev(sorted_args[:, i, :], k) for i in range(k))
+                rhs = sum(ev(tup[:, i, :], k) for i in range(k))
                 bad = _first_diff(lhs, rhs)
                 if bad is not None:
                     args = [_element(poly.space, tup[bad, i]) for i in range(k)]
@@ -530,13 +538,14 @@ def _oa_k_valuation(poly, samples, seed_seq, force_object):
 # Krivine power-sum --------------------------------------------------------------------
 
 
-def _spot_check_radicals(poly, mode, tuples, count=3) -> None:
-    """The vector path skips radical objects; recompute a few samples
-    through them so the fast route cannot drift from the definition."""
-    for args in tuples[: min(count, len(tuples))]:
-        lhs, rhs = oa_identity_sides(poly, mode, args)
+def _spot_check_radicals(poly, mode, row, samples, count=3) -> None:
+    """The vector path skips radical objects; recompute the first few
+    samples, built as Elements by ``row(i)``, through them so the fast route
+    cannot drift from the definition."""
+    for i in range(min(count, samples)):
+        lhs, rhs = oa_identity_sides(poly, mode, row(i))
         if lhs != rhs:
-            raise AssertionError("vector path disagrees with radical evaluation")
+            raise InvariantViolation("vector path disagrees with radical evaluation")
 
 
 def _oa_krivine_sum(poly, samples, seed_seq, force_object):
@@ -555,24 +564,30 @@ def _oa_krivine_sum(poly, samples, seed_seq, force_object):
         # irrational radicals cannot meet an off-diagonal tensor; sample pairs
         # whose power-sum radical roots exactly (disjoint supports)
         xs, ys = _disjoint_pairs(rng, samples, n, m, positive=True)
-    tuples = [_pair_elements(poly.space, xs, ys, i) for i in range(samples)]
+
+    def row(i):
+        return _pair_elements(poly.space, xs, ys, i)
+
     if not force_object:
         try:
             if measure_view is not None:
+                ev = _evaluator(measure_view)
+                # evaluated first: these guards also bound xs**m + ys**m
+                rhs = ev(xs, 2) + ev(ys, 2)
                 weights, _ = measure_weights(measure_view.rep)
                 lhs = measure_poly_eval_batch(weights, 1, xs**m + ys**m)
-                ev = _evaluator(measure_view)
             else:
                 ev = _evaluator(poly)
-                lhs = ev(xs + ys)  # the radical of a disjoint pair roots to x + y
-            bad = _first_diff(lhs, ev(xs) + ev(ys))
+                rhs = ev(xs, 2) + ev(ys, 2)
+                lhs = ev(xs + ys, 1)  # the radical of a disjoint pair roots to x + y
+            bad = _first_diff(lhs, rhs)
             if bad is not None:
-                return _failure("oa", OA_KRIVINE_SUM, poly, tuples[bad], bad, bad + 1)
-            _spot_check_radicals(poly, OA_KRIVINE_SUM, tuples)
+                return _failure("oa", OA_KRIVINE_SUM, poly, row(bad), bad, bad + 1)
+            _spot_check_radicals(poly, OA_KRIVINE_SUM, row, samples)
             return CheckVerdict(OA_KRIVINE_SUM, True, samples)
         except IntPathUnavailable:
             pass
-    return _object_sweep(poly, OA_KRIVINE_SUM, tuples)
+    return _object_sweep(poly, OA_KRIVINE_SUM, [row(i) for i in range(samples)])
 
 
 # Krivine product -----------------------------------------------------------------------
@@ -597,7 +612,10 @@ def _oa_krivine_product(poly, samples, seed_seq, force_object):
         u = g.prod(axis=1)
         tup = np.stack([(u // g[:, (i + 1) % m, :]) * g[:, i, :] for i in range(m)], axis=1)
         denom = 1
-    tuples = [[_element(poly.space, tup[i, j], denom) for j in range(m)] for i in range(samples)]
+
+    def row(i):
+        return [_element(poly.space, tup[i, j], denom) for j in range(m)]
+
     if not force_object:
         try:
             mirror = poly.rep if poly.kind == TENSOR else polarize(poly)
@@ -615,12 +633,12 @@ def _oa_krivine_product(poly, samples, seed_seq, force_object):
                     bad = i
                     break
             if bad is not None:
-                return _failure("oa", OA_KRIVINE_PRODUCT, poly, tuples[bad], bad, bad + 1)
-            _spot_check_radicals(poly, OA_KRIVINE_PRODUCT, tuples)
+                return _failure("oa", OA_KRIVINE_PRODUCT, poly, row(bad), bad, bad + 1)
+            _spot_check_radicals(poly, OA_KRIVINE_PRODUCT, row, samples)
             return CheckVerdict(OA_KRIVINE_PRODUCT, True, samples)
         except IntPathUnavailable:
             pass
-    return _object_sweep(poly, OA_KRIVINE_PRODUCT, tuples)
+    return _object_sweep(poly, OA_KRIVINE_PRODUCT, [row(i) for i in range(samples)])
 
 
 _OA_RUNNERS = {

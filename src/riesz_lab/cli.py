@@ -15,7 +15,7 @@ import os
 import sys
 
 from .carriers import carrier, nakano_verify
-from .errors import ConfigError, MalformedInstanceError, NoWitnessError, RieszLabError
+from .errors import ConfigError, InvariantViolation, MalformedInstanceError, NoWitnessError, RieszLabError
 from .jsonio import (
     dumps_canonical,
     element_to_obj,
@@ -156,7 +156,7 @@ def _cmd_nakano(args) -> int:
     q = _load(args.q, Polynomial, "a polynomial instance")
     try:
         report = nakano_verify(p, q)
-    except AssertionError as exc:
+    except InvariantViolation as exc:
         print(f"carrier criterion violated: {exc}", file=sys.stderr)
         return 1
     payload = {

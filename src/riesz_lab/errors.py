@@ -51,3 +51,7 @@ class MalformedInstanceError(RieszLabError):
 
 class ConfigError(RieszLabError):
     """Infeasible or contradictory runner configuration."""
+
+
+class InvariantViolation(RieszLabError):
+    """An internal consistency check failed: two exact routes disagree."""

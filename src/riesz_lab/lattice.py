@@ -9,6 +9,7 @@ representation, and every operation is exact over `fractions.Fraction`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -333,11 +334,17 @@ def _int_root(value: int, degree: int) -> int | None:
         return None
     if degree == 1 or value in (0, 1):
         return value
-    guess = round(value ** (1.0 / degree))
-    for cand in (guess - 1, guess, guess + 1, guess + 2):
-        if cand >= 0 and cand**degree == value:
-            return cand
-    return None
+    if degree == 2:
+        root = math.isqrt(value)
+    else:
+        # integer Newton iteration for the floor root, started above it
+        root = 1 << -(-value.bit_length() // degree)
+        while True:
+            nxt = ((degree - 1) * root + value // root ** (degree - 1)) // degree
+            if nxt >= root:
+                break
+            root = nxt
+    return root if root**degree == value else None
 
 
 def exact_fraction_root(value: Fraction, degree: int) -> Fraction | None:

@@ -32,7 +32,7 @@ from .checks import (
     orthosymmetry_check,
     structured_pair_count,
 )
-from .errors import ConfigError, NoWitnessError
+from .errors import ConfigError, InvariantViolation, NoWitnessError
 from .jsonio import to_obj
 from .lattice import (
     Element,
@@ -641,7 +641,7 @@ def _nakano(config: SuiteConfig):
                 count += 1
                 try:
                     report = nakano_verify(p, Polynomial.from_measure(config.m, nu))
-                except AssertionError as exc:
+                except InvariantViolation as exc:
                     yield _fail(name, count, f"{mu!r} vs {nu!r}: {exc}")
                     return
                 if not report.equivalence_holds:
@@ -658,7 +658,7 @@ def _nakano(config: SuiteConfig):
         q = measure_polynomial(rng, space, config.m)
         try:
             report = nakano_verify(p, q)
-        except AssertionError as exc:
+        except InvariantViolation as exc:
             yield _fail(name, i + 1, f"trial {i}: {p!r} vs {q!r}: {exc}")
             return
         if not (report.hypothesis_met and report.equivalence_holds):

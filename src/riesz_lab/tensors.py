@@ -2,14 +2,20 @@
 
 A symmetric m-linear form is determined by its values on nondecreasing
 multi-indices: the stored coefficient at alpha is the value of the full
-symmetric array at any arrangement of alpha.  Evaluation therefore sums,
-for each stored entry, over the distinct permutations of its index.
+symmetric array at any arrangement of alpha.  The multilinear evaluation
+A(x_1, .., x_m) sums, for each stored entry, over the distinct permutations
+of its index.  On the diagonal every arrangement contributes the same
+product, so P(x) = A(x, .., x) is the sum over stored entries of
+coeff * (m! / prod k_t!) * prod x(alpha_i), where k_t counts how often the
+point t occurs in alpha; the weight is computed in exact integers.
 
 Order-2 forms with no symmetry assumption get their own dense matrix type.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -26,6 +32,15 @@ def nondecreasing_indices(n: int, m: int) -> Iterator[tuple[int, ...]]:
 
 def _distinct_permutations(idx: tuple[int, ...]) -> set[tuple[int, ...]]:
     return set(permutations(idx))
+
+
+def arrangements(idx: tuple[int, ...]) -> int:
+    """Number of distinct permutations of idx, m! / prod k_t!, where k_t
+    counts the occurrences of t in idx."""
+    weight = math.factorial(len(idx))
+    for k in Counter(idx).values():
+        weight //= math.factorial(k)
+    return weight
 
 
 class SymTensor:
@@ -89,7 +104,18 @@ class SymTensor:
         return total
 
     def evaluate_diagonal(self, x: Element) -> Fraction:
-        return self.evaluate([x] * self.degree)
+        """A(x, .., x), each entry weighted by the number of arrangements
+        of its index."""
+        if x.space != self.space:
+            raise SpaceMismatchError("argument on the wrong space")
+        vec = x.values
+        total = Fraction(0)
+        for idx, coeff in self.entries.items():
+            term = coeff * arrangements(idx)
+            for point in idx:
+                term *= vec[point - 1]
+            total += term
+        return total
 
     # -- structure ------------------------------------------------------------
 

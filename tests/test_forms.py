@@ -28,6 +28,7 @@ from riesz_lab import (
     to_polynomial,
 )
 from riesz_lab.errors import DegreeMismatchError, RepresentationError, SpaceMismatchError
+from riesz_lab.tensors import arrangements
 from riesz_lab.sampling import element, measure, rng_for, sym_tensor
 
 F1, F2, F3 = Space.finite(1), Space.finite(2), Space.finite(3)
@@ -55,6 +56,24 @@ class TestFormEvaluation:
             base = a.evaluate(args)
             assert a.evaluate([args[1], args[2], args[0]]) == base
             assert a.evaluate([args[2], args[1], args[0]]) == base
+
+    def test_diagonal_matches_multilinear_reference(self):
+        for m in range(1, 6):
+            for n in range(1, 7):
+                space = Space.finite(n)
+                for i in range(4):
+                    rng = rng_for("diag-eval", m, n, i)
+                    a = sym_tensor(rng, space, m, diagonal=i == 0, ensure_off_diagonal=i > 0)
+                    x = element(rng, space)
+                    assert a.evaluate_diagonal(x) == a.evaluate([x] * m), (m, n, i)
+
+    def test_arrangement_counts(self):
+        table = {(3,): 1, (1, 2): 2, (2, 2): 1, (1, 1, 2): 3, (1, 2, 3): 6, (4, 4, 4, 4): 1, (1, 1, 2, 2, 3): 30}
+        assert {idx: arrangements(idx) for idx in table} == table
+
+    def test_diagonal_space_mismatch(self):
+        with pytest.raises(SpaceMismatchError):
+            SymTensor.diagonal(F2, 2, {1: 1}).evaluate_diagonal(fin(1, 2, 3))
 
     def test_distinct_permutation_weighting(self):
         # single mixed entry (1,2): A(x,y) = x1 y2 + x2 y1

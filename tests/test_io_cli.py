@@ -330,6 +330,18 @@ class TestCliInProcess:
         assert main(["demo", "counterexample"]) == 1
         assert "nothing to show" in capsys.readouterr().err
 
+    def test_nakano_invariant_violation_exits_one(self, monkeypatch, capsys, tmp_path):
+        from riesz_lab.errors import InvariantViolation
+
+        def fake(p, q):
+            raise InvariantViolation("disagreement")
+
+        path = tmp_path / "p.json"
+        path.write_text(dumps_canonical(to_obj(to_polynomial(Measure(F3, {1: 1}), 2))))
+        monkeypatch.setattr("riesz_lab.cli.nakano_verify", fake)
+        assert main(["nakano", "--p", str(path), "--q", str(path)]) == 1
+        assert "carrier criterion violated: disagreement" in capsys.readouterr().err
+
     def test_suite_listing_in_error(self, capsys):
         assert main(["check"]) == 2
         err = capsys.readouterr().err

@@ -202,6 +202,22 @@ class TestRadicals:
         assert exact_fraction_root(Fraction(27, 8), 3) == Fraction(3, 2)
         assert exact_fraction_root(Fraction(2), 2) is None
 
+    def test_exact_root_beyond_float_range(self):
+        assert exact_fraction_root(Fraction((3**200) ** 2), 2) == 3**200
+        assert exact_fraction_root(Fraction(10**400), 2) == 10**200
+        assert RadicalElement(2, fin(10**400, (3**200) ** 2)).exact_root() == fin(10**200, 3**200)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_large_perfect_powers_and_near_misses(self, m):
+        rng = random.Random(f"int-root:{m}")
+        for digits in (1, 5, 17, 40, 120, 400):
+            root = rng.randrange(10 ** (digits - 1), 10**digits) + 1
+            value = root**m
+            assert exact_fraction_root(Fraction(value), m) == root
+            assert exact_fraction_root(Fraction(value + 1), m) is None
+            assert exact_fraction_root(Fraction(value - 1), m) is None
+            assert exact_fraction_root(Fraction(value, (root + 1) ** m), m) == Fraction(root, root + 1)
+
 
 class TestPrincipalIdeals:
     def test_witness_coordinatewise_ratio(self):

@@ -5,7 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
+
+import riesz_lab.checks as checks
 
 from riesz_lab import (
     Element,
@@ -25,8 +28,10 @@ from riesz_lab import (
     to_obj,
     to_polynomial,
 )
+from riesz_lab._intpath import IntPathUnavailable, dense_core, poly_eval_batch
 from riesz_lab.checks import (
     OA_DISJOINT_ADD,
+    OA_K_VALUATION,
     OA_KRIVINE_PRODUCT,
     OA_KRIVINE_SUM,
     OA_MODES,
@@ -37,8 +42,9 @@ from riesz_lab.checks import (
     OS_J_IDENTITY,
     OS_MODES,
 )
-from riesz_lab.errors import DegreeMismatchError
+from riesz_lab.errors import DegreeMismatchError, InvariantViolation
 from riesz_lab.sampling import measure, rng_for, sym_tensor
+from riesz_lab.tensors import nondecreasing_indices
 
 F2, F3, F4 = Space.finite(2), Space.finite(3), Space.finite(4)
 OM = Space.omega_plus_one()
@@ -212,6 +218,77 @@ class TestOrthogonalAdditivity:
         poly = to_polynomial(Measure(F2, {1: 1}), 2)
         with pytest.raises(ValueError):
             orthogonal_additivity_check(poly, "nope")
+
+
+def _counting(monkeypatch, name):
+    """Replace checks.<name> by a wrapper that counts its calls."""
+    original = getattr(checks, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(checks, name, counted)
+    return calls
+
+
+KRIVINE_PASSING = [
+    to_polynomial(Measure(F4, {1: 2, 3: Fraction(-1, 3), 4: 5}), 3),
+    Polynomial.from_tensor(SymTensor.diagonal(F4, 4, {2: 3, 4: Fraction(1, 2)})),
+]
+
+
+class TestLazyElements:
+    @pytest.mark.parametrize("mode", [OA_KRIVINE_SUM, OA_KRIVINE_PRODUCT])
+    @pytest.mark.parametrize("poly", KRIVINE_PASSING, ids=["measure", "diagonal-tensor"])
+    def test_passing_int_path_builds_only_spot_check_rows(self, monkeypatch, mode, poly):
+        built = _counting(monkeypatch, "_element")
+        verdict = orthogonal_additivity_check(poly, mode, samples=200, seed=4)
+        assert verdict.passed and verdict.samples_checked == 200
+        assert 0 < len(built) <= 3 * poly.degree
+
+    @pytest.mark.parametrize("mode", [OA_KRIVINE_SUM, OA_KRIVINE_PRODUCT])
+    def test_failing_int_path_builds_only_the_failing_row(self, monkeypatch, mode):
+        poly = Polynomial.from_tensor(SymTensor(F3, 3, {(1, 2, 3): 1, (2, 2, 2): 1}))
+        built = _counting(monkeypatch, "_element")
+        verdict = orthogonal_additivity_check(poly, mode, samples=200, seed=4)
+        assert not verdict.passed
+        assert len(built) == len(verdict.counterexample["args"])
+
+    @pytest.mark.parametrize("samples", [1, 2, 3, 200])
+    @pytest.mark.parametrize("mode", [OA_KRIVINE_SUM, OA_KRIVINE_PRODUCT])
+    def test_spot_checks_still_run(self, monkeypatch, mode, samples):
+        sides = _counting(monkeypatch, "oa_identity_sides")
+        verdict = orthogonal_additivity_check(KRIVINE_PASSING[0], mode, samples=samples, seed=4)
+        assert verdict.passed
+        assert len(sides) == min(3, samples)
+
+    def test_failure_that_does_not_reverify_is_an_invariant_violation(self):
+        poly = to_polynomial(Measure(F2, {1: 1}), 2)
+        with pytest.raises(InvariantViolation):
+            checks._failure("oa", OA_DISJOINT_ADD, poly, [fin(1, 0), fin(0, 1)], 0, 1)
+
+
+class TestIntGuard:
+    # every full-array entry 10**7 on 7 points, degree 4, sample values up
+    # to 108: one batch is 2401 * 10**7 * 108**4 ~ 3.3e18 < 2**62, but four
+    # of them summed leave int64
+    HEAVY = SymTensor(Space.finite(7), 4, {idx: 10**7 for idx in nondecreasing_indices(7, 4)})
+
+    def test_guard_counts_summed_terms(self):
+        core, _ = dense_core(self.HEAVY)
+        xs = np.full((2, 7), 108, dtype=np.int64)
+        assert int(poly_eval_batch(core, xs)[0]) == 2401 * 10**7 * 108**4
+        with pytest.raises(IntPathUnavailable):
+            poly_eval_batch(core, xs, terms=4)
+
+    def test_heavy_k_valuation_matches_object_path(self):
+        poly = Polynomial.from_tensor(self.HEAVY)
+        fast = orthogonal_additivity_check(poly, OA_K_VALUATION, samples=30, seed=5)
+        slow = orthogonal_additivity_check(poly, OA_K_VALUATION, samples=30, seed=5, force_object=True)
+        assert not fast.passed
+        assert (fast.samples_checked, fast.counterexample) == (slow.samples_checked, slow.counterexample)
 
 
 class TestIdentitySides:
