@@ -110,7 +110,6 @@ from .tensors import (
     SymTensor,
     atomic_partition,
     modulus_partition_oracle,
-    tensors_disjoint,
 )
 
 __version__ = "0.1.0"

@@ -3,7 +3,8 @@
 Identities checked by the sampled suites are homogeneous, so instances whose
 rationals share a small common denominator can be scaled to integers and
 batch-evaluated with NumPy.  Every batch is guarded by a worst-case overflow
-bound computed in exact Python integers; anything outside the bound raises
+bound computed in exact Python integers, and every dense array by a byte
+budget checked before it is allocated; anything outside either bound raises
 `IntPathUnavailable` and the caller falls back to the Fraction path, which is
 the reference implementation.
 """
@@ -22,10 +23,16 @@ from .tensors import SymTensor, nondecreasing_indices
 INT64_LIMIT = 2**62
 _DENOM_CAP = 10**6
 _ENTRY_CAP = 10**7
+_BYTE_CAP = 2**27  # largest int64 array one kernel call may allocate (128 MiB)
 
 
 class IntPathUnavailable(Exception):
     """Instance not representable within the int64 budget."""
+
+
+def _check_bytes(entries: int) -> None:
+    if 8 * entries > _BYTE_CAP:
+        raise IntPathUnavailable("int64 array too large")
 
 
 def dense_core(tensor: SymTensor) -> tuple[np.ndarray, int]:
@@ -34,6 +41,7 @@ def dense_core(tensor: SymTensor) -> tuple[np.ndarray, int]:
     Returns (core, scale) with core[perm(alpha)] == scale * entry(alpha).
     """
     n, m = tensor.space.n, tensor.degree
+    _check_bytes(n**m)
     scale = 1
     for value in tensor.entries.values():
         scale = scale * value.denominator // math.gcd(scale, value.denominator)
@@ -78,6 +86,7 @@ def _guard(core_mass: int, max_abs: int, degree: int, terms: int) -> None:
 def form_eval_batch(core: np.ndarray, args: np.ndarray) -> np.ndarray:
     """A(x_1,..,x_m) for a batch: core (n,)*m, args (S, m, n) -> (S,)."""
     S, m, n = args.shape
+    _check_bytes(S * n ** (m - 1))  # the first contraction's output
     _guard(int(np.abs(core).sum()), int(np.abs(args).max(initial=0)), m, 1)
     out = np.broadcast_to(core, (S,) + core.shape)
     for slot in range(m):

@@ -14,19 +14,22 @@ and on Fractions otherwise.  Both paths consume the same seeded arrays, and
 `os_identity_sides` / `oa_identity_sides` recompute any reported
 counterexample from its serialised arguments alone.
 
-Fraction `Element`s are built from those arrays only where the object path
-reads them: the first failing sample, which `_failure` re-verifies; the
-first three samples of a passing Krivine check, which are spot-checked
-through genuine radical elements; and every sample when the object sweep
-runs (``force_object``, or the int64 bound refusing the instance).  Sampled
-omega1 checks have no int64 path and draw Elements directly.
+Every sampled check draws its arguments as int arrays and runs through one
+driver, `_sampled_check`.  Fraction `Element`s are built from those arrays
+only where the object path reads them: the first failing sample, which
+`_failure` re-verifies; the first three samples of a passing Krivine check,
+which are spot-checked through genuine radical elements; and every sample
+when the object sweep runs (``force_object``, the int64 bound refusing the
+instance, or an identity with no int64 path).  omega1 samples come from the
+same arrays, a row holding the values at points 1..6 and then the tail;
+they have no int64 path and always take the object sweep.
 """
 
 from __future__ import annotations
 
-import random as _pyrandom
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -163,6 +166,7 @@ def oa_identity_sides(poly: Polynomial, mode: str, args: Sequence[Element]) -> t
 # -- seeded sample construction ---------------------------------------------------
 
 _DEN_STEP = np.array([12, 6, 4, 3], dtype=np.int64)  # SCALE // {1,2,3,4}
+_OMEGA_PREFIX = 6
 
 
 def _seedseq(seed) -> np.random.SeedSequence:
@@ -197,11 +201,11 @@ def structured_pair_count(n: int, m: int) -> int:
     return (n * (n - 1) // 2) * len(_ratio_grid(m))
 
 
-def _disjoint_pairs(rng, samples: int, n: int, m: int, positive: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) arrays of shape (samples, n) with pointwise-disjoint supports;
-    the scaled-basis-pair sweep comes first, seeded masks after."""
-    xs = np.zeros((samples, n), dtype=np.int64)
-    ys = np.zeros((samples, n), dtype=np.int64)
+def _disjoint_pairs(rng, samples: int, n: int, m: int, positive: bool) -> np.ndarray:
+    """Pairs (x, y) with pointwise-disjoint supports as one (samples, 2, n)
+    block; the scaled-basis-pair sweep comes first, seeded masks after."""
+    pairs = np.zeros((samples, 2, n), dtype=np.int64)
+    xs, ys = pairs[:, 0, :], pairs[:, 1, :]  # views: writes land in pairs
     row = 0
     for s in range(n):
         for t in range(s + 1, n):
@@ -220,11 +224,20 @@ def _disjoint_pairs(rng, samples: int, n: int, m: int, positive: bool) -> tuple[
             left, right = np.abs(left), np.abs(right)
         xs[row:] = np.where(mask, left, 0)
         ys[row:] = np.where(mask, 0, right)
-    return xs, ys
+    return pairs
+
+
+def _columns(space: Space) -> int:
+    """Width of a sample row: the points of a finite space; on omega1 the
+    values at points 1.._OMEGA_PREFIX followed by the tail value."""
+    return space.n if space.is_finite else _OMEGA_PREFIX + 1
 
 
 def _element(space: Space, row: Sequence[int], denom: int = SCALE) -> Element:
-    return Element(space, values=[Fraction(int(v), denom) for v in row])
+    values = [Fraction(int(v), denom) for v in row]
+    if space.is_finite:
+        return Element(space, values=values)
+    return Element.omega(values[:-1], values[-1])
 
 
 def _first_diff(lhs: np.ndarray, rhs: np.ndarray) -> int | None:
@@ -254,6 +267,54 @@ def _failure(
     return CheckVerdict(mode, False, checked, decisive, _payload(mode, index, list(args), lhs, rhs))
 
 
+# -- the sampled-check driver ------------------------------------------------------
+
+
+def _sampled_check(kind: str, mode: str, thing, blocks, denom: int, int_sides, force_object: bool) -> CheckVerdict:
+    """Check one identity on seeded int samples.
+
+    Each block is an int array (rows, slots, columns) in units of
+    1/``denom``; sample i is row i counted across the blocks, and its slots
+    are the identity's arguments.  ``int_sides(block)`` returns both sides of
+    the identity for a whole block as comparable arrays, or raises
+    `IntPathUnavailable` outside the int64 bound; ``None`` means the identity
+    has no int64 path here.  Otherwise, and under ``force_object``, the
+    object sweep builds every sample as Elements and compares them through
+    `os_identity_sides` / `oa_identity_sides`, the reference.
+    """
+    space = thing.space
+    sides = os_identity_sides if kind == "os" else oa_identity_sides
+
+    def args(block, i):
+        return [_element(space, row, denom) for row in block[i]]
+
+    if int_sides is not None and not force_object:
+        try:
+            checked = 0
+            for block in blocks:
+                bad = _first_diff(*int_sides(block))
+                if bad is not None:
+                    return _failure(kind, mode, thing, args(block, bad), checked + bad, checked + bad + 1)
+                checked += len(block)
+            if mode in (OA_KRIVINE_SUM, OA_KRIVINE_PRODUCT):
+                # the int identities skip radical objects; recompute the first
+                # samples through them so the fast route cannot drift from
+                # the definition
+                for i in range(min(3, len(blocks[0]))):
+                    lhs, rhs = sides(thing, mode, args(blocks[0], i))
+                    if lhs != rhs:
+                        raise InvariantViolation("vector path disagrees with radical evaluation")
+            return CheckVerdict(mode, True, checked)
+        except IntPathUnavailable:
+            pass
+    samples = (args(block, i) for block in blocks for i in range(len(block)))
+    for index, sample in enumerate(samples):
+        lhs, rhs = sides(thing, mode, sample)
+        if lhs != rhs:
+            return _failure(kind, mode, thing, sample, index, index + 1)
+    return CheckVerdict(mode, True, sum(len(block) for block in blocks))
+
+
 # -- orthosymmetry -----------------------------------------------------------------
 
 
@@ -276,9 +337,13 @@ def orthosymmetry_check(
         raise DegreeMismatchError("the join/meet identity is an order-2 check")
     if mode == OS_DIAGONAL:
         return _os_diagonal(form)
+    rng = np.random.default_rng(_seedseq(seed))
+    blocks = [_os_draw(mode, rng, samples, form.space.n, form.degree)]
     if isinstance(form, GeneralMatrixForm):
-        return _os_matrix_sampled(form, mode, samples, seed)
-    return _os_tensor_sampled(form, mode, samples, seed, force_object)
+        if mode == OS_DISJOINT:  # basis pairs are decisive for a matrix; keep the sampled tail anyway
+            blocks.insert(0, _basis_pairs(form.space.n))
+        return _sampled_check("os", mode, form, blocks, SCALE, None, force_object)
+    return _sampled_check("os", mode, form, blocks, SCALE, partial(_os_int_sides, form, mode), force_object)
 
 
 def _os_diagonal(form: Form) -> CheckVerdict:
@@ -298,68 +363,66 @@ def _os_diagonal(form: Form) -> CheckVerdict:
     return _failure("os", OS_DIAGONAL, form, args, 0, 0, decisive=True)
 
 
-def _os_tensor_sampled(form: SymTensor, mode: str, samples: int, seed, force_object: bool) -> CheckVerdict:
-    rng = np.random.default_rng(_seedseq(seed))
-    n, m = form.space.n, form.degree
+def _os_draw(mode: str, rng: np.random.Generator, samples: int, n: int, m: int) -> np.ndarray:
     if mode == OS_J_IDENTITY:
-        args = _values(rng, (samples, m, n))
-        transformed = -np.sort(-args, axis=1)
-    elif mode == OS_BILINEAR:
-        args = _values(rng, (samples, 2, n))
-        transformed = np.stack(
-            [np.maximum(args[:, 0, :], args[:, 1, :]), np.minimum(args[:, 0, :], args[:, 1, :])],
-            axis=1,
-        )
-    else:  # disjoint pair in the first two slots, free samples elsewhere
-        xs, ys = _disjoint_pairs(rng, samples, n, m, positive=False)
-        extra = _values(rng, (samples, m - 2, n)) if m > 2 else np.zeros((samples, 0, n), np.int64)
-        args = np.concatenate([xs[:, None, :], ys[:, None, :], extra], axis=1)
-        transformed = None
-
-    if not force_object:
-        try:
-            core, _ = dense_core(form)
-            lhs = form_eval_batch(core, args)
-            rhs = form_eval_batch(core, transformed) if transformed is not None else np.zeros_like(lhs)
-            bad = _first_diff(lhs, rhs)
-            if bad is None:
-                return CheckVerdict(mode, True, samples)
-            elements = [_element(form.space, row) for row in args[bad]]
-            return _failure("os", mode, form, elements, bad, bad + 1)
-        except IntPathUnavailable:
-            pass
-    for i in range(samples):
-        elements = [_element(form.space, row) for row in args[i]]
-        lhs, rhs = os_identity_sides(form, mode, elements)
-        if lhs != rhs:
-            return _failure("os", mode, form, elements, i, i + 1)
-    return CheckVerdict(mode, True, samples)
+        return _values(rng, (samples, m, n))
+    if mode == OS_BILINEAR:
+        return _values(rng, (samples, 2, n))
+    # disjoint pair in the first two slots, free samples elsewhere
+    pairs = _disjoint_pairs(rng, samples, n, m, positive=False)
+    return np.concatenate([pairs, _values(rng, (samples, max(m - 2, 0), n))], axis=1)
 
 
-def _os_matrix_sampled(form: GeneralMatrixForm, mode: str, samples: int, seed) -> CheckVerdict:
-    rng = np.random.default_rng(_seedseq(seed))
-    n = form.space.n
+def _basis_pairs(n: int) -> np.ndarray:
+    """Every ordered pair (e_i, e_j), i != j, scaled by SCALE."""
+    eye = SCALE * np.eye(n, dtype=np.int64)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    return np.stack([eye[i], eye[j]], axis=1)
+
+
+def _os_int_sides(form: SymTensor, mode: str, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    core, _ = dense_core(form)
+    lhs = form_eval_batch(core, block)
     if mode == OS_DISJOINT:
-        # basis pairs are decisive for a matrix; keep the sampled tail anyway
-        trials = [
-            [Element.basis(form.space, i), Element.basis(form.space, j)]
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if i != j
-        ]
-        xs, ys = _disjoint_pairs(rng, samples, n, 2, positive=False)
-        trials += [[_element(form.space, xs[i]), _element(form.space, ys[i])] for i in range(samples)]
-    else:
-        rows = _values(rng, (samples, 2, n))
-        trials = [[_element(form.space, rows[i, 0]), _element(form.space, rows[i, 1])] for i in range(samples)]
-    for i, pair in enumerate(trials):
-        lhs, rhs = os_identity_sides(form, mode, pair)
-        if lhs != rhs:
-            return _failure("os", mode, form, pair, i, i + 1)
-    return CheckVerdict(mode, True, len(trials))
+        return lhs, np.zeros_like(lhs)
+    if mode == OS_J_IDENTITY:
+        return lhs, form_eval_batch(core, -np.sort(-block, axis=1))
+    x, y = block[:, 0, :], block[:, 1, :]
+    return lhs, form_eval_batch(core, np.stack([np.maximum(x, y), np.minimum(x, y)], axis=1))
 
 
 # -- orthogonal additivity ----------------------------------------------------------
+
+
+class _PolyKernels:
+    """The int64 data of one polynomial, each piece built on first use.
+
+    One object serves every mode of one check call and is dropped when the
+    call returns, so `oa_mode_agreement` builds the dense core once.
+    """
+
+    def __init__(self, poly: Polynomial) -> None:
+        self.poly = poly
+
+    @cached_property
+    def measure_view(self) -> Polynomial | None:
+        return _effective_measure_poly(self.poly)
+
+    @cached_property
+    def core(self) -> tuple[np.ndarray, int]:
+        """(core, scale) of the symmetric form whose diagonal is P."""
+        return dense_core(self.poly.rep if self.poly.kind == TENSOR else polarize(self.poly))
+
+    @cached_property
+    def weights(self) -> tuple[np.ndarray, int]:
+        """(weights, scale) of the measure view; needs one."""
+        return measure_weights(self.measure_view.rep)
+
+    def evaluate(self, xs: np.ndarray, terms: int) -> np.ndarray:
+        """P on a batch of rows; ``terms`` is how many batches the caller sums."""
+        if self.poly.kind == TENSOR:
+            return poly_eval_batch(self.core[0], xs, terms)
+        return measure_poly_eval_batch(self.weights[0], self.poly.degree, xs, terms)
 
 
 def orthogonal_additivity_check(
@@ -371,292 +434,99 @@ def orthogonal_additivity_check(
 ) -> CheckVerdict:
     """Sample one of the seven equivalent characterisations of orthogonal
     additivity against the given polynomial."""
-    if mode not in OA_MODES:
-        raise ValueError(f"unknown orthogonal-additivity mode {mode!r}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    runner = _OA_RUNNERS[mode]
-    return runner(poly, samples, _seedseq(seed), force_object)
-
-
-def _evaluator(poly: Polynomial):
-    """Batch P on int arrays; ``terms`` is how many batches the caller sums."""
-    if poly.kind == TENSOR:
-        core, _ = dense_core(poly.rep)
-        return lambda xs, terms: poly_eval_batch(core, xs, terms)
-    weights, _ = measure_weights(poly.rep)
-    degree = poly.degree
-    return lambda xs, terms: measure_poly_eval_batch(weights, degree, xs, terms)
-
-
-def _object_sweep(poly: Polynomial, mode: str, tuples: Sequence[Sequence[Element]]) -> CheckVerdict:
-    for i, args in enumerate(tuples):
-        lhs, rhs = oa_identity_sides(poly, mode, args)
-        if lhs != rhs:
-            return _failure("oa", mode, poly, args, i, i + 1)
-    return CheckVerdict(mode, True, len(tuples))
-
-
-def _omega_prng(seed_seq: np.random.SeedSequence) -> _pyrandom.Random:
-    return _pyrandom.Random(int(seed_seq.generate_state(1)[0]))
-
-
-def _omega_element(prng: _pyrandom.Random, positive: bool, window: int = 6) -> Element:
-    vals = [Fraction(prng.randint(-9, 9), prng.choice((1, 2, 3, 4))) for _ in range(window)]
-    tail = Fraction(prng.randint(-9, 9), prng.choice((1, 2, 3, 4)))
-    e = Element.omega(vals, tail)
-    return abs(e) if positive else e
-
-
-def _omega_disjoint_pair(prng: _pyrandom.Random, positive: bool, window: int = 6) -> list[Element]:
-    mask = [prng.random() < 0.5 for _ in range(window)]
-    x = _omega_element(prng, positive, window)
-    y = _omega_element(prng, positive, window)
-    xv = [x.value_at(t) if mask[t - 1] else Fraction(0) for t in range(1, window + 1)]
-    yv = [Fraction(0) if mask[t - 1] else y.value_at(t) for t in range(1, window + 1)]
-    return [Element.omega(xv, 0), Element.omega(yv, y.tail)]
-
-
-def _pair_elements(space, xs, ys, index, denom=SCALE) -> list[Element]:
-    return [_element(space, xs[index], denom), _element(space, ys[index], denom)]
-
-
-# disjoint additivity (and its positive-cone restriction) --------------------------
-
-
-def _run_disjoint_additivity(poly, samples, seed_seq, force_object, positive, mode):
-    if not poly.space.is_finite:
-        prng = _omega_prng(seed_seq)
-        return _object_sweep(poly, mode, [_omega_disjoint_pair(prng, positive) for _ in range(samples)])
-    rng = np.random.default_rng(seed_seq)
-    xs, ys = _disjoint_pairs(rng, samples, poly.space.n, poly.degree, positive)
-    if not force_object:
-        try:
-            ev = _evaluator(poly)
-            bad = _first_diff(ev(xs + ys, 1), ev(xs, 2) + ev(ys, 2))
-            if bad is None:
-                return CheckVerdict(mode, True, samples)
-            return _failure("oa", mode, poly, _pair_elements(poly.space, xs, ys, bad), bad, bad + 1)
-        except IntPathUnavailable:
-            pass
-    return _object_sweep(poly, mode, [_pair_elements(poly.space, xs, ys, i) for i in range(samples)])
-
-
-def _oa_disjoint_additivity(poly, samples, seed_seq, force_object):
-    return _run_disjoint_additivity(poly, samples, seed_seq, force_object, False, OA_DISJOINT_ADD)
-
-
-def _oa_positive_cone(poly, samples, seed_seq, force_object):
-    return _run_disjoint_additivity(poly, samples, seed_seq, force_object, True, OA_POSITIVE_CONE)
-
-
-# split through positive and negative parts ----------------------------------------
-
-
-def _oa_pos_neg(poly, samples, seed_seq, force_object):
-    if not poly.space.is_finite:
-        prng = _omega_prng(seed_seq)
-        return _object_sweep(poly, OA_POS_NEG, [[_omega_element(prng, False)] for _ in range(samples)])
-    rng = np.random.default_rng(seed_seq)
-    vals = _values(rng, (samples, poly.space.n))
-    if not force_object:
-        try:
-            ev = _evaluator(poly)
-            sign = -1 if poly.degree % 2 else 1
-            bad = _first_diff(ev(vals, 1), ev(np.maximum(vals, 0), 2) + sign * ev(np.maximum(-vals, 0), 2))
-            if bad is None:
-                return CheckVerdict(OA_POS_NEG, True, samples)
-            return _failure("oa", OA_POS_NEG, poly, [_element(poly.space, vals[bad])], bad, bad + 1)
-        except IntPathUnavailable:
-            pass
-    return _object_sweep(poly, OA_POS_NEG, [[_element(poly.space, row)] for row in vals])
-
-
-# join/meet valuation ----------------------------------------------------------------
-
-
-def _oa_valuation(poly, samples, seed_seq, force_object):
-    if not poly.space.is_finite:
-        prng = _omega_prng(seed_seq)
-        tuples = [[_omega_element(prng, True), _omega_element(prng, True)] for _ in range(samples)]
-        return _object_sweep(poly, OA_VALUATION, tuples)
-    rng = np.random.default_rng(seed_seq)
-    xs = np.abs(_values(rng, (samples, poly.space.n)))
-    ys = np.abs(_values(rng, (samples, poly.space.n)))
-    if not force_object:
-        try:
-            ev = _evaluator(poly)
-            lhs = ev(np.maximum(xs, ys), 2) + ev(np.minimum(xs, ys), 2)
-            bad = _first_diff(lhs, ev(xs, 2) + ev(ys, 2))
-            if bad is None:
-                return CheckVerdict(OA_VALUATION, True, samples)
-            return _failure("oa", OA_VALUATION, poly, _pair_elements(poly.space, xs, ys, bad), bad, bad + 1)
-        except IntPathUnavailable:
-            pass
-    return _object_sweep(poly, OA_VALUATION, [_pair_elements(poly.space, xs, ys, i) for i in range(samples)])
-
-
-# k-tuple rearrangement valuation ----------------------------------------------------
-
-
-def _oa_k_valuation(poly, samples, seed_seq, force_object):
-    if not poly.space.is_finite:
-        prng = _omega_prng(seed_seq)
-        tuples = [
-            [_omega_element(prng, True) for _ in range(2 + i % 3)] for i in range(samples)
-        ]
-        return _object_sweep(poly, OA_K_VALUATION, tuples)
-    rng = np.random.default_rng(seed_seq)
-    n = poly.space.n
-    groups = {k: np.abs(_values(rng, (samples // 3 + (k == 2) * (samples % 3), k, n))) for k in (2, 3, 4)}
-    if not force_object:
-        try:
-            ev = _evaluator(poly)
-            checked = 0
-            for k, tup in sorted(groups.items()):
-                if tup.shape[0] == 0:
-                    continue
-                sorted_args = -np.sort(-tup, axis=1)
-                lhs = sum(ev(sorted_args[:, i, :], k) for i in range(k))
-                rhs = sum(ev(tup[:, i, :], k) for i in range(k))
-                bad = _first_diff(lhs, rhs)
-                if bad is not None:
-                    args = [_element(poly.space, tup[bad, i]) for i in range(k)]
-                    return _failure("oa", OA_K_VALUATION, poly, args, checked + bad, checked + bad + 1)
-                checked += tup.shape[0]
-            return CheckVerdict(OA_K_VALUATION, True, checked)
-        except IntPathUnavailable:
-            pass
-    tuples = [
-        [_element(poly.space, tup[i, j]) for j in range(k)]
-        for k, tup in sorted(groups.items())
-        for i in range(tup.shape[0])
-    ]
-    return _object_sweep(poly, OA_K_VALUATION, tuples)
-
-
-# Krivine power-sum --------------------------------------------------------------------
-
-
-def _spot_check_radicals(poly, mode, row, samples, count=3) -> None:
-    """The vector path skips radical objects; recompute the first few
-    samples, built as Elements by ``row(i)``, through them so the fast route
-    cannot drift from the definition."""
-    for i in range(min(count, samples)):
-        lhs, rhs = oa_identity_sides(poly, mode, row(i))
-        if lhs != rhs:
-            raise InvariantViolation("vector path disagrees with radical evaluation")
-
-
-def _oa_krivine_sum(poly, samples, seed_seq, force_object):
-    m = poly.degree
-    measure_view = _effective_measure_poly(poly)
-    if not poly.space.is_finite:
-        prng = _omega_prng(seed_seq)
-        tuples = [[_omega_element(prng, True), _omega_element(prng, True)] for _ in range(samples)]
-        return _object_sweep(poly, OA_KRIVINE_SUM, tuples)
-    rng = np.random.default_rng(seed_seq)
-    n = poly.space.n
-    if measure_view is not None:
-        xs = np.abs(_values(rng, (samples, n)))
-        ys = np.abs(_values(rng, (samples, n)))
-    else:
-        # irrational radicals cannot meet an off-diagonal tensor; sample pairs
-        # whose power-sum radical roots exactly (disjoint supports)
-        xs, ys = _disjoint_pairs(rng, samples, n, m, positive=True)
-
-    def row(i):
-        return _pair_elements(poly.space, xs, ys, i)
-
-    if not force_object:
-        try:
-            if measure_view is not None:
-                ev = _evaluator(measure_view)
-                # evaluated first: these guards also bound xs**m + ys**m
-                rhs = ev(xs, 2) + ev(ys, 2)
-                weights, _ = measure_weights(measure_view.rep)
-                lhs = measure_poly_eval_batch(weights, 1, xs**m + ys**m)
-            else:
-                ev = _evaluator(poly)
-                rhs = ev(xs, 2) + ev(ys, 2)
-                lhs = ev(xs + ys, 1)  # the radical of a disjoint pair roots to x + y
-            bad = _first_diff(lhs, rhs)
-            if bad is not None:
-                return _failure("oa", OA_KRIVINE_SUM, poly, row(bad), bad, bad + 1)
-            _spot_check_radicals(poly, OA_KRIVINE_SUM, row, samples)
-            return CheckVerdict(OA_KRIVINE_SUM, True, samples)
-        except IntPathUnavailable:
-            pass
-    return _object_sweep(poly, OA_KRIVINE_SUM, [row(i) for i in range(samples)])
-
-
-# Krivine product -----------------------------------------------------------------------
-
-
-def _oa_krivine_product(poly, samples, seed_seq, force_object):
-    m = poly.degree
-    measure_view = _effective_measure_poly(poly)
-    if not poly.space.is_finite:
-        prng = _omega_prng(seed_seq)
-        tuples = [[_omega_element(prng, True) for _ in range(m)] for _ in range(samples)]
-        return _object_sweep(poly, OA_KRIVINE_PRODUCT, tuples)
-    rng = np.random.default_rng(seed_seq)
-    n = poly.space.n
-    if measure_view is not None:
-        tup = np.abs(_values(rng, (samples, m, n)))
-        denom = SCALE
-        u = None
-    else:
-        # factor a perfect m-th power pointwise: u = prod g_i, x_i = u g_i / g_{i+1}
-        g = rng.integers(1, 4, size=(samples, m, n)).astype(np.int64)
-        u = g.prod(axis=1)
-        tup = np.stack([(u // g[:, (i + 1) % m, :]) * g[:, i, :] for i in range(m)], axis=1)
-        denom = 1
-
-    def row(i):
-        return [_element(poly.space, tup[i, j], denom) for j in range(m)]
-
-    if not force_object:
-        try:
-            mirror = poly.rep if poly.kind == TENSOR else polarize(poly)
-            core_a, scale_a = dense_core(mirror)
-            rhs_vec = form_eval_batch(core_a, tup)
-            if measure_view is not None:
-                weights, scale_p = measure_weights(measure_view.rep)
-                lhs_vec = measure_poly_eval_batch(weights, 1, tup.prod(axis=1))
-            else:
-                core_p, scale_p = dense_core(poly.rep)
-                lhs_vec = poly_eval_batch(core_p, u)
-            bad = None
-            for i in range(samples):  # cross-denominator exact comparison
-                if int(lhs_vec[i]) * scale_a != int(rhs_vec[i]) * scale_p:
-                    bad = i
-                    break
-            if bad is not None:
-                return _failure("oa", OA_KRIVINE_PRODUCT, poly, row(bad), bad, bad + 1)
-            _spot_check_radicals(poly, OA_KRIVINE_PRODUCT, row, samples)
-            return CheckVerdict(OA_KRIVINE_PRODUCT, True, samples)
-        except IntPathUnavailable:
-            pass
-    return _object_sweep(poly, OA_KRIVINE_PRODUCT, [row(i) for i in range(samples)])
-
-
-_OA_RUNNERS = {
-    OA_DISJOINT_ADD: _oa_disjoint_additivity,
-    OA_POS_NEG: _oa_pos_neg,
-    OA_VALUATION: _oa_valuation,
-    OA_K_VALUATION: _oa_k_valuation,
-    OA_KRIVINE_SUM: _oa_krivine_sum,
-    OA_KRIVINE_PRODUCT: _oa_krivine_product,
-    OA_POSITIVE_CONE: _oa_positive_cone,
-}
+    return _oa_check(poly, mode, samples, seed, force_object, _PolyKernels(poly))
 
 
 def oa_mode_agreement(poly: Polynomial, samples: int = 96, seed=0) -> dict[str, CheckVerdict]:
     """All seven sampled characterisations, seeded independently per mode."""
-    root = _seedseq(seed)
-    children = root.spawn(len(OA_MODES))
-    return {
-        mode: orthogonal_additivity_check(poly, mode, samples, child)
-        for mode, child in zip(OA_MODES, children)
-    }
+    children = _seedseq(seed).spawn(len(OA_MODES))
+    kernels = _PolyKernels(poly)
+    return {mode: _oa_check(poly, mode, samples, child, False, kernels) for mode, child in zip(OA_MODES, children)}
+
+
+def _oa_check(
+    poly: Polynomial, mode: str, samples: int, seed, force_object: bool, kernels: _PolyKernels
+) -> CheckVerdict:
+    if mode not in OA_MODES:
+        raise ValueError(f"unknown orthogonal-additivity mode {mode!r}")
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(_seedseq(seed))
+    blocks, denom = _oa_draw(mode, rng, samples, kernels)
+    int_sides = partial(_oa_int_sides, mode, kernels) if poly.space.is_finite else None
+    return _sampled_check("oa", mode, poly, blocks, denom, int_sides, force_object)
+
+
+def _oa_draw(mode: str, rng: np.random.Generator, samples: int, kernels: _PolyKernels):
+    """The seeded sample blocks of one mode and their denominator."""
+    n, m = _columns(kernels.poly.space), kernels.poly.degree
+    if mode in (OA_DISJOINT_ADD, OA_POSITIVE_CONE):
+        return [_disjoint_pairs(rng, samples, n, m, positive=mode == OA_POSITIVE_CONE)], SCALE
+    if mode == OA_POS_NEG:
+        return [_values(rng, (samples, 1, n))], SCALE
+    if mode == OA_K_VALUATION:
+        # tuples of k = 2, 3, 4 positive elements, drawn in that order
+        sizes = {k: samples // 3 + (k == 2) * (samples % 3) for k in (2, 3, 4)}
+        return [np.abs(_values(rng, (size, k, n))) for k, size in sizes.items()], SCALE
+    if mode == OA_KRIVINE_PRODUCT:
+        if kernels.measure_view is not None:
+            return [np.abs(_values(rng, (samples, m, n)))], SCALE
+        # factor a perfect m-th power pointwise: u = prod g_i, x_i = u g_i / g_{i+1}
+        g = rng.integers(1, 4, size=(samples, m, n)).astype(np.int64)
+        u = g.prod(axis=1)
+        return [np.stack([(u // g[:, (i + 1) % m, :]) * g[:, i, :] for i in range(m)], axis=1)], 1
+    if mode == OA_KRIVINE_SUM and kernels.measure_view is None:
+        # irrational radicals cannot meet an off-diagonal tensor; sample pairs
+        # whose power-sum radical roots exactly (disjoint supports)
+        return [_disjoint_pairs(rng, samples, n, m, positive=True)], SCALE
+    # valuation, and the power-sum radical of a measure: positive pairs
+    xs = np.abs(_values(rng, (samples, n)))
+    ys = np.abs(_values(rng, (samples, n)))
+    return [np.stack([xs, ys], axis=1)], SCALE
+
+
+def _oa_int_sides(mode: str, kernels: _PolyKernels, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of one mode's identity on an int block, in one common scale."""
+    P = kernels.evaluate
+    m = kernels.poly.degree
+    if mode == OA_K_VALUATION:
+        k = block.shape[1]
+        ordered = -np.sort(-block, axis=1)
+        return sum(P(ordered[:, i, :], k) for i in range(k)), sum(P(block[:, i, :], k) for i in range(k))
+    if mode == OA_KRIVINE_PRODUCT:
+        return _krivine_product_sides(kernels, block)
+    if mode == OA_POS_NEG:
+        x = block[:, 0, :]
+        sign = -1 if m % 2 else 1
+        return P(x, 1), P(np.maximum(x, 0), 2) + sign * P(np.maximum(-x, 0), 2)
+    xs, ys = block[:, 0, :], block[:, 1, :]
+    if mode == OA_VALUATION:
+        return P(np.maximum(xs, ys), 2) + P(np.minimum(xs, ys), 2), P(xs, 2) + P(ys, 2)
+    if mode == OA_KRIVINE_SUM and kernels.measure_view is not None:
+        weights, _ = kernels.weights
+        # evaluated first: these guards also bound xs**m + ys**m
+        rhs = measure_poly_eval_batch(weights, m, xs, 2) + measure_poly_eval_batch(weights, m, ys, 2)
+        return measure_poly_eval_batch(weights, 1, xs**m + ys**m), rhs
+    # disjoint additivity, and the power-sum radical of a disjoint pair,
+    # which roots to x + y
+    return P(xs + ys, 1), P(xs, 2) + P(ys, 2)
+
+
+def _krivine_product_sides(kernels: _PolyKernels, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P((x_1 .. x_m)^(1/m)) against A(x_1, .., x_m), A the polarisation."""
+    core, scale_a = kernels.core
+    rhs = form_eval_batch(core, block)
+    # the guard above bounds every product of a row's m values
+    product = block.prod(axis=1)
+    if kernels.measure_view is not None:
+        weights, scale_p = kernels.weights
+        lhs = measure_poly_eval_batch(weights, 1, product)
+    else:
+        # rows factor a perfect m-th power u**m; P(u) through the same core
+        m = kernels.poly.degree
+        u = np.rint(product ** (1.0 / m)).astype(np.int64)
+        if not np.array_equal(u**m, product):
+            raise IntPathUnavailable("row product is not an exact m-th power")
+        lhs, scale_p = poly_eval_batch(core, u), scale_a
+    # A and P carry different denominators: compare in exact Python integers
+    return lhs.astype(object) * scale_a, rhs.astype(object) * scale_p

@@ -486,9 +486,6 @@ class PrincipalIdeal:
     def __contains__(self, x: Element) -> bool:
         return self.membership_witness(x) is not None
 
-    def covers_point(self, point: int | _LimitPoint) -> bool:
-        return self.generator.value_at(point) > 0
-
     def support_points(self) -> frozenset[int]:
         """Isolated support of the generator (finite spaces only)."""
         if not self.space.is_finite:

@@ -186,11 +186,6 @@ class SymTensor:
         return f"SymTensor(m={self.degree}, {self.space!r}, {len(self.entries)} entries)"
 
 
-def tensors_disjoint(a: SymTensor, b: SymTensor) -> bool:
-    """|A| and |B| have zero meet, i.e. no multi-index carries mass in both."""
-    return all(k not in b.entries for k in a.entries)
-
-
 class GeneralMatrixForm:
     """A bilinear form on a finite space with no symmetry assumption."""
 
@@ -226,10 +221,6 @@ class GeneralMatrixForm:
     def modulus(self) -> "GeneralMatrixForm":
         return GeneralMatrixForm(self.space, [[abs(v) for v in row] for row in self.rows])
 
-    def is_symmetric(self) -> bool:
-        n = self.space.n
-        return all(self.rows[i][j] == self.rows[j][i] for i in range(n) for j in range(i + 1, n))
-
     def off_diagonal_is_zero(self) -> bool:
         n = self.space.n
         return all(self.rows[i][j] == 0 for i in range(n) for j in range(n) if i != j)
@@ -247,10 +238,6 @@ class GeneralMatrixForm:
 
 
 Form = SymTensor | GeneralMatrixForm
-
-
-def eval_form(form: Form, args: Sequence[Element]) -> Fraction:
-    return form.evaluate(args)
 
 
 def atomic_partition(x: Element) -> list[Element]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,7 +30,7 @@ from riesz_lab import (
     to_obj,
     to_polynomial,
 )
-from riesz_lab._intpath import IntPathUnavailable, dense_core, poly_eval_batch
+from riesz_lab._intpath import IntPathUnavailable, dense_core, form_eval_batch, poly_eval_batch
 from riesz_lab.checks import (
     OA_DISJOINT_ADD,
     OA_K_VALUATION,
@@ -43,7 +45,7 @@ from riesz_lab.checks import (
     OS_MODES,
 )
 from riesz_lab.errors import DegreeMismatchError, InvariantViolation
-from riesz_lab.sampling import measure, rng_for, sym_tensor
+from riesz_lab.sampling import matrix_form, measure, rng_for, sym_tensor
 from riesz_lab.tensors import nondecreasing_indices
 
 F2, F3, F4 = Space.finite(2), Space.finite(3), Space.finite(4)
@@ -191,6 +193,7 @@ class TestOrthogonalAdditivity:
             to_polynomial(Measure(F3, {1: 2, 3: Fraction(-1, 4)}), 2),
             Polynomial.from_tensor(SymTensor(F3, 2, {(1, 3): 2, (2, 2): 1})),
             Polynomial.from_tensor(SymTensor(F3, 3, {(1, 2, 3): 1})),
+            to_polynomial(Measure(OM, {1: 2, 4: Fraction(-1, 4)}, limit_atom=1), 3),
         ]
         for poly in polys:
             for mode in OA_MODES:
@@ -289,6 +292,64 @@ class TestIntGuard:
         slow = orthogonal_additivity_check(poly, OA_K_VALUATION, samples=30, seed=5, force_object=True)
         assert not fast.passed
         assert (fast.samples_checked, fast.counterexample) == (slow.samples_checked, slow.counterexample)
+
+    # the dense core of this tensor would be 40**6 int64 entries, 30.5 GiB
+    WIDE = SymTensor(Space.finite(40), 6, {(1,) * 6: 1})
+
+    def test_byte_budget_refuses_before_allocating(self):
+        with pytest.raises(IntPathUnavailable):
+            dense_core(self.WIDE)
+        core, _ = dense_core(SymTensor(Space.finite(10), 4, {(1, 1, 1, 1): 1}))
+        with pytest.raises(IntPathUnavailable):  # 20000 * 10**3 entries after one contraction
+            form_eval_batch(core, np.zeros((20000, 4, 10), dtype=np.int64))
+
+    @pytest.mark.parametrize("mode", [OS_J_IDENTITY, OS_DISJOINT])
+    def test_wide_tensor_falls_back_to_object_path(self, mode):
+        fast = orthosymmetry_check(self.WIDE, mode, samples=5, seed=2)
+        slow = orthosymmetry_check(self.WIDE, mode, samples=5, seed=2, force_object=True)
+        assert fast == slow and fast.passed
+
+
+class TestSharedKernels:
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_agreement_builds_the_dense_core_once(self, monkeypatch, diagonal):
+        tensor = sym_tensor(rng_for("kernels", diagonal), F4, 3, diagonal=diagonal, ensure_off_diagonal=not diagonal)
+        built = _counting(monkeypatch, "dense_core")
+        oa_mode_agreement(Polynomial.from_tensor(tensor), samples=structured_pair_count(4, 3) + 10, seed=3)
+        assert len(built) <= 1
+
+
+class TestSampledStreams:
+    # sha256 of the verdict stream below; every finite-space verdict and
+    # counterexample must stay byte-identical when the samplers or the
+    # driver change
+    DIGEST = "0932496621f22a9545ffd83c17b0ad7d266885b8e300d1a972ea314768bd7d7e"
+
+    def test_stream_digest(self):
+        lines = []
+        for i, (n, m) in enumerate([(2, 2), (3, 3), (4, 2), (3, 4)]):
+            space = Space.finite(n)
+            rng = rng_for("streams", i)
+            tensors = [sym_tensor(rng, space, m, diagonal=True), sym_tensor(rng, space, m, ensure_off_diagonal=True)]
+            polys = [to_polynomial(measure(rng, space), m)] + [Polynomial.from_tensor(t) for t in tensors]
+            forms = tensors + [matrix_form(rng, space)]
+            for samples in (4, structured_pair_count(n, m) + 5):
+                for force_object in (False, True):
+                    verdicts = [
+                        orthogonal_additivity_check(poly, mode, samples, i, force_object)
+                        for poly in polys
+                        for mode in OA_MODES
+                    ] + [
+                        orthosymmetry_check(form, mode, samples, i, force_object)
+                        for form in forms
+                        for mode in OS_MODES
+                        if mode != OS_BILINEAR or form.degree == 2
+                    ]
+                    lines += [
+                        json.dumps([v.mode, v.passed, v.samples_checked, v.decisive, v.counterexample], sort_keys=True)
+                        for v in verdicts
+                    ]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
 
 
 class TestIdentitySides:
