@@ -398,7 +398,8 @@ class _PolyKernels:
     """The int64 data of one polynomial, each piece built on first use.
 
     One object serves every mode of one check call and is dropped when the
-    call returns, so `oa_mode_agreement` builds the dense core once.
+    call returns, so `oa_mode_agreement` builds the int64 arrangement table
+    (`dense_core`) once.
     """
 
     def __init__(self, poly: Polynomial) -> None:
@@ -410,7 +411,7 @@ class _PolyKernels:
 
     @cached_property
     def core(self) -> tuple[np.ndarray, int]:
-        """(core, scale) of the symmetric form whose diagonal is P."""
+        """(table, scale) of the symmetric form whose diagonal is P."""
         return dense_core(self.poly.rep if self.poly.kind == TENSOR else polarize(self.poly))
 
     @cached_property

@@ -5,7 +5,8 @@ file for the order-continuity dichotomy), ``demo`` builds the discontinuity
 witness report, ``carrier``/``nakano`` expose the band descriptors and the
 carrier criterion, and ``localize`` restricts a serialised object along a
 generator.  Exit codes: 0 all checks passed, 1 a property failed, 2 usage
-or input error.
+error (``--depth`` below 1 included) or an input or output file that cannot
+be read or written.
 """
 
 from __future__ import annotations
@@ -236,14 +237,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.depth < 1:
+            raise ConfigError(f"--depth must be at least 1, got {args.depth}")
         return args.handler(args)
-    except (ConfigError, MalformedInstanceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RieszLabError as exc:
+    except (RieszLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,12 +2,11 @@
 
 A symmetric m-linear form is determined by its values on nondecreasing
 multi-indices: the stored coefficient at alpha is the value of the full
-symmetric array at any arrangement of alpha.  The multilinear evaluation
-A(x_1, .., x_m) sums, for each stored entry, over the distinct permutations
-of its index.  On the diagonal every arrangement contributes the same
-product, so P(x) = A(x, .., x) is the sum over stored entries of
-coeff * (m! / prod k_t!) * prod x(alpha_i), where k_t counts how often the
-point t occurs in alpha; the weight is computed in exact integers.
+symmetric array at any arrangement of alpha.  `SymTensor.arrangement_table`
+lists, for each stored entry, its distinct arrangements as 0-based points and
+its multinomial weight m! / prod k_t! (k_t counts how often the point t
+occurs in alpha).  It is the one layout every evaluator reads: the Fraction
+reference here and, scaled to int64, the batch kernels in `_intpath`.
 
 Order-2 forms with no symmetry assumption get their own dense matrix type.
 """
@@ -28,10 +27,6 @@ from .lattice import Element, Rational, Space, q
 def nondecreasing_indices(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """All nondecreasing multi-indices of length m over points 1..n."""
     return combinations_with_replacement(range(1, n + 1), m)
-
-
-def _distinct_permutations(idx: tuple[int, ...]) -> set[tuple[int, ...]]:
-    return set(permutations(idx))
 
 
 def arrangements(idx: tuple[int, ...]) -> int:
@@ -83,37 +78,46 @@ class SymTensor:
 
     # -- evaluation ---------------------------------------------------------
 
+    def arrangement_table(self, diagonal: bool = False) -> list[tuple[tuple[int, ...], Fraction, int]]:
+        """Rows (points, coeff, weight), stored entry by stored entry: the
+        sorted index with weight m!/prod k_t!, then its other distinct
+        arrangements with weight 0; points are 0-based.  ``diagonal`` lists
+        the weighted rows only."""
+        rows = []
+        for idx, coeff in self.entries.items():
+            points = tuple(t - 1 for t in idx)
+            rows.append((points, coeff, arrangements(idx)))
+            if not diagonal:
+                others = set(permutations(points))
+                others.discard(points)
+                rows.extend((p, coeff, 0) for p in sorted(others))
+        return rows
+
     def evaluate(self, args: Sequence[Element]) -> Fraction:
-        """A(x_1, .., x_m), summing each entry over the distinct
-        permutations of its index."""
+        """A(x_1, .., x_m): coeff * prod_i x_i(point_i) summed over every row
+        of the arrangement table."""
         if len(args) != self.degree:
             raise DegreeMismatchError(f"expected {self.degree} arguments, got {len(args)}")
         for x in args:
             if x.space != self.space:
                 raise SpaceMismatchError("argument on the wrong space")
-        vecs = [x.values for x in args]
-        total = Fraction(0)
-        for idx, coeff in self.entries.items():
-            acc = Fraction(0)
-            for perm in _distinct_permutations(idx):
-                term = Fraction(1)
-                for slot, point in enumerate(perm):
-                    term *= vecs[slot][point - 1]
-                acc += term
-            total += coeff * acc
-        return total
+        return self._contract([x.values for x in args], diagonal=False)
 
     def evaluate_diagonal(self, x: Element) -> Fraction:
-        """A(x, .., x), each entry weighted by the number of arrangements
-        of its index."""
+        """A(x, .., x).  Every arrangement of an entry contributes the same
+        product, so this is coeff * weight * prod_i x(point_i) summed over
+        the weighted rows alone."""
         if x.space != self.space:
             raise SpaceMismatchError("argument on the wrong space")
-        vec = x.values
+        return self._contract([x.values] * self.degree, diagonal=True)
+
+    def _contract(self, vecs: list[Sequence[Fraction]], diagonal: bool) -> Fraction:
         total = Fraction(0)
-        for idx, coeff in self.entries.items():
-            term = coeff * arrangements(idx)
-            for point in idx:
-                term *= vec[point - 1]
+        for points, term, weight in self.arrangement_table(diagonal):
+            if diagonal:
+                term *= weight
+            for vec, point in zip(vecs, points):
+                term *= vec[point]
             total += term
         return total
 

@@ -71,6 +71,13 @@ class TestFormEvaluation:
         table = {(3,): 1, (1, 2): 2, (2, 2): 1, (1, 1, 2): 3, (1, 2, 3): 6, (4, 4, 4, 4): 1, (1, 1, 2, 2, 3): 30}
         assert {idx: arrangements(idx) for idx in table} == table
 
+    def test_arrangement_table(self):
+        a = SymTensor(F3, 3, {(1, 1, 2): 3, (3, 3, 3): Fraction(1, 2)})
+        assert a.arrangement_table() == [
+            ((0, 0, 1), 3, 3), ((0, 1, 0), 3, 0), ((1, 0, 0), 3, 0), ((2, 2, 2), Fraction(1, 2), 1)
+        ]
+        assert a.arrangement_table(diagonal=True) == [((0, 0, 1), 3, 3), ((2, 2, 2), Fraction(1, 2), 1)]
+
     def test_diagonal_space_mismatch(self):
         with pytest.raises(SpaceMismatchError):
             SymTensor.diagonal(F2, 2, {1: 1}).evaluate_diagonal(fin(1, 2, 3))

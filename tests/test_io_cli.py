@@ -309,6 +309,11 @@ class TestCliSubprocess:
         code, _, err = _cli("carrier", "--poly", str(bad))
         assert code == 2 and b"zero denominator" in err
 
+    def test_bad_depth_and_out_end_without_traceback(self, tmp_path):
+        for argv in (["demo", "--depth", "0"], ["demo", "--depth", "3", "--out", str(tmp_path)]):
+            code, _, err = _cli(*argv)
+            assert code == 2 and err.startswith(b"error: ") and b"Traceback" not in err
+
 
 class TestCliInProcess:
     def test_failing_suite_exits_one(self, monkeypatch, capsys):
@@ -346,3 +351,35 @@ class TestCliInProcess:
         assert main(["check"]) == 2
         err = capsys.readouterr().err
         assert "pick a suite" in err and "nakano" in err
+
+    @staticmethod
+    def _inputs(tmp_path):
+        poly = tmp_path / "poly.json"
+        poly.write_text(dumps_canonical(to_obj(to_polynomial(Measure(OM, {1: 1}, limit_atom=1), 2))))
+        gen = tmp_path / "gen.json"
+        gen.write_text(dumps_canonical(to_obj(Element.finite([0, 1, 1]))))
+        return str(poly), str(gen)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check", "lattice-axioms"],
+            ["check", "order-continuity", "--poly", "{poly}"],
+            ["demo", "counterexample"],
+            ["carrier", "--poly", "{poly}"],
+            ["nakano", "--p", "{poly}", "--q", "{poly}"],
+            ["localize", "--obj", "{poly}", "--gen", "{gen}"],
+        ],
+    )
+    @pytest.mark.parametrize("depth", ["0", "-2"])
+    def test_depth_below_one_exits_two(self, capsys, tmp_path, command, depth):
+        poly, gen = self._inputs(tmp_path)
+        argv = [arg.format(poly=poly, gen=gen) for arg in command]
+        assert main([*argv, "--depth", depth]) == 2
+        assert f"error: --depth must be at least 1, got {depth}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["demo", "counterexample", "--depth", "3"], ["carrier", "--poly", "{poly}"]])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, command):
+        poly, _ = self._inputs(tmp_path)
+        assert main([*(arg.format(poly=poly) for arg in command), "--out", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err

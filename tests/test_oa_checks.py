@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
+import inspect
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import riesz_lab.checks as checks
 
@@ -30,7 +37,7 @@ from riesz_lab import (
     to_obj,
     to_polynomial,
 )
-from riesz_lab._intpath import IntPathUnavailable, dense_core, form_eval_batch, poly_eval_batch
+from riesz_lab._intpath import IntPathUnavailable, dense_core, form_eval_batch, poly_eval_batch, polarize_tensor_int
 from riesz_lab.checks import (
     OA_DISJOINT_ADD,
     OA_K_VALUATION,
@@ -293,21 +300,88 @@ class TestIntGuard:
         assert not fast.passed
         assert (fast.samples_checked, fast.counterexample) == (slow.samples_checked, slow.counterexample)
 
-    # the dense core of this tensor would be 40**6 int64 entries, 30.5 GiB
+    # a dense n**m array of this tensor would be 40**6 int64 entries,
+    # 30.5 GiB; its arrangement table has one row
     WIDE = SymTensor(Space.finite(40), 6, {(1,) * 6: 1})
 
-    def test_byte_budget_refuses_before_allocating(self):
-        with pytest.raises(IntPathUnavailable):
-            dense_core(self.WIDE)
-        core, _ = dense_core(SymTensor(Space.finite(10), 4, {(1, 1, 1, 1): 1}))
-        with pytest.raises(IntPathUnavailable):  # 20000 * 10**3 entries after one contraction
-            form_eval_batch(core, np.zeros((20000, 4, 10), dtype=np.int64))
+    def test_gather_budget_refuses_before_allocating(self):
+        # every set of six distinct points out of eight: 28 * 6! table rows
+        tensor = SymTensor(Space.finite(8), 6, {idx: 1 for idx in combinations(range(1, 9), 6)})
+        core, _ = dense_core(tensor)
+        assert core.shape == (20160, 8)
+        args = np.ones((900, 6, 8), dtype=np.int64)  # 900 * 20160 gathered entries, 145 MB each
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntPathUnavailable):
+                form_eval_batch(core, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert list(form_eval_batch(core, args[:2])) == [20160] * 2
 
     @pytest.mark.parametrize("mode", [OS_J_IDENTITY, OS_DISJOINT])
-    def test_wide_tensor_falls_back_to_object_path(self, mode):
+    def test_wide_tensor_takes_the_int_path(self, monkeypatch, mode):
+        original, returned = checks.form_eval_batch, []
+
+        def recorded(core, args):
+            returned.append(original(core, args))
+            return returned[-1]
+
+        monkeypatch.setattr(checks, "form_eval_batch", recorded)
+        assert dense_core(self.WIDE)[0].shape == (1, 8)
         fast = orthosymmetry_check(self.WIDE, mode, samples=5, seed=2)
+        assert returned  # at least one batch ran without IntPathUnavailable
         slow = orthosymmetry_check(self.WIDE, mode, samples=5, seed=2, force_object=True)
         assert fast == slow and fast.passed
+
+
+@st.composite
+def _tensor_batches(draw):
+    """A tensor with repeated indices and mixed denominators, plus int
+    argument rows (S, m, n) and diagonal rows (S, n)."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    index = st.lists(st.integers(1, n), min_size=m, max_size=m).map(lambda idx: tuple(sorted(idx)))
+    value = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+    tensor = SymTensor(Space.finite(n), m, draw(st.dictionaries(index, value, max_size=6)))
+    samples = draw(st.integers(0, 4))
+    values = st.integers(-20, 20)
+    args = draw(arrays(np.int64, (samples, m, n), elements=values))
+    return tensor, args, draw(arrays(np.int64, (samples, n), elements=values))
+
+
+class TestIntKernel:
+    """The int64 kernels against the Fraction reference on the same rows."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_tensor_batches())
+    def test_int_kernel_matches_fraction_reference(self, case):
+        tensor, args, xs = case
+        core, scale = dense_core(tensor)
+        for row, value in zip(args, form_eval_batch(core, args)):
+            assert Fraction(int(value), scale) == tensor.evaluate([Element.finite(list(x)) for x in row])
+        for x, value in zip(xs, poly_eval_batch(core, xs)):
+            assert Fraction(int(value), scale) == tensor.evaluate_diagonal(Element.finite(list(x)))
+        assert polarize_tensor_int(tensor) == tensor.entries
+
+
+class TestBenchmarkTargets:
+    def test_layer_targets_resolve(self, monkeypatch):
+        """Every function the benchmark traces by name exists where it looks,
+        and a byte counter takes the same arguments as its function."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        worker = importlib.import_module("worker")
+        for target in worker._layer_targets():
+            holder = importlib.import_module(target.module)
+            owner, _, name = target.qualname.rpartition(".")
+            if owner:
+                holder = getattr(holder, owner)
+                assert name in vars(holder), target.label
+            function = getattr(holder, name)
+            assert callable(function), target.label
+            if target.counter is not None:
+                wanted = list(inspect.signature(function).parameters)
+                assert list(inspect.signature(target.counter).parameters) == wanted, target.label
 
 
 class TestSharedKernels:
