@@ -25,6 +25,7 @@ from .jsonio import (
     to_obj,
 )
 from .lattice import Element
+from .measures import Measure
 from .order_continuity import (
     Functional,
     ProductFunctionalPolynomial,
@@ -36,6 +37,7 @@ from .polynomials import Polynomial
 from .report import Report, PropertyResult, emit_report
 from .restriction import restrict
 from .suites import EXHAUSTIVE, SUITES, SuiteConfig, run_suite
+from .tensors import SymTensor
 
 _ENV_SEED = "RIESZ_LAB_SEED"
 
@@ -173,7 +175,7 @@ def _cmd_nakano(args) -> int:
 
 
 def _cmd_localize(args) -> int:
-    obj = parse_instance_file(args.obj)
+    obj = _load(args.obj, (Measure, Polynomial, SymTensor), "a measure, tensor or polynomial instance")
     generator = _load(args.gen, Element, "a generator element")
     restricted = restrict(obj, generator)
     _emit_json(to_obj(restricted.induced), args.out)

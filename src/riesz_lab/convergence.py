@@ -4,8 +4,11 @@ A certificate asserts x_n -> x because |x_n - x| <= y_n for a decreasing
 family (y_n) with lattice infimum 0.  Families are sequence-indexed and come
 in two kinds: explicit finite lists (eventually constant at the last member)
 and tail-bump families base + slope * 1_{ {limit} | {isolated >= n} } on the
-sequence backend.  Domination and monotonicity are probed to a finite depth;
-the infimum condition is certified exactly per family kind.
+sequence backend.  Domination and monotonicity are probed up to a depth,
+but only as far as the families' stabilisation horizon (`family_horizon`):
+past it every pointwise check repeats the one at the horizon, so a probe
+that reaches the horizon decides both conditions for every n.  The infimum
+condition is certified exactly per family kind.
 """
 
 from __future__ import annotations
@@ -125,6 +128,34 @@ def power_family(family: ElementFamily, m: int) -> ElementFamily:
     raise UnsupportedFamilyError(type(family).__name__)
 
 
+def family_horizon(families: Sequence[ElementFamily], fixed: Sequence[Element] = ()) -> int | None:
+    """Index H from which pointwise checks on these families repeat.
+
+    For every n >= H, each comparison between members x_n (and x_{n+1}) of
+    the families and the ``fixed`` elements gives the same answer as at
+    n = H.  An explicit family is constant from its last member on.  A tail
+    member base + slope*T_n agrees with member W + 2 at every point <= W and
+    at the limit, where W is the widest prefix of all parts involved; past W
+    it takes base.tail on W+1..n-1 and base.tail + slope.tail from n on, and
+    for n >= W + 2 both runs are nonempty.  None for other family kinds.
+    """
+    elements = list(fixed)
+    horizon = 1
+    tails = False
+    for family in families:
+        if isinstance(family, ExplicitFamily):
+            elements.extend(family.members)
+            horizon = max(horizon, len(family.members))
+        elif isinstance(family, TailFamily):
+            elements += (family.base, family.slope)
+            tails = True
+        else:
+            return None
+    if tails:
+        horizon = max(horizon, max(len(e.prefix) for e in elements) + 2)
+    return horizon
+
+
 def infimum_is_zero(family: ElementFamily) -> bool:
     """Exact certification that a decreasing family has lattice infimum 0.
 
@@ -163,16 +194,24 @@ class ConvergenceCertificate:
 
 def verify_certificate(cert: ConvergenceCertificate, probe_depth: int = 50) -> CertificateVerdict:
     """Probe |x_n - limit| <= y_n and y_{n+1} <= y_n for n <= probe_depth,
-    then certify inf y_n = 0 exactly for the supported family kinds."""
+    then certify inf y_n = 0 exactly for the supported family kinds.
+
+    Both probes stop at min(probe_depth, H) with H = `family_horizon` of the
+    certificate: every check past H repeats the check at H, so the verdict
+    (passed, reason, failed_index) is that of the probe to the full depth,
+    and when probe_depth >= H it holds for every n.
+    """
     if probe_depth < 1:
         raise ValueError("probe depth must be >= 1")
     if cert.sequence.space != cert.limit.space or cert.dominator.space != cert.limit.space:
         raise SpaceMismatchError("certificate parts on different spaces")
-    for n in range(1, probe_depth + 1):
+    horizon = family_horizon((cert.sequence, cert.dominator), (cert.limit,))
+    depth = probe_depth if horizon is None else min(probe_depth, horizon)
+    for n in range(1, depth + 1):
         gap = abs(cert.sequence.member(n) - cert.limit)
         if not gap.le(cert.dominator.member(n)):
             return CertificateVerdict(False, "domination", n)
-    for n in range(1, probe_depth + 1):
+    for n in range(1, depth + 1):
         if not cert.dominator.member(n + 1).le(cert.dominator.member(n)):
             return CertificateVerdict(False, "monotonicity", n)
     if not infimum_is_zero(cert.dominator):

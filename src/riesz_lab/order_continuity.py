@@ -19,6 +19,7 @@ from .convergence import (
     ElementFamily,
     ExplicitFamily,
     TailFamily,
+    family_horizon,
     family_sup_norm,
     power_family,
     scale_family,
@@ -197,7 +198,7 @@ def discontinuity_witness(poly: ProductFunctionalPolynomial, probe_depth: int = 
     verdict = cert.verify(probe_depth)
     if not verdict.passed:
         raise CertificateError(f"witness net failed verification: {verdict.reason}")
-    values = tuple(poly.evaluate(net.member(n)) for n in range(1, probe_depth + 1))
+    values = _repeat_last([poly.evaluate(x) for x in _probe_members(poly, net, probe_depth)], probe_depth)
     base_value = poly.evaluate(one)
     gap = min(abs(v - base_value) for v in values)
     if gap <= 0:
@@ -249,6 +250,29 @@ def _eventual_value(poly, family: ElementFamily) -> Fraction:
     raise CertificateError("eventual values need an explicit or tail family")
 
 
+def _probe_members(poly, family: ElementFamily, probe_depth: int) -> list[Element]:
+    """Members x_1, .., x_stop of a probe net, where stop <= probe_depth is
+    an index past which P(x_n) and its certified bound no longer change.
+
+    An explicit family is constant from its last member on.  On a tail
+    family, P reads only points below `_stabilisation_index` plus the limit
+    point, and the sup-norm in the product-polynomial bound is constant from
+    `family_horizon` on.  Other pairings are evaluated at every index.
+    """
+    stop = family_horizon((family,))
+    if isinstance(family, TailFamily):
+        if isinstance(poly, Polynomial) and poly.kind != MEASURE:
+            stop = None  # `_eventual_value` rejects the pairing
+        else:
+            stop = max(stop, _stabilisation_index(poly))
+    stop = probe_depth if stop is None else min(stop, probe_depth)
+    return [family.member(n) for n in range(1, stop + 1)]
+
+
+def _repeat_last(items: list, length: int) -> tuple:
+    return tuple(items) + tuple(items[-1:]) * (length - len(items))
+
+
 def _functional_bound(f: Functional) -> Fraction:
     return abs(f.measure).variation_norm() if f.kind == MEASURE_FUNCTIONAL else Fraction(1)
 
@@ -272,7 +296,9 @@ def zero_order_continuity_probe(
     Passes when every net's exact eventual value is zero and, where a
     certified bound exists (the modulus integral for orthogonally additive
     polynomials, the sup-norm power for product polynomials), each probed
-    value respects it.
+    value respects it.  Values and bounds are computed only up to the
+    net's horizon (`_probe_members`) and repeated from there to
+    ``probe_depth``: past it they are constant in n.
     """
     probes = []
     passed = True
@@ -282,10 +308,11 @@ def zero_order_continuity_probe(
         verdict = cert.verify(probe_depth)
         if not verdict.passed:
             raise CertificateError(f"unverifiable certificate: {verdict.reason}")
-        values = tuple(poly.evaluate(cert.sequence.member(n)) for n in range(1, probe_depth + 1))
+        members = _probe_members(poly, cert.sequence, probe_depth)
+        values = [poly.evaluate(x) for x in members]
         bounds = []
-        for n, v in enumerate(values, start=1):
-            bound = _certified_bound(poly, cert.sequence.member(n))
+        for x, v in zip(members, values):
+            bound = _certified_bound(poly, x)
             if bound is None:
                 bounds = None
                 break
@@ -295,7 +322,8 @@ def zero_order_continuity_probe(
         eventual = _eventual_value(poly, cert.sequence)
         if eventual != 0:
             passed = False
-        probes.append(NetProbe(eventual, values, tuple(bounds) if bounds is not None else None))
+        bound_values = _repeat_last(bounds, probe_depth) if bounds is not None else None
+        probes.append(NetProbe(eventual, _repeat_last(values, probe_depth), bound_values))
     return ProbeVerdict(passed, tuple(probes))
 
 

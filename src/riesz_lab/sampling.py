@@ -9,7 +9,10 @@ arithmetic exact and fast.
 
 from __future__ import annotations
 
+import math
+import operator
 import random
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 from .lattice import Element, Space
@@ -75,6 +78,53 @@ def measure(
     return Measure(space, atoms, limit_atom=limit)
 
 
+class _IndexPool(Sequence):
+    """The nondecreasing multi-indices of length m over points 1..n, in the
+    order `nondecreasing_indices` yields them, indexed by rank without
+    being listed; ``mixed`` leaves out the n diagonal indices (t, .., t).
+
+    `random.sample` and `random.choice` read a large pool through `len` and
+    `__getitem__` only, and copy a small one through `__iter__`, so they
+    draw exactly what they would draw from the equivalent list.
+    """
+
+    def __init__(self, n: int, m: int, mixed: bool = False) -> None:
+        self.n, self.m, self.mixed = n, m, mixed
+        total = math.comb(n + m - 1, m)
+        # rank of (t, .., t): the indices whose first point is below t
+        self._diagonal_ranks = [total - math.comb(n - t + m, m) for t in range(1, n + 1)] if mixed else []
+        self._len = total - len(self._diagonal_ranks)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, rank: int) -> tuple[int, ...]:
+        rank = operator.index(rank)
+        if rank < 0:
+            rank += self._len
+        if not 0 <= rank < self._len:
+            raise IndexError("index pool rank out of range")
+        for skipped in self._diagonal_ranks:
+            if skipped > rank:
+                break
+            rank += 1
+        # lexicographic unranking: C(n - t + k - 1, k - 1) indices of length
+        # k start with point t and continue with points >= t
+        idx = []
+        t = 1
+        for k in range(self.m, 0, -1):
+            while rank >= (count := math.comb(self.n - t + k - 1, k - 1)):
+                rank -= count
+                t += 1
+            idx.append(t)
+        return tuple(idx)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        for idx in nondecreasing_indices(self.n, self.m):
+            if not (self.mixed and idx[0] == idx[-1]):
+                yield idx
+
+
 def sym_tensor(
     rng: random.Random,
     space: Space,
@@ -92,8 +142,8 @@ def sym_tensor(
     cap = max_entries if max_entries is not None else 2 * n
     entries: dict[tuple[int, ...], Fraction] = {}
     diag_candidates = [(t,) * degree for t in space.points()]
-    all_candidates = list(nondecreasing_indices(n, degree))
-    mixed = [idx for idx in all_candidates if len(set(idx)) > 1]
+    all_candidates = _IndexPool(n, degree)
+    mixed = _IndexPool(n, degree, mixed=True)
     pool = diag_candidates if diagonal else all_candidates
     for idx in rng.sample(pool, min(cap, len(pool))):
         if rng.random() < 0.7:

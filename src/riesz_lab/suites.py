@@ -515,7 +515,7 @@ def _order_continuity(config: SuiteConfig):
     for i in range(trials):
         rng = rng_for(config.seed, config.suite, name, i)
         poly = measure_polynomial(rng, space, config.m)
-        if not dichotomy_agrees(poly, scale=abs(rational(rng, nonzero=True)), probe_depth=min(config.probe_depth, 20)):
+        if not dichotomy_agrees(poly, scale=abs(rational(rng, nonzero=True)), probe_depth=config.probe_depth):
             yield _fail(name, i + 1, f"trial {i}: {poly!r}")
             return
     yield _ok(name, trials)
@@ -526,7 +526,7 @@ def _order_continuity(config: SuiteConfig):
         c = abs(rational(rng, nonzero=True))
         cert = urysohn_witness_net(c)
         powered = power_net_dominator(cert, config.m, bound_b=c + rng.randint(0, 3))
-        verdict = powered.verify(min(config.probe_depth, 25))
+        verdict = powered.verify(config.probe_depth)
         if not verdict.passed:
             yield _fail(name, i + 1, f"trial {i}: scale {c}, reason {verdict.reason}")
             return

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -10,6 +11,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from riesz_lab import (
     Element,
@@ -36,6 +39,7 @@ from riesz_lab.errors import MalformedInstanceError
 from riesz_lab.jsonio import parse_rational
 from riesz_lab.report import PropertyResult, Report
 from riesz_lab.sampling import element, matrix_form, measure, rng_for, sym_tensor
+from riesz_lab.suites import SUITES
 
 F3 = Space.finite(3)
 OM = Space.omega_plus_one()
@@ -378,8 +382,74 @@ class TestCliInProcess:
         assert main([*argv, "--depth", depth]) == 2
         assert f"error: --depth must be at least 1, got {depth}" in capsys.readouterr().err
 
+    def test_localize_rejects_an_element_to_restrict(self, capsys, tmp_path):
+        _, gen = self._inputs(tmp_path)
+        assert main(["localize", "--obj", gen, "--gen", gen]) == 2
+        assert "expected a measure, tensor or polynomial instance, found Element" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [["demo", "counterexample", "--depth", "3"], ["carrier", "--poly", "{poly}"]])
     def test_unwritable_out_exits_two(self, capsys, tmp_path, command):
         poly, _ = self._inputs(tmp_path)
         assert main([*(arg.format(poly=poly) for arg in command), "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+_INSTANCE_FILES = {
+    "poly": dumps_canonical(to_obj(to_polynomial(Measure(OM, {1: 1, 8: -2}, limit_atom=1), 2))),
+    "finite-poly": dumps_canonical(to_obj(to_polynomial(Measure(F3, {1: 1}), 2))),
+    "element": dumps_canonical(to_obj(Element.finite([0, 1, 1]))),
+    "garbage": "{not json",
+    "empty": "",
+    "wrong-shape": '{"degree": 2, "kind": "nope"}',
+}
+_FILE_NAMES = [*_INSTANCE_FILES, "missing", "directory"]
+_OPTIONS = {
+    "--depth": ["1", "2", "7", "60", "0", "-3", "deep"],
+    "--trials": ["1", "2", "0", "-1", "exhaustive", "many"],
+    "--seed": ["0", "7", "x"],
+    "--m": ["1", "2", "3", "5", "0", "-1", "two"],
+    "--n": ["1", "3", "4", "0", "-2", "n"],
+    "--space": ["", "omega1", "finite:3", "finite:0", "finite:x", "elsewhere"],
+    "--format": ["json", "human", "xml"],
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with file arguments named by key, plus some options."""
+    command = draw(st.sampled_from(["check", "demo", "carrier", "nakano", "localize"]))
+    files = st.sampled_from(_FILE_NAMES)
+    if command == "check":
+        argv = ["check", *draw(st.lists(st.sampled_from([*SUITES, "no-such-suite"]), max_size=1))]
+        if draw(st.booleans()):
+            argv += ["--poly", draw(files)]
+    elif command == "demo":
+        argv = ["demo", *draw(st.lists(st.sampled_from(["counterexample", "other"]), max_size=1))]
+    elif command == "carrier":
+        argv = ["carrier", "--poly", draw(files)]
+    elif command == "nakano":
+        argv = ["nakano", "--p", draw(files), "--q", draw(files)]
+    else:
+        argv = ["localize", "--obj", draw(files), "--gen", draw(files)]
+    for flag in draw(st.lists(st.sampled_from(sorted(_OPTIONS)), max_size=4, unique=True)):
+        argv += [flag, draw(st.sampled_from(_OPTIONS[flag]))]
+    return argv
+
+
+class TestCliFuzz:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_argv())
+    def test_every_input_ends_with_an_exit_code(self, tmp_path, argv):
+        paths = {"missing": tmp_path / "missing.json", "directory": tmp_path}
+        for name, text in _INSTANCE_FILES.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text)
+        argv = [str(paths[arg]) if arg in paths else arg for arg in argv]
+        out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
