@@ -92,10 +92,9 @@ def _cmd_check(args) -> int:
         trials=_parse_trials(args.trials),
         seed=args.seed if args.seed is not None else _default_seed(),
         probe_depth=args.depth,
-        fmt=args.format,
     )
     report = run_suite(config)
-    _write(emit_report(report, config.fmt), args.out)
+    _write(emit_report(report, args.format), args.out)
     return 0 if report.passed else 1
 
 

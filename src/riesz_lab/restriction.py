@@ -80,12 +80,6 @@ class ConsistencyVerdict:
     failed_identity: str | None = None
 
 
-def _pair_parts(first, second, a):
-    left = restrict(first, a).induced
-    right = restrict(second, a).induced
-    return left, right
-
-
 def local_lattice_consistency(first: Restrictable, second: Restrictable, a: PrincipalIdeal | Element) -> ConsistencyVerdict:
     """Restriction commutes with modulus, join, and meet.
 

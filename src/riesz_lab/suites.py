@@ -1,11 +1,16 @@
 """Named property suites over seeded random instances.
 
-Each suite draws instances from per-trial deterministic streams, exercises
-one slice of the library, and returns per-property results whose
-counterexamples carry everything needed to replay the failure.  The nakano
-suite additionally supports exhaustive enumeration at desk scale (n <= 4,
-weights in {-1, 0, 1}, m <= 3); beyond those caps it refuses rather than
-silently sampling.
+Each suite exercises one slice of the library and returns one result per
+property, whose counterexamples carry everything needed to replay the
+failure.  Sampled properties run through one driver, `_property`: trial i of
+a property draws from its own stream, keyed by (seed, suite, property, i);
+the first failing trial decides the result (``samples = i + 1``, detail
+``trial i: ...``), and a failing property never hides the properties after
+it, so every property of the suite is reported.  The nakano suite
+additionally supports exhaustive enumeration at desk scale (n <= 4, weights
+in {-1, 0, 1}, m <= 3); beyond those caps it refuses rather than silently
+sampling.  The nakano regression pair and the counterexample suite are
+single-shot checks with no trial stream.
 """
 
 from __future__ import annotations
@@ -121,7 +126,6 @@ class SuiteConfig:
     trials: int | str = 100
     seed: int | str = 0
     probe_depth: int = 50
-    fmt: str = "human"
 
     def __post_init__(self):
         if self.suite not in SUITES:
@@ -141,8 +145,6 @@ class SuiteConfig:
             raise ConfigError("finite spaces here need n >= 2")
         if self.probe_depth < 1:
             raise ConfigError("probe depth must be >= 1")
-        if self.fmt not in ("human", "json"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
 
     def resolved_space(self) -> Space:
         if self.space:
@@ -186,12 +188,21 @@ def _oa_samples(space: Space, m: int) -> int:
     return 24
 
 
-def _ok(name: str, samples: int, detail: str = "") -> PropertyResult:
-    return PropertyResult(name, True, samples, detail)
+def _property(config: SuiteConfig, name: str, body) -> PropertyResult:
+    """Run ``body(rng, i)`` on the property's trial streams until one fails.
 
-
-def _fail(name: str, samples: int, detail: str, counterexample: dict | None = None) -> PropertyResult:
-    return PropertyResult(name, False, samples, detail, counterexample)
+    ``body`` returns ``None`` when trial ``i`` holds and ``(detail,
+    counterexample)`` when it does not; the first failing trial decides the
+    result, with ``samples = i + 1`` and the detail prefixed by ``trial i``.
+    """
+    trials = int(config.trials)
+    for i in range(trials):
+        failure = body(rng_for(config.seed, config.suite, name, i), i)
+        if failure is not None:
+            detail, counterexample = failure
+            prefix = f"trial {i}"
+            return PropertyResult(name, False, i + 1, f"{prefix}: {detail}" if detail else prefix, counterexample)
+    return PropertyResult(name, True, trials)
 
 
 # -- lattice axioms -------------------------------------------------------------------
@@ -199,17 +210,15 @@ def _fail(name: str, samples: int, detail: str, counterexample: dict | None = No
 
 def _lattice_axioms(config: SuiteConfig):
     space = config.resolved_space()
-    trials = int(config.trials)
 
     def axiom(name, relation):
-        for i in range(trials):
-            rng = rng_for(config.seed, config.suite, name, i)
+        def body(rng, i):
             x, y, z = (element(rng, space) for _ in range(3))
             lam = rational(rng)
             if not relation(x, y, z, lam):
-                detail = f"trial {i}: x={x!r} y={y!r} z={z!r} lambda={lam}"
-                return _fail(name, i + 1, detail)
-        return _ok(name, trials)
+                return f"x={x!r} y={y!r} z={z!r} lambda={lam}", None
+
+        return _property(config, name, body)
 
     yield axiom("commutativity", lambda x, y, z, lam: x.join(y) == y.join(x) and x.meet(y) == y.meet(x))
     yield axiom(
@@ -234,16 +243,15 @@ def _lattice_axioms(config: SuiteConfig):
     yield axiom("triangle", lambda x, y, z, lam: abs(x + y).le(abs(x) + abs(y)))
     yield axiom("scaling-modulus", lambda x, y, z, lam: abs(x * lam) == abs(x) * abs(lam))
 
-    name = "radical-exact-root"
     m = max(config.m, 2)
-    for i in range(trials):
-        rng = rng_for(config.seed, config.suite, name, i)
+
+    def radical_root(rng, i):
         x = element(rng, space, positive=True)
         root = RadicalElement(m, x**m).exact_root()
         if root != x:
-            yield _fail(name, i + 1, f"trial {i}: ({x!r}^{m})^(1/{m}) -> {root!r}")
-            return
-    yield _ok(name, trials)
+            return f"({x!r}^{m})^(1/{m}) -> {root!r}", None
+
+    yield _property(config, "radical-exact-root", radical_root)
 
 
 # -- decreasing rearrangements ---------------------------------------------------------
@@ -264,23 +272,20 @@ def _sorted_columns_oracle(xs):
 
 def _rearrangement(config: SuiteConfig):
     space = config.resolved_space()
-    trials = int(config.trials)
-    checks = {
-        "sum-preservation": lambda xs, js: sum(js[1:], js[0]) == sum(xs[1:], xs[0]),
-        "monotone-chain": lambda xs, js: all(js[i + 1].le(js[i]) for i in range(len(js) - 1)),
-        "sort-oracle-agreement": lambda xs, js: js == _sorted_columns_oracle(xs),
-        "idempotence": lambda xs, js: decreasing_rearrangements(js) == js,
-    }
-    for name, relation in checks.items():
-        failed = None
-        for i in range(trials):
-            rng = rng_for(config.seed, config.suite, name, i)
+
+    def rearranged(name, relation):
+        def body(rng, i):
             xs = [element(rng, space, positive=True) for _ in range(rng.randint(2, 4))]
             js = decreasing_rearrangements(xs)
             if not relation(xs, js):
-                failed = _fail(name, i + 1, f"trial {i}: tuple {[repr(x) for x in xs]}")
-                break
-        yield failed or _ok(name, trials)
+                return f"tuple {[repr(x) for x in xs]}", None
+
+        return _property(config, name, body)
+
+    yield rearranged("sum-preservation", lambda xs, js: sum(js[1:], js[0]) == sum(xs[1:], xs[0]))
+    yield rearranged("monotone-chain", lambda xs, js: all(js[i + 1].le(js[i]) for i in range(len(js) - 1)))
+    yield rearranged("sort-oracle-agreement", lambda xs, js: js == _sorted_columns_oracle(xs))
+    yield rearranged("idempotence", lambda xs, js: decreasing_rearrangements(js) == js)
 
 
 # -- orthosymmetry ----------------------------------------------------------------------
@@ -290,37 +295,28 @@ def _orthosymmetry(config: SuiteConfig):
     space = config.resolved_space()
     if not space.is_finite:
         raise ConfigError("multilinear forms live on finite spaces")
-    trials = int(config.trials)
     samples = max(60, structured_pair_count(space.n, config.m) + 10)
     modes = [OS_J_IDENTITY, OS_DISJOINT] + ([OS_BILINEAR] if config.m == 2 else [])
 
-    name = "diagonal-agrees-with-sampled-modes"
-    disagreements = None
-    for i in range(trials):
-        rng = rng_for(config.seed, config.suite, name, i)
+    def diagonal_agrees(rng, i):
         tensor = sym_tensor(rng, space, config.m, diagonal=rng.random() < 0.5, ensure_off_diagonal=rng.random() < 0.5)
         expected = orthosymmetry_check(tensor, OS_DIAGONAL).passed
         for mode in modes:
             verdict = orthosymmetry_check(tensor, mode, samples=samples, seed=rng.randint(0, 2**31))
             if verdict.passed != expected:
                 payload = verdict.counterexample and attach_instance(verdict.counterexample, to_obj(tensor))
-                disagreements = _fail(name, i + 1, f"trial {i}: {mode} vs diagonal on {tensor!r}", payload)
-                break
-        if disagreements:
-            break
-    yield disagreements or _ok(name, trials)
+                return f"{mode} vs diagonal on {tensor!r}", payload
+
+    yield _property(config, "diagonal-agrees-with-sampled-modes", diagonal_agrees)
+
+    def matrix_disjoint_pairs(rng, i):
+        form = matrix_form(rng, space)
+        verdict = orthosymmetry_check(form, OS_DISJOINT, samples=40, seed=i)
+        if verdict.passed != form.off_diagonal_is_zero():
+            return "", verdict.counterexample and attach_instance(verdict.counterexample, to_obj(form))
 
     if config.m == 2:
-        name = "matrix-disjoint-pairs-decide-off-diagonal"
-        for i in range(trials):
-            rng = rng_for(config.seed, config.suite, name, i)
-            form = matrix_form(rng, space)
-            verdict = orthosymmetry_check(form, OS_DISJOINT, samples=40, seed=i)
-            if verdict.passed != form.off_diagonal_is_zero():
-                payload = verdict.counterexample and attach_instance(verdict.counterexample, to_obj(form))
-                yield _fail(name, i + 1, f"trial {i}", payload)
-                return
-        yield _ok(name, trials)
+        yield _property(config, "matrix-disjoint-pairs-decide-off-diagonal", matrix_disjoint_pairs)
 
 
 # -- orthogonal additivity ---------------------------------------------------------------
@@ -328,11 +324,9 @@ def _orthosymmetry(config: SuiteConfig):
 
 def _oa_characterisations(config: SuiteConfig):
     space = config.resolved_space()
-    trials = int(config.trials)
     samples = _oa_samples(space, config.m)
-    name = "seven-modes-agree-with-structure"
-    for i in range(trials):
-        rng = rng_for(config.seed, config.suite, name, i)
+
+    def seven_modes(rng, i):
         if space.is_finite and i % 2 == 0:
             poly = tensor_polynomial(rng, space, config.m, diagonal=rng.random() < 0.5, ensure_off_diagonal=rng.random() < 0.5)
         else:
@@ -342,9 +336,9 @@ def _oa_characterisations(config: SuiteConfig):
         for mode, verdict in verdicts.items():
             if verdict.passed != expected:
                 payload = verdict.counterexample and attach_instance(verdict.counterexample, to_obj(poly))
-                yield _fail(name, i + 1, f"trial {i}: mode {mode} disagrees with structure on {poly!r}", payload)
-                return
-    yield _ok(name, trials)
+                return f"mode {mode} disagrees with structure on {poly!r}", payload
+
+    yield _property(config, "seven-modes-agree-with-structure", seven_modes)
 
 
 # -- measure <-> polynomial isometry ------------------------------------------------------
@@ -352,25 +346,19 @@ def _oa_characterisations(config: SuiteConfig):
 
 def _isometry(config: SuiteConfig):
     space = config.resolved_space()
-    trials = int(config.trials)
 
-    def pair(i, name):
-        rng = rng_for(config.seed, config.suite, name, i)
+    def pair(rng):
         mu, nu = measure(rng, space), measure(rng, space)
-        return mu, nu, Polynomial.from_measure(config.m, mu), Polynomial.from_measure(config.m, nu), rng
+        return mu, nu, Polynomial.from_measure(config.m, mu), Polynomial.from_measure(config.m, nu)
 
-    name = "regular-norm-equals-variation-norm"
-    for i in range(trials):
-        mu, _, p, _, _ = pair(i, name)
+    def norms(rng, i):
+        mu, _, p, _ = pair(rng)
         regular, variation = norm_check(p)
         if regular != variation:
-            yield _fail(name, i + 1, f"trial {i}: {regular} vs {variation} for {mu!r}")
-            return
-    yield _ok(name, trials)
+            return f"{regular} vs {variation} for {mu!r}", None
 
-    name = "lattice-operations-atomwise"
-    for i in range(trials):
-        mu, nu, p, r, _ = pair(i, name)
+    def atomwise(rng, i):
+        mu, nu, p, r = pair(rng)
         ok = (
             to_measure(poly_modulus(p)) == abs(mu)
             and to_measure(poly_join(p, r)) == mu.join(nu)
@@ -378,13 +366,10 @@ def _isometry(config: SuiteConfig):
             and to_measure(poly_add(p, r)) == mu + nu
         )
         if not ok:
-            yield _fail(name, i + 1, f"trial {i}: {mu!r}, {nu!r}")
-            return
-    yield _ok(name, trials)
+            return f"{mu!r}, {nu!r}", None
 
-    name = "disjointness-correspondence"
-    for i in range(trials):
-        mu, nu, p, r, rng = pair(i, name)
+    def disjointness(rng, i):
+        mu, nu, p, r = pair(rng)
         if i % 3 == 0:  # force genuinely disjoint pairs into the mix
             keep = frozenset(t for t in mu.atoms if rng.random() < 0.5)
             mu = mu.restrict(keep, keep_limit=False)
@@ -392,21 +377,21 @@ def _isometry(config: SuiteConfig):
             p = Polynomial.from_measure(config.m, mu)
             r = Polynomial.from_measure(config.m, nu)
         if polys_disjoint(p, r) != mu.is_disjoint(nu):
-            yield _fail(name, i + 1, f"trial {i}: {mu!r}, {nu!r}")
-            return
-    yield _ok(name, trials)
+            return f"{mu!r}, {nu!r}", None
 
-    name = "integral-oracle"
-    for i in range(trials):
-        mu, _, p, _, rng = pair(i, name)
+    def integral(rng, i):
+        mu, _, p, _ = pair(rng)
         x = element(rng, space)
         expected = sum((w * x.value_at(t) ** config.m for t, w in mu.atoms.items()), Fraction(0))
         if not space.is_finite:
             expected += mu.limit_atom * x.tail**config.m
         if p.evaluate(x) != expected:
-            yield _fail(name, i + 1, f"trial {i}: {mu!r} at {x!r}")
-            return
-    yield _ok(name, trials)
+            return f"{mu!r} at {x!r}", None
+
+    yield _property(config, "regular-norm-equals-variation-norm", norms)
+    yield _property(config, "lattice-operations-atomwise", atomwise)
+    yield _property(config, "disjointness-correspondence", disjointness)
+    yield _property(config, "integral-oracle", integral)
 
 
 # -- localisation --------------------------------------------------------------------------
@@ -426,29 +411,21 @@ def _localisation(config: SuiteConfig):
     space = config.resolved_space()
     if not space.is_finite:
         raise ConfigError("restriction identities run on finite spaces")
-    trials = int(config.trials)
 
-    name = "lattice-identities-localise"
-    for i in range(trials):
-        rng = rng_for(config.seed, config.suite, name, i)
+    def lattice_identities(rng, i):
         a = _masked_positive(rng, space)
         first = sym_tensor(rng, space, config.m)
         second = sym_tensor(rng, space, config.m)
         verdict = local_lattice_consistency(first, second, a)
         if not verdict.passed:
-            yield _fail(name, i + 1, f"trial {i}: identity {verdict.failed_identity} on generator {a!r}")
-            return
+            return f"identity {verdict.failed_identity} on generator {a!r}", None
         mp = measure_polynomial(rng, space, config.m)
         mq = measure_polynomial(rng, space, config.m)
         verdict = local_lattice_consistency(mp, mq, a)
         if not verdict.passed:
-            yield _fail(name, i + 1, f"trial {i}: measure identity {verdict.failed_identity}")
-            return
-    yield _ok(name, trials)
+            return f"measure identity {verdict.failed_identity}", None
 
-    name = "functoriality"
-    for i in range(trials):
-        rng = rng_for(config.seed, config.suite, name, i)
+    def functoriality(rng, i):
         b = nonzero_positive_element(rng, space)
         masked = [v if rng.random() < 0.6 else Fraction(0) for v in b.values]
         a = Element(space, values=masked) if any(masked) else b
@@ -456,39 +433,27 @@ def _localisation(config: SuiteConfig):
         twice = restrict(restrict(obj, b).induced, a).induced
         once = restrict(obj, a).induced
         if twice != once:
-            yield _fail(name, i + 1, f"trial {i}: generators {a!r} <= {b!r}")
-            return
-    yield _ok(name, trials)
+            return f"generators {a!r} <= {b!r}", None
 
-    name = "evaluation-agreement-on-the-ideal"
-    for i in range(trials):
-        rng = rng_for(config.seed, config.suite, name, i)
+    def evaluation_agreement(rng, i):
         a = _masked_positive(rng, space)
         poly = tensor_polynomial(rng, space, config.m) if i % 2 else measure_polynomial(rng, space, config.m)
         restricted = restrict(poly, a).induced
         x = element(rng, space)
         member = Element(space, values=[v if a.value_at(t) != 0 else Fraction(0) for t, v in zip(space.points(), x.values)])
         if restricted.evaluate(member) != poly.evaluate(member):
-            yield _fail(name, i + 1, f"trial {i}: generator {a!r}, member {member!r}")
-            return
-    yield _ok(name, trials)
+            return f"generator {a!r}, member {member!r}", None
 
-    name = "positivity-preserved-and-reflected"
-    for i in range(trials):
-        rng = rng_for(config.seed, config.suite, name, i)
+    def positivity(rng, i):
         tensor = sym_tensor(rng, space, config.m)
         gens = default_generators(space)
         restrictions = [restrict(tensor, g).induced for g in gens]
         preserved = (not tensor.is_positive()) or all(r.is_positive() for r in restrictions)
         reflected = tensor.is_positive() or not all(r.is_positive() for r in restrictions)
         if not (preserved and reflected):
-            yield _fail(name, i + 1, f"trial {i}: {tensor!r}")
-            return
-    yield _ok(name, trials)
+            return f"{tensor!r}", None
 
-    name = "disjointness-localises"
-    for i in range(trials):
-        rng = rng_for(config.seed, config.suite, name, i)
+    def disjointness(rng, i):
         mu = measure(rng, space)
         keep = frozenset(t for t in mu.atoms if rng.random() < 0.5)
         p = Polynomial.from_measure(config.m, mu.restrict(keep, False))
@@ -497,9 +462,13 @@ def _localisation(config: SuiteConfig):
         for q in (q_disjoint, q_overlap):
             report = local_disjointness(p, q)
             if not report.equivalence_holds:
-                yield _fail(name, i + 1, f"trial {i}: {p!r} vs {q!r}")
-                return
-    yield _ok(name, trials)
+                return f"{p!r} vs {q!r}", None
+
+    yield _property(config, "lattice-identities-localise", lattice_identities)
+    yield _property(config, "functoriality", functoriality)
+    yield _property(config, "evaluation-agreement-on-the-ideal", evaluation_agreement)
+    yield _property(config, "positivity-preserved-and-reflected", positivity)
+    yield _property(config, "disjointness-localises", disjointness)
 
 
 # -- order continuity -------------------------------------------------------------------
@@ -509,32 +478,21 @@ def _order_continuity(config: SuiteConfig):
     space = config.resolved_space()
     if space.is_finite:
         raise ConfigError("order-continuity phenomena need the sequence backend")
-    trials = int(config.trials)
 
-    name = "normality-dichotomy"
-    for i in range(trials):
-        rng = rng_for(config.seed, config.suite, name, i)
+    def dichotomy(rng, i):
         poly = measure_polynomial(rng, space, config.m)
         if not dichotomy_agrees(poly, scale=abs(rational(rng, nonzero=True)), probe_depth=config.probe_depth):
-            yield _fail(name, i + 1, f"trial {i}: {poly!r}")
-            return
-    yield _ok(name, trials)
+            return f"{poly!r}", None
 
-    name = "power-dominator-verifies"
-    for i in range(trials):
-        rng = rng_for(config.seed, config.suite, name, i)
+    def power_dominator(rng, i):
         c = abs(rational(rng, nonzero=True))
         cert = urysohn_witness_net(c)
         powered = power_net_dominator(cert, config.m, bound_b=c + rng.randint(0, 3))
         verdict = powered.verify(config.probe_depth)
         if not verdict.passed:
-            yield _fail(name, i + 1, f"trial {i}: scale {c}, reason {verdict.reason}")
-            return
-    yield _ok(name, trials)
+            return f"scale {c}, reason {verdict.reason}", None
 
-    name = "homogeneity"
-    for i in range(trials):
-        rng = rng_for(config.seed, config.suite, name, i)
+    def homogeneity(rng, i):
         lam = rational(rng)
         x = element(rng, space)
         mp = measure_polynomial(rng, space, config.m)
@@ -544,9 +502,11 @@ def _order_continuity(config: SuiteConfig):
             and prod.evaluate(x * lam) == lam**config.m * prod.evaluate(x)
         )
         if not ok:
-            yield _fail(name, i + 1, f"trial {i}: lambda {lam}, {x!r}")
-            return
-    yield _ok(name, trials)
+            return f"lambda {lam}, {x!r}", None
+
+    yield _property(config, "normality-dichotomy", dichotomy)
+    yield _property(config, "power-dominator-verifies", power_dominator)
+    yield _property(config, "homogeneity", homogeneity)
 
 
 # -- carriers -----------------------------------------------------------------------------
@@ -554,11 +514,8 @@ def _order_continuity(config: SuiteConfig):
 
 def _carriers(config: SuiteConfig):
     space = config.resolved_space()
-    trials = int(config.trials)
 
-    name = "carrier-and-null-ideal-partition"
-    for i in range(trials):
-        rng = rng_for(config.seed, config.suite, name, i)
+    def partition(rng, i):
         poly = measure_polynomial(rng, space, config.m)
         car = carrier(poly)
         null = null_ideal(poly)
@@ -568,13 +525,9 @@ def _carriers(config: SuiteConfig):
         else:
             ok = car.points == atoms and null.points == atoms and null.cofinite
         if not ok:
-            yield _fail(name, i + 1, f"trial {i}: {poly!r}")
-            return
-    yield _ok(name, trials)
+            return f"{poly!r}", None
 
-    name = "null-ideal-matches-evaluation"
-    for i in range(trials):
-        rng = rng_for(config.seed, config.suite, name, i)
+    def null_ideal_evaluation(rng, i):
         poly = measure_polynomial(rng, space, config.m)
         candidates = [element(rng, space) for _ in range(6)]
         if space.is_finite:
@@ -584,35 +537,30 @@ def _carriers(config: SuiteConfig):
                 for x in candidates[:3]
             ]
         if not null_ideal_matches_modulus(poly, candidates):
-            yield _fail(name, i + 1, f"trial {i}: {poly!r}")
-            return
-    yield _ok(name, trials)
+            return f"{poly!r}", None
 
-    name = "degree-invariance-of-descriptors"
-    for i in range(trials):
-        rng = rng_for(config.seed, config.suite, name, i)
+    def degree_invariance(rng, i):
         mu = measure(rng, space)
         descriptors = {
             (null_ideal(Polynomial.from_measure(m, mu)), carrier(Polynomial.from_measure(m, mu)))
             for m in (2, 3, 4)
         }
         if len(descriptors) != 1:
-            yield _fail(name, i + 1, f"trial {i}: {mu!r}")
-            return
-    yield _ok(name, trials)
+            return f"{mu!r}", None
 
+    def carrier_localises(rng, i):
+        poly = measure_polynomial(rng, space, config.m)
+        generators = default_generators(space) + [PrincipalIdeal(_masked_positive(rng, space))]
+        for g in generators:
+            verdict = local_carrier_check(poly, g)
+            if not verdict.passed:
+                return f"{verdict.failed_identity} at {g.generator!r}", None
+
+    yield _property(config, "carrier-and-null-ideal-partition", partition)
+    yield _property(config, "null-ideal-matches-evaluation", null_ideal_evaluation)
+    yield _property(config, "degree-invariance-of-descriptors", degree_invariance)
     if space.is_finite:
-        name = "carrier-localises"
-        for i in range(trials):
-            rng = rng_for(config.seed, config.suite, name, i)
-            poly = measure_polynomial(rng, space, config.m)
-            generators = default_generators(space) + [PrincipalIdeal(_masked_positive(rng, space))]
-            for g in generators:
-                verdict = local_carrier_check(poly, g)
-                if not verdict.passed:
-                    yield _fail(name, i + 1, f"trial {i}: {verdict.failed_identity} at {g.generator!r}")
-                    return
-        yield _ok(name, trials)
+        yield _property(config, "carrier-localises", carrier_localises)
 
 
 # -- nakano -------------------------------------------------------------------------------
@@ -642,29 +590,25 @@ def _nakano(config: SuiteConfig):
                 try:
                     report = nakano_verify(p, Polynomial.from_measure(config.m, nu))
                 except InvariantViolation as exc:
-                    yield _fail(name, count, f"{mu!r} vs {nu!r}: {exc}")
+                    yield PropertyResult(name, False, count, f"{mu!r} vs {nu!r}: {exc}")
                     return
                 if not report.equivalence_holds:
-                    yield _fail(name, count, f"{mu!r} vs {nu!r}")
+                    yield PropertyResult(name, False, count, f"{mu!r} vs {nu!r}")
                     return
-        yield _ok(name, count)
+        yield PropertyResult(name, True, count)
         return
 
-    trials = int(config.trials)
-    name = "carrier-criterion-with-hypothesis"
-    for i in range(trials):
-        rng = rng_for(config.seed, config.suite, name, i)
+    def with_hypothesis(rng, i):
         p = measure_polynomial(rng, space, config.m, normal=True)
         q = measure_polynomial(rng, space, config.m)
         try:
             report = nakano_verify(p, q)
         except InvariantViolation as exc:
-            yield _fail(name, i + 1, f"trial {i}: {p!r} vs {q!r}: {exc}")
-            return
+            return f"{p!r} vs {q!r}: {exc}", None
         if not (report.hypothesis_met and report.equivalence_holds):
-            yield _fail(name, i + 1, f"trial {i}: {p!r} vs {q!r}")
-            return
-    yield _ok(name, trials)
+            return f"{p!r} vs {q!r}", None
+
+    yield _property(config, "carrier-criterion-with-hypothesis", with_hypothesis)
 
     # the stored pair lives on the sequence backend regardless of config
     name = "regression-pair-fails-without-hypothesis"
@@ -676,10 +620,7 @@ def _nakano(config: SuiteConfig):
         and not report.polys_disjoint
         and report.carriers_disjoint
     )
-    if expected:
-        yield _ok(name, 1)
-    else:
-        yield _fail(name, 1, f"report {report!r}")
+    yield PropertyResult(name, expected, 1, "" if expected else f"report {report!r}")
 
 
 # -- the counterexample polynomial ---------------------------------------------------------
@@ -692,18 +633,19 @@ def _counterexample(config: SuiteConfig):
     poly = ProductFunctionalPolynomial(config.m, Functional.coordinate(1), Functional.limit())
     witness = discontinuity_witness(poly, probe_depth=depth)
     ok = witness.gap == 1 and witness.base_value == 1 and witness.net.verify(depth).passed
-    yield (_ok(name, depth) if ok else _fail(name, depth, f"gap {witness.gap}, base {witness.base_value}"))
+    yield PropertyResult(name, ok, depth, "" if ok else f"gap {witness.gap}, base {witness.base_value}")
 
     name = "order-continuous-at-zero"
     probe = zero_order_continuity_probe(poly, [urysohn_witness_net(1)], probe_depth=depth)
-    yield (_ok(name, depth) if probe.passed else _fail(name, depth, f"eventual values {[str(p.eventual_value) for p in probe.probes]}"))
+    detail = "" if probe.passed else f"eventual values {[str(p.eventual_value) for p in probe.probes]}"
+    yield PropertyResult(name, probe.passed, depth, detail)
 
     name = "no-witness-for-order-continuous-factors"
     try:
         discontinuity_witness(ProductFunctionalPolynomial(config.m, Functional.coordinate(1), Functional.coordinate(2)))
-        yield _fail(name, 1, "witness constructed despite order continuous factors")
+        yield PropertyResult(name, False, 1, "witness constructed despite order continuous factors")
     except NoWitnessError:
-        yield _ok(name, 1)
+        yield PropertyResult(name, True, 1)
 
 
 _RUNNERS = {

@@ -306,6 +306,8 @@ class TestCliSubprocess:
         assert code == 2 and b"error:" in err
         code, _, err = _cli("check", "lattice-axioms", "--poly", "whatever.json")
         assert code == 2 and b"--poly targets the order-continuity" in err
+        code, _, err = _cli("check", "lattice-axioms", "--format", "yaml")
+        assert code == 2 and b"invalid choice: 'yaml'" in err
         code, _, err = _cli("carrier", "--poly", str(tmp_path / "missing.json"))
         assert code == 2
         bad = tmp_path / "bad.json"

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import itertools
+
 import pytest
 
-from riesz_lab import SUITES, Report, SuiteConfig, run_suite
+from riesz_lab import SUITES, Report, SuiteConfig, reverify_counterexample, run_suite, suites
+from riesz_lab.checks import OS_DISJOINT
 from riesz_lab.errors import ConfigError
+from riesz_lab.report import emit_report
+from riesz_lab.restriction import ConsistencyVerdict
 from riesz_lab.suites import EXHAUSTIVE
+
+# sha256 over the canonical JSON reports of all ten suites at 25 trials,
+# seeds 0 then 7, followed by exhaustive nakano on finite:2.  Any change to a
+# stream key, a draw, its order or a detail string changes it.
+_PINNED_REPORTS = "71b72f95495b106b6aaf62a6f5d1214d2b8f0dbc168afda1277f577e6ad40730"
 
 
 class TestConfigValidation:
@@ -33,8 +45,6 @@ class TestConfigValidation:
             SuiteConfig(suite="lattice-axioms", n=1)
         with pytest.raises(ConfigError):
             SuiteConfig(suite="lattice-axioms", probe_depth=0)
-        with pytest.raises(ConfigError):
-            SuiteConfig(suite="lattice-axioms", fmt="yaml")
         assert SuiteConfig(suite="lattice-axioms", m=1, n=2).m == 1
 
     def test_space_resolution(self):
@@ -90,8 +100,84 @@ class TestSuiteRuns:
         with pytest.raises(ConfigError):
             run_suite(SuiteConfig(suite="order-continuity", space="finite:3", trials=3))
 
+    def test_reports_match_pinned_digest(self):
+        configs = [SuiteConfig(suite=suite, trials=25, seed=seed) for seed in (0, 7) for suite in SUITES]
+        configs.append(SuiteConfig(suite="nakano", space="finite:2", trials=EXHAUSTIVE))
+        digest = hashlib.sha256()
+        for config in configs:
+            digest.update(emit_report(run_suite(config), "json"))
+        assert digest.hexdigest() == _PINNED_REPORTS
+
     def test_reports_are_deterministic(self):
         config = SuiteConfig(suite="oa-characterisations", trials=5, seed=21)
         assert run_suite(config).to_obj() == run_suite(config).to_obj()
         other = SuiteConfig(suite="oa-characterisations", trials=5, seed=22)
         assert run_suite(config).to_obj() != run_suite(other).to_obj()
+
+
+class TestFailurePath:
+    """A patched check makes trial K of one property fail."""
+
+    K = 2
+
+    def _fail_on_call(self, monkeypatch, name, call, wrong):
+        real = getattr(suites, name)
+        calls = itertools.count()
+
+        def patched(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return wrong(result) if next(calls) == call else result
+
+        monkeypatch.setattr(suites, name, patched)
+
+    def _assert_first_fails_rest_reported(self, report, names, detail_start):
+        assert sorted(r.name for r in report.results) == sorted(names)
+        failed, *rest = (r for r in report.results if r.name == names[0])
+        assert not failed.passed and not rest
+        assert failed.samples == self.K + 1
+        assert failed.detail.startswith(detail_start)
+        assert all(r.passed and r.samples == 6 for r in report.results if r.name != names[0])
+
+    def test_isometry_failure_keeps_later_properties(self, monkeypatch):
+        self._fail_on_call(monkeypatch, "norm_check", self.K, lambda sides: (sides[0] + 1, sides[1]))
+        report = run_suite(SuiteConfig(suite="isometry", trials=6, seed=0))
+        names = [
+            "regular-norm-equals-variation-norm",
+            "lattice-operations-atomwise",
+            "disjointness-correspondence",
+            "integral-oracle",
+        ]
+        self._assert_first_fails_rest_reported(report, names, f"trial {self.K}: ")
+
+    def test_localisation_failure_keeps_later_properties(self, monkeypatch):
+        # two consistency checks per trial: the tensor pair, then the measure pair
+        broken = ConsistencyVerdict(False, "modulus")
+        self._fail_on_call(monkeypatch, "local_lattice_consistency", 2 * self.K, lambda verdict: broken)
+        report = run_suite(SuiteConfig(suite="localisation", trials=6, seed=0))
+        names = [
+            "lattice-identities-localise",
+            "functoriality",
+            "evaluation-agreement-on-the-ideal",
+            "positivity-preserved-and-reflected",
+            "disjointness-localises",
+        ]
+        self._assert_first_fails_rest_reported(report, names, f"trial {self.K}: identity modulus on generator ")
+
+    def test_matrix_failure_detail_and_counterexample(self, monkeypatch):
+        real = suites.orthosymmetry_check
+
+        def flipped(form, mode, samples=200, seed=0):
+            verdict = real(form, mode, samples=samples, seed=seed)
+            if mode == OS_DISJOINT and samples == 40 and seed == self.K:
+                return dataclasses.replace(verdict, passed=not verdict.passed)
+            return verdict
+
+        monkeypatch.setattr(suites, "orthosymmetry_check", flipped)
+        report = run_suite(SuiteConfig(suite="orthosymmetry", trials=6, seed=0))
+        by_name = {r.name: r for r in report.results}
+        assert by_name["diagonal-agrees-with-sampled-modes"].passed
+        failed = by_name["matrix-disjoint-pairs-decide-off-diagonal"]
+        assert not failed.passed and failed.samples == self.K + 1
+        assert failed.detail == f"trial {self.K}"
+        assert "rows" in failed.counterexample["instance"]
+        assert reverify_counterexample(failed.counterexample)
