@@ -17,7 +17,7 @@ from typing import Iterable
 from .errors import InvariantViolation, RepresentationError
 from .lattice import LIMIT, Element, PrincipalIdeal, Space
 from .measures import Measure
-from .polynomials import MEASURE, Polynomial, poly_modulus, to_measure
+from .polynomials import Polynomial, to_measure
 from .restriction import restrict
 
 
@@ -68,16 +68,10 @@ class BandDescriptor:
         return BandDescriptor(self.space, self.points & keep, False, False)
 
 
-def _measure_view(poly: Polynomial) -> Measure:
-    if poly.kind == MEASURE:
-        return poly.rep
-    return to_measure(poly)  # raises for genuinely off-diagonal tensors
-
-
 def null_ideal(poly: Polynomial) -> BandDescriptor:
     """Band of elements x with |P|(|x|) = 0: everything supported off the
     atoms of the modulus measure (a zero limit atom frees the limit point)."""
-    mu = abs(_measure_view(poly))
+    mu = abs(to_measure(poly))
     atoms = frozenset(mu.atoms)
     if poly.space.is_finite:
         return BandDescriptor(poly.space, frozenset(poly.space.points()) - atoms)
@@ -86,7 +80,7 @@ def null_ideal(poly: Polynomial) -> BandDescriptor:
 
 def carrier(poly: Polynomial) -> BandDescriptor:
     """Disjoint complement of the null ideal: the isolated atom support."""
-    mu = abs(_measure_view(poly))
+    mu = abs(to_measure(poly))
     return BandDescriptor(poly.space, frozenset(mu.atoms))
 
 
@@ -163,7 +157,7 @@ def local_carrier_check(poly: Polynomial, a: PrincipalIdeal | Element) -> Carrie
 def null_ideal_matches_modulus(poly: Polynomial, candidates: Iterable[Element]) -> bool:
     """Cross-check the descriptor against the defining evaluation rule."""
     desc = null_ideal(poly)
-    modulus = poly_modulus(poly) if poly.kind == MEASURE else Polynomial.from_measure(poly.degree, abs(_measure_view(poly)))
+    modulus = Polynomial.from_measure(poly.degree, abs(to_measure(poly)))
     for x in candidates:
         by_eval = modulus.evaluate(abs(x)) == 0
         if desc.contains(x) != by_eval:

@@ -21,8 +21,9 @@ only where the object path reads them: the first failing sample, which
 which are spot-checked through genuine radical elements; and every sample
 when the object sweep runs (``force_object``, the int64 bound refusing the
 instance, or an identity with no int64 path).  omega1 samples come from the
-same arrays, a row holding the values at points 1..6 and then the tail;
-they have no int64 path and always take the object sweep.
+same arrays: each row, the values at points 1..6 and then the tail, is an
+`Element` row as it stands.  They have no int64 path and always take the
+object sweep.
 """
 
 from __future__ import annotations
@@ -44,13 +45,11 @@ from ._intpath import (
 )
 from .errors import DegreeMismatchError, InvariantViolation
 from .lattice import (
-    LIMIT,
     Element,
     Space,
     decreasing_rearrangements,
     krivine_radical,
 )
-from .measures import Measure
 from .polynomials import MEASURE, TENSOR, Polynomial, polarize, to_measure
 from .tensors import Form, GeneralMatrixForm, SymTensor
 
@@ -114,23 +113,6 @@ def _effective_measure_poly(poly: Polynomial) -> Polynomial | None:
     return None
 
 
-def _integral_form_value(mu: Measure, args: Sequence[Element]) -> Fraction:
-    """Integral of x_1 * .. * x_m: the multilinear form attached to a
-    measure polynomial, evaluable on both backends."""
-    total = Fraction(0)
-    for point, weight in mu.atoms.items():
-        term = weight
-        for x in args:
-            term *= x.value_at(point)
-        total += term
-    if mu.limit_atom != 0:
-        term = mu.limit_atom
-        for x in args:
-            term *= x.value_at(LIMIT)
-        total += term
-    return total
-
-
 def oa_identity_sides(poly: Polynomial, mode: str, args: Sequence[Element]) -> tuple[Fraction, Fraction]:
     """Both sides of one orthogonal-additivity identity at explicit
     arguments, Krivine modes through genuine radical elements."""
@@ -155,11 +137,9 @@ def oa_identity_sides(poly: Polynomial, mode: str, args: Sequence[Element]) -> t
         lhs = target.evaluate(krivine_radical("power-sum", m, [x, y]))
         return lhs, target.evaluate(x) + target.evaluate(y)
     if mode == OA_KRIVINE_PRODUCT:
-        lhs = target.evaluate(krivine_radical("product", m, list(args)))
-        if not poly.space.is_finite:
-            return lhs, _integral_form_value(target.rep, args)
-        mirror = poly.rep if poly.kind == TENSOR else polarize(poly)
-        return lhs, mirror.evaluate(list(args))
+        radical = krivine_radical("product", m, list(args))
+        lhs = target.evaluate(radical)
+        return lhs, poly.rep.evaluate(list(args)) if poly.kind == TENSOR else poly.rep.integrate(radical.base)
     raise ValueError(f"unknown orthogonal-additivity mode {mode!r}")
 
 
@@ -234,10 +214,7 @@ def _columns(space: Space) -> int:
 
 
 def _element(space: Space, row: Sequence[int], denom: int = SCALE) -> Element:
-    values = [Fraction(int(v), denom) for v in row]
-    if space.is_finite:
-        return Element(space, values=values)
-    return Element.omega(values[:-1], values[-1])
+    return Element(space, [Fraction(int(v), denom) for v in row])
 
 
 def _first_diff(lhs: np.ndarray, rhs: np.ndarray) -> int | None:

@@ -5,6 +5,12 @@ compactification of the positive integers, realised as eventually constant
 rational sequences: a finite prefix of values followed by a tail value,
 which is also the value at the limit point.  Continuity is built into the
 representation, and every operation is exact over `fractions.Fraction`.
+
+Both backends store an element as one row of values.  On ``finite(n)`` the
+row is the n point values; on omega1 it is the prefix followed by the tail.
+A point past the end of the row reads the row's last entry, so two rows
+combine pointwise once the shorter is padded with its last entry, and
+every pointwise kernel is written once for both backends.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     DegreeMismatchError,
@@ -89,43 +95,44 @@ def _check_same_space(a: "Element", b: "Element") -> None:
         raise SpaceMismatchError(f"{a.space!r} vs {b.space!r}")
 
 
-class Element:
-    """A point of the lattice: a value vector, or an eventually constant
-    sequence stored as (prefix, tail).
+def _rows(a: "Element", b: "Element") -> Iterator[tuple[Fraction, Fraction]]:
+    """Entry pairs of two rows on one space, the shorter row padded with its
+    last entry."""
+    _check_same_space(a, b)
+    x, y = a.values, b.values
+    if len(x) < len(y):
+        x = x + (x[-1],) * (len(y) - len(x))
+    elif len(y) < len(x):
+        y = y + (y[-1],) * (len(x) - len(y))
+    return zip(x, y)
 
-    The omega1 form is normalised by stripping trailing prefix entries equal
-    to the tail, so equality and hashing are structural.
+
+class Element:
+    """A point of the lattice, stored as one row of Fractions, ``values``.
+
+    On ``finite(n)`` the row holds the n point values.  On omega1 it holds
+    the values at points 1..k followed by the tail, the value at every later
+    isolated point and at the limit point; trailing entries equal to the
+    last one are stripped, so equality and hashing are structural.  A point
+    past the end of the row reads the row's last entry.
     """
 
-    __slots__ = ("space", "values", "prefix", "tail")
+    __slots__ = ("space", "values")
 
-    def __init__(
-        self,
-        space: Space,
-        values: Sequence[Rational] | None = None,
-        prefix: Sequence[Rational] | None = None,
-        tail: Rational | None = None,
-    ) -> None:
-        object.__setattr__(self, "space", space)
+    def __init__(self, space: Space, values: Sequence[Rational]) -> None:
+        vals = tuple(q(v) for v in values)
         if space.is_finite:
-            if values is None or prefix is not None or tail is not None:
-                raise ValueError("finite element takes values only")
-            vals = tuple(q(v) for v in values)
             if len(vals) != space.n:
                 raise ValueError(f"expected {space.n} values, got {len(vals)}")
-            object.__setattr__(self, "values", vals)
-            object.__setattr__(self, "prefix", None)
-            object.__setattr__(self, "tail", None)
         else:
-            if values is not None or tail is None:
-                raise ValueError("omega1 element takes prefix and tail")
-            t = q(tail)
-            pre = [q(v) for v in (prefix or ())]
-            while pre and pre[-1] == t:
-                pre.pop()
-            object.__setattr__(self, "values", None)
-            object.__setattr__(self, "prefix", tuple(pre))
-            object.__setattr__(self, "tail", t)
+            if not vals:
+                raise ValueError("omega1 element needs at least its tail value")
+            end = len(vals)
+            while end > 1 and vals[end - 2] == vals[-1]:
+                end -= 1
+            vals = vals[:end]
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "values", vals)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Element is immutable")
@@ -134,11 +141,11 @@ class Element:
 
     @staticmethod
     def finite(values: Sequence[Rational]) -> "Element":
-        return Element(Space.finite(len(values)), values=values)
+        return Element(Space.finite(len(values)), values)
 
     @staticmethod
     def omega(prefix: Sequence[Rational], tail: Rational) -> "Element":
-        return Element(Space.omega_plus_one(), prefix=prefix, tail=tail)
+        return Element(Space.omega_plus_one(), [*prefix, tail])
 
     @staticmethod
     def zero(space: Space) -> "Element":
@@ -146,9 +153,7 @@ class Element:
 
     @staticmethod
     def constant(space: Space, value: Rational) -> "Element":
-        if space.is_finite:
-            return Element(space, values=[q(value)] * space.n)
-        return Element(space, prefix=(), tail=q(value))
+        return Element(space, [q(value)] * (space.n if space.is_finite else 1))
 
     @staticmethod
     def basis(space: Space, point: int) -> "Element":
@@ -156,10 +161,10 @@ class Element:
         if space.is_finite:
             if not 1 <= point <= space.n:
                 raise ValueError(f"point {point} outside 1..{space.n}")
-            return Element(space, values=[1 if t == point else 0 for t in space.points()])
+            return Element(space, [1 if t == point else 0 for t in space.points()])
         if point < 1:
             raise ValueError("isolated points are labelled 1, 2, ...")
-        return Element(space, prefix=[0] * (point - 1) + [1], tail=0)
+        return Element(space, [0] * (point - 1) + [1, 0])
 
     @staticmethod
     def tail_indicator(space: Space, start: int, scale: Rational = 1) -> "Element":
@@ -168,41 +173,35 @@ class Element:
             raise SpaceMismatchError("tail indicators live on omega1")
         if start < 1:
             raise ValueError("start index must be >= 1")
-        return Element(space, prefix=[0] * (start - 1), tail=q(scale))
+        return Element(space, [0] * (start - 1) + [q(scale)])
 
     # -- accessors ---------------------------------------------------------
 
-    def value_at(self, point: int | _LimitPoint) -> Fraction:
-        if self.space.is_finite:
-            if not isinstance(point, int) or not 1 <= point <= self.space.n:
-                raise ValueError(f"no point {point!r} in {self.space!r}")
-            return self.values[point - 1]
-        if point is LIMIT:
-            return self.tail
-        if not isinstance(point, int) or point < 1:
-            raise ValueError(f"no point {point!r} in {self.space!r}")
-        return self.prefix[point - 1] if point <= len(self.prefix) else self.tail
+    @property
+    def prefix(self) -> tuple[Fraction, ...] | None:
+        """omega1: the row before the tail; None on finite spaces."""
+        return None if self.space.is_finite else self.values[:-1]
 
-    def _iso(self, i: int) -> Fraction:
-        # unchecked isolated-point accessor used by the zip kernels
-        if self.space.is_finite:
-            return self.values[i - 1]
-        return self.prefix[i - 1] if i <= len(self.prefix) else self.tail
+    @property
+    def tail(self) -> Fraction | None:
+        """omega1: the value at the limit point; None on finite spaces."""
+        return None if self.space.is_finite else self.values[-1]
+
+    def value_at(self, point: int | _LimitPoint) -> Fraction:
+        vals = self.values
+        if isinstance(point, int) and 0 < point <= len(vals):
+            return vals[point - 1]
+        if not self.space.is_finite and (point is LIMIT or isinstance(point, int) and point > 0):
+            return vals[-1]  # the limit point, or an isolated point past the row
+        raise ValueError(f"no point {point!r} in {self.space!r}")
 
     # -- pointwise kernels ---------------------------------------------------
 
     def _map(self, op: Callable[[Fraction], Fraction]) -> "Element":
-        if self.space.is_finite:
-            return Element(self.space, values=[op(v) for v in self.values])
-        return Element(self.space, prefix=[op(v) for v in self.prefix], tail=op(self.tail))
+        return Element(self.space, [op(v) for v in self.values])
 
     def _zip(self, other: "Element", op: Callable[[Fraction, Fraction], Fraction]) -> "Element":
-        _check_same_space(self, other)
-        if self.space.is_finite:
-            return Element(self.space, values=[op(a, b) for a, b in zip(self.values, other.values)])
-        width = max(len(self.prefix), len(other.prefix))
-        vals = [op(self._iso(i), other._iso(i)) for i in range(1, width + 1)]
-        return Element(self.space, prefix=vals, tail=op(self.tail, other.tail))
+        return Element(self.space, [op(a, b) for a, b in _rows(self, other)])
 
     # -- linear and multiplicative structure ---------------------------------
 
@@ -248,44 +247,26 @@ class Element:
 
     def le(self, other: "Element") -> bool:
         """Pointwise order: self <= other everywhere."""
-        _check_same_space(self, other)
-        if self.space.is_finite:
-            return all(a <= b for a, b in zip(self.values, other.values))
-        width = max(len(self.prefix), len(other.prefix))
-        if any(self._iso(i) > other._iso(i) for i in range(1, width + 1)):
-            return False
-        return self.tail <= other.tail
+        return all(a <= b for a, b in _rows(self, other))
 
     def is_nonnegative(self) -> bool:
-        if self.space.is_finite:
-            return all(v >= 0 for v in self.values)
-        return all(v >= 0 for v in self.prefix) and self.tail >= 0
+        return all(v >= 0 for v in self.values)
 
     def is_zero(self) -> bool:
-        if self.space.is_finite:
-            return all(v == 0 for v in self.values)
-        return not self.prefix and self.tail == 0
+        return all(v == 0 for v in self.values)
 
     def sup_norm(self) -> Fraction:
-        if self.space.is_finite:
-            return max(abs(v) for v in self.values)
-        return max([abs(v) for v in self.prefix] + [abs(self.tail)])
+        return max(abs(v) for v in self.values)
 
     # -- identity ---------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        if self.space != other.space:
-            return False
-        if self.space.is_finite:
-            return self.values == other.values
-        return self.prefix == other.prefix and self.tail == other.tail
+        return self.space == other.space and self.values == other.values
 
     def __hash__(self) -> int:
-        if self.space.is_finite:
-            return hash((self.space, self.values))
-        return hash((self.space, self.prefix, self.tail))
+        return hash((self.space, self.values))
 
     def __repr__(self) -> str:
         if self.space.is_finite:
@@ -396,23 +377,12 @@ class RadicalElement:
         if self.degree == 1:
             return self.base
         roots = []
-        base = self.base
-        if base.space.is_finite:
-            for v in base.values:
-                r = exact_fraction_root(v, self.degree)
-                if r is None:
-                    return None
-                roots.append(r)
-            return Element(base.space, values=roots)
-        for v in base.prefix:
+        for v in self.base.values:
             r = exact_fraction_root(v, self.degree)
             if r is None:
                 return None
             roots.append(r)
-        tail = exact_fraction_root(base.tail, self.degree)
-        if tail is None:
-            return None
-        return Element(base.space, prefix=roots, tail=tail)
+        return Element(self.base.space, roots)
 
 
 def krivine_radical(kind: str, degree: int, args: Sequence[Element]) -> RadicalElement:
@@ -463,17 +433,9 @@ class PrincipalIdeal:
 
     def membership_witness(self, x: Element) -> Fraction | None:
         """The least lambda with |x| <= lambda * generator, or None."""
-        _check_same_space(x, self.generator)
-        a = self.generator
-        pairs: list[tuple[Fraction, Fraction]] = []
-        if self.space.is_finite:
-            pairs = list(zip((abs(v) for v in x.values), a.values))
-        else:
-            width = max(len(x.prefix), len(a.prefix))
-            pairs = [(abs(x._iso(i)), a._iso(i)) for i in range(1, width + 1)]
-            pairs.append((abs(x.tail), a.tail))
         bound = Fraction(0)
-        for mag, cap in pairs:
+        for v, cap in _rows(x, self.generator):
+            mag = abs(v)
             if cap == 0:
                 if mag != 0:
                     return None

@@ -118,7 +118,7 @@ def oa_order_continuity(poly: Polynomial) -> bool:
     The verdict is the normality of the modulus of the representing
     measure, which settles continuity at every point at once.
     """
-    mu = poly.rep if poly.kind == MEASURE else to_measure(poly)
+    mu = to_measure(poly)
     return is_normal_measure(abs(mu))
 
 

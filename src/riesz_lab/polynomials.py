@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
 
 from .errors import DegreeMismatchError, RepresentationError, SpaceMismatchError
 from .lattice import Element, RadicalElement, Space

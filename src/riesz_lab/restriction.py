@@ -33,12 +33,6 @@ def _as_ideal(a: PrincipalIdeal | Element) -> PrincipalIdeal:
     return a if isinstance(a, PrincipalIdeal) else PrincipalIdeal(a)
 
 
-def _generator_support(space: Space, gen: Element) -> frozenset[int]:
-    if not space.is_finite:
-        raise SpaceMismatchError("explicit support sets exist on finite spaces only")
-    return frozenset(t for t in space.points() if gen.value_at(t) != 0)
-
-
 def _restrict_measure(mu: Measure, gen: Element) -> Measure:
     keep = frozenset(t for t in mu.atoms if gen.value_at(t) != 0)
     keep_limit = (not mu.space.is_finite) and gen.value_at(LIMIT) != 0
@@ -54,24 +48,19 @@ def restrict(obj: Restrictable, a: PrincipalIdeal | Element) -> RestrictedObject
     """
     ideal = _as_ideal(a)
     gen = ideal.generator
+    if not isinstance(obj, (Measure, SymTensor, Polynomial)):
+        raise TypeError(f"cannot restrict {type(obj).__name__}")
+    if obj.space != gen.space:
+        raise SpaceMismatchError("generator lives on a different space")
     if isinstance(obj, Measure):
-        if obj.space != gen.space:
-            raise SpaceMismatchError("generator lives on a different space")
-        return RestrictedObject(obj, ideal, _restrict_measure(obj, gen))
-    if isinstance(obj, SymTensor):
-        if obj.space != gen.space:
-            raise SpaceMismatchError("generator lives on a different space")
-        induced = obj.restrict_points(_generator_support(obj.space, gen))
-        return RestrictedObject(obj, ideal, induced)
-    if isinstance(obj, Polynomial):
-        if obj.space != gen.space:
-            raise SpaceMismatchError("generator lives on a different space")
-        if obj.kind == MEASURE:
-            induced = Polynomial.from_measure(obj.degree, _restrict_measure(obj.rep, gen))
-        else:
-            induced = Polynomial.from_tensor(obj.rep.restrict_points(_generator_support(obj.space, gen)))
-        return RestrictedObject(obj, ideal, induced)
-    raise TypeError(f"cannot restrict {type(obj).__name__}")
+        induced = _restrict_measure(obj, gen)
+    elif isinstance(obj, SymTensor):
+        induced = obj.restrict_points(ideal.support_points())
+    elif obj.kind == MEASURE:
+        induced = Polynomial.from_measure(obj.degree, _restrict_measure(obj.rep, gen))
+    else:
+        induced = Polynomial.from_tensor(obj.rep.restrict_points(ideal.support_points()))
+    return RestrictedObject(obj, ideal, induced)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DegreeMismatchError, PositivityError, SpaceMismatchError
 from .lattice import Element, Rational, Space, q

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riesz_lab import (
+    LIMIT,
     Element,
     PrincipalIdeal,
     RadicalElement,
@@ -24,7 +29,8 @@ from riesz_lab.errors import (
     PositivityError,
     SpaceMismatchError,
 )
-from riesz_lab.sampling import element, rng_for
+from riesz_lab.jsonio import dumps_canonical, element_to_obj
+from riesz_lab.sampling import element, rational, rng_for
 
 F2 = Space.finite(2)
 OM = Space.omega_plus_one()
@@ -73,10 +79,118 @@ class TestUnaryOps:
             assert x.pos_part() + x.neg_part() == abs(x)
 
 
+# sha256 of the public omega1 forms below: repr, JSON and point values of
+# seeded elements of prefix widths 0..5 and of every pointwise operation on
+# pairs of different widths.  Taken while omega1 elements were stored as a
+# separate prefix tuple and tail.
+_OMEGA_FORMS = "068040575f34e7ccc62a5281471ded4e2ca3a6a4fc5a0a337337bad326aef40f"
+_FORMS_WIDTH = 5
+
+
+def _omega_forms_digest() -> str:
+    elements = [
+        om([rational(rng) for _ in range(width)], rational(rng))
+        for width in range(_FORMS_WIDTH + 1)
+        for rng in (rng_for("omega-forms", width, i) for i in range(3))
+    ]
+    lines = []
+
+    def record(x):
+        values = [x.value_at(t) for t in range(1, _FORMS_WIDTH + 3)] + [x.value_at(LIMIT)]
+        lines.append(f"{x!r} {dumps_canonical(element_to_obj(x))} {values}")
+
+    for x in elements:
+        for result in (-x, abs(x), x.pos_part(), x.neg_part(), x * Fraction(-2, 3), x**3, x):
+            record(result)
+        lines.append(f"{x.is_nonnegative()} {x.is_zero()} {x.sup_norm()}")
+        lines.append(repr(RadicalElement(2, x * x).exact_root()))
+        for y in elements:
+            if len(x.prefix) == len(y.prefix):
+                continue
+            for result in (x + y, x - y, x * y, x.join(y), x.meet(y)):
+                record(result)
+            lines.append(f"{x.le(y)} {x == y}")
+            if not y.is_zero():
+                lines.append(str(PrincipalIdeal(abs(y)).membership_witness(x)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+_small = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2]))
+
+
+@st.composite
+def _element_pairs(draw):
+    """Two elements of one space; omega1 prefixes of independent widths."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        return tuple(Element.finite(draw(st.lists(_small, min_size=n, max_size=n))) for _ in range(2))
+    return tuple(om(draw(st.lists(_small, max_size=5)), draw(_small)) for _ in range(2))
+
+
 class TestNormalisation:
     def test_trailing_tail_values_stripped(self):
         assert om([1, 2, 3, 3, 3], 3) == om([1, 2], 3)
+        assert om([1, 2, 2], 2) == om([1], 2)
         assert hash(om([0, 0], 0)) == hash(om([], 0))
+
+    def test_constructor_rejects_bad_rows(self):
+        with pytest.raises(ValueError):
+            Element(OM, [])
+        with pytest.raises(ValueError):
+            Element(F2, [1, 2, 3])
+
+    def test_public_omega_forms_pinned(self):
+        assert _omega_forms_digest() == _OMEGA_FORMS
+
+    @settings(max_examples=300, deadline=None)
+    @given(_element_pairs())
+    def test_kernels_match_value_at_oracle(self, pair):
+        x, y = pair
+        if x.space.is_finite:
+            points = list(x.space.points())
+        else:
+            points = list(range(1, max(len(x.prefix), len(y.prefix)) + 3)) + [LIMIT]
+
+        def at(e):
+            return [e.value_at(t) for t in points]
+
+        xs, ys = at(x), at(y)
+        for result, op in (
+            (-x, operator.neg),
+            (abs(x), abs),
+            (x.pos_part(), lambda a: max(a, 0)),
+            (x.neg_part(), lambda a: max(-a, 0)),
+            (x * Fraction(-2, 3), lambda a: a * Fraction(-2, 3)),
+            (x**3, lambda a: a**3),
+        ):
+            assert at(result) == [op(a) for a in xs]
+        for result, op in (
+            (x + y, operator.add),
+            (x - y, operator.sub),
+            (x * y, operator.mul),
+            (x.join(y), max),
+            (x.meet(y), min),
+        ):
+            assert at(result) == [op(a, b) for a, b in zip(xs, ys)]
+        assert x.le(y) == all(a <= b for a, b in zip(xs, ys))
+        assert x.is_nonnegative() == all(a >= 0 for a in xs)
+        assert x.is_zero() == all(a == 0 for a in xs)
+        assert x.sup_norm() == max(abs(a) for a in xs)
+        assert (x == y) == (xs == ys)
+        rebuilt = Element(x.space, x.values if x.space.is_finite else [*x.values, x.values[-1]])
+        assert rebuilt == x and hash(rebuilt) == hash(x)
+        roots = [exact_fraction_root(abs(a), 2) for a in xs]
+        root = RadicalElement(2, abs(x)).exact_root()
+        assert (root is None) == (None in roots)
+        assert root is None or at(root) == roots
+        assert at(RadicalElement(2, x * x).exact_root()) == [abs(a) for a in xs]
+        if not y.is_zero():
+            caps = [abs(b) for b in ys]
+            if any(c == 0 and a != 0 for a, c in zip(xs, caps)):
+                expected = None
+            else:
+                expected = max((abs(a) / c for a, c in zip(xs, caps) if c != 0), default=Fraction(0))
+            assert PrincipalIdeal(abs(y)).membership_witness(x) == expected
 
     def test_value_beyond_prefix_is_tail(self):
         x = om([7], Fraction(1, 3))
