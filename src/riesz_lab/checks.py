@@ -9,21 +9,21 @@ mixed entry, and compare both sides exactly.
 On finite spaces the samples are integer multiples of 1/12 (numerators in
 [-9, 9], denominators in {1, 2, 3, 4}); every identity checked here is
 invariant under a common positive scaling, so the comparisons run on the
-scaled integers through the int64 fast path when its overflow bound allows,
-and on Fractions otherwise.  Both paths consume the same seeded arrays, and
-`os_identity_sides` / `oa_identity_sides` recompute any reported
-counterexample from its serialised arguments alone.
+scaled integers through the exact batch kernels of `_intpath`, on int64 when
+their overflow bound allows and on Python ints otherwise.  The kernels and
+the object path consume the same seeded arrays, and `os_identity_sides` /
+`oa_identity_sides` recompute any reported counterexample from its
+serialised arguments alone.
 
 Every sampled check draws its arguments as int arrays and runs through one
 driver, `_sampled_check`.  Fraction `Element`s are built from those arrays
 only where the object path reads them: the first failing sample, which
 `_failure` re-verifies; the first three samples of a passing Krivine check,
 which are spot-checked through genuine radical elements; and every sample
-when the object sweep runs (``force_object``, the int64 bound refusing the
-instance, or an identity with no int64 path).  omega1 samples come from the
-same arrays: each row, the values at points 1..6 and then the tail, is an
-`Element` row as it stands.  They have no int64 path and always take the
-object sweep.
+when the object sweep runs (``force_object``, or an identity with no batch
+kernel: matrix forms and omega1).  omega1 samples come from the same
+arrays: each row, the values at points 1..6 and then the tail, is an
+`Element` row as it stands.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import Sequence
 import numpy as np
 
 from ._intpath import (
-    IntPathUnavailable,
     dense_core,
     form_eval_batch,
     measure_poly_eval_batch,
@@ -47,6 +46,7 @@ from .errors import DegreeMismatchError, InvariantViolation
 from .lattice import (
     Element,
     Space,
+    _int_root,
     decreasing_rearrangements,
     krivine_radical,
 )
@@ -253,11 +253,11 @@ def _sampled_check(kind: str, mode: str, thing, blocks, denom: int, int_sides, f
     Each block is an int array (rows, slots, columns) in units of
     1/``denom``; sample i is row i counted across the blocks, and its slots
     are the identity's arguments.  ``int_sides(block)`` returns both sides of
-    the identity for a whole block as comparable arrays, or raises
-    `IntPathUnavailable` outside the int64 bound; ``None`` means the identity
-    has no int64 path here.  Otherwise, and under ``force_object``, the
-    object sweep builds every sample as Elements and compares them through
-    `os_identity_sides` / `oa_identity_sides`, the reference.
+    the identity for a whole block as comparable exact integer arrays;
+    ``None`` means the identity has no batch kernel here.  Then, and under
+    ``force_object``, the object sweep builds every sample as Elements and
+    compares them through `os_identity_sides` / `oa_identity_sides`, the
+    reference.
     """
     space = thing.space
     sides = os_identity_sides if kind == "os" else oa_identity_sides
@@ -266,24 +266,21 @@ def _sampled_check(kind: str, mode: str, thing, blocks, denom: int, int_sides, f
         return [_element(space, row, denom) for row in block[i]]
 
     if int_sides is not None and not force_object:
-        try:
-            checked = 0
-            for block in blocks:
-                bad = _first_diff(*int_sides(block))
-                if bad is not None:
-                    return _failure(kind, mode, thing, args(block, bad), checked + bad, checked + bad + 1)
-                checked += len(block)
-            if mode in (OA_KRIVINE_SUM, OA_KRIVINE_PRODUCT):
-                # the int identities skip radical objects; recompute the first
-                # samples through them so the fast route cannot drift from
-                # the definition
-                for i in range(min(3, len(blocks[0]))):
-                    lhs, rhs = sides(thing, mode, args(blocks[0], i))
-                    if lhs != rhs:
-                        raise InvariantViolation("vector path disagrees with radical evaluation")
-            return CheckVerdict(mode, True, checked)
-        except IntPathUnavailable:
-            pass
+        checked = 0
+        for block in blocks:
+            bad = _first_diff(*int_sides(block))
+            if bad is not None:
+                return _failure(kind, mode, thing, args(block, bad), checked + bad, checked + bad + 1)
+            checked += len(block)
+        if mode in (OA_KRIVINE_SUM, OA_KRIVINE_PRODUCT):
+            # the int identities skip radical objects; recompute the first
+            # samples through them so the fast route cannot drift from the
+            # definition
+            for i in range(min(3, len(blocks[0]))):
+                lhs, rhs = sides(thing, mode, args(blocks[0], i))
+                if lhs != rhs:
+                    raise InvariantViolation("vector path disagrees with radical evaluation")
+        return CheckVerdict(mode, True, checked)
     samples = (args(block, i) for block in blocks for i in range(len(block)))
     for index, sample in enumerate(samples):
         lhs, rhs = sides(thing, mode, sample)
@@ -312,6 +309,8 @@ def orthosymmetry_check(
         raise ValueError(f"unknown orthosymmetry mode {mode!r}")
     if mode == OS_BILINEAR and form.degree != 2:
         raise DegreeMismatchError("the join/meet identity is an order-2 check")
+    if mode == OS_DISJOINT and form.degree < 2:
+        raise DegreeMismatchError("disjoint argument pairs need degree >= 2")
     if mode == OS_DIAGONAL:
         return _os_diagonal(form)
     rng = np.random.default_rng(_seedseq(seed))
@@ -372,11 +371,11 @@ def _os_int_sides(form: SymTensor, mode: str, block: np.ndarray) -> tuple[np.nda
 
 
 class _PolyKernels:
-    """The int64 data of one polynomial, each piece built on first use.
+    """The integer data of one polynomial, each piece built on first use.
 
     One object serves every mode of one check call and is dropped when the
-    call returns, so `oa_mode_agreement` builds the int64 arrangement table
-    (`dense_core`) once.
+    call returns, so `oa_mode_agreement` builds the integer arrangement
+    table (`dense_core`) once.
     """
 
     def __init__(self, poly: Polynomial) -> None:
@@ -482,8 +481,9 @@ def _oa_int_sides(mode: str, kernels: _PolyKernels, block: np.ndarray) -> tuple[
         return P(np.maximum(xs, ys), 2) + P(np.minimum(xs, ys), 2), P(xs, 2) + P(ys, 2)
     if mode == OA_KRIVINE_SUM and kernels.measure_view is not None:
         weights, _ = kernels.weights
-        # evaluated first: these guards also bound xs**m + ys**m
+        # evaluated first: their dtype also bounds xs**m + ys**m
         rhs = measure_poly_eval_batch(weights, m, xs, 2) + measure_poly_eval_batch(weights, m, ys, 2)
+        xs, ys = xs.astype(rhs.dtype, copy=False), ys.astype(rhs.dtype, copy=False)
         return measure_poly_eval_batch(weights, 1, xs**m + ys**m), rhs
     # disjoint additivity, and the power-sum radical of a disjoint pair,
     # which roots to x + y
@@ -494,17 +494,25 @@ def _krivine_product_sides(kernels: _PolyKernels, block: np.ndarray) -> tuple[np
     """P((x_1 .. x_m)^(1/m)) against A(x_1, .., x_m), A the polarisation."""
     core, scale_a = kernels.core
     rhs = form_eval_batch(core, block)
-    # the guard above bounds every product of a row's m values
-    product = block.prod(axis=1)
+    # the dtype of rhs bounds every product of a row's m values
+    product = block.astype(rhs.dtype, copy=False).prod(axis=1)
     if kernels.measure_view is not None:
         weights, scale_p = kernels.weights
         lhs = measure_poly_eval_batch(weights, 1, product)
     else:
-        # rows factor a perfect m-th power u**m; P(u) through the same core
+        # rows factor a perfect m-th power u**m; P(u) through the same core.
+        # Root exactly where a float estimate misses, or may overflow.
         m = kernels.poly.degree
-        u = np.rint(product ** (1.0 / m)).astype(np.int64)
-        if not np.array_equal(u**m, product):
-            raise IntPathUnavailable("row product is not an exact m-th power")
+        if product.dtype == object:
+            u, todo = np.empty_like(product), np.ndindex(product.shape)
+        else:
+            u = np.rint(product ** (1.0 / m)).astype(np.int64)
+            todo = zip(*np.nonzero(u**m != product))
+        for i in todo:
+            root = _int_root(int(product[i]), m)
+            if root is None:
+                raise InvariantViolation("row product is not an exact m-th power")
+            u[i] = root
         lhs, scale_p = poly_eval_batch(core, u), scale_a
     # A and P carry different denominators: compare in exact Python integers
     return lhs.astype(object) * scale_a, rhs.astype(object) * scale_p

@@ -228,18 +228,17 @@ def independent_scan(cert: ConvergenceCertificate, depth: int) -> bool:
             return e.values[i - 1]
         return e.prefix[i - 1] if i <= len(e.prefix) else e.tail
 
-    def width(e: Element) -> int:
-        return e.space.n if e.space.is_finite else len(e.prefix)
-
+    finite = cert.limit.space.is_finite
     for n in range(1, depth + 1):
         xn, yn, ynext = cert.sequence.member(n), cert.dominator.member(n), cert.dominator.member(n + 1)
-        pts = range(1, max(width(xn), width(yn), width(ynext), width(cert.limit)) + 2)
-        for i in pts:
+        # every point of a finite space; on omega1 the widest prefix and one past it
+        last = cert.limit.space.n if finite else max(len(e.prefix) for e in (xn, yn, ynext, cert.limit)) + 1
+        for i in range(1, last + 1):
             if abs(raw(xn, i) - raw(cert.limit, i)) > raw(yn, i):
                 return False
             if raw(ynext, i) > raw(yn, i):
                 return False
-        if not cert.limit.space.is_finite:
+        if not finite:
             if abs(xn.tail - cert.limit.tail) > yn.tail or ynext.tail > yn.tail:
                 return False
     return True

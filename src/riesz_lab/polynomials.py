@@ -15,6 +15,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+from ._intpath import polarize_tensor_int
 from .errors import DegreeMismatchError, RepresentationError, SpaceMismatchError
 from .lattice import Element, RadicalElement, Space
 from .measures import Measure
@@ -135,13 +136,7 @@ def polarize(poly: Polynomial) -> SymTensor:
     m = poly.degree
     if poly.kind == MEASURE:
         return SymTensor.diagonal(poly.space, m, poly.rep.atoms)
-    from ._intpath import IntPathUnavailable, polarize_tensor_int
-
-    try:
-        entries = polarize_tensor_int(poly.rep)
-    except IntPathUnavailable:
-        entries = _polarize_by_signs(poly)
-    return SymTensor(poly.space, m, entries)
+    return SymTensor(poly.space, m, polarize_tensor_int(poly.rep))
 
 
 def _polarize_by_signs(poly: Polynomial) -> dict[tuple[int, ...], Fraction]:

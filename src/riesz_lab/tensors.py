@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DegreeMismatchError, PositivityError, SpaceMismatchError
@@ -35,6 +35,25 @@ def arrangements(idx: tuple[int, ...]) -> int:
     for k in Counter(idx).values():
         weight //= math.factorial(k)
     return weight
+
+
+def _later_arrangements(points: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The distinct arrangements after a sorted tuple, in lexicographic
+    order: each is the next lexicographic permutation of the one before
+    (Knuth, TAOCP 4A, Algorithm 7.2.1.2L), so no arrangement repeats."""
+    a = list(points)
+    while True:
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = len(a) - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1 :] = a[:j:-1]
+        yield tuple(a)
 
 
 class SymTensor:
@@ -87,9 +106,7 @@ class SymTensor:
             points = tuple(t - 1 for t in idx)
             rows.append((points, coeff, arrangements(idx)))
             if not diagonal:
-                others = set(permutations(points))
-                others.discard(points)
-                rows.extend((p, coeff, 0) for p in sorted(others))
+                rows.extend((p, coeff, 0) for p in _later_arrangements(points))
         return rows
 
     def evaluate(self, args: Sequence[Element]) -> Fraction:

@@ -88,6 +88,18 @@ class TestVerification:
         assert verify_certificate(cert, probe_depth=12).passed
         assert independent_scan(cert, 12)
 
+    def test_finite_space_certificates_scanned(self):
+        space = Space.finite(2)
+        x, zero = Element.finite([1, 2]), Element.zero(space)
+        fam = ExplicitFamily((x, zero))
+        cert = ConvergenceCertificate(fam, zero, fam)
+        assert verify_certificate(cert, probe_depth=6).passed
+        assert independent_scan(cert, 6)
+        small = ExplicitFamily((Element.finite([1, 1]), zero))
+        short = ConvergenceCertificate(fam, zero, small)
+        assert verify_certificate(short, probe_depth=6).reason == "domination"
+        assert not independent_scan(short, 6)
+
     def test_explicit_nonzero_floor_fails(self):
         fam = ExplicitFamily((om([2], 1), om([1], 1)))
         assert not infimum_is_zero(fam)

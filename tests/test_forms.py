@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -28,7 +28,7 @@ from riesz_lab import (
     to_polynomial,
 )
 from riesz_lab.errors import DegreeMismatchError, RepresentationError, SpaceMismatchError
-from riesz_lab.tensors import arrangements
+from riesz_lab.tensors import arrangements, nondecreasing_indices
 from riesz_lab.sampling import element, measure, rng_for, sym_tensor
 
 F1, F2, F3 = Space.finite(1), Space.finite(2), Space.finite(3)
@@ -77,6 +77,15 @@ class TestFormEvaluation:
             ((0, 0, 1), 3, 3), ((0, 1, 0), 3, 0), ((1, 0, 0), 3, 0), ((2, 2, 2), Fraction(1, 2), 1)
         ]
         assert a.arrangement_table(diagonal=True) == [((0, 0, 1), 3, 3), ((2, 2, 2), Fraction(1, 2), 1)]
+
+    def test_arrangements_follow_the_permutation_set(self):
+        for m in range(1, 7):
+            for n in range(1, 5):
+                for idx in nondecreasing_indices(n, m):
+                    rows = SymTensor(Space.finite(n), m, {idx: 1}).arrangement_table()
+                    points = tuple(t - 1 for t in idx)
+                    assert [p for p, _, _ in rows] == [points] + sorted(set(permutations(points)) - {points})
+                    assert [w for _, _, w in rows] == [arrangements(idx)] + [0] * (len(rows) - 1)
 
     def test_diagonal_space_mismatch(self):
         with pytest.raises(SpaceMismatchError):

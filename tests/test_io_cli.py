@@ -35,7 +35,7 @@ from riesz_lab import (
 )
 from riesz_lab.checks import OA_DISJOINT_ADD
 from riesz_lab.cli import main
-from riesz_lab.errors import MalformedInstanceError
+from riesz_lab.errors import MalformedInstanceError, RieszLabError
 from riesz_lab.jsonio import parse_rational
 from riesz_lab.report import PropertyResult, Report
 from riesz_lab.sampling import element, matrix_form, measure, rng_for, sym_tensor
@@ -184,6 +184,75 @@ class TestParseErrors:
         with pytest.raises(MalformedInstanceError) as err:
             parse_instance_file(str(bad))
         assert "invalid JSON" in str(err.value)
+
+
+_SCHEMA_KEYS = [
+    "space", "kind", "n", "values", "prefix", "tail", "m", "entries", "idx", "val", "rows", "atoms",
+    "point", "weight", "limit_atom", "degree", "measure", "tensor", "oa", "phi", "psi", "index",
+]
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.integers(-(10**20), 10**20)
+    | st.builds(lambda p, q: f"{p}/{q}", st.integers(-(10**20), 10**20), st.integers(-3, 10**6))
+    | st.sampled_from(["finite", "omega1", "measure", "tensor", "product", "coordinate", "limit", "1/2", "x"])
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.sampled_from(_SCHEMA_KEYS), children, max_size=4),
+    max_leaves=12,
+)
+
+
+_SEEDS = [
+    Element.finite([1, -2, Fraction(1, 3)]),
+    Element.omega([1, 2], 3),
+    SymTensor(F3, 3, {(1, 1, 2): 3, (3, 3, 3): Fraction(1, 2)}),
+    Measure(OM, {1: 1, 8: -2}, limit_atom=1),
+    to_polynomial(Measure(F3, {1: 1}), 2),
+    Polynomial.from_tensor(SymTensor(F3, 2, {(1, 2): 1})),
+    ProductFunctionalPolynomial(2, Functional.of_measure(Measure(OM, {2: 1})), Functional.limit()),
+]
+
+
+def _mutated(draw, node):
+    """node with one subtree replaced by generated JSON, a field dropped or
+    a schema field added."""
+    action = draw(st.sampled_from(["descend", "replace", "drop", "add"]))
+    if isinstance(node, dict) and node and action != "replace":
+        if action == "add":
+            return {**node, draw(st.sampled_from(_SCHEMA_KEYS)): draw(_JSON)}
+        key = draw(st.sampled_from(sorted(node)))
+        if action == "drop":
+            return {k: v for k, v in node.items() if k != key}
+        return {**node, key: _mutated(draw, node[key])}
+    if isinstance(node, list) and node and action == "descend":
+        i = draw(st.integers(0, len(node) - 1))
+        return [*node[:i], _mutated(draw, node[i]), *node[i + 1 :]]
+    return draw(_JSON)
+
+
+@st.composite
+def _instance_objects(draw):
+    """A JSON object of schema fields: generated outright, or a serialised
+    instance with a few mutations."""
+    if draw(st.booleans()):
+        return draw(st.dictionaries(st.sampled_from(_SCHEMA_KEYS), _JSON))
+    obj = to_obj(draw(st.sampled_from(_SEEDS)))
+    for _ in range(draw(st.integers(1, 3))):
+        obj = _mutated(draw, obj)
+    return obj
+
+
+class TestParseFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_instance_objects())
+    def test_instance_or_library_error(self, obj):
+        try:
+            parse_instance(obj)
+        except RieszLabError:
+            pass
 
 
 class TestCanonicalJson:

@@ -37,7 +37,8 @@ from riesz_lab import (
     to_obj,
     to_polynomial,
 )
-from riesz_lab._intpath import IntPathUnavailable, dense_core, form_eval_batch, poly_eval_batch, polarize_tensor_int
+import riesz_lab._intpath as intpath
+from riesz_lab._intpath import INT64_LIMIT, dense_core, form_eval_batch, poly_eval_batch, polarize_tensor_int
 from riesz_lab.checks import (
     OA_DISJOINT_ADD,
     OA_K_VALUATION,
@@ -52,6 +53,7 @@ from riesz_lab.checks import (
     OS_MODES,
 )
 from riesz_lab.errors import DegreeMismatchError, InvariantViolation
+from riesz_lab.polynomials import TENSOR
 from riesz_lab.sampling import matrix_form, measure, rng_for, sym_tensor
 from riesz_lab.tensors import nondecreasing_indices
 
@@ -110,6 +112,11 @@ class TestOrthosymmetry:
         form = SymTensor(F2, 3, {(1, 1, 1): 1})
         with pytest.raises(DegreeMismatchError):
             orthosymmetry_check(form, OS_BILINEAR)
+
+    @pytest.mark.parametrize("force_object", [False, True])
+    def test_disjoint_pairs_require_degree_two(self, force_object):
+        with pytest.raises(DegreeMismatchError):
+            orthosymmetry_check(SymTensor(F2, 1, {(1,): 3}), OS_DISJOINT, samples=8, force_object=force_object)
 
     def test_matrix_disjoint_pairs_are_decisive(self):
         form = GeneralMatrixForm(F3, [[1, 0, 0], [0, 2, 1], [0, 0, 3]])
@@ -289,9 +296,11 @@ class TestIntGuard:
     def test_guard_counts_summed_terms(self):
         core, _ = dense_core(self.HEAVY)
         xs = np.full((2, 7), 108, dtype=np.int64)
-        assert int(poly_eval_batch(core, xs)[0]) == 2401 * 10**7 * 108**4
-        with pytest.raises(IntPathUnavailable):
-            poly_eval_batch(core, xs, terms=4)
+        one = poly_eval_batch(core, xs)
+        assert one.dtype == np.int64 and int(one[0]) == 2401 * 10**7 * 108**4
+        four = poly_eval_batch(core, xs, terms=4)
+        assert four.dtype == object
+        assert list(four) == [2401 * 10**7 * 108**4] * 2 and type(four[0]) is int
 
     def test_heavy_k_valuation_matches_object_path(self):
         poly = Polynomial.from_tensor(self.HEAVY)
@@ -304,21 +313,52 @@ class TestIntGuard:
     # 30.5 GiB; its arrangement table has one row
     WIDE = SymTensor(Space.finite(40), 6, {(1,) * 6: 1})
 
-    def test_gather_budget_refuses_before_allocating(self):
+    def test_gather_runs_in_chunks_within_the_byte_budget(self, monkeypatch):
         # every set of six distinct points out of eight: 28 * 6! table rows
         tensor = SymTensor(Space.finite(8), 6, {idx: 1 for idx in combinations(range(1, 9), 6)})
         core, _ = dense_core(tensor)
         assert core.shape == (20160, 8)
-        args = np.ones((900, 6, 8), dtype=np.int64)  # 900 * 20160 gathered entries, 145 MB each
+        args = np.ones((900, 6, 8), dtype=np.int64)  # 900 * 20160 gathered entries, 145 MB at once
+        cap = 2**22
+        monkeypatch.setattr(intpath, "_BYTE_CAP", cap)
         tracemalloc.start()
         try:
-            with pytest.raises(IntPathUnavailable):
-                form_eval_batch(core, args)
+            values = form_eval_batch(core, args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
-        assert list(form_eval_batch(core, args[:2])) == [20160] * 2
+        assert peak < 3 * cap  # one chunk's product and the factor gathered into it
+        assert list(values) == [20160] * 900
+
+    @pytest.mark.parametrize("entry", [2**61 - 1, 2**57, -(2**60) + 3])
+    @pytest.mark.parametrize("idx", [(1, 1, 2, 3), (1, 2, 3, 4)], ids=["weight-12", "weight-24"])
+    def test_large_mixed_entries_do_not_wrap(self, idx, entry):
+        tensor = SymTensor(F4, 4, {idx: entry, (2, 2, 2, 2): 1})
+        core, scale = dense_core(tensor)
+        assert scale == 1
+        mass = sum(abs(int(c)) * max(int(w), 1) for c, w in core[:, 4:])
+        assert (core.dtype == np.int64) == (mass < INT64_LIMIT)
+        xs = np.array([[1, 1, 1, 1], [3, -2, 1, 5], [0, 0, 0, 0]], dtype=np.int64)
+        for x, value in zip(xs, poly_eval_batch(core, xs)):
+            assert value == tensor.evaluate_diagonal(Element.finite(x.tolist()))
+        args = np.stack([xs, xs[::-1], -xs, xs], axis=1)
+        for row, value in zip(args, form_eval_batch(core, args)):
+            assert value == tensor.evaluate([Element.finite(x.tolist()) for x in row])
+        assert polarize_tensor_int(tensor) == tensor.entries
+
+    @pytest.mark.parametrize("mode", [OA_KRIVINE_SUM, OA_KRIVINE_PRODUCT])
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            to_polynomial(Measure(F3, {1: 5, 2: Fraction(-7, 3), 3: Fraction(1, 2)}), 10),
+            Polynomial.from_tensor(SymTensor(F3, 10, {(1,) * 9 + (2,): 1, (3,) * 10: 2})),
+        ],
+        ids=["measure", "off-diagonal"],
+    )
+    def test_degree_ten_krivine_matches_object_path(self, mode, poly):
+        # sample values reach 108, so 108**10 leaves int64 on the first batch
+        fast = orthogonal_additivity_check(poly, mode, samples=40, seed=3)
+        assert fast == orthogonal_additivity_check(poly, mode, samples=40, seed=3, force_object=True)
 
     @pytest.mark.parametrize("mode", [OS_J_IDENTITY, OS_DISJOINT])
     def test_wide_tensor_takes_the_int_path(self, monkeypatch, mode):
@@ -331,7 +371,7 @@ class TestIntGuard:
         monkeypatch.setattr(checks, "form_eval_batch", recorded)
         assert dense_core(self.WIDE)[0].shape == (1, 8)
         fast = orthosymmetry_check(self.WIDE, mode, samples=5, seed=2)
-        assert returned  # at least one batch ran without IntPathUnavailable
+        assert returned  # at least one batch ran on the int kernel
         slow = orthosymmetry_check(self.WIDE, mode, samples=5, seed=2, force_object=True)
         assert fast == slow and fast.passed
 
@@ -348,6 +388,38 @@ def _tensor_batches(draw):
     values = st.integers(-20, 20)
     args = draw(arrays(np.int64, (samples, m, n), elements=values))
     return tensor, args, draw(arrays(np.int64, (samples, n), elements=values))
+
+
+_PRIMES = [1, 2, 3, 7919, 104729, 1000003, 998244353, 999999937]  # denominators up to 10**9
+
+
+@st.composite
+def _large_instances(draw):
+    """A measure polynomial of degree <= 10 or a tensor of degree <= 6 with
+    scaled entries up to 10**30 over prime denominators up to 10**9."""
+    n = draw(st.integers(1, 3))
+    value = st.builds(Fraction, st.integers(-(10**30), 10**30), st.sampled_from(_PRIMES))
+    if draw(st.booleans()):
+        atoms = draw(st.dictionaries(st.integers(1, n), value, max_size=n))
+        return to_polynomial(Measure(Space.finite(n), atoms), draw(st.integers(1, 10)))
+    m = draw(st.integers(1, 6))
+    index = st.lists(st.integers(1, n), min_size=m, max_size=m).map(lambda idx: tuple(sorted(idx)))
+    return Polynomial.from_tensor(SymTensor(Space.finite(n), m, draw(st.dictionaries(index, value, max_size=3))))
+
+
+class TestExactAtEverySize:
+    @settings(max_examples=60, deadline=None)
+    @given(_large_instances(), st.integers(0, 2**32 - 1))
+    def test_every_mode_matches_object_path(self, poly, seed):
+        samples = structured_pair_count(poly.space.n, poly.degree) + 4
+        for mode in OA_MODES:
+            fast = orthogonal_additivity_check(poly, mode, samples, seed)
+            assert fast == orthogonal_additivity_check(poly, mode, samples, seed, force_object=True), mode
+        if poly.kind == TENSOR and poly.degree >= 2:
+            for mode in OS_MODES:
+                if mode != OS_BILINEAR or poly.degree == 2:
+                    fast = orthosymmetry_check(poly.rep, mode, samples, seed)
+                    assert fast == orthosymmetry_check(poly.rep, mode, samples, seed, force_object=True), mode
 
 
 class TestIntKernel:
