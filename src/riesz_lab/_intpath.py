@@ -9,7 +9,9 @@ samples.  Each batch picks its dtype from a worst-case bound computed in
 exact Python integers: int64 when the bound stays below `INT64_LIMIT`, and
 otherwise `dtype=object` arrays of Python ints, the same gather and product
 at any size.  Gathers run over chunks of samples that fit a byte budget.
-The Fraction evaluators remain the reference the checks compare against.
+The reference the checks compare against stays `SymTensor.evaluate` and
+`Measure.integrate`: exact and independent of NumPy, they also sum in
+Python integers, one row at a time, and return one Fraction per value.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from itertools import product
 
 import numpy as np
 
+from .lattice import _integer_row
 from .measures import Measure
 from .tensors import SymTensor, nondecreasing_indices
 
@@ -35,8 +38,8 @@ def dense_core(tensor: SymTensor) -> tuple[np.ndarray, int]:
     of |coeff| * max(weight, 1) stays below `INT64_LIMIT`, so no int64 sum
     over its coefficients, or coefficients times weights, can wrap.  The
     name is older than the table; callers and benchmark traces know it."""
-    scale = math.lcm(*(c.denominator for c in tensor.entries.values()))
-    rows = [(*p, c.numerator * (scale // c.denominator), w) for p, c, w in tensor.arrangement_table()]
+    coeffs, scale = _integer_row(tensor.entries.values())
+    rows = [(*p, c, w) for p, c, w in tensor._arrangement_rows(coeffs, diagonal=False)]
     mass = sum([abs(row[-2]) * (row[-1] or 1) for row in rows])  # weights are >= 0
     dtype = np.int64 if mass < INT64_LIMIT else object
     return np.array(rows, dtype=dtype).reshape(len(rows), tensor.degree + 2), scale
@@ -46,10 +49,9 @@ def measure_weights(mu: Measure) -> tuple[np.ndarray, int]:
     """Atom weights of a measure on a finite space as an integer vector
     times their common denominator; int64, as for `dense_core`, when the
     sum of their magnitudes stays below `INT64_LIMIT`."""
-    scale = math.lcm(*(w.denominator for w in mu.atoms.values()))
-    scaled = {point: w.numerator * (scale // w.denominator) for point, w in mu.atoms.items()}
-    vec = np.zeros(mu.space.n, dtype=np.int64 if sum(map(abs, scaled.values())) < INT64_LIMIT else object)
-    for point, w in scaled.items():
+    scaled, scale = _integer_row(mu.atoms.values())
+    vec = np.zeros(mu.space.n, dtype=np.int64 if sum(map(abs, scaled)) < INT64_LIMIT else object)
+    for point, w in zip(mu.atoms, scaled):
         vec[point - 1] = w
     return vec, scale
 

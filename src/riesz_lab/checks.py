@@ -186,15 +186,15 @@ def _disjoint_pairs(rng, samples: int, n: int, m: int, positive: bool) -> np.nda
     block; the scaled-basis-pair sweep comes first, seeded masks after."""
     pairs = np.zeros((samples, 2, n), dtype=np.int64)
     xs, ys = pairs[:, 0, :], pairs[:, 1, :]  # views: writes land in pairs
-    row = 0
-    for s in range(n):
-        for t in range(s + 1, n):
-            for a, b in _ratio_grid(m):
-                if row >= samples:
-                    break
-                xs[row, s] = a * SCALE
-                ys[row, t] = b * SCALE
-                row += 1
+    # row r of the sweep: point pair r // len(grid) in row-major (s, t)
+    # order, scaled by ratio r % len(grid)
+    firsts, seconds = np.triu_indices(n, 1)
+    grid = SCALE * np.array(_ratio_grid(m), dtype=np.int64)
+    row = min(samples, len(firsts) * len(grid))
+    sweep = np.arange(row)
+    pair, ratio = np.divmod(sweep, len(grid))
+    xs[sweep, firsts[pair]] = grid[ratio, 0]
+    ys[sweep, seconds[pair]] = grid[ratio, 1]
     rest = samples - row
     if rest > 0:
         mask = _masks(rng, rest, n)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeMismatchError,
@@ -34,6 +34,15 @@ Rational = Fraction | int | str
 def q(value: Rational) -> Fraction:
     """Coerce to an exact rational."""
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _integer_row(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """(numerators, den): the rationals as integers over den, the lcm of
+    their denominators, so value i is numerators[i] / den; den is 1 for an
+    empty row."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 class _LimitPoint:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import SpaceMismatchError
-from .lattice import LIMIT, Element, Rational, Space, q
+from .lattice import LIMIT, Element, Rational, Space, _integer_row, q
 
 
 class Measure:
@@ -43,15 +43,23 @@ class Measure:
     # -- integration -----------------------------------------------------
 
     def integrate(self, x: Element, power: int = 1) -> Fraction:
-        """integral of x^power: sum of w_t * x(t)^power plus the limit term."""
+        """integral of x^power: sum of w_t * x(t)^power plus the limit term.
+
+        The weights and the values of x at the atoms are scaled once to
+        integers over their common denominators, the sum runs in exact
+        integers, and one Fraction is built from it.  ``power`` is a
+        nonnegative int."""
+        if not isinstance(power, int) or power < 0:
+            raise ValueError(f"power must be a nonnegative integer, got {power!r}")
         if x.space != self.space:
             raise SpaceMismatchError("element on the wrong space")
-        total = Fraction(0)
-        for point, weight in self.atoms.items():
-            total += weight * x.value_at(point) ** power
+        atoms = list(self.atoms.items())
         if self.limit_atom != 0:
-            total += self.limit_atom * x.value_at(LIMIT) ** power
-        return total
+            atoms.append((LIMIT, self.limit_atom))
+        weights, scale = _integer_row(w for _, w in atoms)
+        values, den = _integer_row(x.value_at(t) for t, _ in atoms)
+        total = sum(w * v**power for w, v in zip(weights, values))
+        return Fraction(total, scale * den**power)
 
     # -- norms and support --------------------------------------------------
 

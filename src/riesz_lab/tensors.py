@@ -5,8 +5,11 @@ multi-indices: the stored coefficient at alpha is the value of the full
 symmetric array at any arrangement of alpha.  `SymTensor.arrangement_table`
 lists, for each stored entry, its distinct arrangements as 0-based points and
 its multinomial weight m! / prod k_t! (k_t counts how often the point t
-occurs in alpha).  It is the one layout every evaluator reads: the Fraction
-reference here and, scaled to int64, the batch kernels in `_intpath`.
+occurs in alpha).  It is the one layout every evaluator reads.  The
+reference here walks the rows one at a time in exact integers, with each
+argument row and the coefficients scaled once by their common denominators,
+and builds one Fraction per value; it never materialises the table.  The
+batch kernels in `_intpath` read the same table scaled to integer arrays.
 
 Order-2 forms with no symmetry assumption get their own dense matrix type.
 """
@@ -14,13 +17,13 @@ Order-2 forms with no symmetry assumption get their own dense matrix type.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Iterator, Mapping, Sequence
+from operator import getitem
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegreeMismatchError, PositivityError, SpaceMismatchError
-from .lattice import Element, Rational, Space, q
+from .lattice import Element, Rational, Space, _integer_row, q
 
 
 def nondecreasing_indices(n: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -32,7 +35,7 @@ def arrangements(idx: tuple[int, ...]) -> int:
     """Number of distinct permutations of idx, m! / prod k_t!, where k_t
     counts the occurrences of t in idx."""
     weight = math.factorial(len(idx))
-    for k in Counter(idx).values():
+    for k in map(idx.count, set(idx)):
         weight //= math.factorial(k)
     return weight
 
@@ -101,13 +104,19 @@ class SymTensor:
         sorted index with weight m!/prod k_t!, then its other distinct
         arrangements with weight 0; points are 0-based.  ``diagonal`` lists
         the weighted rows only."""
-        rows = []
-        for idx, coeff in self.entries.items():
+        return list(self._arrangement_rows(self.entries.values(), diagonal))
+
+    def _arrangement_rows(
+        self, coeffs: Iterable[Fraction | int], diagonal: bool
+    ) -> Iterator[tuple[tuple[int, ...], Fraction | int, int]]:
+        """The rows of `arrangement_table`, one at a time, with the i-th
+        stored entry's coefficient read from the i-th item of ``coeffs``."""
+        for idx, coeff in zip(self.entries, coeffs):
             points = tuple(t - 1 for t in idx)
-            rows.append((points, coeff, arrangements(idx)))
+            yield points, coeff, arrangements(idx)
             if not diagonal:
-                rows.extend((p, coeff, 0) for p in _later_arrangements(points))
-        return rows
+                for p in _later_arrangements(points):
+                    yield p, coeff, 0
 
     def evaluate(self, args: Sequence[Element]) -> Fraction:
         """A(x_1, .., x_m): coeff * prod_i x_i(point_i) summed over every row
@@ -125,17 +134,22 @@ class SymTensor:
         the weighted rows alone."""
         if x.space != self.space:
             raise SpaceMismatchError("argument on the wrong space")
-        return self._contract([x.values] * self.degree, diagonal=True)
+        return self._contract([x.values], diagonal=True)
 
     def _contract(self, vecs: list[Sequence[Fraction]], diagonal: bool) -> Fraction:
-        total = Fraction(0)
-        for points, term, weight in self.arrangement_table(diagonal):
-            if diagonal:
-                term *= weight
-            for vec, point in zip(vecs, points):
-                term *= vec[point]
-            total += term
-        return total
+        """The sum over the arrangement rows in exact integers: each argument
+        row and the coefficients are scaled once to integers over their
+        common denominators, and one Fraction is built from the total.
+        ``diagonal`` takes one row and reads it in every slot."""
+        coeffs, scale = _integer_row(self.entries.values())
+        rows = self._arrangement_rows(coeffs, diagonal)
+        if diagonal:
+            x, den = _integer_row(vecs[0])
+            total = sum(math.prod(map(x.__getitem__, p), start=c * w) for p, c, w in rows)
+            return Fraction(total, scale * den**self.degree)
+        xs, dens = zip(*map(_integer_row, vecs))
+        total = sum(math.prod(map(getitem, xs, p), start=c) for p, c, _ in rows)
+        return Fraction(total, scale * math.prod(dens))
 
     # -- structure ------------------------------------------------------------
 

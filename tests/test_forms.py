@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riesz_lab import (
     Element,
@@ -28,6 +30,7 @@ from riesz_lab import (
     to_polynomial,
 )
 from riesz_lab.errors import DegreeMismatchError, RepresentationError, SpaceMismatchError
+from riesz_lab.lattice import LIMIT
 from riesz_lab.tensors import arrangements, nondecreasing_indices
 from riesz_lab.sampling import element, measure, rng_for, sym_tensor
 
@@ -96,6 +99,109 @@ class TestFormEvaluation:
         a = SymTensor(F2, 2, {(1, 2): 1})
         assert a.evaluate([fin(1, 0), fin(0, 1)]) == 1
         assert a.evaluate([fin(1, 2), fin(3, 4)]) == 1 * 4 + 2 * 3
+
+
+# rationals whose denominators reach past 2**64, so no scaled value fits a machine word
+_RATIONALS = st.builds(
+    Fraction,
+    st.integers(-(10**25), 10**25),
+    st.one_of(st.integers(1, 12), st.integers(2**64, 2**70)),
+)
+
+
+@st.composite
+def _tensor_cases(draw):
+    """A tensor of degree 1..5 (possibly empty) and m argument elements."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    space = Space.finite(n)
+    index = st.lists(st.integers(1, n), min_size=m, max_size=m).map(lambda idx: tuple(sorted(idx)))
+    tensor = SymTensor(space, m, draw(st.dictionaries(index, _RATIONALS, max_size=6)))
+    row = st.lists(_RATIONALS, min_size=n, max_size=n)
+    return tensor, [Element(space, draw(row)) for _ in range(m)]
+
+
+@st.composite
+def _measure_cases(draw):
+    """A measure (possibly zero) and an element on finite(n) or omega1; the
+    omega1 atoms reach past the element's row and may carry a limit atom."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        space, points, limit = Space.finite(n), st.integers(1, n), st.just(0)
+        row = st.lists(_RATIONALS, min_size=n, max_size=n)
+    else:
+        space, points, limit = OM, st.integers(1, 12), _RATIONALS
+        row = st.lists(_RATIONALS, min_size=1, max_size=5)
+    mu = Measure(space, draw(st.dictionaries(points, _RATIONALS, max_size=6)), draw(limit))
+    return mu, Element(space, draw(row))
+
+
+def _fraction_contract(tensor, rows, diagonal):
+    """The arrangement-table sum one Fraction product at a time."""
+    total = Fraction(0)
+    for points, coeff, weight in tensor.arrangement_table(diagonal):
+        term = coeff * weight if diagonal else coeff
+        for row, point in zip(rows, points):
+            term *= row[point]
+        total += term
+    return total
+
+
+def _fraction_integral(mu, x, power):
+    total = sum((w * x.value_at(t) ** power for t, w in mu.atoms.items()), Fraction(0))
+    if mu.limit_atom != 0:
+        total += mu.limit_atom * x.value_at(LIMIT) ** power
+    return total
+
+
+class TestIntegerReference:
+    """The integer-scaled reference evaluators against Fraction-by-Fraction sums."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tensor_cases())
+    def test_contract_matches_fraction_sum(self, case):
+        tensor, args = case
+        value = tensor.evaluate(args)
+        assert type(value) is Fraction
+        assert value == _fraction_contract(tensor, [x.values for x in args], diagonal=False)
+        x = args[0]
+        diagonal = tensor.evaluate_diagonal(x)
+        assert type(diagonal) is Fraction
+        assert diagonal == _fraction_contract(tensor, [x.values] * tensor.degree, diagonal=True)
+        assert diagonal == tensor.evaluate([x] * tensor.degree)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_measure_cases(), st.integers(0, 5))
+    def test_integrate_matches_fraction_sum(self, case, power):
+        mu, x = case
+        value = mu.integrate(x, power)
+        assert type(value) is Fraction
+        assert value == _fraction_integral(mu, x, power)
+
+    def test_empty_tensor_and_zero_measure_give_zero(self):
+        for m in (1, 3):
+            tensor = SymTensor(F3, m, {})
+            assert tensor.evaluate([fin(1, 2, 3)] * m) == Fraction(0)
+            assert tensor.evaluate_diagonal(fin(1, 2, 3)) == Fraction(0)
+        for mu, x in ((Measure(F3), fin(1, 2, 3)), (Measure(OM), Element.omega([1, 2], 3))):
+            for power in range(4):
+                value = mu.integrate(x, power)
+                assert type(value) is Fraction and value == 0
+
+    def test_omega_atoms_past_the_row_and_the_limit(self):
+        mu = Measure(OM, {1: 2, 5: Fraction(1, 3)}, limit_atom=Fraction(-1, 2))
+        x = Element.omega([Fraction(1, 2)], 3)  # x(1) = 1/2, every later point and the limit read 3
+        assert mu.integrate(x, 2) == 2 * Fraction(1, 4) + Fraction(1, 3) * 9 - Fraction(9, 2)
+        assert mu.integrate(x, 0) == mu.integrate(Element.constant(OM, 1), 1)
+
+    @pytest.mark.parametrize("power", [-1, 1.0, Fraction(2), "2"])
+    def test_integrate_rejects_a_power_that_is_not_a_nonnegative_int(self, power):
+        with pytest.raises(ValueError):
+            Measure(F2, {1: 1}).integrate(fin(1, 2), power)
+
+    def test_no_per_instance_cache(self):
+        # the reference evaluators keep nothing on the objects between calls
+        assert SymTensor.__slots__ == ("space", "degree", "entries")
+        assert Measure.__slots__ == ("space", "atoms", "limit_atom")
 
 
 class TestPolynomialEvaluation:

@@ -498,6 +498,42 @@ class TestSampledStreams:
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
 
 
+def _loop_disjoint_pairs(rng, samples, n, m, positive):
+    """The row-by-row sweep `checks._disjoint_pairs` replaced, kept as its oracle."""
+    pairs = np.zeros((samples, 2, n), dtype=np.int64)
+    xs, ys = pairs[:, 0, :], pairs[:, 1, :]
+    row = 0
+    for s in range(n):
+        for t in range(s + 1, n):
+            for a, b in checks._ratio_grid(m):
+                if row >= samples:
+                    break
+                xs[row, s] = a * checks.SCALE
+                ys[row, t] = b * checks.SCALE
+                row += 1
+    rest = samples - row
+    if rest > 0:
+        mask = checks._masks(rng, rest, n)
+        left, right = checks._values(rng, (rest, n)), checks._values(rng, (rest, n))
+        if positive:
+            left, right = np.abs(left), np.abs(right)
+        xs[row:] = np.where(mask, left, 0)
+        ys[row:] = np.where(mask, 0, right)
+    return pairs
+
+
+class TestDisjointPairs:
+    @pytest.mark.parametrize("positive", [False, True])
+    def test_vectorised_sweep_matches_the_loop(self, positive):
+        for n in range(1, 10):
+            for m in range(1, 6):
+                for samples in (1, 5, 37, 200):
+                    seed = [n, m, samples]
+                    fast = checks._disjoint_pairs(np.random.default_rng(seed), samples, n, m, positive)
+                    slow = _loop_disjoint_pairs(np.random.default_rng(seed), samples, n, m, positive)
+                    assert fast.dtype == slow.dtype and np.array_equal(fast, slow), seed
+
+
 class TestIdentitySides:
     def test_krivine_product_frozen_value(self):
         poly = to_polynomial(Measure(F2, {1: 1, 2: 1}), 2)
