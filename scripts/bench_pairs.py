@@ -1,0 +1,92 @@
+"""Alternating parent/change runs of perfbench, summarised in one JSON file.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \
+        --workload wide-forms --seed 1 --seconds 30 --pairs 10 --out BENCH_<label>.json
+
+Runs `perfbench/run.py --trace 0` from each checkout in turn, the parent
+first in even pairs and the change first in odd ones, so a host that drifts
+faster or slower touches both sides alike.  Each run's end-to-end metrics
+are added under "<workload> seed <seed>" in the output file, beside each
+side's median and quartiles, how many pairs the change won and the commit
+and host each side reported.  Runs already in the file for that key are
+kept, so a comparison can be extended by running the script again.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One perfbench run: its end-to-end metrics, failures and environment."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: perfbench exited with {proc.returncode}\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    env = next(json.loads(ln.split(": ", 1)[1]) for ln in lines if ln.startswith("environment: "))
+    return {
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "failed": result["failed"],
+        "attempted": result["attempted"],
+    }, env
+
+
+def summary(runs: dict, better: dict) -> dict:
+    """Per metric: each side's median and quartiles, and pairs the change won."""
+    out = {}
+    for name in runs["parent"][0]["metrics"]:
+        values = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
+        row = {}
+        for side in SIDES:
+            q1, median, q3 = statistics.quantiles(values[side], n=4) if len(values[side]) > 1 else values[side] * 3
+            row[side] = {"median": median, "q1": q1, "q3": q3}
+        sign = 1 if better.get(name) == "higher" else -1
+        row["change_wins"] = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        row["pairs"] = len(values["parent"])
+        out[name] = row
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    key = f"{args.workload} seed {args.seed}"
+    entry = data.setdefault(key, {"seconds": args.seconds, "runs": {side: [] for side in SIDES}})
+    checkouts = {"parent": args.parent, "change": args.change}
+    for _ in range(args.pairs):
+        order = SIDES if len(entry["runs"]["parent"]) % 2 == 0 else SIDES[::-1]
+        done = {side: run(checkouts[side], args.workload, args.seed, args.seconds) for side in order}
+        for side in SIDES:
+            entry["runs"][side].append(done[side][0])
+        entry["environment"] = {side: done[side][1] for side in SIDES}
+        entry["summary"] = summary(entry["runs"], better)
+        args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")  # kept if a later pair is cut
+        print(key, {side: done[side][0]["metrics"] for side in SIDES}, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,6 +29,9 @@ from .tensors import SymTensor, nondecreasing_indices
 
 INT64_LIMIT = 2**62
 _BYTE_CAP = 2**27  # largest array one gather may allocate (128 MiB)
+# gathered entries (samples x table rows x argument slots) in the first
+# chunk of a sampled check's block; later chunks grow 4x
+_CHUNK_WORK = 2**16
 
 
 def dense_core(tensor: SymTensor) -> tuple[np.ndarray, int]:

@@ -24,6 +24,13 @@ when the object sweep runs (``force_object``, or an identity with no batch
 kernel: matrix forms and omega1).  omega1 samples come from the same
 arrays: each row, the values at points 1..6 and then the tail, is an
 `Element` row as it stands.
+
+One failing sample decides an identity, so the driver hands the kernels
+each block in chunks and stops at the first chunk with a mismatch.  The
+first chunk is sized by kernel work against the fixed budget
+`_intpath._CHUNK_WORK` (samples x table rows x argument slots) and each
+later chunk is 4x the one before; a block inside the budget runs in one
+kernel call.  Every check builds its table once and reads it in every chunk.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from ._intpath import (
+    _CHUNK_WORK,
     dense_core,
     form_eval_batch,
     measure_poly_eval_batch,
@@ -51,7 +59,7 @@ from .lattice import (
     krivine_radical,
 )
 from .polynomials import MEASURE, TENSOR, Polynomial, polarize, to_measure
-from .tensors import Form, GeneralMatrixForm, SymTensor
+from .tensors import Form, GeneralMatrixForm
 
 SCALE = 12  # lcm of the permitted sample denominators {1,2,3,4}
 
@@ -247,17 +255,23 @@ def _failure(
 # -- the sampled-check driver ------------------------------------------------------
 
 
-def _sampled_check(kind: str, mode: str, thing, blocks, denom: int, int_sides, force_object: bool) -> CheckVerdict:
+def _sampled_check(kind: str, mode: str, thing, blocks, denom: int, int_sides, rows: int) -> CheckVerdict:
     """Check one identity on seeded int samples.
 
-    Each block is an int array (rows, slots, columns) in units of
+    Each block is an int array (samples, slots, columns) in units of
     1/``denom``; sample i is row i counted across the blocks, and its slots
-    are the identity's arguments.  ``int_sides(block)`` returns both sides of
-    the identity for a whole block as comparable exact integer arrays;
-    ``None`` means the identity has no batch kernel here.  Then, and under
-    ``force_object``, the object sweep builds every sample as Elements and
-    compares them through `os_identity_sides` / `oa_identity_sides`, the
-    reference.
+    are the identity's arguments.  ``int_sides(chunk)`` returns both sides of
+    the identity for consecutive samples of one block as comparable exact
+    integer arrays, and ``rows`` is the size of the table it reads (tensor
+    table rows or measure weights).  One failing sample decides an identity,
+    so each block runs in chunks and the check returns at the first chunk
+    with a mismatch: the first chunk holds ``_CHUNK_WORK // (rows * slots)``
+    samples, at least one, and each later chunk 4x the one before.  A block
+    inside that budget runs in one call.  The values are exact in either
+    dtype, so the first failing sample, and with it the verdict, does not
+    depend on the chunks.  ``int_sides=None`` (no batch kernel here, or the
+    reference forced) runs the object sweep: every sample built as Elements
+    and compared through `os_identity_sides` / `oa_identity_sides`.
     """
     space = thing.space
     sides = os_identity_sides if kind == "os" else oa_identity_sides
@@ -265,12 +279,16 @@ def _sampled_check(kind: str, mode: str, thing, blocks, denom: int, int_sides, f
     def args(block, i):
         return [_element(space, row, denom) for row in block[i]]
 
-    if int_sides is not None and not force_object:
+    if int_sides is not None:
         checked = 0
         for block in blocks:
-            bad = _first_diff(*int_sides(block))
-            if bad is not None:
-                return _failure(kind, mode, thing, args(block, bad), checked + bad, checked + bad + 1)
+            start, step = 0, max(_CHUNK_WORK // max(rows * block.shape[1], 1), 1)
+            while start < len(block):
+                bad = _first_diff(*int_sides(block[start : start + step]))
+                if bad is not None:
+                    index = start + bad
+                    return _failure(kind, mode, thing, args(block, index), checked + index, checked + index + 1)
+                start, step = start + step, 4 * step
             checked += len(block)
         if mode in (OA_KRIVINE_SUM, OA_KRIVINE_PRODUCT):
             # the int identities skip radical objects; recompute the first
@@ -313,13 +331,17 @@ def orthosymmetry_check(
         raise DegreeMismatchError("disjoint argument pairs need degree >= 2")
     if mode == OS_DIAGONAL:
         return _os_diagonal(form)
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(_seedseq(seed))
     blocks = [_os_draw(mode, rng, samples, form.space.n, form.degree)]
-    if isinstance(form, GeneralMatrixForm):
-        if mode == OS_DISJOINT:  # basis pairs are decisive for a matrix; keep the sampled tail anyway
-            blocks.insert(0, _basis_pairs(form.space.n))
-        return _sampled_check("os", mode, form, blocks, SCALE, None, force_object)
-    return _sampled_check("os", mode, form, blocks, SCALE, partial(_os_int_sides, form, mode), force_object)
+    if isinstance(form, GeneralMatrixForm) and mode == OS_DISJOINT:
+        # basis pairs are decisive for a matrix; keep the sampled tail anyway
+        blocks.insert(0, _basis_pairs(form.space.n))
+    if force_object or isinstance(form, GeneralMatrixForm):
+        return _sampled_check("os", mode, form, blocks, SCALE, None, 0)
+    core, _ = dense_core(form)
+    return _sampled_check("os", mode, form, blocks, SCALE, partial(_os_int_sides, core, mode), len(core))
 
 
 def _os_diagonal(form: Form) -> CheckVerdict:
@@ -356,8 +378,7 @@ def _basis_pairs(n: int) -> np.ndarray:
     return np.stack([eye[i], eye[j]], axis=1)
 
 
-def _os_int_sides(form: SymTensor, mode: str, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    core, _ = dense_core(form)
+def _os_int_sides(core: np.ndarray, mode: str, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lhs = form_eval_batch(core, block)
     if mode == OS_DISJOINT:
         return lhs, np.zeros_like(lhs)
@@ -395,6 +416,12 @@ class _PolyKernels:
         """(weights, scale) of the measure view; needs one."""
         return measure_weights(self.measure_view.rep)
 
+    @property
+    def rows(self) -> int:
+        """Rows of the table `evaluate` reads: the core's for a tensor, the
+        weights' for a measure."""
+        return len(self.core[0]) if self.poly.kind == TENSOR else len(self.weights[0])
+
     def evaluate(self, xs: np.ndarray, terms: int) -> np.ndarray:
         """P on a batch of rows; ``terms`` is how many batches the caller sums."""
         if self.poly.kind == TENSOR:
@@ -430,8 +457,9 @@ def _oa_check(
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(_seedseq(seed))
     blocks, denom = _oa_draw(mode, rng, samples, kernels)
-    int_sides = partial(_oa_int_sides, mode, kernels) if poly.space.is_finite else None
-    return _sampled_check("oa", mode, poly, blocks, denom, int_sides, force_object)
+    if force_object or not poly.space.is_finite:
+        return _sampled_check("oa", mode, poly, blocks, denom, None, 0)
+    return _sampled_check("oa", mode, poly, blocks, denom, partial(_oa_int_sides, mode, kernels), kernels.rows)
 
 
 def _oa_draw(mode: str, rng: np.random.Generator, samples: int, kernels: _PolyKernels):

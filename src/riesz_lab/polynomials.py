@@ -11,15 +11,13 @@ operations act atomwise and the regular norm equals the variation norm.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import product
 
 from ._intpath import polarize_tensor_int
 from .errors import DegreeMismatchError, RepresentationError, SpaceMismatchError
 from .lattice import Element, RadicalElement, Space
 from .measures import Measure
-from .tensors import SymTensor, nondecreasing_indices
+from .tensors import SymTensor
 
 MEASURE = "measure"
 TENSOR = "tensor"
@@ -137,27 +135,6 @@ def polarize(poly: Polynomial) -> SymTensor:
     if poly.kind == MEASURE:
         return SymTensor.diagonal(poly.space, m, poly.rep.atoms)
     return SymTensor(poly.space, m, polarize_tensor_int(poly.rep))
-
-
-def _polarize_by_signs(poly: Polynomial) -> dict[tuple[int, ...], Fraction]:
-    m = poly.degree
-    space = poly.space
-    factor = Fraction(1, (2**m) * math.factorial(m))
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for alpha in nondecreasing_indices(space.n, m):
-        basis = [Element.basis(space, t) for t in alpha]
-        total = Fraction(0)
-        for signs in product((1, -1), repeat=m):
-            vector = Element.zero(space)
-            sign = 1
-            for s, e in zip(signs, basis):
-                vector = vector + e * s
-                sign *= s
-            total += sign * poly.evaluate(vector)
-        value = total * factor
-        if value != 0:
-            entries[alpha] = value
-    return entries
 
 
 # -- lattice structure and norms -----------------------------------------------

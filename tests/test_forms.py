@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -36,6 +37,29 @@ from riesz_lab.sampling import element, measure, rng_for, sym_tensor
 
 F1, F2, F3 = Space.finite(1), Space.finite(2), Space.finite(3)
 OM = Space.omega_plus_one()
+
+
+def _polarize_by_signs(poly: Polynomial) -> dict[tuple[int, ...], Fraction]:
+    """The sign-sum polarisation on Fraction elements, one vector at a time:
+    the object-path reference for `polarize`."""
+    m = poly.degree
+    space = poly.space
+    factor = Fraction(1, (2**m) * math.factorial(m))
+    entries: dict[tuple[int, ...], Fraction] = {}
+    for alpha in nondecreasing_indices(space.n, m):
+        basis = [Element.basis(space, t) for t in alpha]
+        total = Fraction(0)
+        for signs in product((1, -1), repeat=m):
+            vector = Element.zero(space)
+            sign = 1
+            for s, e in zip(signs, basis):
+                vector = vector + e * s
+                sign *= s
+            total += sign * poly.evaluate(vector)
+        value = total * factor
+        if value != 0:
+            entries[alpha] = value
+    return entries
 
 
 def fin(*vals):
@@ -260,8 +284,6 @@ class TestPolarisation:
             assert polarize(Polynomial.from_tensor(a)) == a
 
     def test_object_route_matches_int_route(self):
-        from riesz_lab.polynomials import _polarize_by_signs
-
         for i in range(15):
             rng = rng_for("polarize-routes", i)
             a = sym_tensor(rng, F3, 2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -304,6 +305,13 @@ class TestCliSubprocess:
         report = json.loads(out_a)
         assert report["suite"] == "orthosymmetry"
         assert all(p["passed"] for p in report["properties"])
+
+    def test_wide_orthosymmetry_report_pinned(self):
+        # n = 40, m = 6: sparse tensors whose tables reach tens of thousands
+        # of rows; a failing sampled mode stops at its first failing chunk
+        code, out, _ = _cli("check", "orthosymmetry", "--n", "40", "--m", "6", "--trials", "3", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out).hexdigest() == "01d68d64dc2a9d4c289b4b718285e3eaace97969b90574a2b5df19ed55fcd65a"
 
     def test_positional_suite_and_out_file(self, tmp_path):
         out = tmp_path / "report.json"

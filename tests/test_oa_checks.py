@@ -8,6 +8,7 @@ import inspect
 import json
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -143,6 +144,17 @@ class TestOrthosymmetry:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             orthosymmetry_check(SymTensor.diagonal(F2, 2, {1: 1}), "nope")
+
+    @pytest.mark.parametrize("force_object", [False, True])
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sample_floor(self, samples, force_object):
+        tensor = SymTensor(F2, 2, {(1, 2): 1})  # off-diagonal: zero samples must not pass it
+        matrix = GeneralMatrixForm(F2, [[1, 1], [0, 1]])
+        for form in (tensor, matrix):
+            for mode in (OS_J_IDENTITY, OS_BILINEAR, OS_DISJOINT):
+                with pytest.raises(ValueError, match="need at least one sample"):
+                    orthosymmetry_check(form, mode, samples=samples, force_object=force_object)
+            assert not orthosymmetry_check(form, OS_DIAGONAL, samples=samples).passed  # decisive, draws none
 
 
 class TestOrthogonalAdditivity:
@@ -463,6 +475,134 @@ class TestSharedKernels:
         built = _counting(monkeypatch, "dense_core")
         oa_mode_agreement(Polynomial.from_tensor(tensor), samples=structured_pair_count(4, 3) + 10, seed=3)
         assert len(built) <= 1
+
+
+def _whole_block_check(kind, mode, thing, blocks, denom, int_sides):
+    """The driver before chunking, kept as the reference for the chunks:
+    each block through ``int_sides`` in one call, then its first mismatch."""
+    checked = 0
+    for block in blocks:
+        bad = checks._first_diff(*int_sides(block))
+        if bad is not None:
+            args = [checks._element(thing.space, row, denom) for row in block[bad]]
+            return checks._failure(kind, mode, thing, args, checked + bad, checked + bad + 1)
+        checked += len(block)
+    return checks.CheckVerdict(mode, True, checked)
+
+
+def _recording(int_sides):
+    """``int_sides`` plus the list of chunk lengths it was called on."""
+    lengths = []
+
+    def recorded(chunk):
+        lengths.append(len(chunk))
+        return int_sides(chunk)
+
+    return recorded, lengths
+
+
+class TestChunkedDriver:
+    # x1 y2 + x2 y1 has a table of two rows; two argument slots and a budget
+    # of 12 make chunks of 3, 12, 48 samples, so a block of 70 ends its
+    # chunks at 3, 15, 63 and 70
+    FORM = SymTensor(F3, 2, {(1, 2): 1})
+    WORK = 12
+
+    @staticmethod
+    def _plant(block, failing):
+        """Disjoint basis pairs c*e1, c*e2 at each failing index, distinct per index."""
+        for i in failing:
+            block[i, 0, 0] = block[i, 1, 1] = checks.SCALE * (i + 1)
+        return block
+
+    @pytest.mark.parametrize(
+        "failing, lengths",
+        [
+            ([0], [3]),
+            ([2, 5], [3]),
+            ([3, 4], [3, 12]),
+            ([14, 69], [3, 12]),
+            ([15], [3, 12, 48]),
+            ([63], [3, 12, 48, 7]),
+            ([69], [3, 12, 48, 7]),
+            ([], [3, 12, 48, 7]),
+        ],
+        ids=["first", "end-of-first-chunk", "on-boundary", "end-of-second-chunk", "on-second-boundary",
+             "start-of-last-chunk", "last", "passing"],
+    )
+    def test_one_block_matches_whole_block(self, monkeypatch, failing, lengths):
+        monkeypatch.setattr(checks, "_CHUNK_WORK", self.WORK)
+        core, _ = dense_core(self.FORM)
+        assert len(core) == 2
+        int_sides = partial(checks._os_int_sides, core, OS_DISJOINT)
+        blocks = [self._plant(np.zeros((70, 2, 3), dtype=np.int64), failing)]
+        recorded, seen = _recording(int_sides)
+        chunked = checks._sampled_check("os", OS_DISJOINT, self.FORM, blocks, checks.SCALE, recorded, len(core))
+        assert chunked == _whole_block_check("os", OS_DISJOINT, self.FORM, blocks, checks.SCALE, int_sides)
+        assert chunked.passed == (not failing)
+        assert chunked.samples_checked == (failing[0] + 1 if failing else 70)
+        assert seen == lengths  # stopped at the chunk holding the first failure
+
+    @pytest.mark.parametrize(
+        "failing, checked, lengths",
+        [([0], 11, [3, 7, 2]), ([2], 13, [3, 7, 2, 8]), ([9], 20, [3, 7, 2, 8]), ([], 25, [3, 7, 2, 8, 1, 4])],
+        ids=["first", "on-boundary", "end-of-second-chunk", "passing"],
+    )
+    def test_second_k_valuation_block(self, monkeypatch, failing, checked, lengths):
+        # a failing 3-tuple in the second of the k = 2, 3, 4 blocks: its
+        # offset counts the whole first block, and the chunks restart at the
+        # budget for each block's slots (3, 2 and 1 samples)
+        monkeypatch.setattr(checks, "_CHUNK_WORK", self.WORK)
+        poly = Polynomial.from_tensor(self.FORM)
+        kernels = checks._PolyKernels(poly)
+        assert kernels.rows == 2
+        blocks = [np.zeros((10, 2, 3), dtype=np.int64), np.zeros((10, 3, 3), dtype=np.int64),
+                  np.zeros((5, 4, 3), dtype=np.int64)]
+        self._plant(blocks[1], failing)
+        int_sides = partial(checks._oa_int_sides, OA_K_VALUATION, kernels)
+        recorded, seen = _recording(int_sides)
+        chunked = checks._sampled_check("oa", OA_K_VALUATION, poly, blocks, checks.SCALE, recorded, kernels.rows)
+        assert chunked == _whole_block_check("oa", OA_K_VALUATION, poly, blocks, checks.SCALE, int_sides)
+        assert chunked.samples_checked == checked
+        assert chunked.passed == (not failing)
+        if failing:
+            assert chunked.counterexample["sampleIndex"] == checked - 1
+        assert seen == lengths
+
+    @pytest.mark.parametrize("work", [1, 40])
+    def test_every_mode_matches_object_path_in_small_chunks(self, monkeypatch, work):
+        monkeypatch.setattr(checks, "_CHUNK_WORK", work)
+        rng = rng_for("chunks", work)
+        polys = [
+            to_polynomial(measure(rng, F3), 3),
+            Polynomial.from_tensor(sym_tensor(rng, F3, 3, diagonal=True)),
+            Polynomial.from_tensor(sym_tensor(rng, F3, 3, ensure_off_diagonal=True)),
+            Polynomial.from_tensor(sym_tensor(rng, F3, 2, ensure_off_diagonal=True)),
+        ]
+        for poly in polys:
+            samples = structured_pair_count(3, poly.degree) + 40
+            for mode in OA_MODES:
+                fast = orthogonal_additivity_check(poly, mode, samples, 5)
+                assert fast == orthogonal_additivity_check(poly, mode, samples, 5, force_object=True), mode
+            if poly.kind == TENSOR:
+                for mode in OS_MODES:
+                    if mode != OS_BILINEAR or poly.degree == 2:
+                        fast = orthosymmetry_check(poly.rep, mode, samples, 5)
+                        assert fast == orthosymmetry_check(poly.rep, mode, samples, 5, force_object=True), mode
+
+    def test_passing_small_table_block_runs_in_one_call(self, monkeypatch):
+        calls = _counting(monkeypatch, "_os_int_sides")
+        tensor = SymTensor.diagonal(F4, 3, {1: 2, 3: -1, 4: Fraction(1, 3)})
+        for mode in (OS_J_IDENTITY, OS_DISJOINT):
+            calls.clear()
+            assert orthosymmetry_check(tensor, mode, samples=626, seed=1).passed
+            assert len(calls) == 1, mode
+        calls = _counting(monkeypatch, "_oa_int_sides")
+        poly = to_polynomial(Measure(F4, {1: 1, 2: -2, 4: Fraction(1, 2)}), 3)
+        for mode in OA_MODES:
+            calls.clear()
+            assert orthogonal_additivity_check(poly, mode, samples=96, seed=1).passed
+            assert len(calls) == (3 if mode == OA_K_VALUATION else 1), mode
 
 
 class TestSampledStreams:
