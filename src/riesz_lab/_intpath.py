@@ -2,16 +2,18 @@
 
 Identities checked by the sampled suites are homogeneous, so every instance
 is scaled to integers by its common denominator and batch-evaluated with
-NumPy.  A tensor is evaluated from its arrangement table
-(`SymTensor.arrangement_table`), scaled once, by gathering each row's points
-from the arguments and multiplying: O(S * rows * m) for a batch of S
-samples.  Each batch picks its dtype from a worst-case bound computed in
-exact Python integers: int64 when the bound stays below `INT64_LIMIT`, and
-otherwise `dtype=object` arrays of Python ints, the same gather and product
-at any size.  Gathers run over chunks of samples that fit a byte budget.
-The reference the checks compare against stays `SymTensor.evaluate` and
-`Measure.integrate`: exact and independent of NumPy, they also sum in
-Python integers, one row at a time, and return one Fraction per value.
+NumPy.  A form is evaluated from its arrangement table, scaled once
+(`SymTensor.arrangement_table`, or one row per nonzero entry of a matrix
+form), by gathering each row's points from the arguments and multiplying:
+O(S * rows * m) for a batch of S samples.  Each batch picks its dtype from a
+worst-case bound computed in exact Python integers: int64 when the bound
+stays below `INT64_LIMIT`, and otherwise `dtype=object` arrays of Python
+ints, the same gather and product at any size.  Gathers run over chunks of
+samples that fit a byte budget.  The reference the checks compare against
+stays `SymTensor.evaluate`, `GeneralMatrixForm.evaluate` and
+`Measure.integrate`, exact and independent of NumPy: the tensor and measure
+evaluators sum in Python integers, one row at a time, and return one
+Fraction per value; the matrix evaluator sums the dense matrix in Fractions.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .lattice import _integer_row
 from .measures import Measure
-from .tensors import SymTensor, nondecreasing_indices
+from .tensors import Form, SymTensor, nondecreasing_indices
 
 INT64_LIMIT = 2**62
 _BYTE_CAP = 2**27  # largest array one gather may allocate (128 MiB)
@@ -34,13 +36,16 @@ _BYTE_CAP = 2**27  # largest array one gather may allocate (128 MiB)
 _CHUNK_WORK = 2**16
 
 
-def dense_core(tensor: SymTensor) -> tuple[np.ndarray, int]:
-    """(table, scale): the arrangement table times the common denominator
-    of the entries as one integer array (rows, m + 2), each row its m points,
-    scaled coefficient and weight.  It is int64 only while the sum over rows
-    of |coeff| * max(weight, 1) stays below `INT64_LIMIT`, so no int64 sum
-    over its coefficients, or coefficients times weights, can wrap.  The
-    name is older than the table; callers and benchmark traces know it."""
+def dense_core(tensor: Form) -> tuple[np.ndarray, int]:
+    """(table, scale): the arrangement table of any finite form times the
+    common denominator of its entries as one integer array (rows, m + 2),
+    each row its m points, scaled coefficient and weight.  A symmetric
+    tensor lists every distinct arrangement of each stored entry; a matrix
+    form lists one row per nonzero entry, weight 1.  The table is int64 only
+    while the sum over rows of |coeff| * max(weight, 1) stays below
+    `INT64_LIMIT`, so no int64 sum over its coefficients, or coefficients
+    times weights, can wrap.  The name is older than the table; callers and
+    benchmark traces know it."""
     coeffs, scale = _integer_row(tensor.entries.values())
     rows = [(*p, c, w) for p, c, w in tensor._arrangement_rows(coeffs, diagonal=False)]
     mass = sum([abs(row[-2]) * (row[-1] or 1) for row in rows])  # weights are >= 0

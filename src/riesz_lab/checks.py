@@ -20,10 +20,11 @@ driver, `_sampled_check`.  Fraction `Element`s are built from those arrays
 only where the object path reads them: the first failing sample, which
 `_failure` re-verifies; the first three samples of a passing Krivine check,
 which are spot-checked through genuine radical elements; and every sample
-when the object sweep runs (``force_object``, or an identity with no batch
-kernel: matrix forms and omega1).  omega1 samples come from the same
-arrays: each row, the values at points 1..6 and then the tail, is an
-`Element` row as it stands.
+when the object sweep runs, which it does only for omega1 and under
+``force_object``.  Symmetric tensors and matrix forms share one table
+layout (`_intpath.dense_core`), so both run on the batch kernels.  omega1
+samples come from the same arrays: each row, the values at points 1..6 and
+then the tail, is an `Element` row as it stands.
 
 One failing sample decides an identity, so the driver hands the kernels
 each block in chunks and stops at the first chunk with a mismatch.  The
@@ -85,6 +86,9 @@ OA_MODES = (
     OA_KRIVINE_PRODUCT,
     OA_POSITIVE_CONE,
 )
+# argument count of each fixed-arity OA identity; k-valuation takes any k,
+# and the Krivine product radical checks its own
+_ARITY = {OA_DISJOINT_ADD: 2, OA_POSITIVE_CONE: 2, OA_POS_NEG: 1, OA_VALUATION: 2, OA_KRIVINE_SUM: 2}
 
 
 @dataclass(frozen=True)
@@ -107,6 +111,8 @@ def os_identity_sides(form: Form, mode: str, args: Sequence[Element]) -> tuple[F
     if mode == OS_J_IDENTITY:
         return lhs, form.evaluate(decreasing_rearrangements(list(args)))
     if mode == OS_BILINEAR:
+        if form.degree != 2:
+            raise DegreeMismatchError("the join/meet identity is an order-2 check")
         x, y = args
         return lhs, form.evaluate([x.join(y), x.meet(y)])
     raise ValueError(f"unknown orthosymmetry mode {mode!r}")
@@ -125,6 +131,9 @@ def oa_identity_sides(poly: Polynomial, mode: str, args: Sequence[Element]) -> t
     """Both sides of one orthogonal-additivity identity at explicit
     arguments, Krivine modes through genuine radical elements."""
     m = poly.degree
+    arity = _ARITY.get(mode)
+    if arity is not None and len(args) != arity:
+        raise DegreeMismatchError(f"{mode} expects {arity} arguments, got {len(args)}")
     if mode in (OA_DISJOINT_ADD, OA_POSITIVE_CONE):
         x, y = args
         return poly.evaluate(x + y), poly.evaluate(x) + poly.evaluate(y)
@@ -149,6 +158,15 @@ def oa_identity_sides(poly: Polynomial, mode: str, args: Sequence[Element]) -> t
         lhs = target.evaluate(radical)
         return lhs, poly.rep.evaluate(list(args)) if poly.kind == TENSOR else poly.rep.integrate(radical.base)
     raise ValueError(f"unknown orthogonal-additivity mode {mode!r}")
+
+
+def identity_sides(thing, mode: str, args: Sequence[Element]) -> tuple[Fraction, Fraction]:
+    """Both sides of the identity ``mode`` names: `os_identity_sides` for an
+    orthosymmetry mode, `oa_identity_sides` otherwise (the names are
+    disjoint)."""
+    if mode in OS_MODES:
+        return os_identity_sides(thing, mode, args)
+    return oa_identity_sides(thing, mode, args)
 
 
 # -- seeded sample construction ---------------------------------------------------
@@ -243,10 +261,9 @@ def _payload(mode: str, index: int, args: Sequence[Element], lhs: Fraction, rhs:
 
 
 def _failure(
-    kind: str, mode: str, thing, args: Sequence[Element], index: int, checked: int, decisive: bool = False
+    mode: str, thing, args: Sequence[Element], index: int, checked: int, decisive: bool = False
 ) -> CheckVerdict:
-    sides = os_identity_sides(thing, mode, args) if kind == "os" else oa_identity_sides(thing, mode, args)
-    lhs, rhs = sides
+    lhs, rhs = identity_sides(thing, mode, args)
     if lhs == rhs:
         raise InvariantViolation("reported mismatch did not re-verify on the object path")
     return CheckVerdict(mode, False, checked, decisive, _payload(mode, index, list(args), lhs, rhs))
@@ -255,7 +272,7 @@ def _failure(
 # -- the sampled-check driver ------------------------------------------------------
 
 
-def _sampled_check(kind: str, mode: str, thing, blocks, denom: int, int_sides, rows: int) -> CheckVerdict:
+def _sampled_check(mode: str, thing, blocks, denom: int, int_sides, rows: int) -> CheckVerdict:
     """Check one identity on seeded int samples.
 
     Each block is an int array (samples, slots, columns) in units of
@@ -269,12 +286,11 @@ def _sampled_check(kind: str, mode: str, thing, blocks, denom: int, int_sides, r
     samples, at least one, and each later chunk 4x the one before.  A block
     inside that budget runs in one call.  The values are exact in either
     dtype, so the first failing sample, and with it the verdict, does not
-    depend on the chunks.  ``int_sides=None`` (no batch kernel here, or the
-    reference forced) runs the object sweep: every sample built as Elements
-    and compared through `os_identity_sides` / `oa_identity_sides`.
+    depend on the chunks.  ``int_sides=None`` runs the object sweep, every
+    sample built as Elements and compared through `identity_sides`; only
+    omega1 instances and ``force_object`` take it.
     """
     space = thing.space
-    sides = os_identity_sides if kind == "os" else oa_identity_sides
 
     def args(block, i):
         return [_element(space, row, denom) for row in block[i]]
@@ -287,7 +303,7 @@ def _sampled_check(kind: str, mode: str, thing, blocks, denom: int, int_sides, r
                 bad = _first_diff(*int_sides(block[start : start + step]))
                 if bad is not None:
                     index = start + bad
-                    return _failure(kind, mode, thing, args(block, index), checked + index, checked + index + 1)
+                    return _failure(mode, thing, args(block, index), checked + index, checked + index + 1)
                 start, step = start + step, 4 * step
             checked += len(block)
         if mode in (OA_KRIVINE_SUM, OA_KRIVINE_PRODUCT):
@@ -295,15 +311,15 @@ def _sampled_check(kind: str, mode: str, thing, blocks, denom: int, int_sides, r
             # samples through them so the fast route cannot drift from the
             # definition
             for i in range(min(3, len(blocks[0]))):
-                lhs, rhs = sides(thing, mode, args(blocks[0], i))
+                lhs, rhs = identity_sides(thing, mode, args(blocks[0], i))
                 if lhs != rhs:
                     raise InvariantViolation("vector path disagrees with radical evaluation")
         return CheckVerdict(mode, True, checked)
     samples = (args(block, i) for block in blocks for i in range(len(block)))
     for index, sample in enumerate(samples):
-        lhs, rhs = sides(thing, mode, sample)
+        lhs, rhs = identity_sides(thing, mode, sample)
         if lhs != rhs:
-            return _failure(kind, mode, thing, sample, index, index + 1)
+            return _failure(mode, thing, sample, index, index + 1)
     return CheckVerdict(mode, True, sum(len(block) for block in blocks))
 
 
@@ -338,27 +354,18 @@ def orthosymmetry_check(
     if isinstance(form, GeneralMatrixForm) and mode == OS_DISJOINT:
         # basis pairs are decisive for a matrix; keep the sampled tail anyway
         blocks.insert(0, _basis_pairs(form.space.n))
-    if force_object or isinstance(form, GeneralMatrixForm):
-        return _sampled_check("os", mode, form, blocks, SCALE, None, 0)
+    if force_object:
+        return _sampled_check(mode, form, blocks, SCALE, None, 0)
     core, _ = dense_core(form)
-    return _sampled_check("os", mode, form, blocks, SCALE, partial(_os_int_sides, core, mode), len(core))
+    return _sampled_check(mode, form, blocks, SCALE, partial(_os_int_sides, core, mode), len(core))
 
 
 def _os_diagonal(form: Form) -> CheckVerdict:
-    if isinstance(form, GeneralMatrixForm):
-        n = form.space.n
-        for i in range(n):
-            for j in range(n):
-                if i != j and form.rows[i][j] != 0:
-                    args = [Element.basis(form.space, i + 1), Element.basis(form.space, j + 1)]
-                    return _failure("os", OS_DIAGONAL, form, args, 0, 0, decisive=True)
-        return CheckVerdict(OS_DIAGONAL, True, 0, True)
     off = form.off_diagonal_entries()
     if not off:
         return CheckVerdict(OS_DIAGONAL, True, 0, True)
-    idx = next(iter(off))
-    args = [Element.basis(form.space, t) for t in idx]
-    return _failure("os", OS_DIAGONAL, form, args, 0, 0, decisive=True)
+    args = [Element.basis(form.space, t) for t in next(iter(off))]
+    return _failure(OS_DIAGONAL, form, args, 0, 0, decisive=True)
 
 
 def _os_draw(mode: str, rng: np.random.Generator, samples: int, n: int, m: int) -> np.ndarray:
@@ -458,8 +465,8 @@ def _oa_check(
     rng = np.random.default_rng(_seedseq(seed))
     blocks, denom = _oa_draw(mode, rng, samples, kernels)
     if force_object or not poly.space.is_finite:
-        return _sampled_check("oa", mode, poly, blocks, denom, None, 0)
-    return _sampled_check("oa", mode, poly, blocks, denom, partial(_oa_int_sides, mode, kernels), kernels.rows)
+        return _sampled_check(mode, poly, blocks, denom, None, 0)
+    return _sampled_check(mode, poly, blocks, denom, partial(_oa_int_sides, mode, kernels), kernels.rows)
 
 
 def _oa_draw(mode: str, rng: np.random.Generator, samples: int, kernels: _PolyKernels):

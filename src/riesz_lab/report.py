@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .checks import OA_MODES, OS_MODES, oa_identity_sides, os_identity_sides
+from .checks import OA_MODES, OS_MODES, identity_sides
 from .errors import MalformedInstanceError
 from .jsonio import dumps_canonical, parse_element, parse_instance
+from .polynomials import Polynomial
+from .tensors import Form
 
 
 @dataclass(frozen=True)
@@ -80,20 +82,26 @@ def reverify_counterexample(payload: dict) -> bool:
     """Replay a counterexample from its serialised payload.
 
     True when the identity named by ``mode`` still fails on the re-parsed
-    instance and arguments with exactly the recorded sides.
+    instance and arguments with exactly the recorded sides.  A payload that
+    cannot be replayed raises a `RieszLabError`: `MalformedInstanceError`
+    for a missing or mistyped field, an unknown mode or an instance of the
+    wrong family (orthosymmetry modes take forms, OA modes polynomials).
     """
+    if not isinstance(payload, dict):
+        raise MalformedInstanceError("$", "expected a JSON object")
     for key in ("mode", "instance", "args", "lhs", "rhs"):
         if key not in payload:
             raise MalformedInstanceError(f"$.{key}", "missing counterexample field")
     instance = parse_instance(payload["instance"], "$.instance")
+    if not isinstance(payload["args"], list):
+        raise MalformedInstanceError("$.args", "expected a list")
     args = [parse_element(o, f"$.args[{i}]") for i, o in enumerate(payload["args"])]
     mode = payload["mode"]
-    if mode in OS_MODES:
-        lhs, rhs = os_identity_sides(instance, mode, args)
-    elif mode in OA_MODES:
-        lhs, rhs = oa_identity_sides(instance, mode, args)
-    else:
+    if mode not in OS_MODES and mode not in OA_MODES:
         raise MalformedInstanceError("$.mode", f"unknown check mode {mode!r}")
+    if not isinstance(instance, Form if mode in OS_MODES else Polynomial):
+        raise MalformedInstanceError("$.instance", f"mode {mode!r} does not apply to a {type(instance).__name__}")
+    lhs, rhs = identity_sides(instance, mode, args)
     return lhs != rhs and str(lhs) == payload["lhs"] and str(rhs) == payload["rhs"]
 
 

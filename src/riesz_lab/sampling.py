@@ -57,23 +57,21 @@ def nonzero_positive_element(rng: random.Random, space: Space) -> Element:
             return x
 
 
-def measure(
-    rng: random.Random,
-    space: Space,
-    max_atoms: int = 4,
-    allow_limit: bool = True,
-    normal: bool = False,
-) -> Measure:
-    """Random discrete measure; ``normal`` forces a zero limit atom."""
+MAX_ATOMS = 4
+
+
+def measure(rng: random.Random, space: Space, normal: bool = False) -> Measure:
+    """Random discrete measure with at most `MAX_ATOMS` atoms; on omega1 a
+    nonzero limit atom half the time unless ``normal``."""
     if space.is_finite:
-        count = rng.randint(0, min(max_atoms, space.n))
+        count = rng.randint(0, min(MAX_ATOMS, space.n))
         points = rng.sample(list(space.points()), count)
         return Measure(space, {t: rational(rng, nonzero=True) for t in points})
-    count = rng.randint(0, max_atoms)
+    count = rng.randint(0, MAX_ATOMS)
     points = rng.sample(range(1, 7), count)
     atoms = {t: rational(rng, nonzero=True) for t in points}
     limit = Fraction(0)
-    if allow_limit and not normal and rng.random() < Fraction(1, 2):
+    if not normal and rng.random() < Fraction(1, 2):
         limit = rational(rng, nonzero=True)
     return Measure(space, atoms, limit_atom=limit)
 
@@ -131,21 +129,19 @@ def sym_tensor(
     degree: int,
     diagonal: bool = False,
     ensure_off_diagonal: bool = False,
-    max_entries: int | None = None,
 ) -> SymTensor:
-    """Sparse random symmetric tensor.
+    """Sparse random symmetric tensor drawn from at most 2n candidate indices.
 
     ``diagonal`` keeps every entry on the diagonal; ``ensure_off_diagonal``
     plants at least one genuinely mixed entry.
     """
     n = space.n
-    cap = max_entries if max_entries is not None else 2 * n
     entries: dict[tuple[int, ...], Fraction] = {}
     diag_candidates = [(t,) * degree for t in space.points()]
     all_candidates = _IndexPool(n, degree)
     mixed = _IndexPool(n, degree, mixed=True)
     pool = diag_candidates if diagonal else all_candidates
-    for idx in rng.sample(pool, min(cap, len(pool))):
+    for idx in rng.sample(pool, min(2 * n, len(pool))):
         if rng.random() < 0.7:
             entries[idx] = rational(rng, nonzero=True)
     if ensure_off_diagonal and mixed and not any(len(set(i)) > 1 for i in entries):
@@ -155,14 +151,9 @@ def sym_tensor(
     return SymTensor(space, degree, entries)
 
 
-def matrix_form(rng: random.Random, space: Space, symmetric: bool = False) -> GeneralMatrixForm:
+def matrix_form(rng: random.Random, space: Space) -> GeneralMatrixForm:
     n = space.n
-    rows = [[rational(rng) for _ in range(n)] for _ in range(n)]
-    if symmetric:
-        for i in range(n):
-            for j in range(i):
-                rows[i][j] = rows[j][i]
-    return GeneralMatrixForm(space, rows)
+    return GeneralMatrixForm(space, [[rational(rng) for _ in range(n)] for _ in range(n)])
 
 
 def measure_polynomial(rng: random.Random, space: Space, degree: int, normal: bool = False) -> Polynomial:

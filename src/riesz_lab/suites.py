@@ -312,7 +312,7 @@ def _orthosymmetry(config: SuiteConfig):
     def matrix_disjoint_pairs(rng, i):
         form = matrix_form(rng, space)
         verdict = orthosymmetry_check(form, OS_DISJOINT, samples=40, seed=i)
-        if verdict.passed != form.off_diagonal_is_zero():
+        if verdict.passed != (not form.off_diagonal_entries()):
             return "", verdict.counterexample and attach_instance(verdict.counterexample, to_obj(form))
 
     if config.m == 2:

@@ -11,7 +11,9 @@ argument row and the coefficients scaled once by their common denominators,
 and builds one Fraction per value; it never materialises the table.  The
 batch kernels in `_intpath` read the same table scaled to integer arrays.
 
-Order-2 forms with no symmetry assumption get their own dense matrix type.
+Order-2 forms with no symmetry assumption get their own matrix type.  Its
+table is one row per nonzero entry with weight 1, so the batch kernels read
+it unchanged; its dense `evaluate` stays an independent reference.
 """
 
 from __future__ import annotations
@@ -221,9 +223,15 @@ class SymTensor:
 
 
 class GeneralMatrixForm:
-    """A bilinear form on a finite space with no symmetry assumption."""
+    """A bilinear form on a finite space with no symmetry assumption.
 
-    __slots__ = ("space", "rows")
+    ``entries`` maps each nonzero (i, j), 1-based, to its coefficient in
+    row-major order.  A non-symmetric matrix has no arrangements to fold, so
+    its arrangement rows are its entries, one each with weight 1: the same
+    layout as a `SymTensor`'s, read by the same batch kernels.
+    """
+
+    __slots__ = ("space", "rows", "entries")
 
     degree = 2
 
@@ -233,13 +241,26 @@ class GeneralMatrixForm:
         mat = tuple(tuple(q(v) for v in row) for row in rows)
         if len(mat) != space.n or any(len(row) != space.n for row in mat):
             raise ValueError(f"need an {space.n} x {space.n} matrix")
+        entries = {(i, j): v for i, row in enumerate(mat, 1) for j, v in enumerate(row, 1) if v != 0}
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "rows", mat)
+        object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GeneralMatrixForm is immutable")
 
+    def _arrangement_rows(
+        self, coeffs: Iterable[Fraction | int], diagonal: bool
+    ) -> Iterator[tuple[tuple[int, ...], Fraction | int, int]]:
+        """One row (points, coeff, 1) per entry, points 0-based, with the
+        i-th entry's coefficient read from the i-th item of ``coeffs``; every
+        row carries weight, so ``diagonal`` lists them all."""
+        for (i, j), coeff in zip(self.entries, coeffs):
+            yield (i - 1, j - 1), coeff, 1
+
     def evaluate(self, args: Sequence[Element]) -> Fraction:
+        """x^T M y, summed densely over the rows: the reference the batch
+        kernels are checked against."""
         if len(args) != 2:
             raise DegreeMismatchError("matrix forms are bilinear")
         x, y = args
@@ -255,9 +276,8 @@ class GeneralMatrixForm:
     def modulus(self) -> "GeneralMatrixForm":
         return GeneralMatrixForm(self.space, [[abs(v) for v in row] for row in self.rows])
 
-    def off_diagonal_is_zero(self) -> bool:
-        n = self.space.n
-        return all(self.rows[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+    def off_diagonal_entries(self) -> dict[tuple[int, int], Fraction]:
+        return {(i, j): v for (i, j), v in self.entries.items() if i != j}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeneralMatrixForm):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from riesz_lab import (
     Element,
     Functional,
+    GeneralMatrixForm,
     Measure,
     Polynomial,
     ProductFunctionalPolynomial,
@@ -34,9 +35,23 @@ from riesz_lab import (
     to_obj,
     to_polynomial,
 )
-from riesz_lab.checks import OA_DISJOINT_ADD
+from riesz_lab.checks import (
+    OA_DISJOINT_ADD,
+    OA_KRIVINE_PRODUCT,
+    OA_KRIVINE_SUM,
+    OA_MODES,
+    OA_POS_NEG,
+    OA_POSITIVE_CONE,
+    OA_VALUATION,
+    OS_BILINEAR,
+    OS_DIAGONAL,
+    OS_DISJOINT,
+    OS_J_IDENTITY,
+    OS_MODES,
+    orthosymmetry_check,
+)
 from riesz_lab.cli import main
-from riesz_lab.errors import MalformedInstanceError, RieszLabError
+from riesz_lab.errors import DegreeMismatchError, MalformedInstanceError, RieszLabError
 from riesz_lab.jsonio import parse_rational
 from riesz_lab.report import PropertyResult, Report
 from riesz_lab.sampling import element, matrix_form, measure, rng_for, sym_tensor
@@ -206,6 +221,7 @@ _JSON = st.recursive(
 )
 
 
+_PRODUCT_POLY = ProductFunctionalPolynomial(2, Functional.of_measure(Measure(OM, {2: 1})), Functional.limit())
 _SEEDS = [
     Element.finite([1, -2, Fraction(1, 3)]),
     Element.omega([1, 2], 3),
@@ -213,7 +229,7 @@ _SEEDS = [
     Measure(OM, {1: 1, 8: -2}, limit_atom=1),
     to_polynomial(Measure(F3, {1: 1}), 2),
     Polynomial.from_tensor(SymTensor(F3, 2, {(1, 2): 1})),
-    ProductFunctionalPolynomial(2, Functional.of_measure(Measure(OM, {2: 1})), Functional.limit()),
+    _PRODUCT_POLY,
 ]
 
 
@@ -292,6 +308,113 @@ class TestReverify:
         payload.pop("instance")
         with pytest.raises(MalformedInstanceError):
             reverify_counterexample(payload)
+
+    @pytest.mark.parametrize("payload", [[1, 2], "mode instance args lhs rhs", None, 5], ids=repr)
+    def test_non_object_payload(self, payload):
+        with pytest.raises(MalformedInstanceError, match=r"^\$: expected a JSON object"):
+            reverify_counterexample(payload)
+
+    @pytest.mark.parametrize("args", [5, "x", {"0": 1}, None])
+    def test_args_must_be_a_list(self, args):
+        with pytest.raises(MalformedInstanceError, match=r"^\$\.args: expected a list"):
+            reverify_counterexample(dict(self._failing_payload(), args=args))
+
+    @pytest.mark.parametrize(
+        "mode, instance",
+        [
+            (OS_J_IDENTITY, to_polynomial(Measure(F3, {1: 1}), 2)),
+            (OS_DIAGONAL, Polynomial.from_tensor(SymTensor(F3, 2, {(1, 2): 1}))),
+            (OA_DISJOINT_ADD, SymTensor(F3, 2, {(1, 2): 1})),
+            (OA_VALUATION, GeneralMatrixForm(F3, [[1, 1, 0], [0, 0, 0], [0, 0, 0]])),
+            (OA_KRIVINE_PRODUCT, _PRODUCT_POLY),
+            (OA_POS_NEG, Measure(F3, {1: 1})),
+        ],
+        ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+    )
+    def test_instance_of_the_wrong_family(self, mode, instance):
+        payload = dict(self._failing_payload(), mode=mode, instance=to_obj(instance))
+        with pytest.raises(MalformedInstanceError, match=r"^\$\.instance: mode"):
+            reverify_counterexample(payload)
+
+    @pytest.mark.parametrize(
+        "mode, count",
+        [(OA_DISJOINT_ADD, 1), (OA_DISJOINT_ADD, 3), (OA_POSITIVE_CONE, 1), (OA_POS_NEG, 2), (OA_POS_NEG, 0),
+         (OA_VALUATION, 1), (OA_KRIVINE_SUM, 1), (OA_KRIVINE_SUM, 3), (OA_KRIVINE_PRODUCT, 0)],
+    )
+    def test_wrong_argument_count(self, mode, count):
+        payload = self._failing_payload()
+        args = (payload["args"] * 2)[:count]
+        with pytest.raises(DegreeMismatchError):
+            reverify_counterexample(dict(payload, mode=mode, args=args))
+
+    def test_join_meet_identity_on_a_trilinear_form(self):
+        tensor = SymTensor(F3, 3, {(1, 2, 3): 1})
+        args = [to_obj(Element.finite(v)) for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+        payload = {"mode": OS_BILINEAR, "instance": to_obj(tensor), "args": args, "lhs": "1", "rhs": "0"}
+        with pytest.raises(DegreeMismatchError):
+            reverify_counterexample(payload)
+
+
+def _replayable_payloads():
+    """One failing counterexample per identity family: OA on a tensor
+    polynomial and on a measure polynomial, OS on a tensor and on a matrix
+    form, and the Krivine product radical."""
+    tensor = SymTensor(F3, 2, {(1, 2): 1, (3, 3): 2})
+    matrix = GeneralMatrixForm(F3, [[1, 0, 2], [0, 1, 0], [0, 0, 3]])
+    poly = Polynomial.from_tensor(tensor)
+    verdicts = [
+        (poly, orthogonal_additivity_check(poly, OA_DISJOINT_ADD, structured_pair_count(3, 2), 0)),
+        (poly, orthogonal_additivity_check(poly, OA_KRIVINE_PRODUCT, 40, 0)),
+        (poly, orthogonal_additivity_check(poly, OA_POS_NEG, 40, 0)),
+        (tensor, orthosymmetry_check(tensor, OS_J_IDENTITY, 40, 0)),
+        (matrix, orthosymmetry_check(matrix, OS_DISJOINT, 40, 0)),
+        (matrix, orthosymmetry_check(matrix, OS_BILINEAR, 40, 0)),
+    ]
+    payloads = [attach_instance(v.counterexample, to_obj(thing)) for thing, v in verdicts]
+    # a well-formed omega1 payload that does not fail: replays to False
+    mu = to_polynomial(Measure(OM, {1: 1, 8: -2}, limit_atom=1), 2)
+    x, y = Element.omega([1, 0], 0), Element.omega([0, 2], 0)
+    payloads.append({"mode": OA_VALUATION, "instance": to_obj(mu), "args": [to_obj(x), to_obj(y)], "lhs": "1", "rhs": "0"})
+    return payloads
+
+
+_PAYLOADS = _replayable_payloads()
+_PAYLOAD_INSTANCES = [p["instance"] for p in _PAYLOADS] + [to_obj(_PRODUCT_POLY), to_obj(Measure(F3, {1: 1}))]
+
+
+@st.composite
+def _payload_objects(draw):
+    """A replayable counterexample after one to three mutations: a field
+    swapped for another payload's mode, instance or argument list, or the
+    JSON-level mutations of `_mutated`."""
+    payload = dict(draw(st.sampled_from(_PAYLOADS)))
+    for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(["mode", "instance", "args", "json"]))
+        if not isinstance(payload, dict):  # replaced outright by `_mutated`
+            break
+        if action == "mode":
+            payload["mode"] = draw(st.sampled_from([*OS_MODES, *OA_MODES]))
+        elif action == "instance":
+            payload["instance"] = draw(st.sampled_from(_PAYLOAD_INSTANCES))
+        elif action == "args":
+            pool = [arg for p in _PAYLOADS for arg in p["args"]]
+            payload["args"] = draw(st.lists(st.sampled_from(pool), max_size=4))
+        else:
+            payload = _mutated(draw, payload)
+    return payload
+
+
+class TestReverifyFuzz:
+    def test_seed_payloads_replay(self):
+        assert [reverify_counterexample(p) for p in _PAYLOADS] == [True] * 6 + [False]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_payload_objects())
+    def test_bool_or_library_error(self, payload):
+        try:
+            assert isinstance(reverify_counterexample(payload), bool)
+        except RieszLabError:
+            pass
 
 
 class TestCliSubprocess:

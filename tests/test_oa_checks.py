@@ -55,7 +55,7 @@ from riesz_lab.checks import (
 )
 from riesz_lab.errors import DegreeMismatchError, InvariantViolation
 from riesz_lab.polynomials import TENSOR
-from riesz_lab.sampling import matrix_form, measure, rng_for, sym_tensor
+from riesz_lab.sampling import matrix_form, measure, rational, rng_for, sym_tensor
 from riesz_lab.tensors import nondecreasing_indices
 
 F2, F3, F4 = Space.finite(2), Space.finite(3), Space.finite(4)
@@ -130,16 +130,49 @@ class TestOrthosymmetry:
         assert orthosymmetry_check(diag, OS_DISJOINT, samples=50, seed=9).passed
 
     def test_force_object_parity(self):
-        for i, degree in ((0, 2), (1, 3)):
-            rng = rng_for("os-parity", i)
-            form = sym_tensor(rng, F3, degree, ensure_off_diagonal=bool(i))
+        tensors = [sym_tensor(rng_for("os-parity", i), F3, m, ensure_off_diagonal=bool(i)) for i, m in ((0, 2), (1, 3))]
+        cases = [(form, 64) for form in tensors]
+        for n in range(1, 7):
+            cases += [(form, samples) for form in _parity_matrices(n) for samples in (1, 5, 40)]
+        for form, samples in cases:
             for mode in OS_MODES:
-                if mode == OS_BILINEAR and degree != 2:
+                if mode == OS_BILINEAR and form.degree != 2:
                     continue
-                fast = orthosymmetry_check(form, mode, samples=64, seed=11)
-                slow = orthosymmetry_check(form, mode, samples=64, seed=11, force_object=True)
-                assert fast.passed == slow.passed
-                assert fast.counterexample == slow.counterexample
+                fast = orthosymmetry_check(form, mode, samples=samples, seed=11)
+                slow = orthosymmetry_check(form, mode, samples=samples, seed=11, force_object=True)
+                assert fast == slow, (form.rows if isinstance(form, GeneralMatrixForm) else form, mode, samples)
+
+    def test_passing_check_runs_no_object_identity(self, monkeypatch):
+        sides = _counting(monkeypatch, "os_identity_sides")
+        forms = [GeneralMatrixForm(F3, [[2, 0, 0], [0, -1, 0], [0, 0, Fraction(1, 3)]]),
+                 SymTensor.diagonal(F3, 2, {1: 2, 3: -1}), SymTensor.diagonal(F4, 3, {2: 5})]
+        for form in forms:
+            for mode in OS_MODES:
+                if mode != OS_BILINEAR or form.degree == 2:
+                    assert orthosymmetry_check(form, mode, samples=40, seed=2).passed, (form, mode)
+        assert sides == []
+
+    def test_matrix_diagonal_names_first_off_diagonal_entry(self):
+        # row-major: the (2, 3) entry comes before the (3, 1) entry
+        form = GeneralMatrixForm(F3, [[1, 0, 0], [0, 1, 6], [4, 0, 1]])
+        verdict = orthosymmetry_check(form, OS_DIAGONAL)
+        assert not verdict.passed and verdict.decisive and verdict.samples_checked == 0
+        assert verdict.counterexample == {
+            "mode": OS_DIAGONAL, "sampleIndex": 0, "args": [to_obj(fin(0, 1, 0)), to_obj(fin(0, 0, 1))],
+            "lhs": "6", "rhs": "0",
+        }
+
+    def test_lower_triangle_fails_inside_the_basis_pairs(self):
+        # the structured disjoint-pair sweep reads x = e_s, y = e_t with
+        # s < t, the upper triangle; only the basis pairs see M[3][1]
+        form = GeneralMatrixForm(F3, [[0, 0, 0], [0, 0, 0], [5, 0, 0]])
+        verdict = orthosymmetry_check(form, OS_DISJOINT, samples=structured_pair_count(3, 2), seed=3)
+        assert not verdict.passed
+        # the six ordered pairs (i, j), i != j, come first in row-major
+        # order, and (3, 1) is the fifth
+        assert verdict.counterexample["sampleIndex"] == 4
+        assert verdict.counterexample["args"] == [to_obj(fin(0, 0, 1)), to_obj(fin(1, 0, 0))]
+        assert verdict.samples_checked == 5
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -249,6 +282,22 @@ class TestOrthogonalAdditivity:
             orthogonal_additivity_check(poly, "nope")
 
 
+def _parity_matrices(n):
+    """Random, symmetric, diagonal-only, upper-only and lower-only matrices
+    on n points, all cut from one seeded random matrix."""
+    rng = rng_for("os-parity-matrix", n)
+    a = [[rational(rng) for _ in range(n)] for _ in range(n)]
+    space = Space.finite(n)
+    shapes = [
+        lambda i, j: a[i][j],
+        lambda i, j: a[min(i, j)][max(i, j)],
+        lambda i, j: a[i][j] * (i == j),
+        lambda i, j: a[i][j] * (i <= j),
+        lambda i, j: a[i][j] * (i >= j),
+    ]
+    return [GeneralMatrixForm(space, [[shape(i, j) for j in range(n)] for i in range(n)]) for shape in shapes]
+
+
 def _counting(monkeypatch, name):
     """Replace checks.<name> by a wrapper that counts its calls."""
     original = getattr(checks, name)
@@ -296,7 +345,7 @@ class TestLazyElements:
     def test_failure_that_does_not_reverify_is_an_invariant_violation(self):
         poly = to_polynomial(Measure(F2, {1: 1}), 2)
         with pytest.raises(InvariantViolation):
-            checks._failure("oa", OA_DISJOINT_ADD, poly, [fin(1, 0), fin(0, 1)], 0, 1)
+            checks._failure(OA_DISJOINT_ADD, poly, [fin(1, 0), fin(0, 1)], 0, 1)
 
 
 class TestIntGuard:
@@ -477,7 +526,7 @@ class TestSharedKernels:
         assert len(built) <= 1
 
 
-def _whole_block_check(kind, mode, thing, blocks, denom, int_sides):
+def _whole_block_check(mode, thing, blocks, denom, int_sides):
     """The driver before chunking, kept as the reference for the chunks:
     each block through ``int_sides`` in one call, then its first mismatch."""
     checked = 0
@@ -485,7 +534,7 @@ def _whole_block_check(kind, mode, thing, blocks, denom, int_sides):
         bad = checks._first_diff(*int_sides(block))
         if bad is not None:
             args = [checks._element(thing.space, row, denom) for row in block[bad]]
-            return checks._failure(kind, mode, thing, args, checked + bad, checked + bad + 1)
+            return checks._failure(mode, thing, args, checked + bad, checked + bad + 1)
         checked += len(block)
     return checks.CheckVerdict(mode, True, checked)
 
@@ -537,8 +586,8 @@ class TestChunkedDriver:
         int_sides = partial(checks._os_int_sides, core, OS_DISJOINT)
         blocks = [self._plant(np.zeros((70, 2, 3), dtype=np.int64), failing)]
         recorded, seen = _recording(int_sides)
-        chunked = checks._sampled_check("os", OS_DISJOINT, self.FORM, blocks, checks.SCALE, recorded, len(core))
-        assert chunked == _whole_block_check("os", OS_DISJOINT, self.FORM, blocks, checks.SCALE, int_sides)
+        chunked = checks._sampled_check(OS_DISJOINT, self.FORM, blocks, checks.SCALE, recorded, len(core))
+        assert chunked == _whole_block_check(OS_DISJOINT, self.FORM, blocks, checks.SCALE, int_sides)
         assert chunked.passed == (not failing)
         assert chunked.samples_checked == (failing[0] + 1 if failing else 70)
         assert seen == lengths  # stopped at the chunk holding the first failure
@@ -561,8 +610,8 @@ class TestChunkedDriver:
         self._plant(blocks[1], failing)
         int_sides = partial(checks._oa_int_sides, OA_K_VALUATION, kernels)
         recorded, seen = _recording(int_sides)
-        chunked = checks._sampled_check("oa", OA_K_VALUATION, poly, blocks, checks.SCALE, recorded, kernels.rows)
-        assert chunked == _whole_block_check("oa", OA_K_VALUATION, poly, blocks, checks.SCALE, int_sides)
+        chunked = checks._sampled_check(OA_K_VALUATION, poly, blocks, checks.SCALE, recorded, kernels.rows)
+        assert chunked == _whole_block_check(OA_K_VALUATION, poly, blocks, checks.SCALE, int_sides)
         assert chunked.samples_checked == checked
         assert chunked.passed == (not failing)
         if failing:
