@@ -1,6 +1,6 @@
 """Alternating parent/change runs of perfbench, summarised in one JSON file.
 
-    python3 scripts/bench_pairs.py --parent ../parent --change . \
+    python3 scripts/bench_pairs.py --parent ../parent --change ../change \
         --workload wide-forms --seed 1 --seconds 30 --pairs 10 --out BENCH_<label>.json
 
 Runs `perfbench/run.py --trace 0` from each checkout in turn, the parent
@@ -10,6 +10,12 @@ are added under "<workload> seed <seed>" in the output file, beside each
 side's median and quartiles, how many pairs the change won and the commit
 and host each side reported.  Runs already in the file for that key are
 kept, so a comparison can be extended by running the script again.
+
+Make both checkouts fresh sibling directories (for example `git clone` or
+`git archive` of each commit into one parent directory): the place of a
+checkout alone has moved a metric by a few percent, the same source reading
+slower from a long-used working tree than from a fresh copy beside the
+parent.  The script warns on stderr when the two are not siblings.
 """
 
 from __future__ import annotations
@@ -70,6 +76,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
+    if args.parent.resolve().parent != args.change.resolve().parent:
+        print(f"bench_pairs: warning: {args.parent} and {args.change} are not sibling directories;"
+              " the checkout's place alone can move the result", file=sys.stderr)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     data = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -11,9 +11,10 @@ stays below `INT64_LIMIT`, and otherwise `dtype=object` arrays of Python
 ints, the same gather and product at any size.  Gathers run over chunks of
 samples that fit a byte budget.  The reference the checks compare against
 stays `SymTensor.evaluate`, `GeneralMatrixForm.evaluate` and
-`Measure.integrate`, exact and independent of NumPy: the tensor and measure
-evaluators sum in Python integers, one row at a time, and return one
-Fraction per value; the matrix evaluator sums the dense matrix in Fractions.
+`Measure.integrate`, exact and independent of NumPy: each reads the
+arguments' integer rows as `Element` stores them, sums in Python integers
+(the tensor evaluator one table row at a time, the matrix evaluator over the
+dense matrix) and returns one Fraction per value.
 """
 
 from __future__ import annotations
@@ -55,11 +56,12 @@ def dense_core(tensor: Form) -> tuple[np.ndarray, int]:
 
 def measure_weights(mu: Measure) -> tuple[np.ndarray, int]:
     """Atom weights of a measure on a finite space as an integer vector
-    times their common denominator; int64, as for `dense_core`, when the
-    sum of their magnitudes stays below `INT64_LIMIT`."""
-    scaled, scale = _integer_row(mu.atoms.values())
+    times their common denominator, read from the measure's own integer
+    weights; int64, as for `dense_core`, when the sum of their magnitudes
+    stays below `INT64_LIMIT`."""
+    points, scaled, scale = mu._integer_weights()
     vec = np.zeros(mu.space.n, dtype=np.int64 if sum(map(abs, scaled)) < INT64_LIMIT else object)
-    for point, w in zip(mu.atoms, scaled):
+    for point, w in zip(points, scaled):
         vec[point - 1] = w
     return vec, scale
 

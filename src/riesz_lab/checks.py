@@ -16,13 +16,16 @@ the object path consume the same seeded arrays, and `os_identity_sides` /
 serialised arguments alone.
 
 Every sampled check draws its arguments as int arrays and runs through one
-driver, `_sampled_check`.  Fraction `Element`s are built from those arrays
-only where the object path reads them: the first failing sample, which
-`_failure` re-verifies; the first three samples of a passing Krivine check,
-which are spot-checked through genuine radical elements; and every sample
-when the object sweep runs, which it does only for omega1 and under
-``force_object``.  Symmetric tensors and matrix forms share one table
-layout (`_intpath.dense_core`), so both run on the batch kernels.  omega1
+driver, `_sampled_check`.  `Element`s are built from those arrays only
+where the object path reads them: the first failing sample, which `_failure`
+re-verifies; the first three samples of a passing Krivine check, which are
+spot-checked through genuine radical elements; and every sample when the
+object sweep runs, which it does only for omega1 and under
+``force_object``.  An `Element` stores its row as integers over one
+denominator, so a sample row enters it as drawn, with its block's
+denominator, and no Fraction is built per value.  Symmetric tensors and
+matrix forms share one table layout (`_intpath.dense_core`), so both run on
+the batch kernels.  omega1
 samples come from the same arrays: each row, the values at points 1..6 and
 then the tail, is an `Element` row as it stands.
 
@@ -239,8 +242,9 @@ def _columns(space: Space) -> int:
     return space.n if space.is_finite else _OMEGA_PREFIX + 1
 
 
-def _element(space: Space, row: Sequence[int], denom: int = SCALE) -> Element:
-    return Element(space, [Fraction(int(v), denom) for v in row])
+def _element(space: Space, row: np.ndarray, denom: int = SCALE) -> Element:
+    """The sample row as an Element: its integers over ``denom``, as stored."""
+    return Element(space, row.tolist(), denom)
 
 
 def _first_diff(lhs: np.ndarray, rhs: np.ndarray) -> int | None:

@@ -4,22 +4,28 @@ Elements live either on a finite point set {1, .., n} or on the one-point
 compactification of the positive integers, realised as eventually constant
 rational sequences: a finite prefix of values followed by a tail value,
 which is also the value at the limit point.  Continuity is built into the
-representation, and every operation is exact over `fractions.Fraction`.
+representation, and every operation is exact.
 
-Both backends store an element as one row of values.  On ``finite(n)`` the
-row is the n point values; on omega1 it is the prefix followed by the tail.
-A point past the end of the row reads the row's last entry, so two rows
-combine pointwise once the shorter is padded with its last entry, and
-every pointwise kernel is written once for both backends.
+Both backends store an element as one row of integers, ``nums``, over one
+positive denominator, ``den``: value i is nums[i] / den, the layout the
+integer sample blocks of `checks` use (integers in units of 1/12).  On
+``finite(n)`` the row is the n point values; on omega1 it is the prefix
+followed by the tail.  A point past the end of the row reads the row's last
+entry, so two rows combine pointwise once the shorter is padded with its
+last entry and both are brought to the lcm of their denominators, and every
+pointwise kernel is written once, in Python ints, for both backends.
+``Element.values`` is the same row as a tuple of `fractions.Fraction`s,
+built on first use.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DegreeMismatchError,
@@ -100,48 +106,69 @@ class Space:
 
 
 def _check_same_space(a: "Element", b: "Element") -> None:
-    if a.space != b.space:
+    if a.space is not b.space and a.space != b.space:
         raise SpaceMismatchError(f"{a.space!r} vs {b.space!r}")
 
 
-def _rows(a: "Element", b: "Element") -> Iterator[tuple[Fraction, Fraction]]:
-    """Entry pairs of two rows on one space, the shorter row padded with its
-    last entry."""
+def _aligned(a: "Element", b: "Element") -> tuple[list[int], list[int], int]:
+    """(xs, ys, den): the rows of two elements on one space as integers over
+    the lcm of their denominators, the shorter row padded with its last
+    entry."""
     _check_same_space(a, b)
-    x, y = a.values, b.values
+    x, y, den = a.nums, b.nums, a.den
+    if b.den != den:
+        den = math.lcm(den, b.den)
+        x = [v * (den // a.den) for v in x]
+        y = [v * (den // b.den) for v in y]
     if len(x) < len(y):
-        x = x + (x[-1],) * (len(y) - len(x))
+        x = [*x, *[x[-1]] * (len(y) - len(x))]
     elif len(y) < len(x):
-        y = y + (y[-1],) * (len(x) - len(y))
-    return zip(x, y)
+        y = [*y, *[y[-1]] * (len(x) - len(y))]
+    return x, y, den
 
 
 class Element:
-    """A point of the lattice, stored as one row of Fractions, ``values``.
+    """A point of the lattice, stored as integers ``nums`` over one positive
+    denominator ``den``: value i of the row is nums[i] / den.
 
     On ``finite(n)`` the row holds the n point values.  On omega1 it holds
     the values at points 1..k followed by the tail, the value at every later
-    isolated point and at the limit point; trailing entries equal to the
-    last one are stripped, so equality and hashing are structural.  A point
-    past the end of the row reads the row's last entry.
+    isolated point and at the limit point.  A point past the end of the row
+    reads the row's last entry.  The row is canonical: on omega1 trailing
+    entries equal to the last one are stripped, and then nums and den are
+    divided by their gcd, so equality and hashing are structural.
+
+    ``Element(space, values)`` takes rationals; ``Element(space, nums, den)``
+    takes integer numerators over a positive integer ``den``, in any
+    scaling.  ``values`` is the row as Fractions, built on first use.
     """
 
-    __slots__ = ("space", "values")
+    __slots__ = ("space", "nums", "den", "_values")
 
-    def __init__(self, space: Space, values: Sequence[Rational]) -> None:
-        vals = tuple(q(v) for v in values)
-        if space.is_finite:
-            if len(vals) != space.n:
-                raise ValueError(f"expected {space.n} values, got {len(vals)}")
+    def __init__(self, space: Space, values: Sequence[Rational], den: int | None = None) -> None:
+        if den is None:
+            nums, den = _integer_row(map(q, values))
         else:
-            if not vals:
+            nums, den = list(map(operator.index, values)), operator.index(den)
+            if den < 1:
+                raise ValueError(f"denominator must be a positive integer, got {den}")
+        if space.is_finite:
+            if len(nums) != space.n:
+                raise ValueError(f"expected {space.n} values, got {len(nums)}")
+        else:
+            if not nums:
                 raise ValueError("omega1 element needs at least its tail value")
-            end = len(vals)
-            while end > 1 and vals[end - 2] == vals[-1]:
+            end, last = len(nums), nums[-1]
+            while end > 1 and nums[end - 2] == last:
                 end -= 1
-            vals = vals[:end]
+            del nums[end:]
+        g = math.gcd(den, *nums)
+        if g > 1:
+            nums, den = [v // g for v in nums], den // g
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_values", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Element is immutable")
@@ -170,10 +197,10 @@ class Element:
         if space.is_finite:
             if not 1 <= point <= space.n:
                 raise ValueError(f"point {point} outside 1..{space.n}")
-            return Element(space, [1 if t == point else 0 for t in space.points()])
+            return Element(space, [1 if t == point else 0 for t in space.points()], 1)
         if point < 1:
             raise ValueError("isolated points are labelled 1, 2, ...")
-        return Element(space, [0] * (point - 1) + [1, 0])
+        return Element(space, [0] * (point - 1) + [1, 0], 1)
 
     @staticmethod
     def tail_indicator(space: Space, start: int, scale: Rational = 1) -> "Element":
@@ -187,6 +214,15 @@ class Element:
     # -- accessors ---------------------------------------------------------
 
     @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The row as Fractions, nums[i] / den, built once on first use."""
+        vals = self._values
+        if vals is None:
+            vals = tuple(Fraction(v, self.den) for v in self.nums)
+            object.__setattr__(self, "_values", vals)
+        return vals
+
+    @property
     def prefix(self) -> tuple[Fraction, ...] | None:
         """omega1: the row before the tail; None on finite spaces."""
         return None if self.space.is_finite else self.values[:-1]
@@ -194,40 +230,50 @@ class Element:
     @property
     def tail(self) -> Fraction | None:
         """omega1: the value at the limit point; None on finite spaces."""
-        return None if self.space.is_finite else self.values[-1]
+        return None if self.space.is_finite else Fraction(self.nums[-1], self.den)
 
-    def value_at(self, point: int | _LimitPoint) -> Fraction:
-        vals = self.values
-        if isinstance(point, int) and 0 < point <= len(vals):
-            return vals[point - 1]
+    def column(self, point: int | _LimitPoint) -> int:
+        """Index of the row entry that ``point`` reads: its own entry, or on
+        omega1 the last entry for the limit point and every isolated point
+        past the row."""
+        size = len(self.nums)
+        if isinstance(point, int) and 0 < point <= size:
+            return point - 1
         if not self.space.is_finite and (point is LIMIT or isinstance(point, int) and point > 0):
-            return vals[-1]  # the limit point, or an isolated point past the row
+            return size - 1
         raise ValueError(f"no point {point!r} in {self.space!r}")
 
-    # -- pointwise kernels ---------------------------------------------------
+    def value_at(self, point: int | _LimitPoint) -> Fraction:
+        return Fraction(self.nums[self.column(point)], self.den)
 
-    def _map(self, op: Callable[[Fraction], Fraction]) -> "Element":
-        return Element(self.space, [op(v) for v in self.values])
+    # -- pointwise kernels, in ints ------------------------------------------
 
-    def _zip(self, other: "Element", op: Callable[[Fraction, Fraction], Fraction]) -> "Element":
-        return Element(self.space, [op(a, b) for a, b in _rows(self, other)])
+    def _map(self, op: Callable[[int], int]) -> "Element":
+        return Element(self.space, list(map(op, self.nums)), self.den)
+
+    def _zip(self, other: "Element", op: Callable[[int, int], int]) -> "Element":
+        """op on aligned rows; op must commute with a common positive
+        scaling, as +, -, max and min do."""
+        x, y, den = _aligned(self, other)
+        return Element(self.space, list(map(op, x, y)), den)
 
     # -- linear and multiplicative structure ---------------------------------
 
     def __add__(self, other: "Element") -> "Element":
-        return self._zip(other, lambda a, b: a + b)
+        return self._zip(other, operator.add)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self._zip(other, lambda a, b: a - b)
+        return self._zip(other, operator.sub)
 
     def __neg__(self) -> "Element":
-        return self._map(lambda a: -a)
+        return self._map(operator.neg)
 
     def __mul__(self, other: "Element | Rational") -> "Element":
         if isinstance(other, Element):
-            return self._zip(other, lambda a, b: a * b)
-        c = q(other)
-        return self._map(lambda a: a * c)
+            x, y, den = _aligned(self, other)
+            return Element(self.space, list(map(operator.mul, x, y)), den * den)
+        num, den = q(other).as_integer_ratio()
+        return Element(self.space, [v * num for v in self.nums], self.den * den)
 
     def __rmul__(self, other: Rational) -> "Element":
         return self.__mul__(other)
@@ -235,7 +281,7 @@ class Element:
     def __pow__(self, m: int) -> "Element":
         if not isinstance(m, int) or m < 0:
             raise ValueError("pointwise powers take a nonnegative integer")
-        return self._map(lambda a: a**m)
+        return Element(self.space, [v**m for v in self.nums], self.den**m)
 
     # -- lattice structure ----------------------------------------------------
 
@@ -249,33 +295,34 @@ class Element:
         return self._map(abs)
 
     def pos_part(self) -> "Element":
-        return self._map(lambda a: a if a > 0 else Fraction(0))
+        return self._map(lambda a: a if a > 0 else 0)
 
     def neg_part(self) -> "Element":
-        return self._map(lambda a: -a if a < 0 else Fraction(0))
+        return self._map(lambda a: -a if a < 0 else 0)
 
     def le(self, other: "Element") -> bool:
         """Pointwise order: self <= other everywhere."""
-        return all(a <= b for a, b in _rows(self, other))
+        x, y, _ = _aligned(self, other)
+        return all(map(operator.le, x, y))
 
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.values)
+        return min(self.nums) >= 0
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.nums)
 
     def sup_norm(self) -> Fraction:
-        return max(abs(v) for v in self.values)
+        return Fraction(max(map(abs, self.nums)), self.den)
 
     # -- identity ---------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.space == other.space and self.values == other.values
+        return self.space == other.space and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.space, self.values))
+        return hash((self.space, self.nums, self.den))
 
     def __repr__(self) -> str:
         if self.space.is_finite:
@@ -382,16 +429,24 @@ class RadicalElement:
         _check_same_space(self.base, other.base)
 
     def exact_root(self) -> Element | None:
-        """The radical as a plain element when it is exactly rational."""
+        """The radical as a plain element when it is exactly rational.
+
+        The roots are taken in ints on the base's row: with m the degree, a
+        value n/den is a rational m-th power exactly when n * den^(m-1) is
+        an integer m-th power r^m, and then its root is r/den.  So
+        (1/4, 1/9), stored as (9, 4) over 36, roots to (18, 12) over 36,
+        which is (1/2, 1/3)."""
         if self.degree == 1:
             return self.base
+        m, den = self.degree, self.base.den
+        lift = den ** (m - 1)
         roots = []
-        for v in self.base.values:
-            r = exact_fraction_root(v, self.degree)
+        for v in self.base.nums:
+            r = _int_root(v * lift, m)
             if r is None:
                 return None
             roots.append(r)
-        return Element(self.base.space, roots)
+        return Element(self.base.space, roots, den)
 
 
 def krivine_radical(kind: str, degree: int, args: Sequence[Element]) -> RadicalElement:
@@ -442,14 +497,15 @@ class PrincipalIdeal:
 
     def membership_witness(self, x: Element) -> Fraction | None:
         """The least lambda with |x| <= lambda * generator, or None."""
+        xs, caps, _ = _aligned(x, self.generator)
         bound = Fraction(0)
-        for v, cap in _rows(x, self.generator):
+        for v, cap in zip(xs, caps):
             mag = abs(v)
             if cap == 0:
                 if mag != 0:
                     return None
                 continue
-            ratio = mag / cap
+            ratio = Fraction(mag, cap)
             if ratio > bound:
                 bound = ratio
         return bound
@@ -461,4 +517,4 @@ class PrincipalIdeal:
         """Isolated support of the generator (finite spaces only)."""
         if not self.space.is_finite:
             raise SpaceMismatchError("extensional support only on finite spaces")
-        return frozenset(t for t in self.space.points() if self.generator.values[t - 1] != 0)
+        return frozenset(t for t in self.space.points() if self.generator.nums[t - 1] != 0)

@@ -13,7 +13,7 @@ from .lattice import LIMIT, Element, Rational, Space, _integer_row, q
 class Measure:
     """A discrete signed measure.  Atoms with zero weight are dropped."""
 
-    __slots__ = ("space", "atoms", "limit_atom")
+    __slots__ = ("space", "atoms", "limit_atom", "_scaled")
 
     def __init__(
         self,
@@ -36,6 +36,7 @@ class Measure:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "atoms", dict(sorted(clean.items())))
         object.__setattr__(self, "limit_atom", la)
+        object.__setattr__(self, "_scaled", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Measure is immutable")
@@ -45,21 +46,32 @@ class Measure:
     def integrate(self, x: Element, power: int = 1) -> Fraction:
         """integral of x^power: sum of w_t * x(t)^power plus the limit term.
 
-        The weights and the values of x at the atoms are scaled once to
-        integers over their common denominators, the sum runs in exact
-        integers, and one Fraction is built from it.  ``power`` is a
-        nonnegative int."""
+        x is read as it is stored, integers ``x.nums`` over ``x.den``; each
+        atom reads the row entry `Element.column` names, so an atom past the
+        row, and the limit atom, read the tail.  The weights, limit atom
+        included, are scaled to integers over their common denominator once
+        per measure, on first use.  The sum runs in exact integers and one
+        Fraction is built from it.  ``power`` is a nonnegative int."""
         if not isinstance(power, int) or power < 0:
             raise ValueError(f"power must be a nonnegative integer, got {power!r}")
-        if x.space != self.space:
+        if x.space is not self.space and x.space != self.space:
             raise SpaceMismatchError("element on the wrong space")
-        atoms = list(self.atoms.items())
-        if self.limit_atom != 0:
-            atoms.append((LIMIT, self.limit_atom))
-        weights, scale = _integer_row(w for _, w in atoms)
-        values, den = _integer_row(x.value_at(t) for t, _ in atoms)
+        points, weights, scale = self._integer_weights()
+        values = map(x.nums.__getitem__, map(x.column, points))
         total = sum(w * v**power for w, v in zip(weights, values))
-        return Fraction(total, scale * den**power)
+        return Fraction(total, scale * x.den**power)
+
+    def _integer_weights(self) -> tuple[list, list[int], int]:
+        """(points, weights, scale): the atom points, LIMIT last when the
+        limit atom is nonzero, and their weights as integers over ``scale``;
+        built on the first call and kept."""
+        if self._scaled is None:
+            atoms = list(self.atoms.items())
+            if self.limit_atom != 0:
+                atoms.append((LIMIT, self.limit_atom))
+            weights, scale = _integer_row(w for _, w in atoms)
+            object.__setattr__(self, "_scaled", ([t for t, _ in atoms], weights, scale))
+        return self._scaled
 
     # -- norms and support --------------------------------------------------
 

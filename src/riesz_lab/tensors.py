@@ -6,14 +6,16 @@ symmetric array at any arrangement of alpha.  `SymTensor.arrangement_table`
 lists, for each stored entry, its distinct arrangements as 0-based points and
 its multinomial weight m! / prod k_t! (k_t counts how often the point t
 occurs in alpha).  It is the one layout every evaluator reads.  The
-reference here walks the rows one at a time in exact integers, with each
-argument row and the coefficients scaled once by their common denominators,
-and builds one Fraction per value; it never materialises the table.  The
-batch kernels in `_intpath` read the same table scaled to integer arrays.
+reference here walks the rows one at a time in exact integers, reading
+each argument's integer row as it is stored and the coefficients scaled once
+by their common denominator, and builds one Fraction per value; it never
+materialises the table.  The batch kernels in `_intpath` read the same table
+scaled to integer arrays.
 
 Order-2 forms with no symmetry assumption get their own matrix type.  Its
 table is one row per nonzero entry with weight 1, so the batch kernels read
-it unchanged; its dense `evaluate` stays an independent reference.
+it unchanged; its dense `evaluate`, a sum over the whole matrix in exact
+integers, stays an independent reference.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from operator import getitem
+from operator import getitem, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegreeMismatchError, PositivityError, SpaceMismatchError
@@ -128,7 +130,7 @@ class SymTensor:
         for x in args:
             if x.space != self.space:
                 raise SpaceMismatchError("argument on the wrong space")
-        return self._contract([x.values for x in args], diagonal=False)
+        return self._contract(args, diagonal=False)
 
     def evaluate_diagonal(self, x: Element) -> Fraction:
         """A(x, .., x).  Every arrangement of an entry contributes the same
@@ -136,22 +138,23 @@ class SymTensor:
         the weighted rows alone."""
         if x.space != self.space:
             raise SpaceMismatchError("argument on the wrong space")
-        return self._contract([x.values], diagonal=True)
+        return self._contract([x], diagonal=True)
 
-    def _contract(self, vecs: list[Sequence[Fraction]], diagonal: bool) -> Fraction:
+    def _contract(self, args: Sequence[Element], diagonal: bool) -> Fraction:
         """The sum over the arrangement rows in exact integers: each argument
-        row and the coefficients are scaled once to integers over their
-        common denominators, and one Fraction is built from the total.
-        ``diagonal`` takes one row and reads it in every slot."""
+        is read as stored, integers ``nums`` over ``den``, the coefficients
+        are scaled once to integers over their common denominator, and one
+        Fraction is built from the total.  ``diagonal`` takes one argument
+        and reads it in every slot."""
         coeffs, scale = _integer_row(self.entries.values())
         rows = self._arrangement_rows(coeffs, diagonal)
         if diagonal:
-            x, den = _integer_row(vecs[0])
-            total = sum(math.prod(map(x.__getitem__, p), start=c * w) for p, c, w in rows)
-            return Fraction(total, scale * den**self.degree)
-        xs, dens = zip(*map(_integer_row, vecs))
+            (x,) = args
+            total = sum(math.prod(map(x.nums.__getitem__, p), start=c * w) for p, c, w in rows)
+            return Fraction(total, scale * x.den**self.degree)
+        xs = [x.nums for x in args]
         total = sum(math.prod(map(getitem, xs, p), start=c) for p, c, _ in rows)
-        return Fraction(total, scale * math.prod(dens))
+        return Fraction(total, scale * math.prod(x.den for x in args))
 
     # -- structure ------------------------------------------------------------
 
@@ -260,18 +263,22 @@ class GeneralMatrixForm:
 
     def evaluate(self, args: Sequence[Element]) -> Fraction:
         """x^T M y, summed densely over the rows: the reference the batch
-        kernels are checked against."""
+        kernels are checked against.  The matrix is scaled once to integers
+        over the common denominator of its entries, x and y are read as
+        stored, integers ``nums`` over ``den``, and one Fraction is built
+        from the total."""
         if len(args) != 2:
             raise DegreeMismatchError("matrix forms are bilinear")
         x, y = args
         if x.space != self.space or y.space != self.space:
             raise SpaceMismatchError("argument on the wrong space")
-        total = Fraction(0)
-        for i, row in enumerate(self.rows):
-            if x.values[i] == 0:
-                continue
-            total += x.values[i] * sum(c * y.values[j] for j, c in enumerate(row))
-        return total
+        n = self.space.n
+        coeffs, scale = _integer_row(v for row in self.rows for v in row)
+        total = 0
+        for i, xi in enumerate(x.nums):
+            if xi:
+                total += xi * sum(map(mul, coeffs[i * n : (i + 1) * n], y.nums))
+        return Fraction(total, scale * x.den * y.den)
 
     def modulus(self) -> "GeneralMatrixForm":
         return GeneralMatrixForm(self.space, [[abs(v) for v in row] for row in self.rows])

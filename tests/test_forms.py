@@ -222,10 +222,16 @@ class TestIntegerReference:
         with pytest.raises(ValueError):
             Measure(F2, {1: 1}).integrate(fin(1, 2), power)
 
-    def test_no_per_instance_cache(self):
-        # the reference evaluators keep nothing on the objects between calls
+    def test_only_measure_weights_are_cached_and_lazily(self):
+        # a tensor keeps nothing between calls; a measure keeps its integer
+        # weights, built by the first integral and not at construction
         assert SymTensor.__slots__ == ("space", "degree", "entries")
-        assert Measure.__slots__ == ("space", "atoms", "limit_atom")
+        assert Measure.__slots__ == ("space", "atoms", "limit_atom", "_scaled")
+        mu = Measure(OM, {2: Fraction(1, 3), 9: -2}, limit_atom=Fraction(1, 2))
+        assert mu._scaled is None
+        assert mu.integrate(Element.omega([1, 2], 3), 2) == Fraction(4, 3) - 18 + Fraction(9, 2)
+        assert mu._scaled == ([2, 9, LIMIT], [2, -12, 3], 6)
+        assert mu.integrate(Element.omega([], 1), 1) == Fraction(1, 3) - 2 + Fraction(1, 2)
 
 
 class TestPolynomialEvaluation:

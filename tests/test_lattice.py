@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,16 +117,33 @@ def _omega_forms_digest() -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-_small = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2]))
+# square and non-square denominators, so rows meet over their lcm and
+# radicals root some of the time
+_small = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 9]))
 
 
 @st.composite
 def _element_pairs(draw):
-    """Two elements of one space; omega1 prefixes of independent widths."""
+    """Two elements of one space; omega1 prefixes of independent widths,
+    some ending in copies of the tail."""
     if draw(st.booleans()):
         n = draw(st.integers(1, 4))
         return tuple(Element.finite(draw(st.lists(_small, min_size=n, max_size=n))) for _ in range(2))
-    return tuple(om(draw(st.lists(_small, max_size=5)), draw(_small)) for _ in range(2))
+    pairs = []
+    for _ in range(2):
+        tail = draw(_small)
+        pairs.append(om(draw(st.lists(_small, max_size=5)) + [tail] * draw(st.integers(0, 2)), tail))
+    return tuple(pairs)
+
+
+def _assert_canonical(x):
+    """The stored row: Python ints over a positive den with no common
+    factor, no repeated tail on omega1, and ``values`` its Fraction view."""
+    assert all(type(v) is int for v in x.nums) and type(x.den) is int and x.den >= 1
+    assert math.gcd(x.den, *x.nums) == 1
+    if not x.space.is_finite:
+        assert len(x.nums) == 1 or x.nums[-2] != x.nums[-1]
+    assert x.values == tuple(Fraction(v, x.den) for v in x.nums)
 
 
 class TestNormalisation:
@@ -152,6 +171,7 @@ class TestNormalisation:
             points = list(range(1, max(len(x.prefix), len(y.prefix)) + 3)) + [LIMIT]
 
         def at(e):
+            _assert_canonical(e)
             return [e.value_at(t) for t in points]
 
         xs, ys = at(x), at(y)
@@ -161,6 +181,8 @@ class TestNormalisation:
             (x.pos_part(), lambda a: max(a, 0)),
             (x.neg_part(), lambda a: max(-a, 0)),
             (x * Fraction(-2, 3), lambda a: a * Fraction(-2, 3)),
+            (Fraction(5, 4) * x, lambda a: a * Fraction(5, 4)),
+            (x**0, lambda a: a**0),
             (x**3, lambda a: a**3),
         ):
             assert at(result) == [op(a) for a in xs]
@@ -196,6 +218,45 @@ class TestNormalisation:
         x = om([7], Fraction(1, 3))
         assert x.value_at(1) == 7
         assert x.value_at(100) == Fraction(1, 3)
+
+
+class TestIntegerRows:
+    """Elements built from integer rows in any scaling."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_element_pairs(), st.integers(1, 30))
+    def test_unreduced_int_rows_equal_their_fraction_form(self, pair, k):
+        x, _ = pair
+        row = [v * k for v in x.nums]
+        if not x.space.is_finite:
+            row.append(row[-1])  # a repeated tail, stripped again
+        scaled = Element(x.space, row, x.den * k)
+        assert scaled == x and hash(scaled) == hash(x)
+        assert (scaled.nums, scaled.den) == (x.nums, x.den)
+
+    def test_int_row_example(self):
+        built, fractions = Element(F2, [2, 4], 8), fin(Fraction(1, 4), Fraction(1, 2))
+        assert built == fractions and hash(built) == hash(fractions)
+        assert (built.nums, built.den) == ((1, 2), 4)
+        assert Element(OM, [6, 3, 3, 3], 12) == om([Fraction(1, 2)], Fraction(1, 4))
+        assert Element(OM, [0, 0], 7).nums == (0,) and Element(OM, [0, 0], 7).den == 1
+
+    def test_int_rows_reject_bad_input(self):
+        with pytest.raises(ValueError):
+            Element(F2, [1, 2], 0)
+        with pytest.raises(ValueError):
+            Element(F2, [1, 2], -3)
+        with pytest.raises(TypeError):
+            Element(F2, [Fraction(1, 2), 1], 2)  # numerators are ints
+        with pytest.raises(ValueError):
+            Element(F2, [1, 2, 3], 1)
+        with pytest.raises(ValueError):
+            Element(OM, [], 1)
+
+    def test_numpy_numerators_become_python_ints(self):
+        big = Element(F2, np.array([2**62, 3], dtype=np.int64), np.int64(1))
+        assert all(type(v) is int for v in big.nums) and type(big.den) is int
+        assert (big * big).values == (Fraction(2**124), Fraction(9))
 
 
 class TestAxiomsRandom:
@@ -315,6 +376,20 @@ class TestRadicals:
     def test_exact_fraction_root_table(self):
         assert exact_fraction_root(Fraction(27, 8), 3) == Fraction(3, 2)
         assert exact_fraction_root(Fraction(2), 2) is None
+
+    def test_exact_root_of_rational_powers_over_a_common_denominator(self):
+        # (1/4, 1/9) is stored as (9, 4) over 36; each value n/36 roots as
+        # r/36 with r^2 = n * 36, so (18, 12) over 36
+        base = fin(Fraction(1, 4), Fraction(1, 9))
+        assert (base.nums, base.den) == ((9, 4), 36)
+        assert RadicalElement(2, base).exact_root() == fin(Fraction(1, 2), Fraction(1, 3))
+        cubes = om([Fraction(1, 8), Fraction(27, 64)], Fraction(8, 27))
+        assert RadicalElement(3, cubes).exact_root() == om([Fraction(1, 2), Fraction(3, 4)], Fraction(2, 3))
+
+    def test_exact_root_with_a_non_power_value_is_none(self):
+        assert RadicalElement(2, fin(Fraction(1, 4), Fraction(1, 2))).exact_root() is None
+        assert RadicalElement(2, fin(Fraction(1, 4), Fraction(4, 3))).exact_root() is None
+        assert RadicalElement(3, om([Fraction(1, 8)], 4)).exact_root() is None
 
     def test_exact_root_beyond_float_range(self):
         assert exact_fraction_root(Fraction((3**200) ** 2), 2) == 3**200

@@ -282,6 +282,53 @@ class TestOrthogonalAdditivity:
             orthogonal_additivity_check(poly, "nope")
 
 
+def _far_omega_measures():
+    """omega1 measures with atoms past point 6, the last column of an omega1
+    sample row, and a nonzero limit atom: one by hand, six seeded."""
+    out = [Measure(OM, {2: Fraction(1, 3), 7: -2, 11: Fraction(5, 4)}, limit_atom=Fraction(-1, 2))]
+    for i in range(6):
+        rng = rng_for("oa-omega-far", i)
+        points = rng.sample(range(1, 13), rng.randint(1, 4))
+        atoms = {t: rational(rng, nonzero=True) for t in points}
+        atoms[rng.randint(7, 12)] = rational(rng, nonzero=True)
+        out.append(Measure(OM, atoms, limit_atom=rational(rng, nonzero=True)))
+    return out
+
+
+class TestOmegaMeasures:
+    """Measures whose atoms lie past the stored prefix read the tail."""
+
+    def test_integrate_reads_the_tail_past_the_prefix(self):
+        mu = _far_omega_measures()[0]
+        x = Element.omega([1, Fraction(2, 3), 0, 0, 0, 5], Fraction(-3, 4))  # a 7-column sample row
+        tail = Fraction(-3, 4)
+        for power in range(4):
+            expected = Fraction(1, 3) * Fraction(2, 3) ** power + (-2 + Fraction(5, 4) - Fraction(1, 2)) * tail**power
+            assert mu.integrate(x, power) == expected
+        for mu in _far_omega_measures():
+            for width in (0, 3, 6, 9):
+                x = Element.omega([Fraction(t, 3) for t in range(1, width + 1)], Fraction(-7, 2))
+                terms = [w * x.value_at(t) ** 3 for t, w in mu.atoms.items()] + [mu.limit_atom * x.tail**3]
+                assert mu.integrate(x, 3) == sum(terms, Fraction(0))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_modes_agree_with_the_structural_criterion(self, m):
+        for i, mu in enumerate(_far_omega_measures()):
+            poly = to_polynomial(mu, m)
+            verdicts = oa_mode_agreement(poly, samples=24, seed=i)
+            assert list(verdicts) == list(OA_MODES)
+            assert all(v.passed == poly.is_orthogonally_additive() for v in verdicts.values())
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_force_object_parity(self, m):
+        for i, mu in enumerate(_far_omega_measures()):
+            poly = to_polynomial(mu, m)
+            for mode in OA_MODES:
+                fast = orthogonal_additivity_check(poly, mode, samples=24, seed=(i, m))
+                slow = orthogonal_additivity_check(poly, mode, samples=24, seed=(i, m), force_object=True)
+                assert fast == slow, mode
+
+
 def _parity_matrices(n):
     """Random, symmetric, diagonal-only, upper-only and lower-only matrices
     on n points, all cut from one seeded random matrix."""
