@@ -433,11 +433,11 @@ class _PolyKernels:
         weights' for a measure."""
         return len(self.core[0]) if self.poly.kind == TENSOR else len(self.weights[0])
 
-    def evaluate(self, xs: np.ndarray, terms: int) -> np.ndarray:
-        """P on a batch of rows; ``terms`` is how many batches the caller sums."""
+    def evaluate(self, xs: np.ndarray) -> np.ndarray:
+        """sum_j P(x_j) on a batch of stacks (S, k, n), or P on rows (S, n)."""
         if self.poly.kind == TENSOR:
-            return poly_eval_batch(self.core[0], xs, terms)
-        return measure_poly_eval_batch(self.weights[0], self.poly.degree, xs, terms)
+            return poly_eval_batch(self.core[0], xs)
+        return measure_poly_eval_batch(self.weights[0], self.poly.degree, xs)
 
 
 def orthogonal_additivity_check(
@@ -502,31 +502,29 @@ def _oa_draw(mode: str, rng: np.random.Generator, samples: int, kernels: _PolyKe
 
 
 def _oa_int_sides(mode: str, kernels: _PolyKernels, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of one mode's identity on an int block, in one common scale."""
+    """Both sides of one mode's identity on an int block, in one common scale;
+    each side sums P over a stack of rows in one kernel call."""
     P = kernels.evaluate
-    m = kernels.poly.degree
     if mode == OA_K_VALUATION:
-        k = block.shape[1]
-        ordered = -np.sort(-block, axis=1)
-        return sum(P(ordered[:, i, :], k) for i in range(k)), sum(P(block[:, i, :], k) for i in range(k))
+        return P(-np.sort(-block, axis=1)), P(block)
     if mode == OA_KRIVINE_PRODUCT:
         return _krivine_product_sides(kernels, block)
     if mode == OA_POS_NEG:
+        # (-1)^m P(x^-) = P(-x^-) = P(x meet 0)
         x = block[:, 0, :]
-        sign = -1 if m % 2 else 1
-        return P(x, 1), P(np.maximum(x, 0), 2) + sign * P(np.maximum(-x, 0), 2)
+        return P(x), P(np.stack([np.maximum(x, 0), np.minimum(x, 0)], axis=1))
     xs, ys = block[:, 0, :], block[:, 1, :]
     if mode == OA_VALUATION:
-        return P(np.maximum(xs, ys), 2) + P(np.minimum(xs, ys), 2), P(xs, 2) + P(ys, 2)
+        return P(np.stack([np.maximum(xs, ys), np.minimum(xs, ys)], axis=1)), P(block)
     if mode == OA_KRIVINE_SUM and kernels.measure_view is not None:
         weights, _ = kernels.weights
-        # evaluated first: their dtype also bounds xs**m + ys**m
-        rhs = measure_poly_eval_batch(weights, m, xs, 2) + measure_poly_eval_batch(weights, m, ys, 2)
-        xs, ys = xs.astype(rhs.dtype, copy=False), ys.astype(rhs.dtype, copy=False)
-        return measure_poly_eval_batch(weights, 1, xs**m + ys**m), rhs
+        rhs = measure_poly_eval_batch(weights, kernels.poly.degree, block)
+        # evaluated first: its dtype also bounds x**m + y**m
+        powered = block.astype(rhs.dtype, copy=False) ** kernels.poly.degree
+        return measure_poly_eval_batch(weights, 1, powered.sum(axis=1)), rhs
     # disjoint additivity, and the power-sum radical of a disjoint pair,
     # which roots to x + y
-    return P(xs + ys, 1), P(xs, 2) + P(ys, 2)
+    return P(xs + ys), P(block)
 
 
 def _krivine_product_sides(kernels: _PolyKernels, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -539,19 +537,13 @@ def _krivine_product_sides(kernels: _PolyKernels, block: np.ndarray) -> tuple[np
         weights, scale_p = kernels.weights
         lhs = measure_poly_eval_batch(weights, 1, product)
     else:
-        # rows factor a perfect m-th power u**m; P(u) through the same core.
-        # Root exactly where a float estimate misses, or may overflow.
-        m = kernels.poly.degree
-        if product.dtype == object:
-            u, todo = np.empty_like(product), np.ndindex(product.shape)
-        else:
-            u = np.rint(product ** (1.0 / m)).astype(np.int64)
-            todo = zip(*np.nonzero(u**m != product))
-        for i in todo:
-            root = _int_root(int(product[i]), m)
-            if root is None:
-                raise InvariantViolation("row product is not an exact m-th power")
-            u[i] = root
+        # rows factor a perfect m-th power u**m, u a product of m values in
+        # {1, 2, 3}: few distinct products, each rooted exactly once
+        values, inverse = np.unique(product, return_inverse=True)
+        roots = [_int_root(int(value), kernels.poly.degree) for value in values]
+        if None in roots:
+            raise InvariantViolation("row product is not an exact m-th power")
+        u = np.array(roots, dtype=product.dtype)[inverse].reshape(product.shape)
         lhs, scale_p = poly_eval_batch(core, u), scale_a
     # A and P carry different denominators: compare in exact Python integers
     return lhs.astype(object) * scale_a, rhs.astype(object) * scale_p

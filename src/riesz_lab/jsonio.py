@@ -235,7 +235,9 @@ def polynomial_to_obj(poly: Polynomial | ProductFunctionalPolynomial) -> dict:
 def parse_polynomial(obj: Any, path: str = "$") -> Polynomial | ProductFunctionalPolynomial:
     degree = _int_field(_require(obj, "degree", path), f"{path}.degree")
     kind = _require(obj, "kind", path)
-    declared_oa = bool(obj.get("oa", False)) if isinstance(obj, dict) else False
+    declared_oa = obj.get("oa", False)
+    if not isinstance(declared_oa, bool):
+        raise MalformedInstanceError(f"{path}.oa", "expected a JSON boolean")
     if kind == MEASURE:
         mu = parse_measure(_require(obj, "measure", path), f"{path}.measure")
         try:

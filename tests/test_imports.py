@@ -98,3 +98,22 @@ def test_no_unreferenced_private_names():
         if not any(name in r for j, r in enumerate(refs) if j != k)
     ]
     assert not dead, f"private names defined but never read elsewhere in the package: {', '.join(dead)}"
+
+
+# the modules that evaluate identities; sampling, suites and report may use
+# floats for coin flips and wall time
+EVALUATORS = ("_intpath", "checks", "lattice", "tensors", "measures", "polynomials", "convergence", "order_continuity")
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_evaluators_hold_no_float_arithmetic(name):
+    """Exact evaluation stays in integers and Fractions: no float constant
+    and no float rounding (``np.rint``) in an evaluator module."""
+    path = Path(riesz_lab.__file__).parent / f"{name}.py"
+    floats = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+        or (isinstance(node, ast.Attribute) and node.attr == "rint")
+    ]
+    assert not floats, f"float arithmetic in an exact evaluator: {', '.join(floats)}"

@@ -167,6 +167,23 @@ class TestParseErrors:
         obj.pop("oa")
         assert isinstance(parse_instance(obj), Polynomial)
 
+    @pytest.mark.parametrize("flag", ["false", [1], 1, None])
+    def test_oa_flag_must_be_a_json_boolean(self, flag):
+        obj = {
+            "degree": 2,
+            "kind": "tensor",
+            "oa": flag,
+            "tensor": {
+                "m": 2,
+                "space": {"kind": "finite", "n": 2},
+                "entries": [{"idx": [1, 2], "val": "1"}],
+            },
+        }
+        with pytest.raises(MalformedInstanceError, match=r"^\$\.oa: expected a JSON boolean"):
+            parse_instance(obj)
+        obj["oa"] = False
+        assert isinstance(parse_instance(obj), Polynomial)
+
     def test_unknown_kinds(self):
         with pytest.raises(MalformedInstanceError):
             parse_instance({"space": {"kind": "interval"}, "values": []})

@@ -39,7 +39,14 @@ from riesz_lab import (
     to_polynomial,
 )
 import riesz_lab._intpath as intpath
-from riesz_lab._intpath import INT64_LIMIT, dense_core, form_eval_batch, poly_eval_batch, polarize_tensor_int
+from riesz_lab._intpath import (
+    INT64_LIMIT,
+    dense_core,
+    form_eval_batch,
+    measure_poly_eval_batch,
+    poly_eval_batch,
+    polarize_tensor_int,
+)
 from riesz_lab.checks import (
     OA_DISJOINT_ADD,
     OA_K_VALUATION,
@@ -397,18 +404,22 @@ class TestLazyElements:
 
 class TestIntGuard:
     # every full-array entry 10**7 on 7 points, degree 4, sample values up
-    # to 108: one batch is 2401 * 10**7 * 108**4 ~ 3.3e18 < 2**62, but four
-    # of them summed leave int64
+    # to 108: one row is 2401 * 10**7 * 108**4 ~ 3.3e18 < 2**62, but a stack
+    # of four summed leaves int64
     HEAVY = SymTensor(Space.finite(7), 4, {idx: 10**7 for idx in nondecreasing_indices(7, 4)})
 
     def test_guard_counts_summed_terms(self):
+        # a measure with the same mass on the diagonal gives the same values
+        weights = np.full(7, 343 * 10**7, dtype=np.int64)
+        row = np.full((2, 7), 108, dtype=np.int64)
+        value = 2401 * 10**7 * 108**4
         core, _ = dense_core(self.HEAVY)
-        xs = np.full((2, 7), 108, dtype=np.int64)
-        one = poly_eval_batch(core, xs)
-        assert one.dtype == np.int64 and int(one[0]) == 2401 * 10**7 * 108**4
-        four = poly_eval_batch(core, xs, terms=4)
-        assert four.dtype == object
-        assert list(four) == [2401 * 10**7 * 108**4] * 2 and type(four[0]) is int
+        for kernel in (partial(poly_eval_batch, core), partial(measure_poly_eval_batch, weights, 4)):
+            one = kernel(row)
+            assert one.dtype == np.int64 and list(one) == [value] * 2
+            four = kernel(np.stack([row] * 4, axis=1))
+            assert four.dtype == object
+            assert list(four) == [4 * value] * 2 and type(four[0]) is int
 
     def test_heavy_k_valuation_matches_object_path(self):
         poly = Polynomial.from_tensor(self.HEAVY)
@@ -468,6 +479,18 @@ class TestIntGuard:
         fast = orthogonal_additivity_check(poly, mode, samples=40, seed=3)
         assert fast == orthogonal_additivity_check(poly, mode, samples=40, seed=3, force_object=True)
 
+    @pytest.mark.parametrize(
+        "block",
+        [np.array([[[1, 1], [2, 1]]]), np.array([[[1, 1], [2**41, 1]]], dtype=object)],
+        ids=["int64", "object"],
+    )
+    def test_krivine_product_root_miss_is_an_invariant_violation(self, block):
+        # the first point's row product, 2 or 2**41, is not a square
+        kernels = checks._PolyKernels(Polynomial.from_tensor(SymTensor(F2, 2, {(1, 2): 1})))
+        assert form_eval_batch(kernels.core[0], block).dtype == block.dtype
+        with pytest.raises(InvariantViolation, match="not an exact m-th power"):
+            checks._krivine_product_sides(kernels, block)
+
     @pytest.mark.parametrize("mode", [OS_J_IDENTITY, OS_DISJOINT])
     def test_wide_tensor_takes_the_int_path(self, monkeypatch, mode):
         original, returned = checks.form_eval_batch, []
@@ -487,7 +510,8 @@ class TestIntGuard:
 @st.composite
 def _tensor_batches(draw):
     """A tensor with repeated indices and mixed denominators, plus int
-    argument rows (S, m, n) and diagonal rows (S, n)."""
+    argument rows (S, m, n), diagonal rows (S, n), stacks of diagonal rows
+    (S, k, n) and measure weights (n,)."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
     index = st.lists(st.integers(1, n), min_size=m, max_size=m).map(lambda idx: tuple(sorted(idx)))
     value = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
@@ -495,7 +519,9 @@ def _tensor_batches(draw):
     samples = draw(st.integers(0, 4))
     values = st.integers(-20, 20)
     args = draw(arrays(np.int64, (samples, m, n), elements=values))
-    return tensor, args, draw(arrays(np.int64, (samples, n), elements=values))
+    xs = draw(arrays(np.int64, (samples, n), elements=values))
+    stack = draw(arrays(np.int64, (samples, draw(st.integers(1, 4)), n), elements=values))
+    return tensor, args, xs, stack, draw(arrays(np.int64, (n,), elements=values))
 
 
 _PRIMES = [1, 2, 3, 7919, 104729, 1000003, 998244353, 999999937]  # denominators up to 10**9
@@ -536,12 +562,16 @@ class TestIntKernel:
     @settings(max_examples=80, deadline=None)
     @given(_tensor_batches())
     def test_int_kernel_matches_fraction_reference(self, case):
-        tensor, args, xs = case
+        tensor, args, xs, stack, weights = case
         core, scale = dense_core(tensor)
         for row, value in zip(args, form_eval_batch(core, args)):
             assert Fraction(int(value), scale) == tensor.evaluate([Element.finite(list(x)) for x in row])
         for x, value in zip(xs, poly_eval_batch(core, xs)):
             assert Fraction(int(value), scale) == tensor.evaluate_diagonal(Element.finite(list(x)))
+        # a stack evaluates to the sum of its rows' single-row calls
+        for kernel in (partial(poly_eval_batch, core), partial(measure_poly_eval_batch, weights, tensor.degree)):
+            rows = [kernel(stack[:, j]) for j in range(stack.shape[1])]
+            assert list(kernel(stack)) == [sum(map(int, values)) for values in zip(*rows)]
         assert polarize_tensor_int(tensor) == tensor.entries
 
 
