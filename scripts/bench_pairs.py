@@ -7,8 +7,9 @@ Runs `perfbench/run.py --trace 0` from each checkout in turn, the parent
 first in even pairs and the change first in odd ones, so a host that drifts
 faster or slower touches both sides alike.  Each run's end-to-end metrics
 are added under "<workload> seed <seed>" in the output file, beside each
-side's median and quartiles, how many pairs the change won and the commit
-and host each side reported.  Runs already in the file for that key are
+side's median and quartiles, how many pairs the change won, each side's
+total operations attempted and failed over its runs, and the commit and
+host each side reported.  Runs already in the file for that key are
 kept, so a comparison can be extended by running the script again.
 
 Make both checkouts fresh sibling directories (for example `git clone` or
@@ -50,7 +51,8 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict,
 
 
 def summary(runs: dict, better: dict) -> dict:
-    """Per metric: each side's median and quartiles, and pairs the change won."""
+    """Per metric: each side's median and quartiles, and pairs the change won;
+    under "attempted" and "failed", each side's sum over its runs."""
     out = {}
     for name in runs["parent"][0]["metrics"]:
         values = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
@@ -62,6 +64,8 @@ def summary(runs: dict, better: dict) -> dict:
         row["change_wins"] = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         row["pairs"] = len(values["parent"])
         out[name] = row
+    for count in ("attempted", "failed"):
+        out[count] = {side: sum(r[count] for r in runs[side]) for side in SIDES}
     return out
 
 

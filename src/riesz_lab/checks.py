@@ -21,13 +21,17 @@ where the object path reads them: the first failing sample, which `_failure`
 re-verifies; the first three samples of a passing Krivine check, which are
 spot-checked through genuine radical elements; and every sample when the
 object sweep runs, which it does only for omega1 and under
-``force_object``.  An `Element` stores its row as integers over one
-denominator, so a sample row enters it as drawn, with its block's
-denominator, and no Fraction is built per value.  Symmetric tensors and
-matrix forms share one table layout (`_intpath.dense_core`), so both run on
-the batch kernels.  omega1
-samples come from the same arrays: each row, the values at points 1..6 and
-then the tail, is an `Element` row as it stands.
+``force_object``.  The Krivine modes draw alike for every polynomial:
+positive disjoint pairs, whose power-sum radical roots to x + y, and
+perfect-power tuples x_i = u g_i / g_{i+1}, whose product radical roots to
+u.  So every radical roots exactly, and the int path compares P at the
+root with the right side on the polynomial's one table.  An `Element`
+stores its row as integers over one denominator, so a sample row enters
+it as drawn, with its block's denominator, and no Fraction is built per
+value.  Symmetric tensors and matrix forms share one table layout
+(`_intpath.dense_core`), so both run on the batch kernels.  omega1 samples
+come from the same arrays: each row, the values at points 1..6 and then
+the tail, is an `Element` row as it stands.
 
 One failing sample decides an identity, so the driver hands the kernels
 each block in chunks and stops at the first chunk with a mismatch.  The
@@ -414,18 +418,14 @@ class _PolyKernels:
         self.poly = poly
 
     @cached_property
-    def measure_view(self) -> Polynomial | None:
-        return _effective_measure_poly(self.poly)
-
-    @cached_property
     def core(self) -> tuple[np.ndarray, int]:
         """(table, scale) of the symmetric form whose diagonal is P."""
         return dense_core(self.poly.rep if self.poly.kind == TENSOR else polarize(self.poly))
 
     @cached_property
     def weights(self) -> tuple[np.ndarray, int]:
-        """(weights, scale) of the measure view; needs one."""
-        return measure_weights(self.measure_view.rep)
+        """(weights, scale) of a measure polynomial's measure."""
+        return measure_weights(self.poly.rep)
 
     @property
     def rows(self) -> int:
@@ -476,8 +476,9 @@ def _oa_check(
 def _oa_draw(mode: str, rng: np.random.Generator, samples: int, kernels: _PolyKernels):
     """The seeded sample blocks of one mode and their denominator."""
     n, m = _columns(kernels.poly.space), kernels.poly.degree
-    if mode in (OA_DISJOINT_ADD, OA_POSITIVE_CONE):
-        return [_disjoint_pairs(rng, samples, n, m, positive=mode == OA_POSITIVE_CONE)], SCALE
+    if mode in (OA_DISJOINT_ADD, OA_POSITIVE_CONE, OA_KRIVINE_SUM):
+        # a positive disjoint pair's power-sum radical roots to x + y
+        return [_disjoint_pairs(rng, samples, n, m, positive=mode != OA_DISJOINT_ADD)], SCALE
     if mode == OA_POS_NEG:
         return [_values(rng, (samples, 1, n))], SCALE
     if mode == OA_K_VALUATION:
@@ -485,17 +486,12 @@ def _oa_draw(mode: str, rng: np.random.Generator, samples: int, kernels: _PolyKe
         sizes = {k: samples // 3 + (k == 2) * (samples % 3) for k in (2, 3, 4)}
         return [np.abs(_values(rng, (size, k, n))) for k, size in sizes.items()], SCALE
     if mode == OA_KRIVINE_PRODUCT:
-        if kernels.measure_view is not None:
-            return [np.abs(_values(rng, (samples, m, n)))], SCALE
-        # factor a perfect m-th power pointwise: u = prod g_i, x_i = u g_i / g_{i+1}
+        # factor a perfect m-th power pointwise: u = prod g_i, x_i = u g_i / g_{i+1},
+        # so the product radical roots to u
         g = rng.integers(1, 4, size=(samples, m, n)).astype(np.int64)
         u = g.prod(axis=1)
         return [np.stack([(u // g[:, (i + 1) % m, :]) * g[:, i, :] for i in range(m)], axis=1)], 1
-    if mode == OA_KRIVINE_SUM and kernels.measure_view is None:
-        # irrational radicals cannot meet an off-diagonal tensor; sample pairs
-        # whose power-sum radical roots exactly (disjoint supports)
-        return [_disjoint_pairs(rng, samples, n, m, positive=True)], SCALE
-    # valuation, and the power-sum radical of a measure: positive pairs
+    # valuation: positive pairs
     xs = np.abs(_values(rng, (samples, n)))
     ys = np.abs(_values(rng, (samples, n)))
     return [np.stack([xs, ys], axis=1)], SCALE
@@ -516,34 +512,22 @@ def _oa_int_sides(mode: str, kernels: _PolyKernels, block: np.ndarray) -> tuple[
     xs, ys = block[:, 0, :], block[:, 1, :]
     if mode == OA_VALUATION:
         return P(np.stack([np.maximum(xs, ys), np.minimum(xs, ys)], axis=1)), P(block)
-    if mode == OA_KRIVINE_SUM and kernels.measure_view is not None:
-        weights, _ = kernels.weights
-        rhs = measure_poly_eval_batch(weights, kernels.poly.degree, block)
-        # evaluated first: its dtype also bounds x**m + y**m
-        powered = block.astype(rhs.dtype, copy=False) ** kernels.poly.degree
-        return measure_poly_eval_batch(weights, 1, powered.sum(axis=1)), rhs
-    # disjoint additivity, and the power-sum radical of a disjoint pair,
-    # which roots to x + y
+    # disjoint additivity, the positive cone, and the power-sum radical of a
+    # positive disjoint pair, which roots to x + y
     return P(xs + ys), P(block)
 
 
 def _krivine_product_sides(kernels: _PolyKernels, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P((x_1 .. x_m)^(1/m)) against A(x_1, .., x_m), A the polarisation."""
-    core, scale_a = kernels.core
+    core, _ = kernels.core
     rhs = form_eval_batch(core, block)
-    # the dtype of rhs bounds every product of a row's m values
+    # the dtype of rhs bounds every product of a row's m values; the rows
+    # factor a perfect m-th power u**m, u a product of m values in {1, 2, 3}:
+    # few distinct products, each rooted exactly once
     product = block.astype(rhs.dtype, copy=False).prod(axis=1)
-    if kernels.measure_view is not None:
-        weights, scale_p = kernels.weights
-        lhs = measure_poly_eval_batch(weights, 1, product)
-    else:
-        # rows factor a perfect m-th power u**m, u a product of m values in
-        # {1, 2, 3}: few distinct products, each rooted exactly once
-        values, inverse = np.unique(product, return_inverse=True)
-        roots = [_int_root(int(value), kernels.poly.degree) for value in values]
-        if None in roots:
-            raise InvariantViolation("row product is not an exact m-th power")
-        u = np.array(roots, dtype=product.dtype)[inverse].reshape(product.shape)
-        lhs, scale_p = poly_eval_batch(core, u), scale_a
-    # A and P carry different denominators: compare in exact Python integers
-    return lhs.astype(object) * scale_a, rhs.astype(object) * scale_p
+    values, inverse = np.unique(product, return_inverse=True)
+    roots = [_int_root(int(value), kernels.poly.degree) for value in values]
+    if None in roots:
+        raise InvariantViolation("row product is not an exact m-th power")
+    u = np.array(roots, dtype=product.dtype)[inverse].reshape(product.shape)
+    return poly_eval_batch(core, u), rhs

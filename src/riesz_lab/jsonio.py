@@ -317,17 +317,22 @@ def parse_instance(obj: Any, path: str = "$"):
 
 
 def parse_instance_file(source: str | IO[str]):
-    if hasattr(source, "read"):
-        text = source.read()
-        label = getattr(source, "name", "<stream>")
-    else:
-        label = source
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    """Parse a file path or text stream.  Text that does not decode (not
+    UTF-8, nested past the recursion limit, an integer too long to convert)
+    is a `MalformedInstanceError` like any other bad instance."""
+    reading = hasattr(source, "read")
+    label = getattr(source, "name", "<stream>") if reading else source
     try:
+        if reading:
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8") as handle:
+                text = handle.read()
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInstanceError(label, f"invalid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise MalformedInstanceError(label, f"undecodable JSON: {exc}") from None
     return parse_instance(obj, path=label)
 
 

@@ -1,4 +1,4 @@
-"""The paired benchmark script warns when its checkouts are not siblings."""
+"""The paired benchmark script: its sibling warning and its summary."""
 
 from __future__ import annotations
 
@@ -9,11 +9,11 @@ from pathlib import Path
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
 
-def _main():
+def _module():
     spec = importlib.util.spec_from_file_location("bench_pairs", _SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.main
+    return module
 
 
 def _checkout(path: Path) -> Path:
@@ -30,9 +30,29 @@ def _stderr(main, capsys, parent: Path, change: Path, out: Path) -> str:
 
 
 def test_warns_only_when_checkouts_are_not_siblings(tmp_path, capsys):
-    main = _main()
+    main = _module().main
     parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
     nested = _checkout(tmp_path / "work" / "change")
     assert _stderr(main, capsys, parent, change, tmp_path / "out.json") == ""
     warning = _stderr(main, capsys, parent, nested, tmp_path / "out.json")
     assert "not sibling directories" in warning and len(warning.splitlines()) == 1
+
+
+def test_summary_sums_attempted_and_failed_per_side(tmp_path, monkeypatch):
+    module = _module()
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    ops = {parent: iter([(10, 0), (12, 1), (14, 0)]), change: iter([(20, 2), (22, 0), (24, 3)])}
+
+    def fake_run(checkout, workload, seed, seconds):
+        attempted, failed = next(ops[checkout])
+        return {"metrics": {"items_per_s": attempted}, "failed": failed, "attempted": attempted}, {}
+
+    monkeypatch.setattr(module, "run", fake_run)
+    out = tmp_path / "out.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "oa-grid",
+            "--seed", "1", "--seconds", "1", "--pairs", "3", "--out", str(out)]
+    assert module.main(argv) == 0
+    summary = json.loads(out.read_text())["oa-grid seed 1"]["summary"]
+    assert summary["attempted"] == {"parent": 36, "change": 66}
+    assert summary["failed"] == {"parent": 1, "change": 5}
+    assert summary["items_per_s"]["pairs"] == 3

@@ -538,6 +538,33 @@ class TestCliSubprocess:
             assert code == 2 and err.startswith(b"error: ") and b"Traceback" not in err
 
 
+# instance files that fail before any field is read: bytes that are not
+# UTF-8, arrays nested past the recursion limit, an integer past the
+# 4300-digit conversion limit
+_UNDECODABLE = {
+    "not-utf8": b"\xff\xfe{}",
+    "too-deep": b"[" * 100_000 + b"]" * 100_000,
+    "long-integer": b'{"n": ' + b"1" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNDECODABLE))
+def test_undecodable_instance_file_exits_two(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(_UNDECODABLE[name])
+    with pytest.raises(MalformedInstanceError, match=r": undecodable JSON: "):
+        parse_instance_file(str(path))
+    assert main(["carrier", "--poly", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: undecodable JSON: ")
+
+
+def test_undecodable_instance_file_ends_without_traceback(tmp_path):
+    path = tmp_path / "too-deep.json"
+    path.write_bytes(_UNDECODABLE["too-deep"])
+    code, _, err = _cli("carrier", "--poly", str(path))
+    assert code == 2 and err.startswith(f"error: {path}: ".encode()) and b"Traceback" not in err
+
+
 class TestCliInProcess:
     def test_failing_suite_exits_one(self, monkeypatch, capsys):
         def fake(config):

@@ -28,6 +28,7 @@ from riesz_lab import (
     Space,
     SymTensor,
     attach_instance,
+    krivine_radical,
     oa_identity_sides,
     oa_mode_agreement,
     orthogonal_additivity_check,
@@ -277,6 +278,24 @@ class TestOrthogonalAdditivity:
             poly = to_polynomial(measure(rng, OM), 2 + i % 3)
             verdicts = oa_mode_agreement(poly, samples=24, seed=i)
             assert all(v.passed for v in verdicts.values())
+
+    @pytest.mark.parametrize("mode, kind", [(OA_KRIVINE_SUM, "power-sum"), (OA_KRIVINE_PRODUCT, "product")])
+    def test_every_krivine_sample_roots_exactly(self, mode, kind):
+        # one draw for every polynomial: each sample's radical is a plain
+        # element, so both sides of a Krivine identity are rational
+        polys = [
+            to_polynomial(Measure(F3, {1: 2, 3: Fraction(-1, 4)}), 3),
+            Polynomial.from_tensor(SymTensor.diagonal(F3, 2, {2: 5, 3: -1})),
+            Polynomial.from_tensor(SymTensor(F3, 3, {(1, 2, 3): 1})),
+            to_polynomial(_far_omega_measures()[0], 3),
+        ]
+        for poly in polys:
+            samples = structured_pair_count(checks._columns(poly.space), poly.degree) + 40
+            blocks, denom = checks._oa_draw(mode, np.random.default_rng(3), samples, checks._PolyKernels(poly))
+            for block in blocks:
+                for row in block:
+                    args = [checks._element(poly.space, x, denom) for x in row]
+                    assert krivine_radical(kind, poly.degree, args).exact_root() is not None, (poly, row)
 
     def test_sample_floor(self):
         poly = to_polynomial(Measure(F2, {1: 1}), 2)
