@@ -10,7 +10,9 @@ are added under "<workload> seed <seed>" in the output file, beside each
 side's median and quartiles, how many pairs the change won, each side's
 total operations attempted and failed over its runs, and the commit and
 host each side reported.  Runs already in the file for that key are
-kept, so a comparison can be extended by running the script again.
+kept, so a comparison can be extended by running the script again with the
+same --seconds; a different run length under the same key is refused with
+exit status 2, leaving the file as it was.
 
 Make both checkouts fresh sibling directories (for example `git clone` or
 `git archive` of each commit into one parent directory): the place of a
@@ -88,6 +90,10 @@ def main(argv=None) -> int:
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     key = f"{args.workload} seed {args.seed}"
     entry = data.setdefault(key, {"seconds": args.seconds, "runs": {side: [] for side in SIDES}})
+    if entry["seconds"] != args.seconds:
+        print(f"bench_pairs: {args.out} holds {entry['seconds']} s runs under {key!r};"
+              f" refusing to add {args.seconds} s runs to them", file=sys.stderr)
+        return 2
     checkouts = {"parent": args.parent, "change": args.change}
     for _ in range(args.pairs):
         order = SIDES if len(entry["runs"]["parent"]) % 2 == 0 else SIDES[::-1]

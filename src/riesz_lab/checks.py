@@ -66,7 +66,7 @@ from .lattice import (
     decreasing_rearrangements,
     krivine_radical,
 )
-from .polynomials import MEASURE, TENSOR, Polynomial, polarize, to_measure
+from .polynomials import TENSOR, Polynomial, polarize
 from .tensors import Form, GeneralMatrixForm
 
 SCALE = 12  # lcm of the permitted sample denominators {1,2,3,4}
@@ -125,15 +125,6 @@ def os_identity_sides(form: Form, mode: str, args: Sequence[Element]) -> tuple[F
     raise ValueError(f"unknown orthosymmetry mode {mode!r}")
 
 
-def _effective_measure_poly(poly: Polynomial) -> Polynomial | None:
-    """Measure view of an orthogonally additive polynomial, if one exists."""
-    if poly.kind == MEASURE:
-        return poly
-    if poly.rep.is_diagonal():
-        return Polynomial.from_measure(poly.degree, to_measure(poly))
-    return None
-
-
 def oa_identity_sides(poly: Polynomial, mode: str, args: Sequence[Element]) -> tuple[Fraction, Fraction]:
     """Both sides of one orthogonal-additivity identity at explicit
     arguments, Krivine modes through genuine radical elements."""
@@ -155,14 +146,13 @@ def oa_identity_sides(poly: Polynomial, mode: str, args: Sequence[Element]) -> t
     if mode == OA_K_VALUATION:
         lhs = sum((poly.evaluate(j) for j in decreasing_rearrangements(list(args))), Fraction(0))
         return lhs, sum((poly.evaluate(x) for x in args), Fraction(0))
-    target = _effective_measure_poly(poly) or poly
     if mode == OA_KRIVINE_SUM:
         x, y = args
-        lhs = target.evaluate(krivine_radical("power-sum", m, [x, y]))
-        return lhs, target.evaluate(x) + target.evaluate(y)
+        lhs = poly.evaluate(krivine_radical("power-sum", m, [x, y]))
+        return lhs, poly.evaluate(x) + poly.evaluate(y)
     if mode == OA_KRIVINE_PRODUCT:
         radical = krivine_radical("product", m, list(args))
-        lhs = target.evaluate(radical)
+        lhs = poly.evaluate(radical)
         return lhs, poly.rep.evaluate(list(args)) if poly.kind == TENSOR else poly.rep.integrate(radical.base)
     raise ValueError(f"unknown orthogonal-additivity mode {mode!r}")
 

@@ -21,19 +21,8 @@ from .errors import SpaceMismatchError, UnsupportedFamilyError
 from .lattice import Element, Space, q
 
 
-class ElementFamily:
-    """Abstract sequence-indexed family of elements."""
-
-    def member(self, n: int) -> Element:
-        raise NotImplementedError
-
-    @property
-    def space(self) -> Space:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ExplicitFamily(ElementFamily):
+class ExplicitFamily:
     """A finite list, constant at the last member from there on."""
 
     members: tuple[Element, ...]
@@ -62,7 +51,7 @@ class ExplicitFamily(ElementFamily):
 
 
 @dataclass(frozen=True)
-class TailFamily(ElementFamily):
+class TailFamily:
     """x_n = base + slope * T_n on omega1, where T_n is the indicator of
     the limit point together with all isolated points >= n.
 
@@ -101,6 +90,9 @@ class TailFamily(ElementFamily):
         return TailFamily(self.base * c, self.slope * c)
 
 
+ElementFamily = ExplicitFamily | TailFamily
+
+
 def family_sup_norm(family: ElementFamily) -> Fraction:
     """Exact sup over all indices of the member sup-norms."""
     if isinstance(family, ExplicitFamily):
@@ -128,7 +120,7 @@ def power_family(family: ElementFamily, m: int) -> ElementFamily:
     raise UnsupportedFamilyError(type(family).__name__)
 
 
-def family_horizon(families: Sequence[ElementFamily], fixed: Sequence[Element] = ()) -> int | None:
+def family_horizon(families: Sequence[ElementFamily], fixed: Sequence[Element] = ()) -> int:
     """Index H from which pointwise checks on these families repeat.
 
     For every n >= H, each comparison between members x_n (and x_{n+1}) of
@@ -137,7 +129,7 @@ def family_horizon(families: Sequence[ElementFamily], fixed: Sequence[Element] =
     member base + slope*T_n agrees with member W + 2 at every point <= W and
     at the limit, where W is the widest prefix of all parts involved; past W
     it takes base.tail on W+1..n-1 and base.tail + slope.tail from n on, and
-    for n >= W + 2 both runs are nonempty.  None for other family kinds.
+    for n >= W + 2 both runs are nonempty.
     """
     elements = list(fixed)
     horizon = 1
@@ -150,7 +142,7 @@ def family_horizon(families: Sequence[ElementFamily], fixed: Sequence[Element] =
             elements += (family.base, family.slope)
             tails = True
         else:
-            return None
+            raise UnsupportedFamilyError(type(family).__name__)
     if tails:
         horizon = max(horizon, max(len(e.prefix) for e in elements) + 2)
     return horizon
@@ -205,8 +197,7 @@ def verify_certificate(cert: ConvergenceCertificate, probe_depth: int = 50) -> C
         raise ValueError("probe depth must be >= 1")
     if cert.sequence.space != cert.limit.space or cert.dominator.space != cert.limit.space:
         raise SpaceMismatchError("certificate parts on different spaces")
-    horizon = family_horizon((cert.sequence, cert.dominator), (cert.limit,))
-    depth = probe_depth if horizon is None else min(probe_depth, horizon)
+    depth = min(probe_depth, family_horizon((cert.sequence, cert.dominator), (cert.limit,)))
     for n in range(1, depth + 1):
         gap = abs(cert.sequence.member(n) - cert.limit)
         if not gap.le(cert.dominator.member(n)):

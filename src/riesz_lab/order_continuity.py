@@ -17,20 +17,13 @@ from typing import Sequence
 from .convergence import (
     ConvergenceCertificate,
     ElementFamily,
-    ExplicitFamily,
     TailFamily,
     family_horizon,
     family_sup_norm,
     power_family,
     scale_family,
 )
-from .errors import (
-    BoundViolationError,
-    CertificateError,
-    NoWitnessError,
-    RepresentationError,
-    SpaceMismatchError,
-)
+from .errors import BoundViolationError, CertificateError, NoWitnessError, SpaceMismatchError
 from .lattice import LIMIT, Element, Space, q
 from .measures import Measure, is_normal_measure
 from .polynomials import MEASURE, Polynomial, to_measure
@@ -198,7 +191,8 @@ def discontinuity_witness(poly: ProductFunctionalPolynomial, probe_depth: int = 
     verdict = cert.verify(probe_depth)
     if not verdict.passed:
         raise CertificateError(f"witness net failed verification: {verdict.reason}")
-    values = _repeat_last([poly.evaluate(x) for x in _probe_members(poly, net, probe_depth)], probe_depth)
+    stop = min(_settling_index(poly, net), probe_depth)
+    values = _repeat_last([poly.evaluate(net.member(n)) for n in range(1, stop + 1)], probe_depth)
     base_value = poly.evaluate(one)
     gap = min(abs(v - base_value) for v in values)
     if gap <= 0:
@@ -219,54 +213,27 @@ class ProbeVerdict:
     probes: tuple[NetProbe, ...]
 
 
-def _stabilisation_index(poly) -> int:
-    """Smallest n past which a tail-family member agrees, at every point the
-    polynomial reads, with the pointwise limit of the net."""
-    if isinstance(poly, Polynomial):
-        return max(poly.rep.atoms.keys(), default=0) + 1
-    points = [0]
-    for f in (poly.phi, poly.psi):
-        if f.kind == COORDINATE:
-            points.append(f.index)
-        elif f.kind == MEASURE_FUNCTIONAL:
-            points.append(max(f.measure.atoms.keys(), default=0))
-    return max(points) + 1
-
-
-def _eventual_value(poly, family: ElementFamily) -> Fraction:
-    """Exact limit of P(x_n) along the net.
-
-    Explicit families are eventually their last member.  A tail family need
-    not converge pointwise to a lattice element, but the polynomial reads
-    only finitely many isolated points plus the limit point; past the
-    largest of those the value P(x_n) is literally constant in n.
-    """
-    if isinstance(family, ExplicitFamily):
-        return poly.evaluate(family.member(len(family.members)))
-    if isinstance(family, TailFamily):
-        if isinstance(poly, Polynomial) and poly.kind != MEASURE:
-            raise RepresentationError("tail nets pair with measure or product polynomials")
-        return poly.evaluate(family.member(_stabilisation_index(poly)))
-    raise CertificateError("eventual values need an explicit or tail family")
-
-
-def _probe_members(poly, family: ElementFamily, probe_depth: int) -> list[Element]:
-    """Members x_1, .., x_stop of a probe net, where stop <= probe_depth is
-    an index past which P(x_n) and its certified bound no longer change.
+def _settling_index(poly, family: ElementFamily) -> int:
+    """Index from which P(x_n) and its certified bound stop changing.
 
     An explicit family is constant from its last member on.  On a tail
-    family, P reads only points below `_stabilisation_index` plus the limit
-    point, and the sup-norm in the product-polynomial bound is constant from
-    `family_horizon` on.  Other pairings are evaluated at every index.
+    family, P reads only the limit point and the isolated points its atoms,
+    coordinates or measures name, and the member sup-norm is constant from
+    `family_horizon` on; past the larger of the two nothing P or its bound
+    reads moves with n.
     """
-    stop = family_horizon((family,))
+    settle = family_horizon((family,))
     if isinstance(family, TailFamily):
-        if isinstance(poly, Polynomial) and poly.kind != MEASURE:
-            stop = None  # `_eventual_value` rejects the pairing
+        if isinstance(poly, Polynomial):
+            points = poly.rep.atoms
         else:
-            stop = max(stop, _stabilisation_index(poly))
-    stop = probe_depth if stop is None else min(stop, probe_depth)
-    return [family.member(n) for n in range(1, stop + 1)]
+            points = [
+                f.index if f.kind == COORDINATE else max(f.measure.atoms, default=0)
+                for f in (poly.phi, poly.psi)
+                if f.kind != LIMIT_FUNCTIONAL
+            ]
+        settle = max(settle, max(points, default=0) + 1)
+    return settle
 
 
 def _repeat_last(items: list, length: int) -> tuple:
@@ -294,21 +261,25 @@ def zero_order_continuity_probe(
     """Evaluate a polynomial along verified nets decreasing to zero.
 
     Passes when every net's exact eventual value is zero and, where a
-    certified bound exists (the modulus integral for orthogonally additive
-    polynomials, the sup-norm power for product polynomials), each probed
-    value respects it.  Values and bounds are computed only up to the
-    net's horizon (`_probe_members`) and repeated from there to
-    ``probe_depth``: past it they are constant in n.
+    certified bound exists (the modulus integral for measure polynomials,
+    the sup-norm power for product polynomials), each probed value respects
+    it.  Values and bounds are computed only up to the net's settling index
+    (`_settling_index`) and repeated from there to ``probe_depth``: past it
+    they are constant in n, and the eventual value is P at that index.
     """
     probes = []
     passed = True
     for cert in nets:
+        if cert.limit.space != poly.space:
+            raise SpaceMismatchError("probe net and polynomial on different spaces")
         if not cert.limit.is_zero():
             raise CertificateError("probe nets must converge to zero")
         verdict = cert.verify(probe_depth)
         if not verdict.passed:
             raise CertificateError(f"unverifiable certificate: {verdict.reason}")
-        members = _probe_members(poly, cert.sequence, probe_depth)
+        family = cert.sequence
+        settle = _settling_index(poly, family)
+        members = [family.member(n) for n in range(1, min(settle, probe_depth) + 1)]
         values = [poly.evaluate(x) for x in members]
         bounds = []
         for x, v in zip(members, values):
@@ -319,7 +290,7 @@ def zero_order_continuity_probe(
             if abs(v) > bound:
                 raise CertificateError("probed value escapes its certified bound")
             bounds.append(bound)
-        eventual = _eventual_value(poly, cert.sequence)
+        eventual = values[-1] if settle <= probe_depth else poly.evaluate(family.member(settle))
         if eventual != 0:
             passed = False
         bound_values = _repeat_last(bounds, probe_depth) if bounds is not None else None

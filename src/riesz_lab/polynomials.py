@@ -61,21 +61,21 @@ class Polynomial:
         return self.rep.space
 
     def evaluate(self, x: Element | RadicalElement) -> Fraction:
-        """P(x).  Radical arguments are admitted for measure-represented P of
-        matching degree: P(v^(1/m)) = integral of v, exactly."""
+        """P(x).  A radical that roots exactly is evaluated at its root.  An
+        irrational radical of matching degree is admitted for orthogonally
+        additive P (a measure, or a diagonal tensor): P(v^(1/m)) is the
+        integral of v against the representing measure, exactly.  Other
+        tensors raise `RepresentationError`."""
         if isinstance(x, RadicalElement):
             root = x.exact_root()
             if root is not None:
                 return self.evaluate(root)
-            if self.kind != MEASURE:
-                raise RepresentationError(
-                    "irrational radicals evaluate only against measure-represented polynomials"
-                )
+            mu = to_measure(self)
             if x.degree != self.degree:
                 raise DegreeMismatchError(
                     f"radical degree {x.degree} differs from polynomial degree {self.degree}"
                 )
-            return self.rep.integrate(x.base, 1)
+            return mu.integrate(x.base, 1)
         if self.kind == MEASURE:
             return self.rep.integrate(x, self.degree)
         return self.rep.evaluate_diagonal(x)

@@ -56,3 +56,28 @@ def test_summary_sums_attempted_and_failed_per_side(tmp_path, monkeypatch):
     assert summary["attempted"] == {"parent": 36, "change": 66}
     assert summary["failed"] == {"parent": 1, "change": 5}
     assert summary["items_per_s"]["pairs"] == 3
+
+
+def test_refuses_to_mix_run_lengths_under_one_key(tmp_path, monkeypatch, capsys):
+    module = _module()
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+
+    def fake_run(checkout, workload, seed, seconds):
+        return {"metrics": {"items_per_s": seconds}, "failed": 0, "attempted": 1}, {}
+
+    monkeypatch.setattr(module, "run", fake_run)
+    out = tmp_path / "out.json"
+
+    def main(seconds):
+        return module.main(["--parent", str(parent), "--change", str(change), "--workload", "oa-grid",
+                            "--seed", "1", "--seconds", seconds, "--pairs", "1", "--out", str(out)])
+
+    assert main("10") == 0
+    before = out.read_text()
+    capsys.readouterr()
+    assert main("30") == 2
+    assert out.read_text() == before
+    err = capsys.readouterr().err
+    assert "refusing" in err and len(err.splitlines()) == 1
+    assert main("10") == 0
+    assert len(json.loads(out.read_text())["oa-grid seed 1"]["runs"]["parent"]) == 2

@@ -19,6 +19,7 @@ from riesz_lab import (
     scale_family,
     verify_certificate,
 )
+from riesz_lab.convergence import family_horizon
 from riesz_lab.errors import UnsupportedFamilyError
 
 OM = Space.omega_plus_one()
@@ -110,6 +111,8 @@ class TestVerification:
 
         with pytest.raises(UnsupportedFamilyError):
             infimum_is_zero(Weird())
+        with pytest.raises(UnsupportedFamilyError):
+            family_horizon((Weird(),))
 
 
 class TestFamilyAlgebra:

@@ -105,10 +105,13 @@ class TestRoundTrips:
                 assert parsed == original
 
     def test_product_polynomial_round_trip(self):
-        poly = ProductFunctionalPolynomial(
-            3, Functional.of_measure(Measure(OM, {2: Fraction(1, 3)}, limit_atom=-1)), Functional.limit()
-        )
-        assert parse_instance(to_obj(poly)) == poly
+        for phi in (Functional.of_measure(Measure(OM, {2: Fraction(1, 3)}, limit_atom=-1)), Functional.coordinate(4)):
+            poly = ProductFunctionalPolynomial(3, phi, Functional.limit())
+            assert parse_instance(to_obj(poly)) == poly
+        obj = to_obj(ProductFunctionalPolynomial(2, Functional.coordinate(1), Functional.limit()))
+        obj["phi"]["index"] = 0
+        with pytest.raises(MalformedInstanceError, match=r"\$\.phi\.index: coordinate index starts at 1"):
+            parse_instance(obj)
 
     def test_descriptor_shape(self):
         from riesz_lab import carrier, null_ideal

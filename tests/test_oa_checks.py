@@ -25,6 +25,7 @@ from riesz_lab import (
     GeneralMatrixForm,
     Measure,
     Polynomial,
+    RadicalElement,
     Space,
     SymTensor,
     attach_instance,
@@ -61,7 +62,7 @@ from riesz_lab.checks import (
     OS_J_IDENTITY,
     OS_MODES,
 )
-from riesz_lab.errors import DegreeMismatchError, InvariantViolation
+from riesz_lab.errors import DegreeMismatchError, InvariantViolation, RepresentationError
 from riesz_lab.polynomials import TENSOR
 from riesz_lab.sampling import matrix_form, measure, rational, rng_for, sym_tensor
 from riesz_lab.tensors import nondecreasing_indices
@@ -830,6 +831,21 @@ class TestIdentitySides:
         x, y = fin(2, 0), fin(0, 5)
         lhs, rhs = oa_identity_sides(poly, OA_KRIVINE_SUM, [x, y])
         assert lhs == rhs == poly.evaluate(x + y)
+
+    def test_diagonal_tensor_evaluates_irrational_radical(self):
+        # sqrt(2) * e_1 does not root exactly; P reads its base through the
+        # representing measure, which only orthogonally additive P has
+        radical = RadicalElement(2, fin(2, 0, 0))
+        assert radical.exact_root() is None
+        assert Polynomial.from_tensor(SymTensor.diagonal(F3, 2, {1: 1})).evaluate(radical) == 2
+        mixed = Polynomial.from_tensor(SymTensor(F3, 2, {(1, 1): 1, (1, 2): 1}))
+        with pytest.raises(RepresentationError):
+            mixed.evaluate(radical)
+
+    def test_krivine_sum_of_diagonal_tensor_at_irrational_radical(self):
+        poly = Polynomial.from_tensor(SymTensor.diagonal(F3, 2, {1: 1}))
+        e1 = fin(1, 0, 0)
+        assert oa_identity_sides(poly, OA_KRIVINE_SUM, [e1, e1]) == (2, 2)
 
     def test_valuation_sides(self):
         poly = to_polynomial(Measure(F2, {1: 1, 2: 1}), 2)

@@ -207,6 +207,30 @@ class TestZeroProbe:
         (probe,) = verdict.probes
         assert probe.bound_values is not None
 
+    def test_tensor_polynomial_has_no_certified_bound(self):
+        f3 = Space.finite(3)
+        poly = Polynomial.from_tensor(SymTensor(f3, 2, {(1, 1): 1, (1, 2): 1}))
+        x = Element.finite([1, 1, 0])
+        net = ConvergenceCertificate(
+            ExplicitFamily((x, Element.zero(f3))), Element.zero(f3), ExplicitFamily((x, Element.zero(f3)))
+        )
+        verdict = zero_order_continuity_probe(poly, [net], probe_depth=4)
+        assert verdict.passed
+        (probe,) = verdict.probes
+        assert probe.probed_values == (3, 0, 0, 0)
+        assert probe.bound_values is None
+
+    @pytest.mark.parametrize("psi", [Functional.coordinate(2), Functional.limit()])
+    def test_net_on_another_space_rejected(self, psi):
+        f3 = Space.finite(3)
+        x = Element.finite([1, 1, 1])
+        net = ConvergenceCertificate(
+            ExplicitFamily((x, Element.zero(f3))), Element.zero(f3), ExplicitFamily((x, Element.zero(f3)))
+        )
+        poly = ProductFunctionalPolynomial(2, Functional.coordinate(1), psi)
+        with pytest.raises(SpaceMismatchError):
+            zero_order_continuity_probe(poly, [net])
+
     def test_nonzero_limit_rejected(self):
         poly = to_polynomial(Measure(OM, {1: 1}), 2)
         one = Element.constant(OM, 1)

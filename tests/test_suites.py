@@ -73,7 +73,9 @@ class TestSuiteRuns:
         assert len(report.results) >= 1
         assert report.wall_seconds > 0
 
-    @pytest.mark.parametrize("suite", ["lattice-axioms", "rearrangement", "isometry", "carriers", "nakano"])
+    @pytest.mark.parametrize(
+        "suite", ["lattice-axioms", "rearrangement", "oa-characterisations", "isometry", "carriers", "nakano"]
+    )
     def test_suite_passes_on_sequence_backend(self, suite):
         report = run_suite(SuiteConfig(suite=suite, space="omega1", trials=6, seed=4, probe_depth=10))
         assert report.passed
