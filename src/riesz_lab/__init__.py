@@ -29,11 +29,7 @@ from .convergence import (
     ConvergenceCertificate,
     ExplicitFamily,
     TailFamily,
-    family_sup_norm,
     independent_scan,
-    infimum_is_zero,
-    power_family,
-    scale_family,
     verify_certificate,
 )
 from .errors import (

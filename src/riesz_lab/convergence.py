@@ -4,11 +4,13 @@ A certificate asserts x_n -> x because |x_n - x| <= y_n for a decreasing
 family (y_n) with lattice infimum 0.  Families are sequence-indexed and come
 in two kinds: explicit finite lists (eventually constant at the last member)
 and tail-bump families base + slope * 1_{ {limit} | {isolated >= n} } on the
-sequence backend.  Domination and monotonicity are probed up to a depth,
-but only as far as the families' stabilisation horizon (`family_horizon`):
+sequence backend.  Each kind carries its own algebra: ``sup_norm``,
+``scaled``, ``powered`` and the exact ``infimum_is_zero``.  A certificate
+accepts only these two kinds, on one common space, and says so on
+construction.  Domination and monotonicity are probed up to a depth, but
+only as far as the families' stabilisation horizon (`family_horizon`):
 past it every pointwise check repeats the one at the horizon, so a probe
-that reaches the horizon decides both conditions for every n.  The infimum
-condition is certified exactly per family kind.
+that reaches the horizon decides both conditions for every n.
 """
 
 from __future__ import annotations
@@ -43,11 +45,23 @@ class ExplicitFamily:
     def space(self) -> Space:
         return self.members[0].space
 
-    def pointwise_min(self) -> Element:
+    def sup_norm(self) -> Fraction:
+        """Exact sup over all indices of the member sup-norms."""
+        return max(x.sup_norm() for x in self.members)
+
+    def scaled(self, c: Fraction) -> "ExplicitFamily":
+        _check_scale(c)
+        return ExplicitFamily(tuple(x * c for x in self.members))
+
+    def powered(self, m: int) -> "ExplicitFamily":
+        return ExplicitFamily(tuple(x**m for x in self.members))
+
+    def infimum_is_zero(self) -> bool:
+        """The pointwise minimum over the list is 0."""
         acc = self.members[0]
         for x in self.members[1:]:
             acc = acc.meet(x)
-        return acc
+        return acc.is_zero()
 
 
 @dataclass(frozen=True)
@@ -83,41 +97,31 @@ class TailFamily:
     def space(self) -> Space:
         return self.base.space
 
+    def sup_norm(self) -> Fraction:
+        """Members take the values of base, and of base + slope, only."""
+        return max(self.base.sup_norm(), (self.base + self.slope).sup_norm())
+
+    def scaled(self, c: Fraction) -> "TailFamily":
+        _check_scale(c)
+        return TailFamily(self.base * c, self.slope * c)
+
     def powered(self, m: int) -> "TailFamily":
         return TailFamily(self.base**m, (self.base + self.slope) ** m - self.base**m)
 
-    def scaled(self, c: Fraction) -> "TailFamily":
-        return TailFamily(self.base * c, self.slope * c)
+    def infimum_is_zero(self) -> bool:
+        """The values at every isolated point must reach 0, i.e. base = 0
+        (the limit-point value is irrelevant, because any continuous lower
+        bound vanishing at all isolated points also vanishes at the limit);
+        the slope must be nonnegative or the family is not decreasing at all."""
+        return self.base.is_zero() and self.slope.is_nonnegative()
 
 
 ElementFamily = ExplicitFamily | TailFamily
 
 
-def family_sup_norm(family: ElementFamily) -> Fraction:
-    """Exact sup over all indices of the member sup-norms."""
-    if isinstance(family, ExplicitFamily):
-        return max(x.sup_norm() for x in family.members)
-    if isinstance(family, TailFamily):
-        return max(family.base.sup_norm(), (family.base + family.slope).sup_norm())
-    raise UnsupportedFamilyError(type(family).__name__)
-
-
-def scale_family(family: ElementFamily, c: Fraction) -> ElementFamily:
+def _check_scale(c: Fraction) -> None:
     if c < 0:
         raise ValueError("family scaling must be nonnegative")
-    if isinstance(family, ExplicitFamily):
-        return ExplicitFamily(tuple(x * c for x in family.members))
-    if isinstance(family, TailFamily):
-        return family.scaled(c)
-    raise UnsupportedFamilyError(type(family).__name__)
-
-
-def power_family(family: ElementFamily, m: int) -> ElementFamily:
-    if isinstance(family, ExplicitFamily):
-        return ExplicitFamily(tuple(x**m for x in family.members))
-    if isinstance(family, TailFamily):
-        return family.powered(m)
-    raise UnsupportedFamilyError(type(family).__name__)
 
 
 def family_horizon(families: Sequence[ElementFamily], fixed: Sequence[Element] = ()) -> int:
@@ -148,22 +152,6 @@ def family_horizon(families: Sequence[ElementFamily], fixed: Sequence[Element] =
     return horizon
 
 
-def infimum_is_zero(family: ElementFamily) -> bool:
-    """Exact certification that a decreasing family has lattice infimum 0.
-
-    Explicit lists: the pointwise minimum over the list must be 0.  Tail
-    families: the values at every isolated point must reach 0, i.e. base = 0
-    (the limit-point value is irrelevant, because any continuous lower bound
-    vanishing at all isolated points also vanishes at the limit); the slope
-    must be nonnegative or the family is not decreasing at all.
-    """
-    if isinstance(family, ExplicitFamily):
-        return family.pointwise_min().is_zero()
-    if isinstance(family, TailFamily):
-        return family.base.is_zero() and family.slope.is_nonnegative()
-    raise UnsupportedFamilyError(type(family).__name__)
-
-
 @dataclass(frozen=True)
 class CertificateVerdict:
     passed: bool
@@ -180,13 +168,20 @@ class ConvergenceCertificate:
     limit: Element
     dominator: ElementFamily
 
+    def __post_init__(self) -> None:
+        for family in (self.sequence, self.dominator):
+            if not isinstance(family, (ExplicitFamily, TailFamily)):
+                raise UnsupportedFamilyError(type(family).__name__)
+        if self.sequence.space != self.limit.space or self.dominator.space != self.limit.space:
+            raise SpaceMismatchError("certificate parts on different spaces")
+
     def verify(self, probe_depth: int = 50) -> CertificateVerdict:
         return verify_certificate(self, probe_depth)
 
 
 def verify_certificate(cert: ConvergenceCertificate, probe_depth: int = 50) -> CertificateVerdict:
     """Probe |x_n - limit| <= y_n and y_{n+1} <= y_n for n <= probe_depth,
-    then certify inf y_n = 0 exactly for the supported family kinds.
+    then certify inf y_n = 0 exactly with the dominator's `infimum_is_zero`.
 
     Both probes stop at min(probe_depth, H) with H = `family_horizon` of the
     certificate: every check past H repeats the check at H, so the verdict
@@ -195,8 +190,6 @@ def verify_certificate(cert: ConvergenceCertificate, probe_depth: int = 50) -> C
     """
     if probe_depth < 1:
         raise ValueError("probe depth must be >= 1")
-    if cert.sequence.space != cert.limit.space or cert.dominator.space != cert.limit.space:
-        raise SpaceMismatchError("certificate parts on different spaces")
     depth = min(probe_depth, family_horizon((cert.sequence, cert.dominator), (cert.limit,)))
     for n in range(1, depth + 1):
         gap = abs(cert.sequence.member(n) - cert.limit)
@@ -205,7 +198,7 @@ def verify_certificate(cert: ConvergenceCertificate, probe_depth: int = 50) -> C
     for n in range(1, depth + 1):
         if not cert.dominator.member(n + 1).le(cert.dominator.member(n)):
             return CertificateVerdict(False, "monotonicity", n)
-    if not infimum_is_zero(cert.dominator):
+    if not cert.dominator.infimum_is_zero():
         return CertificateVerdict(False, "infimum", None)
     return CertificateVerdict(True)
 

@@ -198,9 +198,12 @@ def parse_measure(obj: Any, path: str = "$") -> Measure:
 
 
 def functional_to_obj(f: Functional) -> dict:
-    if f.kind == "coordinate":
-        return {"kind": "coordinate", "index": f.index}
-    if f.kind == "limit":
+    """The short spelling for a coordinate or the limit evaluation, the
+    measure otherwise."""
+    index = min(f.measure.atoms, default=1)
+    if f == Functional.coordinate(index):
+        return {"kind": "coordinate", "index": index}
+    if f == Functional.limit():
         return {"kind": "limit"}
     return {"kind": "measure", "measure": measure_to_obj(f.measure)}
 
@@ -253,7 +256,7 @@ def parse_polynomial(obj: Any, path: str = "$") -> Polynomial | ProductFunctiona
                 f"off-diagonal entry {list(idx)} in an instance declared orthogonally additive",
             )
         try:
-            return Polynomial.from_tensor(tensor)
+            return Polynomial(degree, TENSOR, tensor)
         except Exception as exc:
             raise MalformedInstanceError(path, str(exc)) from None
     if kind == PRODUCT:

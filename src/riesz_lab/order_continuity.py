@@ -2,10 +2,13 @@
 
 An orthogonally additive polynomial is order continuous exactly when the
 modulus of its representing measure puts no mass on the limit point; that
-criterion is decided structurally.  For polynomials built from a product of
-linear functionals no such dichotomy holds: the probe machinery certifies
-order continuity at zero along explicit nets, while a separate constructor
-produces a verified witness of discontinuity at the constant-one element.
+criterion is decided structurally.  A linear functional is its representing
+measure too (a coordinate is a unit atom, the limit evaluation the unit
+limit atom), so it is order continuous exactly when that measure is normal.
+For polynomials built from a product of linear functionals no dichotomy
+holds: the probe machinery certifies order continuity at zero along
+explicit nets, while a separate constructor produces a verified witness of
+discontinuity at the constant-one element.
 """
 
 from __future__ import annotations
@@ -14,71 +17,45 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .convergence import (
-    ConvergenceCertificate,
-    ElementFamily,
-    TailFamily,
-    family_horizon,
-    family_sup_norm,
-    power_family,
-    scale_family,
-)
+from .convergence import ConvergenceCertificate, ElementFamily, TailFamily, family_horizon
 from .errors import BoundViolationError, CertificateError, NoWitnessError, SpaceMismatchError
-from .lattice import LIMIT, Element, Space, q
+from .lattice import Element, Space, q
 from .measures import Measure, is_normal_measure
 from .polynomials import MEASURE, Polynomial, to_measure
 
 
 # -- linear functionals --------------------------------------------------------------
 
-COORDINATE = "coordinate"
-LIMIT_FUNCTIONAL = "limit"
-MEASURE_FUNCTIONAL = "measure"
-
-
 @dataclass(frozen=True)
 class Functional:
-    """A norm-bounded linear functional on the sequence backend."""
+    """A norm-bounded linear functional on the sequence backend, held as
+    its representing measure: x -> integral of x."""
 
-    kind: str
-    index: int = 0
-    measure: Measure | None = None
+    measure: Measure
 
     def __post_init__(self):
-        if self.kind not in (COORDINATE, LIMIT_FUNCTIONAL, MEASURE_FUNCTIONAL):
-            raise ValueError(f"unknown functional kind {self.kind!r}")
-        if self.kind == COORDINATE and self.index < 1:
-            raise ValueError("coordinate index starts at 1")
-        if self.kind == MEASURE_FUNCTIONAL and self.measure is None:
-            raise ValueError("measure functional needs a measure")
+        if not isinstance(self.measure, Measure):
+            raise ValueError(f"a functional is a measure, got {type(self.measure).__name__}")
 
     @staticmethod
     def coordinate(index: int) -> "Functional":
-        return Functional(COORDINATE, index=index)
+        return Functional(Measure(Space.omega_plus_one(), {index: 1}))
 
     @staticmethod
     def limit() -> "Functional":
-        return Functional(LIMIT_FUNCTIONAL)
+        return Functional(Measure(Space.omega_plus_one(), limit_atom=1))
 
     @staticmethod
     def of_measure(mu: Measure) -> "Functional":
-        return Functional(MEASURE_FUNCTIONAL, measure=mu)
+        return Functional(mu)
 
     def value(self, x: Element) -> Fraction:
-        if self.kind == COORDINATE:
-            return x.value_at(self.index)
-        if self.kind == LIMIT_FUNCTIONAL:
-            return x.value_at(LIMIT)
         return self.measure.integrate(x, 1)
 
     def is_order_continuous(self) -> bool:
-        """Pointwise evaluation at an isolated point follows any order
-        limit; evaluation at the limit point does not (the tail-indicator
-        net decreases to zero with value one throughout)."""
-        if self.kind == COORDINATE:
-            return True
-        if self.kind == LIMIT_FUNCTIONAL:
-            return False
+        """Normality of the modulus: evaluation at an isolated point follows
+        any order limit; mass at the limit point does not (the
+        tail-indicator net decreases to zero with value one throughout)."""
         return is_normal_measure(abs(self.measure))
 
 
@@ -118,20 +95,17 @@ def oa_order_continuity(poly: Polynomial) -> bool:
 # -- net constructions ----------------------------------------------------------------
 
 
-def urysohn_witness_net(scale: Fraction | int = 1, space: Space | None = None) -> ConvergenceCertificate:
-    """The decreasing net c*indicator({limit} union {isolated >= n}).
+def urysohn_witness_net(scale: Fraction | int = 1) -> ConvergenceCertificate:
+    """The decreasing net c*indicator({limit} union {isolated >= n}) on omega1.
 
     Its lattice infimum is zero even though every member has value c at the
     limit point, which is what defeats evaluation there.
     """
-    space = space or Space.omega_plus_one()
-    if space.is_finite:
-        raise SpaceMismatchError("the witness net lives on the sequence backend")
     c = q(scale)
     if c <= 0:
         raise ValueError("scale must be positive")
     net = TailFamily.indicator(c)
-    return ConvergenceCertificate(net, Element.zero(space), net)
+    return ConvergenceCertificate(net, Element.zero(net.space), net)
 
 
 def power_net_dominator(cert: ConvergenceCertificate, m: int, bound_b: Fraction | int) -> ConvergenceCertificate:
@@ -146,16 +120,16 @@ def power_net_dominator(cert: ConvergenceCertificate, m: int, bound_b: Fraction 
     if m == 1:
         return cert
     bound = q(bound_b)
-    actual = family_sup_norm(cert.sequence)
+    actual = cert.sequence.sup_norm()
     if actual > bound:
         raise BoundViolationError(f"sequence sup-norm {actual} exceeds the stated bound {bound}")
     if abs(cert.limit).sup_norm() > bound:
         raise BoundViolationError("limit element exceeds the stated bound")
     factor = bound ** (m - 1) if cert.limit.is_zero() else m * bound ** (m - 1)
     return ConvergenceCertificate(
-        power_family(cert.sequence, m),
+        cert.sequence.powered(m),
         cert.limit ** m,
-        scale_family(cert.dominator, factor),
+        cert.dominator.scaled(factor),
     )
 
 
@@ -178,7 +152,7 @@ def discontinuity_witness(poly: ProductFunctionalPolynomial, probe_depth: int = 
     every n while the base value is one, so the gap is exactly one even
     though the net order converges to the base point.
     """
-    if not poly.phi.is_order_continuous() or poly.psi.kind != LIMIT_FUNCTIONAL:
+    if not poly.phi.is_order_continuous() or poly.psi != Functional.limit():
         raise NoWitnessError(
             "construction needs an order continuous first factor and the"
             " limit evaluation as second factor; with a normal measure the"
@@ -217,21 +191,17 @@ def _settling_index(poly, family: ElementFamily) -> int:
     """Index from which P(x_n) and its certified bound stop changing.
 
     An explicit family is constant from its last member on.  On a tail
-    family, P reads only the limit point and the isolated points its atoms,
-    coordinates or measures name, and the member sup-norm is constant from
-    `family_horizon` on; past the larger of the two nothing P or its bound
-    reads moves with n.
+    family, P reads only the limit point and the isolated points its atoms
+    name (those of its measure, or of both functionals' measures), and the
+    member sup-norm is constant from `family_horizon` on; past the larger of
+    the two nothing P or its bound reads moves with n.
     """
     settle = family_horizon((family,))
     if isinstance(family, TailFamily):
         if isinstance(poly, Polynomial):
             points = poly.rep.atoms
         else:
-            points = [
-                f.index if f.kind == COORDINATE else max(f.measure.atoms, default=0)
-                for f in (poly.phi, poly.psi)
-                if f.kind != LIMIT_FUNCTIONAL
-            ]
+            points = [*poly.phi.measure.atoms, *poly.psi.measure.atoms]
         settle = max(settle, max(points, default=0) + 1)
     return settle
 
@@ -240,17 +210,13 @@ def _repeat_last(items: list, length: int) -> tuple:
     return tuple(items) + tuple(items[-1:]) * (length - len(items))
 
 
-def _functional_bound(f: Functional) -> Fraction:
-    return abs(f.measure).variation_norm() if f.kind == MEASURE_FUNCTIONAL else Fraction(1)
-
-
 def _certified_bound(poly, x: Element) -> Fraction | None:
     if isinstance(poly, Polynomial):
         if poly.kind == MEASURE:
             return abs(poly.rep).integrate(abs(x), poly.degree)
         return None
     m = poly.degree
-    return _functional_bound(poly.phi) ** (m - 1) * _functional_bound(poly.psi) * x.sup_norm() ** m
+    return poly.phi.measure.variation_norm() ** (m - 1) * poly.psi.measure.variation_norm() * x.sup_norm() ** m
 
 
 def zero_order_continuity_probe(
@@ -300,6 +266,6 @@ def zero_order_continuity_probe(
 
 def dichotomy_agrees(poly: Polynomial, scale: Fraction | int = 1, probe_depth: int = 20) -> bool:
     """Probe verdict on the witness net versus the structural criterion."""
-    cert = urysohn_witness_net(scale, poly.space)
+    cert = urysohn_witness_net(scale)
     probe = zero_order_continuity_probe(poly, [cert], probe_depth)
     return probe.passed == oa_order_continuity(poly)

@@ -627,6 +627,8 @@ def _nakano(config: SuiteConfig):
 
 
 def _counterexample(config: SuiteConfig):
+    if config.resolved_space().is_finite:
+        raise ConfigError("the counterexample polynomial lives on the sequence backend")
     depth = config.probe_depth
 
     name = "witness-gap-is-one"

@@ -12,15 +12,11 @@ from riesz_lab import (
     ExplicitFamily,
     Space,
     TailFamily,
-    family_sup_norm,
     independent_scan,
-    infimum_is_zero,
-    power_family,
-    scale_family,
     verify_certificate,
 )
 from riesz_lab.convergence import family_horizon
-from riesz_lab.errors import UnsupportedFamilyError
+from riesz_lab.errors import SpaceMismatchError, UnsupportedFamilyError
 
 OM = Space.omega_plus_one()
 
@@ -42,9 +38,9 @@ class TestTailFamilies:
             assert cubed.member(n) == fam.member(n) ** 3
 
     def test_sup_norm(self):
-        assert family_sup_norm(TailFamily.indicator(Fraction(3, 4))) == Fraction(3, 4)
+        assert TailFamily.indicator(Fraction(3, 4)).sup_norm() == Fraction(3, 4)
         explicit = ExplicitFamily((om([5], 0), om([], 1)))
-        assert family_sup_norm(explicit) == 5
+        assert explicit.sup_norm() == 5
 
 
 class TestVerification:
@@ -103,26 +99,37 @@ class TestVerification:
 
     def test_explicit_nonzero_floor_fails(self):
         fam = ExplicitFamily((om([2], 1), om([1], 1)))
-        assert not infimum_is_zero(fam)
+        assert not fam.infimum_is_zero()
 
     def test_unsupported_family_kind(self):
         class Weird:
             pass
 
+        net = TailFamily.indicator(1)
         with pytest.raises(UnsupportedFamilyError):
-            infimum_is_zero(Weird())
+            ConvergenceCertificate(Weird(), Element.zero(OM), net)
+        with pytest.raises(UnsupportedFamilyError):
+            ConvergenceCertificate(net, Element.zero(OM), Weird())
         with pytest.raises(UnsupportedFamilyError):
             family_horizon((Weird(),))
+
+    def test_parts_on_different_spaces(self):
+        net = TailFamily.indicator(1)
+        with pytest.raises(SpaceMismatchError):
+            ConvergenceCertificate(net, Element.zero(Space.finite(2)), net)
+        zero = Element.zero(Space.finite(2))
+        with pytest.raises(SpaceMismatchError):
+            ConvergenceCertificate(ExplicitFamily((zero,)), Element.zero(OM), net)
 
 
 class TestFamilyAlgebra:
     def test_scale_family(self):
         fam = TailFamily.indicator(1)
-        scaled = scale_family(fam, Fraction(2, 3))
+        scaled = fam.scaled(Fraction(2, 3))
         assert scaled.member(2) == om([0], Fraction(2, 3))
         with pytest.raises(ValueError):
-            scale_family(fam, Fraction(-1))
+            fam.scaled(Fraction(-1))
 
     def test_power_family_explicit(self):
         fam = ExplicitFamily((om([2], 1),))
-        assert power_family(fam, 2).member(1) == om([4], 1)
+        assert fam.powered(2).member(1) == om([4], 1)

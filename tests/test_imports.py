@@ -4,13 +4,15 @@ private helper it defines.
 No linter ships with the toolchain, so this walks the syntax tree: a name
 bound by an import must appear as a name somewhere else in the module, or
 inside a string annotation.  ``__init__.py`` re-exports and is skipped.  A
-module-level private name (``_foo``) must be read somewhere in the package
-beyond its own definition, so a dead helper fails here.
+private name (``_foo``) bound at module level or in a class body must be
+read somewhere in the package beyond its own definition, so a dead helper,
+or a dead private method, fails here.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,9 +63,16 @@ def test_no_unused_imports(path):
 PACKAGE = sorted(Path(riesz_lab.__file__).parent.glob("*.py"))
 
 
+def _definitions(body: list[ast.stmt]):
+    """The statements of a module body and, recursively, of its class bodies."""
+    for node in body:
+        yield node
+        if isinstance(node, ast.ClassDef):
+            yield from _definitions(node.body)
+
+
 def _private_names(node: ast.stmt) -> list[str]:
-    """Private names a module-level statement binds by a def, a class or an
-    assignment."""
+    """Private names a statement binds by a def, a class or an assignment."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         names = [node.name]
     elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -74,28 +83,30 @@ def _private_names(node: ast.stmt) -> list[str]:
     return [name for name in names if name.startswith("_") and not name.startswith("__")]
 
 
-def _references(node: ast.AST) -> set[str]:
-    """Names a subtree reads: loaded names, attributes and imported names."""
-    refs = set()
+def _references(node: ast.AST) -> Counter:
+    """How often a subtree reads each name: loaded names, attributes and
+    imported names."""
+    refs = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            refs.add(sub.id)
+            refs[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            refs.add(sub.attr)
+            refs[sub.attr] += 1
         elif isinstance(sub, ast.ImportFrom):
             refs.update(alias.name for alias in sub.names)
     return refs
 
 
 def test_no_unreferenced_private_names():
-    statements = [(path, node) for path in PACKAGE for node in ast.parse(path.read_text(), filename=str(path)).body]
-    refs = [_references(node) for _, node in statements]
+    trees = [(path, ast.parse(path.read_text(), filename=str(path))) for path in PACKAGE]
+    total = sum((_references(tree) for _, tree in trees), Counter())
     dead = [
         f"{path.name}:{node.lineno} {name}"
-        for k, (path, node) in enumerate(statements)
+        for path, tree in trees
+        for node in _definitions(tree.body)
         for name in _private_names(node)
         # a read inside the defining statement (recursion) does not count
-        if not any(name in r for j, r in enumerate(refs) if j != k)
+        if total[name] == _references(node)[name]
     ]
     assert not dead, f"private names defined but never read elsewhere in the package: {', '.join(dead)}"
 

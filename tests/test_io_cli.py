@@ -113,6 +113,17 @@ class TestRoundTrips:
         with pytest.raises(MalformedInstanceError, match=r"\$\.phi\.index: coordinate index starts at 1"):
             parse_instance(obj)
 
+    def test_unit_measures_take_the_short_spelling(self):
+        phi, psi = Functional.of_measure(Measure(OM, {4: 1})), Functional.of_measure(Measure(OM, {}, limit_atom=1))
+        assert to_obj(ProductFunctionalPolynomial(2, phi, psi)) == {
+            "degree": 2,
+            "kind": "product",
+            "phi": {"kind": "coordinate", "index": 4},
+            "psi": {"kind": "limit"},
+        }
+        obj = to_obj(ProductFunctionalPolynomial(2, Functional.of_measure(Measure(OM, {4: 1}, limit_atom=1)), psi))
+        assert obj["phi"]["kind"] == "measure"
+
     def test_descriptor_shape(self):
         from riesz_lab import carrier, null_ideal
 
@@ -187,6 +198,19 @@ class TestParseErrors:
         obj["oa"] = False
         assert isinstance(parse_instance(obj), Polynomial)
 
+    def test_tensor_degree_must_match_declared_degree(self, tmp_path, capsys):
+        obj = {
+            "degree": 2,
+            "kind": "tensor",
+            "tensor": {"m": 3, "space": {"kind": "finite", "n": 2}, "entries": [{"idx": [1, 1, 2], "val": "1"}]},
+        }
+        with pytest.raises(MalformedInstanceError, match=r"^\$: tensor degree differs from polynomial degree"):
+            parse_instance(obj)
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(obj))
+        assert main(["carrier", "--poly", str(path)]) == 2
+        assert "tensor degree differs from polynomial degree" in capsys.readouterr().err
+
     def test_unknown_kinds(self):
         with pytest.raises(MalformedInstanceError):
             parse_instance({"space": {"kind": "interval"}, "values": []})
@@ -241,7 +265,8 @@ _JSON = st.recursive(
 )
 
 
-_PRODUCT_POLY = ProductFunctionalPolynomial(2, Functional.of_measure(Measure(OM, {2: 1})), Functional.limit())
+# a non-unit weight, so the seed serialises in the "measure" spelling
+_PRODUCT_POLY = ProductFunctionalPolynomial(2, Functional.of_measure(Measure(OM, {2: 2})), Functional.limit())
 _SEEDS = [
     Element.finite([1, -2, Fraction(1, 3)]),
     Element.omega([1, 2], 3),

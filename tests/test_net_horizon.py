@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,6 @@ from riesz_lab import (
     TailFamily,
     dichotomy_agrees,
     discontinuity_witness,
-    infimum_is_zero,
     to_polynomial,
     urysohn_witness_net,
     verify_certificate,
@@ -47,7 +47,7 @@ def per_index_verdict(cert: ConvergenceCertificate, probe_depth: int) -> Certifi
     for n in range(1, probe_depth + 1):
         if not cert.dominator.member(n + 1).le(cert.dominator.member(n)):
             return CertificateVerdict(False, "monotonicity", n)
-    if not infimum_is_zero(cert.dominator):
+    if not cert.dominator.infimum_is_zero():
         return CertificateVerdict(False, "infimum", None)
     return CertificateVerdict(True)
 
@@ -190,6 +190,23 @@ class TestVerdictAtHorizon:
         assert family_horizon((cert.sequence, dom), (zero,)) == 7
         assert verify_certificate(cert, 40) == CertificateVerdict(False, "monotonicity", 5)
         assert verify_certificate(cert, 4) == CertificateVerdict(False, "infimum", None)
+
+
+class TestFamilyAlgebra:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([OM, F3]).flatmap(families), st.integers(1, 3), small)
+    def test_matches_members(self, family, m, c):
+        """Both family kinds: the algebra agrees with the members at every
+        index to two past the horizon, which covers every member value."""
+        c = abs(c)
+        indices = range(1, family_horizon((family,)) + 3)
+        scaled, powered = family.scaled(c), family.powered(m)
+        for n in indices:
+            assert scaled.member(n) == family.member(n) * c, n
+            assert powered.member(n) == family.member(n) ** m, n
+        assert family.sup_norm() == max(family.member(n).sup_norm() for n in indices)
+        with pytest.raises(ValueError):
+            family.scaled(Fraction(-1))
 
 
 class TestProbesAtHorizon:

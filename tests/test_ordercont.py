@@ -61,6 +61,13 @@ class TestFunctionals:
         with pytest.raises(ValueError):
             Functional("nope")
 
+    def test_one_spelling_per_functional(self):
+        assert Functional.of_measure(Measure(OM, {}, limit_atom=1)) == Functional.limit()
+        assert Functional.of_measure(Measure(OM, {3: 1})) == Functional.coordinate(3)
+        assert hash(Functional.of_measure(Measure(OM, {3: 1}))) == hash(Functional.coordinate(3))
+        assert Functional.of_measure(Measure(OM, {3: 2})) != Functional.coordinate(3)
+        assert Functional.of_measure(Measure(OM, {3: 1}, limit_atom=1)) != Functional.limit()
+
 
 class TestProductPolynomial:
     def test_evaluate(self):
@@ -103,10 +110,6 @@ class TestUrysohnNet:
             urysohn_witness_net(0)
         with pytest.raises(ValueError):
             urysohn_witness_net(-2)
-
-    def test_finite_space_rejected(self):
-        with pytest.raises(SpaceMismatchError):
-            urysohn_witness_net(1, Space.finite(2))
 
 
 class TestPowerNetDominator:
@@ -162,6 +165,12 @@ class TestDiscontinuityWitness:
         )
         witness = discontinuity_witness(poly, probe_depth=10)
         assert witness.gap == 2
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_limit_evaluation_spelled_as_a_measure(self, m):
+        psi = Functional.of_measure(Measure(OM, {}, limit_atom=1))
+        witness = discontinuity_witness(ProductFunctionalPolynomial(m, Functional.coordinate(1), psi), probe_depth=10)
+        assert witness.gap == 1
 
     def test_no_witness_when_psi_not_limit(self):
         poly = ProductFunctionalPolynomial(2, Functional.coordinate(1), Functional.coordinate(2))
@@ -261,3 +270,7 @@ class TestDichotomy:
         singular = to_polynomial(Measure(OM, {1: 1}, limit_atom=1), 2)
         assert oa_order_continuity(normal) and not oa_order_continuity(singular)
         assert dichotomy_agrees(normal) and dichotomy_agrees(singular)
+
+    def test_finite_space_rejected(self):
+        with pytest.raises(SpaceMismatchError):
+            dichotomy_agrees(to_polynomial(Measure(Space.finite(2), {1: 1}), 2))

@@ -10,6 +10,7 @@ import pytest
 
 from riesz_lab import SUITES, Report, SuiteConfig, reverify_counterexample, run_suite, suites
 from riesz_lab.checks import OS_DISJOINT
+from riesz_lab.cli import main
 from riesz_lab.errors import ConfigError
 from riesz_lab.report import emit_report
 from riesz_lab.restriction import ConsistencyVerdict
@@ -101,6 +102,12 @@ class TestSuiteRuns:
             run_suite(SuiteConfig(suite="localisation", space="omega1", trials=3))
         with pytest.raises(ConfigError):
             run_suite(SuiteConfig(suite="order-continuity", space="finite:3", trials=3))
+
+    def test_counterexample_needs_the_sequence_backend(self, capsys):
+        with pytest.raises(ConfigError, match="sequence backend"):
+            run_suite(SuiteConfig(suite="counterexample", space="finite:3", trials=3))
+        assert main(["check", "counterexample", "--space", "finite:3"]) == 2
+        assert "sequence backend" in capsys.readouterr().err
 
     def test_reports_match_pinned_digest(self):
         configs = [SuiteConfig(suite=suite, trials=25, seed=seed) for seed in (0, 7) for suite in SUITES]
