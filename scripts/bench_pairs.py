@@ -8,11 +8,13 @@ first in even pairs and the change first in odd ones, so a host that drifts
 faster or slower touches both sides alike.  Each run's end-to-end metrics
 are added under "<workload> seed <seed>" in the output file, beside each
 side's median and quartiles, how many pairs the change won, each side's
-total operations attempted and failed over its runs, and the commit and
-host each side reported.  Runs already in the file for that key are
-kept, so a comparison can be extended by running the script again with the
-same --seconds; a different run length under the same key is refused with
-exit status 2, leaving the file as it was.
+total operations attempted and failed over its runs, the commit and host
+each side reported, and a sha256 of each side's `src/` files, which names
+the code a side ran even where its checkout has no `.git` to read a commit
+from.  Runs already in the file for that key are kept, so a comparison can
+be extended by running the script again with the same --seconds; a
+different run length under the same key is refused with exit status 2,
+leaving the file as it was.
 
 Make both checkouts fresh sibling directories (for example `git clone` or
 `git archive` of each commit into one parent directory): the place of a
@@ -24,6 +26,7 @@ parent.  The script warns on stderr when the two are not siblings.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -50,6 +53,18 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict,
         "failed": result["failed"],
         "attempted": result["attempted"],
     }, env
+
+
+def src_digest(checkout: Path) -> str:
+    """sha256 over the checkout's src/ files in sorted order of their paths
+    relative to the checkout: each path, its length in bytes, then the bytes.
+    Bytecode caches are skipped, as a run writes them."""
+    digest = hashlib.sha256()
+    files = (p for p in (checkout / "src").rglob("*") if p.is_file() and "__pycache__" not in p.parts)
+    for rel, path in sorted((p.relative_to(checkout).as_posix(), p) for p in files):
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 def summary(runs: dict, better: dict) -> dict:
@@ -95,12 +110,13 @@ def main(argv=None) -> int:
               f" refusing to add {args.seconds} s runs to them", file=sys.stderr)
         return 2
     checkouts = {"parent": args.parent, "change": args.change}
+    sources = {side: src_digest(checkouts[side]) for side in SIDES}
     for _ in range(args.pairs):
         order = SIDES if len(entry["runs"]["parent"]) % 2 == 0 else SIDES[::-1]
         done = {side: run(checkouts[side], args.workload, args.seed, args.seconds) for side in order}
         for side in SIDES:
             entry["runs"][side].append(done[side][0])
-        entry["environment"] = {side: done[side][1] for side in SIDES}
+        entry["environment"] = {side: {**done[side][1], "src_sha256": sources[side]} for side in SIDES}
         entry["summary"] = summary(entry["runs"], better)
         args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")  # kept if a later pair is cut
         print(key, {side: done[side][0]["metrics"] for side in SIDES}, flush=True)

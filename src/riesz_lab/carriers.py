@@ -56,11 +56,6 @@ class BandDescriptor:
             return False
         return self.includes_limit or x.value_at(LIMIT) == 0
 
-    def is_empty(self) -> bool:
-        if self.cofinite:
-            return False
-        return not self.points
-
     def intersect_points(self, keep: Iterable[int]) -> "BandDescriptor":
         keep = frozenset(keep)
         if self.cofinite:

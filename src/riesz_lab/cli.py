@@ -4,9 +4,11 @@ Commands: ``check`` runs a named property suite (or probes one polynomial
 file for the order-continuity dichotomy), ``demo`` builds the discontinuity
 witness report, ``carrier``/``nakano`` expose the band descriptors and the
 carrier criterion, and ``localize`` restricts a serialised object along a
-generator.  Exit codes: 0 all checks passed, 1 a property failed, 2 usage
-error (``--depth`` below 1 included) or an input or output file that cannot
-be read or written.
+generator.  Each command declares exactly the options its handler reads;
+every command takes ``--out``, and only ``check`` and ``demo`` take
+``--depth``.  Exit codes: 0 all checks passed, 1 a property failed, 2 usage
+error (an option the command does not take, or ``--depth`` below 1,
+included) or an input or output file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -123,8 +125,6 @@ def _check_single_poly(suite: str, args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    if args.name != "counterexample":
-        raise ConfigError("available demos: counterexample")
     if args.m < 2:
         raise ConfigError("the demo polynomial starts at degree 2")
     poly = ProductFunctionalPolynomial(args.m, Functional.coordinate(1), Functional.limit())
@@ -184,14 +184,7 @@ def _cmd_localize(args) -> int:
 # -- argument plumbing ---------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, default=2, help="polynomial degree")
-    parser.add_argument("--n", type=int, default=3, help="finite space size")
-    parser.add_argument("--space", default="", help="space spec: finite:N or omega1")
-    parser.add_argument("--trials", default="100", help="trial count, or 'exhaustive'")
-    parser.add_argument("--seed", default=None, help=f"RNG seed (default ${_ENV_SEED} or 0)")
-    parser.add_argument("--depth", type=int, default=50, help="net probe depth")
-    parser.add_argument("--format", choices=("human", "json"), default="human")
+def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write output to this file")
 
 
@@ -206,29 +199,38 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("suite", nargs="?", default=None, help="suite name")
     check.add_argument("--suite", dest="suite_flag", default=None, help="suite name")
     check.add_argument("--poly", default=None, help="probe one polynomial file instead")
-    _add_common(check)
+    check.add_argument("--m", type=int, default=2, help="polynomial degree")
+    check.add_argument("--n", type=int, default=3, help="finite space size")
+    check.add_argument("--space", default="", help="space spec: finite:N or omega1")
+    check.add_argument("--trials", default="100", help="trial count, or 'exhaustive'")
+    check.add_argument("--seed", default=None, help=f"RNG seed (default ${_ENV_SEED} or 0)")
+    check.add_argument("--depth", type=int, default=50, help="net probe depth")
+    check.add_argument("--format", choices=("human", "json"), default="human")
+    _add_out(check)
     check.set_defaults(handler=_cmd_check)
 
     demo = sub.add_parser("demo", help="build the discontinuity witness report")
-    demo.add_argument("name", nargs="?", default="counterexample")
-    _add_common(demo)
+    demo.add_argument("name", nargs="?", choices=("counterexample",), default="counterexample")
+    demo.add_argument("--m", type=int, default=2, help="polynomial degree")
+    demo.add_argument("--depth", type=int, default=50, help="net probe depth")
+    _add_out(demo)
     demo.set_defaults(handler=_cmd_demo)
 
     car = sub.add_parser("carrier", help="carrier descriptor of a polynomial file")
     car.add_argument("--poly", required=True)
-    _add_common(car)
+    _add_out(car)
     car.set_defaults(handler=_cmd_carrier)
 
     nak = sub.add_parser("nakano", help="carrier criterion report for two polynomials")
     nak.add_argument("--p", required=True)
     nak.add_argument("--q", required=True)
-    _add_common(nak)
+    _add_out(nak)
     nak.set_defaults(handler=_cmd_nakano)
 
     loc = sub.add_parser("localize", help="restrict an object along a generator")
     loc.add_argument("--obj", required=True)
     loc.add_argument("--gen", required=True)
-    _add_common(loc)
+    _add_out(loc)
     loc.set_defaults(handler=_cmd_localize)
 
     return parser
@@ -238,8 +240,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.depth < 1:
-            raise ConfigError(f"--depth must be at least 1, got {args.depth}")
+        depth = vars(args).get("depth", 1)
+        if depth < 1:
+            raise ConfigError(f"--depth must be at least 1, got {depth}")
         return args.handler(args)
     except (RieszLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import IO, Any
 
 from .carriers import BandDescriptor
-from .errors import MalformedInstanceError
+from .errors import MalformedInstanceError, SpaceMismatchError
 from .lattice import Element, Space
 from .measures import Measure
 from .order_continuity import Functional, ProductFunctionalPolynomial
@@ -218,7 +218,11 @@ def parse_functional(obj: Any, path: str = "$") -> Functional:
     if kind == "limit":
         return Functional.limit()
     if kind == "measure":
-        return Functional.of_measure(parse_measure(_require(obj, "measure", path), f"{path}.measure"))
+        mu = parse_measure(_require(obj, "measure", path), f"{path}.measure")
+        try:
+            return Functional.of_measure(mu)
+        except SpaceMismatchError as exc:
+            raise MalformedInstanceError(f"{path}.measure.space", str(exc)) from None
     raise MalformedInstanceError(f"{path}.kind", f"unknown functional kind {kind!r}")
 
 

@@ -73,20 +73,13 @@ class Measure:
             object.__setattr__(self, "_scaled", ([t for t, _ in atoms], weights, scale))
         return self._scaled
 
-    # -- norms and support --------------------------------------------------
+    # -- norms --------------------------------------------------------------
 
     def variation_norm(self) -> Fraction:
         return sum((abs(w) for w in self.atoms.values()), abs(self.limit_atom))
 
-    def support(self) -> frozenset[int]:
-        """Isolated atom points (the limit atom is tracked separately)."""
-        return frozenset(self.atoms)
-
     def is_zero(self) -> bool:
         return not self.atoms and self.limit_atom == 0
-
-    def is_positive(self) -> bool:
-        return all(w >= 0 for w in self.atoms.values()) and self.limit_atom >= 0
 
     # -- atomwise lattice and linear structure ----------------------------------
 
@@ -106,9 +99,6 @@ class Measure:
 
     def __add__(self, other: "Measure") -> "Measure":
         return self._merge(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "Measure") -> "Measure":
-        return self._merge(other, lambda a, b: a - b)
 
     def __abs__(self) -> "Measure":
         return Measure(self.space, {t: abs(w) for t, w in self.atoms.items()}, abs(self.limit_atom))
@@ -140,10 +130,10 @@ class Measure:
         return hash((self.space, tuple(self.atoms.items()), self.limit_atom))
 
     def __repr__(self) -> str:
-        parts = ", ".join(f"{t}: {w}" for t, w in self.atoms.items())
+        parts = [f"{t}: {w}" for t, w in self.atoms.items()]
         if self.limit_atom != 0:
-            parts += f", limit: {self.limit_atom}"
-        return f"Measure({self.space!r}, {{{parts}}})"
+            parts.append(f"limit: {self.limit_atom}")
+        return f"Measure({self.space!r}, {{{', '.join(parts)}}})"
 
 
 def is_normal_measure(mu: Measure) -> bool:

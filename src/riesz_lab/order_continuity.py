@@ -36,6 +36,8 @@ class Functional:
     def __post_init__(self):
         if not isinstance(self.measure, Measure):
             raise ValueError(f"a functional is a measure, got {type(self.measure).__name__}")
+        if self.measure.space.is_finite:
+            raise SpaceMismatchError(f"a functional is a measure on omega1, got one on {self.measure.space!r}")
 
     @staticmethod
     def coordinate(index: int) -> "Functional":
@@ -68,8 +70,8 @@ class ProductFunctionalPolynomial:
     psi: Functional
 
     def __post_init__(self):
-        if self.degree < 2:
-            raise ValueError("product polynomials start at degree 2")
+        if not isinstance(self.degree, int) or self.degree < 2:
+            raise ValueError(f"product polynomials have an integer degree of at least 2, got {self.degree!r}")
 
     @property
     def space(self) -> Space:
@@ -148,15 +150,17 @@ class DiscontinuityWitness:
 def discontinuity_witness(poly: ProductFunctionalPolynomial, probe_depth: int = 50) -> DiscontinuityWitness:
     """Order discontinuity of phi^(m-1)*psi at the constant-one element.
 
-    Along x_n = 1 - indicator(>= n) the second factor evaluates to zero for
-    every n while the base value is one, so the gap is exactly one even
-    though the net order converges to the base point.
+    The net x_n = 1 - indicator(>= n) order converges to the base point.  An
+    order continuous phi follows it; a psi that is not order continuous
+    need not, since the limit atom reads the tail, which is zero along the
+    net.  The gap is the least distance of the probed values from the base
+    value (one for phi a coordinate and psi the limit evaluation), and a
+    zero gap is refused.
     """
-    if not poly.phi.is_order_continuous() or poly.psi != Functional.limit():
+    if not poly.phi.is_order_continuous() or poly.psi.is_order_continuous():
         raise NoWitnessError(
-            "construction needs an order continuous first factor and the"
-            " limit evaluation as second factor; with a normal measure the"
-            " polynomial is order continuous everywhere and no witness exists"
+            "construction needs an order continuous first factor and a second"
+            " factor that is not order continuous"
         )
     space = Space.omega_plus_one()
     one = Element.constant(space, 1)

@@ -29,11 +29,10 @@ def rng_for(seed: int | str, *branch: int | str) -> random.Random:
     return random.Random(":".join(str(part) for part in (seed, *branch)))
 
 
-def rational(rng: random.Random, nonzero: bool = False, positive: bool = False) -> Fraction:
-    lo = 1 if positive else -9
+def rational(rng: random.Random, nonzero: bool = False) -> Fraction:
     while True:
-        value = Fraction(rng.randint(lo, 9), rng.choice(DENOMINATORS))
-        if value != 0 or not (nonzero or positive):
+        value = Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+        if value != 0 or not nonzero:
             return value
 
 

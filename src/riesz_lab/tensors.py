@@ -172,9 +172,6 @@ class SymTensor:
     def is_positive(self) -> bool:
         return all(v >= 0 for v in self.entries.values())
 
-    def support_points(self) -> frozenset[int]:
-        return frozenset(t for idx in self.entries for t in idx)
-
     # -- lattice operations (entrywise on the symmetric array) ------------------
 
     def modulus(self) -> "SymTensor":
@@ -193,16 +190,6 @@ class SymTensor:
 
     def meet(self, other: "SymTensor") -> "SymTensor":
         return self._merge(other, min)
-
-    def __add__(self, other: "SymTensor") -> "SymTensor":
-        return self._merge(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "SymTensor") -> "SymTensor":
-        return self._merge(other, lambda a, b: a - b)
-
-    def scale(self, c: Rational) -> "SymTensor":
-        c = q(c)
-        return SymTensor(self.space, self.degree, {i: v * c for i, v in self.entries.items()})
 
     def restrict_points(self, points: frozenset[int]) -> "SymTensor":
         """Drop entries touching any point outside the given set."""

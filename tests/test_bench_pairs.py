@@ -1,4 +1,4 @@
-"""The paired benchmark script: its sibling warning and its summary."""
+"""The paired benchmark script: its sibling warning, its summary and its source digests."""
 
 from __future__ import annotations
 
@@ -81,3 +81,33 @@ def test_refuses_to_mix_run_lengths_under_one_key(tmp_path, monkeypatch, capsys)
     assert "refusing" in err and len(err.splitlines()) == 1
     assert main("10") == 0
     assert len(json.loads(out.read_text())["oa-grid seed 1"]["runs"]["parent"]) == 2
+
+
+def test_src_digest_tells_checkouts_apart(tmp_path, monkeypatch):
+    module = _module()
+
+    def fake_run(checkout, workload, seed, seconds):
+        return {"metrics": {"items_per_s": 1}, "failed": 0, "attempted": 1}, {"commit": "unknown"}
+
+    monkeypatch.setattr(module, "run", fake_run)
+
+    def environment(parent_src: bytes, change_src: bytes) -> dict:
+        root = tmp_path / str(len(list(tmp_path.iterdir())))
+        for side, text in (("parent", parent_src), ("change", change_src)):
+            package = _checkout(root / side) / "src" / "riesz_lab"
+            package.mkdir(parents=True)
+            (package / "cli.py").write_bytes(text)
+            (package / "__pycache__").mkdir()
+            (package / "__pycache__" / f"cli.{side}.pyc").write_bytes(side.encode())
+        out = root / "out.json"
+        argv = ["--parent", str(root / "parent"), "--change", str(root / "change"), "--workload", "oa-grid",
+                "--seed", "1", "--seconds", "1", "--pairs", "1", "--out", str(out)]
+        assert module.main(argv) == 0
+        return json.loads(out.read_text())["oa-grid seed 1"]["environment"]
+
+    same = environment(b"x = 1\n", b"x = 1\n")
+    assert same["parent"]["src_sha256"] == same["change"]["src_sha256"]
+    assert same["parent"]["commit"] == "unknown"
+    differ = environment(b"x = 1\n", b"x = 2\n")
+    assert differ["parent"]["src_sha256"] != differ["change"]["src_sha256"]
+    assert differ["parent"]["src_sha256"] == same["parent"]["src_sha256"]

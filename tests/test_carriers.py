@@ -78,10 +78,6 @@ class TestDescriptors:
     def test_contains_needs_matching_space(self):
         assert not BandDescriptor(F3, frozenset({1})).contains(om([1], 0))
 
-    def test_emptiness(self):
-        assert BandDescriptor(F3, frozenset()).is_empty()
-        assert not BandDescriptor(OM, frozenset(), cofinite=True).is_empty()
-
     def test_intersect_points(self):
         cof = BandDescriptor(OM, frozenset({1, 2}), cofinite=True, includes_limit=True)
         assert cof.intersect_points({1, 3, 4}) == BandDescriptor(OM, frozenset({3, 4}))

@@ -364,6 +364,12 @@ class TestMeasureIso:
         with pytest.raises(RepresentationError):
             to_measure(p)
 
+    def test_repr_lists_atoms_then_limit(self):
+        assert repr(Measure(OM, {}, limit_atom=1)) == "Measure(omega1, {limit: 1})"
+        assert repr(Measure(OM, {2: Fraction(1, 2), 1: -3}, limit_atom=1)) == "Measure(omega1, {1: -3, 2: 1/2, limit: 1})"
+        assert repr(Measure(F2, {2: 4})) == "Measure(finite(2), {2: 4})"
+        assert repr(Measure(OM, {})) == "Measure(omega1, {})"
+
 
 class TestNorms:
     def test_frozen_example(self):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -50,6 +53,7 @@ from riesz_lab.checks import (
     OS_MODES,
     orthosymmetry_check,
 )
+from riesz_lab import cli
 from riesz_lab.cli import main
 from riesz_lab.errors import DegreeMismatchError, MalformedInstanceError, RieszLabError
 from riesz_lab.jsonio import parse_rational
@@ -218,6 +222,13 @@ class TestParseErrors:
             parse_instance({"degree": 2, "kind": "fourier"})
         with pytest.raises(MalformedInstanceError):
             parse_instance({"degree": 2, "kind": "product", "phi": {"kind": "nope"}, "psi": {"kind": "limit"}})
+
+    def test_functional_measure_must_live_on_omega1(self):
+        finite = {"atoms": [{"point": 1, "weight": "1"}], "space": {"kind": "finite", "n": 3}}
+        obj = {"degree": 2, "kind": "product", "phi": {"kind": "measure", "measure": finite}, "psi": {"kind": "limit"}}
+        with pytest.raises(MalformedInstanceError) as err:
+            parse_instance(obj)
+        assert str(err.value).startswith("$.phi.measure.space: ")
 
     def test_matrix_shape(self):
         obj = {"space": {"kind": "finite", "n": 2}, "rows": [["1", "2"]]}
@@ -593,6 +604,63 @@ def test_undecodable_instance_file_ends_without_traceback(tmp_path):
     assert code == 2 and err.startswith(f"error: {path}: ".encode()) and b"Traceback" not in err
 
 
+def _args_read(functions: dict[str, ast.FunctionDef], name: str) -> set[str]:
+    """The ``args.<attr>`` names a cli function reads, with those of every
+    cli function it passes ``args`` on to."""
+    read = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+            read.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in functions
+            and any(isinstance(arg, ast.Name) and arg.id == "args" for arg in node.args)
+        ):
+            read |= _args_read(functions, node.func.id)
+    return read
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands
+
+
+def _options_and_reads(parser: argparse.ArgumentParser) -> dict[str, tuple[set[str], set[str]]]:
+    """Per subcommand: the dests its parser declares and the attributes its
+    handler reads.  A positional argparse confines to a single choice holds
+    nothing for the handler to read, so it counts as read."""
+    functions = {node.name: node for node in ast.walk(ast.parse(inspect.getsource(cli)))
+                 if isinstance(node, ast.FunctionDef)}
+    out = {}
+    for name, sub in _subcommands(parser).items():
+        declared = {a.dest for a in sub._actions if a.dest != "help"}
+        fixed = {a.dest for a in sub._actions if not a.option_strings and a.choices and len(a.choices) == 1}
+        out[name] = (declared, _args_read(functions, sub.get_default("handler").__name__) | fixed)
+    return out
+
+
+class TestCliOptions:
+    def test_each_command_declares_what_its_handler_reads(self):
+        table = _options_and_reads(cli.build_parser())
+        assert {name: declared for name, (declared, _) in table.items()} == {
+            "check": {"suite", "suite_flag", "poly", "m", "n", "space", "trials", "seed", "depth", "format", "out"},
+            "demo": {"name", "m", "depth", "out"},
+            "carrier": {"poly", "out"},
+            "nakano": {"p", "q", "out"},
+            "localize": {"obj", "gen", "out"},
+        }
+        assert {name: read for name, (_, read) in table.items()} == {
+            name: declared for name, (declared, _) in table.items()
+        }
+
+    def test_guard_sees_an_option_the_handler_ignores(self):
+        parser = cli.build_parser()
+        _subcommands(parser)["carrier"].add_argument("--seed", default=None)
+        declared, read = _options_and_reads(parser)["carrier"]
+        assert declared - read == {"seed"} and read <= declared
+
+
 class TestCliInProcess:
     def test_failing_suite_exits_one(self, monkeypatch, capsys):
         def fake(config):
@@ -652,9 +720,32 @@ class TestCliInProcess:
     @pytest.mark.parametrize("depth", ["0", "-2"])
     def test_depth_below_one_exits_two(self, capsys, tmp_path, command, depth):
         poly, gen = self._inputs(tmp_path)
-        argv = [arg.format(poly=poly, gen=gen) for arg in command]
-        assert main([*argv, "--depth", depth]) == 2
-        assert f"error: --depth must be at least 1, got {depth}" in capsys.readouterr().err
+        argv = [*(arg.format(poly=poly, gen=gen) for arg in command), "--depth", depth]
+        if command[0] in ("check", "demo"):
+            assert main(argv) == 2
+            assert f"error: --depth must be at least 1, got {depth}" in capsys.readouterr().err
+        else:  # carrier, nakano and localize take no --depth at all
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --depth {depth}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["carrier", "--poly", "{poly}", "--depth", "3"],
+            ["nakano", "--p", "{poly}", "--q", "{poly}", "--depth", "3"],
+            ["localize", "--obj", "{poly}", "--gen", "{gen}", "--depth", "3"],
+            ["carrier", "--poly", "{poly}", "--seed", "1"],
+            ["demo", "counterexample", "--format", "human"],
+        ],
+    )
+    def test_option_the_command_does_not_take_exits_two(self, capsys, tmp_path, command):
+        poly, gen = self._inputs(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(poly=poly, gen=gen) for arg in command])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(command[-2:])}" in capsys.readouterr().err
 
     def test_localize_rejects_an_element_to_restrict(self, capsys, tmp_path):
         _, gen = self._inputs(tmp_path)

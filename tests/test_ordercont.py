@@ -61,6 +61,10 @@ class TestFunctionals:
         with pytest.raises(ValueError):
             Functional("nope")
 
+    def test_measure_must_live_on_omega1(self):
+        with pytest.raises(SpaceMismatchError, match="on finite\\(3\\)"):
+            Functional(Measure(Space.finite(3), {1: 1}))
+
     def test_one_spelling_per_functional(self):
         assert Functional.of_measure(Measure(OM, {}, limit_atom=1)) == Functional.limit()
         assert Functional.of_measure(Measure(OM, {3: 1})) == Functional.coordinate(3)
@@ -78,6 +82,11 @@ class TestProductPolynomial:
     def test_degree_floor(self):
         with pytest.raises(ValueError):
             ProductFunctionalPolynomial(1, Functional.coordinate(1), Functional.limit())
+
+    @pytest.mark.parametrize("degree", [2.5, 3.0, Fraction(5, 2)])
+    def test_degree_is_an_integer(self, degree):
+        with pytest.raises(ValueError, match="integer degree"):
+            ProductFunctionalPolynomial(degree, Functional.coordinate(1), Functional.limit())
 
 
 class TestStructuralDichotomy:
@@ -168,9 +177,17 @@ class TestDiscontinuityWitness:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_limit_evaluation_spelled_as_a_measure(self, m):
-        psi = Functional.of_measure(Measure(OM, {}, limit_atom=1))
-        witness = discontinuity_witness(ProductFunctionalPolynomial(m, Functional.coordinate(1), psi), probe_depth=10)
+        # twice the limit evaluation is no more order continuous than it: gap 2
+        for limit_atom in (1, 2):
+            psi = Functional.of_measure(Measure(OM, {}, limit_atom=limit_atom))
+            witness = discontinuity_witness(ProductFunctionalPolynomial(m, Functional.coordinate(1), psi), probe_depth=10)
+            assert witness.gap == limit_atom
+
+    def test_second_factor_with_isolated_mass(self):
+        psi = Functional.of_measure(Measure(OM, {3: 1}, limit_atom=1))
+        witness = discontinuity_witness(ProductFunctionalPolynomial(2, Functional.coordinate(1), psi), probe_depth=6)
         assert witness.gap == 1
+        assert witness.values == (0, 0, 0, 1, 1, 1)
 
     def test_no_witness_when_psi_not_limit(self):
         poly = ProductFunctionalPolynomial(2, Functional.coordinate(1), Functional.coordinate(2))
