@@ -38,15 +38,24 @@ each block in chunks and stops at the first chunk with a mismatch.  The
 first chunk is sized by kernel work against the fixed budget
 `_intpath._CHUNK_WORK` (samples x table rows x argument slots) and each
 later chunk is 4x the one before; a block inside the budget runs in one
-kernel call.  Every check builds its table once and reads it in every chunk.
+chunk.  The driver takes a list of identities and works in rounds: each
+identity still open hands in its next chunk, and an OA identity's sides
+are stacks (S, k, n) of rows whose P-values are summed per sample.  The
+round's stacks are grouped by depth k and each depth is evaluated in one
+kernel call, or in as few as keep every call within `_CHUNK_WORK` entries
+gathered (stack rows x products P sums per row x m); a stack already past
+the budget runs alone.  So `oa_mode_agreement` evaluates its seven modes
+in about five kernel calls on a small polynomial, and every mode still
+reads the samples, the first failure and the verdict its own check gives.
+Every check builds its table once and reads it in every chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from typing import Sequence
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,7 +75,7 @@ from .lattice import (
     decreasing_rearrangements,
     krivine_radical,
 )
-from .polynomials import TENSOR, Polynomial, polarize
+from .polynomials import TENSOR, Polynomial
 from .tensors import Form, GeneralMatrixForm
 
 SCALE = 12  # lcm of the permitted sample denominators {1,2,3,4}
@@ -204,20 +213,29 @@ def structured_pair_count(n: int, m: int) -> int:
     return (n * (n - 1) // 2) * len(_ratio_grid(m))
 
 
+@lru_cache
+def _sweep(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The scaled-basis-pair sweep on n points as read-only arrays (x column,
+    x value, y column, y value), one entry per row: row r is point pair
+    r // len(grid) in row-major (s, t) order, scaled by ratio r % len(grid)."""
+    firsts, seconds = np.triu_indices(n, 1)
+    grid = SCALE * np.array(_ratio_grid(m), dtype=np.int64)
+    pair, ratio = np.divmod(np.arange(len(firsts) * len(grid)), len(grid))
+    sweep = (firsts[pair], grid[ratio, 0], seconds[pair], grid[ratio, 1])
+    for array in sweep:
+        array.flags.writeable = False
+    return sweep
+
+
 def _disjoint_pairs(rng, samples: int, n: int, m: int, positive: bool) -> np.ndarray:
     """Pairs (x, y) with pointwise-disjoint supports as one (samples, 2, n)
     block; the scaled-basis-pair sweep comes first, seeded masks after."""
     pairs = np.zeros((samples, 2, n), dtype=np.int64)
     xs, ys = pairs[:, 0, :], pairs[:, 1, :]  # views: writes land in pairs
-    # row r of the sweep: point pair r // len(grid) in row-major (s, t)
-    # order, scaled by ratio r % len(grid)
-    firsts, seconds = np.triu_indices(n, 1)
-    grid = SCALE * np.array(_ratio_grid(m), dtype=np.int64)
-    row = min(samples, len(firsts) * len(grid))
-    sweep = np.arange(row)
-    pair, ratio = np.divmod(sweep, len(grid))
-    xs[sweep, firsts[pair]] = grid[ratio, 0]
-    ys[sweep, seconds[pair]] = grid[ratio, 1]
+    x_column, x_value, y_column, y_value = (array[:samples] for array in _sweep(n, m))
+    row = len(x_column)
+    xs[np.arange(row), x_column] = x_value
+    ys[np.arange(row), y_column] = y_value
     rest = samples - row
     if rest > 0:
         mask = _masks(rng, rest, n)
@@ -270,55 +288,133 @@ def _failure(
 # -- the sampled-check driver ------------------------------------------------------
 
 
-def _sampled_check(mode: str, thing, blocks, denom: int, int_sides, rows: int) -> CheckVerdict:
-    """Check one identity on seeded int samples.
+@dataclass(frozen=True)
+class _Identity:
+    """One sampled identity as the driver reads it.
 
     Each block is an int array (samples, slots, columns) in units of
     1/``denom``; sample i is row i counted across the blocks, and its slots
-    are the identity's arguments.  ``int_sides(chunk)`` returns both sides of
-    the identity for consecutive samples of one block as comparable exact
-    integer arrays, and ``rows`` is the size of the table it reads (tensor
-    table rows or measure weights).  One failing sample decides an identity,
-    so each block runs in chunks and the check returns at the first chunk
-    with a mismatch: the first chunk holds ``_CHUNK_WORK // (rows * slots)``
-    samples, at least one, and each later chunk 4x the one before.  A block
-    inside that budget runs in one call.  The values are exact in either
-    dtype, so the first failing sample, and with it the verdict, does not
-    depend on the chunks.  ``int_sides=None`` runs the object sweep, every
-    sample built as Elements and compared through `identity_sides`; only
-    omega1 instances and ``force_object`` take it.
+    are the identity's arguments.  ``sides(chunk)`` gives both sides of the
+    identity for consecutive samples of one block, each either exact values
+    (S,) or a stack (S, k, n) whose P-values the driver sums per sample;
+    ``rows`` is the size of the table the sides read (tensor table rows or
+    measure weights) and sizes the chunks.  ``sides=None`` runs the object
+    sweep.
     """
-    space = thing.space
 
-    def args(block, i):
-        return [_element(space, row, denom) for row in block[i]]
+    mode: str
+    thing: Form | Polynomial
+    blocks: list[np.ndarray]
+    denom: int
+    sides: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    rows: int = 0
 
-    if int_sides is not None:
-        checked = 0
-        for block in blocks:
-            start, step = 0, max(_CHUNK_WORK // max(rows * block.shape[1], 1), 1)
-            while start < len(block):
-                bad = _first_diff(*int_sides(block[start : start + step]))
-                if bad is not None:
-                    index = start + bad
-                    return _failure(mode, thing, args(block, index), checked + index, checked + index + 1)
-                start, step = start + step, 4 * step
-            checked += len(block)
-        if mode in (OA_KRIVINE_SUM, OA_KRIVINE_PRODUCT):
-            # the int identities skip radical objects; recompute the first
-            # samples through them so the fast route cannot drift from the
-            # definition
-            for i in range(min(3, len(blocks[0]))):
-                lhs, rhs = identity_sides(thing, mode, args(blocks[0], i))
-                if lhs != rhs:
-                    raise InvariantViolation("vector path disagrees with radical evaluation")
-        return CheckVerdict(mode, True, checked)
-    samples = (args(block, i) for block in blocks for i in range(len(block)))
-    for index, sample in enumerate(samples):
-        lhs, rhs = identity_sides(thing, mode, sample)
+    def args(self, sample: np.ndarray) -> list[Element]:
+        return [_element(self.thing.space, row, self.denom) for row in sample]
+
+
+def _chunks(identity: _Identity):
+    """(index of its first sample, chunk) over the blocks in order: the first
+    chunk of a block holds ``_CHUNK_WORK // (rows * slots)`` samples, at
+    least one, and each later chunk 4x the one before."""
+    offset = 0
+    for block in identity.blocks:
+        start, step = 0, max(_CHUNK_WORK // max(identity.rows * block.shape[1], 1), 1)
+        while start < len(block):
+            yield offset + start, block[start : start + step]
+            start, step = start + step, 4 * step
+        offset += len(block)
+
+
+def _sampled_check(identities: Sequence[_Identity], kernels: _PolyKernels | None = None) -> list[CheckVerdict]:
+    """Check identities on seeded int samples, one verdict each.
+
+    The driver works in rounds: every identity still open hands in the
+    sides of its next chunk (`_chunks`), the round's stacks are evaluated by
+    depth k, one ``kernels.evaluate`` call per depth unless `_kernel_calls`
+    splits it to keep each call within ``_CHUNK_WORK`` entries gathered,
+    and each identity reads its own slice.  At its first mismatch
+    `_failure` re-verifies the sample on the object path; when its blocks
+    run out it passes, the Krivine modes after three radical spot checks.
+    The values are exact in either dtype, so the verdict depends neither on
+    the chunks nor on what shares a call.  Identities without ``sides``
+    (omega1 instances, ``force_object``) run the object sweep, each sample
+    built as Elements and compared through `identity_sides`.
+    """
+    verdicts = {i: _object_sweep(identity) for i, identity in enumerate(identities) if identity.sides is None}
+    schedules = {i: _chunks(identity) for i, identity in enumerate(identities) if identity.sides is not None}
+    while schedules:
+        chunks, sides = {}, []
+        for i, schedule in list(schedules.items()):
+            chunk = next(schedule, None)
+            if chunk is None:
+                verdicts[i] = _passed(identities[i])
+                del schedules[i]
+            else:
+                chunks[i] = chunk
+                sides += identities[i].sides(chunk[1])
+        values = _evaluated(kernels, sides)
+        for (i, (offset, chunk)), lhs, rhs in zip(chunks.items(), values[0::2], values[1::2]):
+            bad = _first_diff(lhs, rhs)
+            if bad is not None:
+                identity, index = identities[i], offset + bad
+                verdicts[i] = _failure(identity.mode, identity.thing, identity.args(chunk[bad]), index, index + 1)
+                del schedules[i]
+    return [verdicts[i] for i in range(len(identities))]
+
+
+def _evaluated(kernels: _PolyKernels | None, sides: list[np.ndarray]) -> list[np.ndarray]:
+    """Every side as values (S,): a stack (S, k, n) becomes sum_j P(x_j) per
+    sample, stacks of one depth concatenated into the calls that
+    `_kernel_calls` packs."""
+    out = list(sides)
+    stacks = sorted((side.shape[1], i) for i, side in enumerate(sides) if side.ndim == 3)
+    if not stacks:
+        return out
+    per_row = kernels.terms * kernels.poly.degree  # entries gathered per stack row
+    for call in _kernel_calls([(i, k, len(sides[i]) * k * per_row) for k, i in stacks]):
+        values = kernels.evaluate(np.concatenate([sides[i] for i in call]))
+        start = 0
+        for i in call:
+            out[i] = values[start : start + len(sides[i])]
+            start += len(sides[i])
+    return out
+
+
+def _kernel_calls(stacks: list[tuple[int, int, int]]):
+    """Runs of consecutive (index, depth, work) stacks of one depth whose
+    summed work (entries gathered) stays within ``_CHUNK_WORK``; a stack
+    past that budget alone is a run of its own."""
+    call, depth, total = [], None, 0
+    for i, k, work in stacks:
+        if call and (k != depth or total + work > _CHUNK_WORK):
+            yield call
+            call, total = [], 0
+        call.append(i)
+        depth, total = k, total + work
+    if call:
+        yield call
+
+
+def _passed(identity: _Identity) -> CheckVerdict:
+    if identity.mode in (OA_KRIVINE_SUM, OA_KRIVINE_PRODUCT):
+        # the int identities skip radical objects; recompute the first
+        # samples through them so the fast route cannot drift from the
+        # definition
+        for sample in identity.blocks[0][:3]:
+            lhs, rhs = identity_sides(identity.thing, identity.mode, identity.args(sample))
+            if lhs != rhs:
+                raise InvariantViolation("vector path disagrees with radical evaluation")
+    return CheckVerdict(identity.mode, True, sum(len(block) for block in identity.blocks))
+
+
+def _object_sweep(identity: _Identity) -> CheckVerdict:
+    samples = (identity.args(sample) for block in identity.blocks for sample in block)
+    for index, args in enumerate(samples):
+        lhs, rhs = identity_sides(identity.thing, identity.mode, args)
         if lhs != rhs:
-            return _failure(mode, thing, sample, index, index + 1)
-    return CheckVerdict(mode, True, sum(len(block) for block in blocks))
+            return _failure(identity.mode, identity.thing, args, index, index + 1)
+    return CheckVerdict(identity.mode, True, sum(len(block) for block in identity.blocks))
 
 
 # -- orthosymmetry -----------------------------------------------------------------
@@ -353,9 +449,12 @@ def orthosymmetry_check(
         # basis pairs are decisive for a matrix; keep the sampled tail anyway
         blocks.insert(0, _basis_pairs(form.space.n))
     if force_object:
-        return _sampled_check(mode, form, blocks, SCALE, None, 0)
-    core, _ = dense_core(form)
-    return _sampled_check(mode, form, blocks, SCALE, partial(_os_int_sides, core, mode), len(core))
+        identity = _Identity(mode, form, blocks, SCALE)
+    else:
+        core, _ = dense_core(form)
+        identity = _Identity(mode, form, blocks, SCALE, partial(_os_int_sides, core, mode), len(core))
+    (verdict,) = _sampled_check([identity])
+    return verdict
 
 
 def _os_diagonal(form: Form) -> CheckVerdict:
@@ -401,7 +500,7 @@ class _PolyKernels:
 
     One object serves every mode of one check call and is dropped when the
     call returns, so `oa_mode_agreement` builds the integer arrangement
-    table (`dense_core`) once.
+    table once.
     """
 
     def __init__(self, poly: Polynomial) -> None:
@@ -409,8 +508,15 @@ class _PolyKernels:
 
     @cached_property
     def core(self) -> tuple[np.ndarray, int]:
-        """(table, scale) of the symmetric form whose diagonal is P."""
-        return dense_core(self.poly.rep if self.poly.kind == TENSOR else polarize(self.poly))
+        """(table, scale) of the symmetric form whose diagonal is P: a
+        tensor's `dense_core`, or a measure's diagonal table, one row
+        [c]*m + [w_c, 1] per atom c, read from its weights."""
+        if self.poly.kind == TENSOR:
+            return dense_core(self.poly.rep)
+        weights, scale = self.weights
+        m = self.poly.degree
+        rows = [(*[c] * m, w, 1) for c, w in enumerate(weights.tolist()) if w]
+        return np.array(rows, dtype=weights.dtype).reshape(len(rows), m + 2), scale
 
     @cached_property
     def weights(self) -> tuple[np.ndarray, int]:
@@ -422,6 +528,14 @@ class _PolyKernels:
         """Rows of the table `evaluate` reads: the core's for a tensor, the
         weights' for a measure."""
         return len(self.core[0]) if self.poly.kind == TENSOR else len(self.weights[0])
+
+    @cached_property
+    def terms(self) -> int:
+        """Terms P sums per row, each a product of m values: the core's
+        weighted rows for a tensor, the weights for a measure."""
+        if self.poly.kind == TENSOR:
+            return int(np.count_nonzero(self.core[0][:, -1]))
+        return len(self.weights[0])
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """sum_j P(x_j) on a batch of stacks (S, k, n), or P on rows (S, n)."""
@@ -439,28 +553,31 @@ def orthogonal_additivity_check(
 ) -> CheckVerdict:
     """Sample one of the seven equivalent characterisations of orthogonal
     additivity against the given polynomial."""
-    return _oa_check(poly, mode, samples, seed, force_object, _PolyKernels(poly))
+    kernels = _PolyKernels(poly)
+    (verdict,) = _sampled_check([_oa_identity(mode, samples, seed, force_object, kernels)], kernels)
+    return verdict
 
 
 def oa_mode_agreement(poly: Polynomial, samples: int = 96, seed=0) -> dict[str, CheckVerdict]:
-    """All seven sampled characterisations, seeded independently per mode."""
+    """All seven sampled characterisations, seeded independently per mode
+    and checked together."""
     children = _seedseq(seed).spawn(len(OA_MODES))
     kernels = _PolyKernels(poly)
-    return {mode: _oa_check(poly, mode, samples, child, False, kernels) for mode, child in zip(OA_MODES, children)}
+    identities = [_oa_identity(mode, samples, child, False, kernels) for mode, child in zip(OA_MODES, children)]
+    return dict(zip(OA_MODES, _sampled_check(identities, kernels)))
 
 
-def _oa_check(
-    poly: Polynomial, mode: str, samples: int, seed, force_object: bool, kernels: _PolyKernels
-) -> CheckVerdict:
+def _oa_identity(mode: str, samples: int, seed, force_object: bool, kernels: _PolyKernels) -> _Identity:
     if mode not in OA_MODES:
         raise ValueError(f"unknown orthogonal-additivity mode {mode!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
+    poly = kernels.poly
     rng = np.random.default_rng(_seedseq(seed))
     blocks, denom = _oa_draw(mode, rng, samples, kernels)
     if force_object or not poly.space.is_finite:
-        return _sampled_check(mode, poly, blocks, denom, None, 0)
-    return _sampled_check(mode, poly, blocks, denom, partial(_oa_int_sides, mode, kernels), kernels.rows)
+        return _Identity(mode, poly, blocks, denom)
+    return _Identity(mode, poly, blocks, denom, partial(_oa_int_sides, mode, kernels), kernels.rows)
 
 
 def _oa_draw(mode: str, rng: np.random.Generator, samples: int, kernels: _PolyKernels):
@@ -488,27 +605,28 @@ def _oa_draw(mode: str, rng: np.random.Generator, samples: int, kernels: _PolyKe
 
 
 def _oa_int_sides(mode: str, kernels: _PolyKernels, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of one mode's identity on an int block, in one common scale;
-    each side sums P over a stack of rows in one kernel call."""
-    P = kernels.evaluate
+    """Both sides of one mode's identity on an int block, in one common
+    scale, as stacks (S, k, n) for the driver to sum P over; the Krivine
+    product's form side comes as values."""
     if mode == OA_K_VALUATION:
-        return P(-np.sort(-block, axis=1)), P(block)
+        return -np.sort(-block, axis=1), block
     if mode == OA_KRIVINE_PRODUCT:
         return _krivine_product_sides(kernels, block)
     if mode == OA_POS_NEG:
         # (-1)^m P(x^-) = P(-x^-) = P(x meet 0)
         x = block[:, 0, :]
-        return P(x), P(np.stack([np.maximum(x, 0), np.minimum(x, 0)], axis=1))
+        return block, np.stack([np.maximum(x, 0), np.minimum(x, 0)], axis=1)
     xs, ys = block[:, 0, :], block[:, 1, :]
     if mode == OA_VALUATION:
-        return P(np.stack([np.maximum(xs, ys), np.minimum(xs, ys)], axis=1)), P(block)
+        return np.stack([np.maximum(xs, ys), np.minimum(xs, ys)], axis=1), block
     # disjoint additivity, the positive cone, and the power-sum radical of a
     # positive disjoint pair, which roots to x + y
-    return P(xs + ys), P(block)
+    return (xs + ys)[:, None, :], block
 
 
 def _krivine_product_sides(kernels: _PolyKernels, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P((x_1 .. x_m)^(1/m)) against A(x_1, .., x_m), A the polarisation."""
+    """The stack of roots (x_1 .. x_m)^(1/m), whose P-values are the left
+    side, and the values A(x_1, .., x_m), A the polarisation."""
     core, _ = kernels.core
     rhs = form_eval_batch(core, block)
     # the dtype of rhs bounds every product of a row's m values; the rows
@@ -520,4 +638,4 @@ def _krivine_product_sides(kernels: _PolyKernels, block: np.ndarray) -> tuple[np
     if None in roots:
         raise InvariantViolation("row product is not an exact m-th power")
     u = np.array(roots, dtype=product.dtype)[inverse].reshape(product.shape)
-    return poly_eval_batch(core, u), rhs
+    return u[:, None, :], rhs

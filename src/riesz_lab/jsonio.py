@@ -220,7 +220,7 @@ def parse_functional(obj: Any, path: str = "$") -> Functional:
     if kind == "measure":
         mu = parse_measure(_require(obj, "measure", path), f"{path}.measure")
         try:
-            return Functional.of_measure(mu)
+            return Functional(mu)
         except SpaceMismatchError as exc:
             raise MalformedInstanceError(f"{path}.measure.space", str(exc)) from None
     raise MalformedInstanceError(f"{path}.kind", f"unknown functional kind {kind!r}")

@@ -47,10 +47,6 @@ class Functional:
     def limit() -> "Functional":
         return Functional(Measure(Space.omega_plus_one(), limit_atom=1))
 
-    @staticmethod
-    def of_measure(mu: Measure) -> "Functional":
-        return Functional(mu)
-
     def value(self, x: Element) -> Fraction:
         return self.measure.integrate(x, 1)
 

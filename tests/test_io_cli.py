@@ -109,7 +109,7 @@ class TestRoundTrips:
                 assert parsed == original
 
     def test_product_polynomial_round_trip(self):
-        for phi in (Functional.of_measure(Measure(OM, {2: Fraction(1, 3)}, limit_atom=-1)), Functional.coordinate(4)):
+        for phi in (Functional(Measure(OM, {2: Fraction(1, 3)}, limit_atom=-1)), Functional.coordinate(4)):
             poly = ProductFunctionalPolynomial(3, phi, Functional.limit())
             assert parse_instance(to_obj(poly)) == poly
         obj = to_obj(ProductFunctionalPolynomial(2, Functional.coordinate(1), Functional.limit()))
@@ -118,14 +118,14 @@ class TestRoundTrips:
             parse_instance(obj)
 
     def test_unit_measures_take_the_short_spelling(self):
-        phi, psi = Functional.of_measure(Measure(OM, {4: 1})), Functional.of_measure(Measure(OM, {}, limit_atom=1))
+        phi, psi = Functional(Measure(OM, {4: 1})), Functional(Measure(OM, {}, limit_atom=1))
         assert to_obj(ProductFunctionalPolynomial(2, phi, psi)) == {
             "degree": 2,
             "kind": "product",
             "phi": {"kind": "coordinate", "index": 4},
             "psi": {"kind": "limit"},
         }
-        obj = to_obj(ProductFunctionalPolynomial(2, Functional.of_measure(Measure(OM, {4: 1}, limit_atom=1)), psi))
+        obj = to_obj(ProductFunctionalPolynomial(2, Functional(Measure(OM, {4: 1}, limit_atom=1)), psi))
         assert obj["phi"]["kind"] == "measure"
 
     def test_descriptor_shape(self):
@@ -277,7 +277,7 @@ _JSON = st.recursive(
 
 
 # a non-unit weight, so the seed serialises in the "measure" spelling
-_PRODUCT_POLY = ProductFunctionalPolynomial(2, Functional.of_measure(Measure(OM, {2: 2})), Functional.limit())
+_PRODUCT_POLY = ProductFunctionalPolynomial(2, Functional(Measure(OM, {2: 2})), Functional.limit())
 _SEEDS = [
     Element.finite([1, -2, Fraction(1, 3)]),
     Element.omega([1, 2], 3),

@@ -152,9 +152,9 @@ measures = st.builds(
 )
 normal_measures = st.dictionaries(st.integers(1, 9), small, max_size=4).map(lambda atoms: Measure(OM, atoms))
 continuous_functionals = st.one_of(
-    st.integers(1, 9).map(Functional.coordinate), normal_measures.map(Functional.of_measure)
+    st.integers(1, 9).map(Functional.coordinate), normal_measures.map(Functional)
 )
-functionals = st.one_of(continuous_functionals, st.just(Functional.limit()), measures.map(Functional.of_measure))
+functionals = st.one_of(continuous_functionals, st.just(Functional.limit()), measures.map(Functional))
 polynomials = st.one_of(
     st.builds(to_polynomial, measures, st.integers(1, 3)),
     st.builds(ProductFunctionalPolynomial, st.integers(2, 4), functionals, functionals),

@@ -63,7 +63,7 @@ from riesz_lab.checks import (
     OS_MODES,
 )
 from riesz_lab.errors import DegreeMismatchError, InvariantViolation, RepresentationError
-from riesz_lab.polynomials import TENSOR
+from riesz_lab.polynomials import TENSOR, polarize
 from riesz_lab.sampling import matrix_form, measure, rational, rng_for, sym_tensor
 from riesz_lab.tensors import nondecreasing_indices
 
@@ -622,13 +622,34 @@ class TestSharedKernels:
         oa_mode_agreement(Polynomial.from_tensor(tensor), samples=structured_pair_count(4, 3) + 10, seed=3)
         assert len(built) <= 1
 
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            Measure(F4, {1: 1, 2: -2, 4: Fraction(1, 2)}),
+            Measure(F3, {2: Fraction(-5, 6), 3: Fraction(7, 4)}),
+            Measure(F2, {}),
+            Measure(F3, {1: 2**62, 3: Fraction(-1, 3)}),
+        ],
+        ids=["integers", "fractions", "zero", "past-int64"],
+    )
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_measure_table_matches_the_polarised_table(self, mu, m):
+        # the diagonal table read from the weights is the table of the
+        # polarisation, the route it replaced
+        table, scale = checks._PolyKernels(to_polynomial(mu, m)).core
+        old_table, old_scale = dense_core(polarize(to_polynomial(mu, m)))
+        assert table.dtype == old_table.dtype and table.shape == old_table.shape
+        assert np.array_equal(table, old_table) and scale == old_scale
+        assert (table.dtype == object) == (mu.atoms.get(1) == 2**62)
 
-def _whole_block_check(mode, thing, blocks, denom, int_sides):
+
+def _whole_block_check(mode, thing, blocks, denom, int_sides, evaluate=lambda side: side):
     """The driver before chunking, kept as the reference for the chunks:
-    each block through ``int_sides`` in one call, then its first mismatch."""
+    each block through ``int_sides`` in one call, each side turned into
+    values by ``evaluate``, then its first mismatch."""
     checked = 0
     for block in blocks:
-        bad = checks._first_diff(*int_sides(block))
+        bad = checks._first_diff(*map(evaluate, int_sides(block)))
         if bad is not None:
             args = [checks._element(thing.space, row, denom) for row in block[bad]]
             return checks._failure(mode, thing, args, checked + bad, checked + bad + 1)
@@ -683,7 +704,8 @@ class TestChunkedDriver:
         int_sides = partial(checks._os_int_sides, core, OS_DISJOINT)
         blocks = [self._plant(np.zeros((70, 2, 3), dtype=np.int64), failing)]
         recorded, seen = _recording(int_sides)
-        chunked = checks._sampled_check(OS_DISJOINT, self.FORM, blocks, checks.SCALE, recorded, len(core))
+        identity = checks._Identity(OS_DISJOINT, self.FORM, blocks, checks.SCALE, recorded, len(core))
+        (chunked,) = checks._sampled_check([identity])
         assert chunked == _whole_block_check(OS_DISJOINT, self.FORM, blocks, checks.SCALE, int_sides)
         assert chunked.passed == (not failing)
         assert chunked.samples_checked == (failing[0] + 1 if failing else 70)
@@ -707,8 +729,9 @@ class TestChunkedDriver:
         self._plant(blocks[1], failing)
         int_sides = partial(checks._oa_int_sides, OA_K_VALUATION, kernels)
         recorded, seen = _recording(int_sides)
-        chunked = checks._sampled_check(OA_K_VALUATION, poly, blocks, checks.SCALE, recorded, kernels.rows)
-        assert chunked == _whole_block_check(OA_K_VALUATION, poly, blocks, checks.SCALE, int_sides)
+        identity = checks._Identity(OA_K_VALUATION, poly, blocks, checks.SCALE, recorded, kernels.rows)
+        (chunked,) = checks._sampled_check([identity], kernels)
+        assert chunked == _whole_block_check(OA_K_VALUATION, poly, blocks, checks.SCALE, int_sides, kernels.evaluate)
         assert chunked.samples_checked == checked
         assert chunked.passed == (not failing)
         if failing:
@@ -749,6 +772,89 @@ class TestChunkedDriver:
             calls.clear()
             assert orthogonal_additivity_check(poly, mode, samples=96, seed=1).passed
             assert len(calls) == (3 if mode == OA_K_VALUATION else 1), mode
+
+
+def _benchmark_items(monkeypatch, name, seeds):
+    """The items of one rotation of a perfbench workload at each seed."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workload = importlib.import_module("workloads").WORKLOADS[name]
+    return [workload.make(seed, k) for seed in seeds for k in range(workload.rotation)]
+
+
+def _single_checks(poly, samples, seed):
+    """Each OA mode checked on its own, on the child seed `oa_mode_agreement` gives it."""
+    children = np.random.SeedSequence(seed).spawn(len(OA_MODES))
+    return {mode: orthogonal_additivity_check(poly, mode, samples, child) for mode, child in zip(OA_MODES, children)}
+
+
+class TestMultiIdentityDriver:
+    """`oa_mode_agreement` checks the seven modes in shared rounds; each mode's
+    verdict is the one its own check returns."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_agreement_matches_single_checks_on_oa_grid(self, monkeypatch, seed):
+        items = _benchmark_items(monkeypatch, "oa-grid", [seed])
+        assert len(items) == 48  # 12 cells x measure, diagonal, measure, off-diagonal
+        for item in items:
+            poly = Polynomial.from_tensor(item.instance) if isinstance(item.instance, SymTensor) else item.instance
+            assert oa_mode_agreement(poly, item.samples, item.seed) == _single_checks(poly, item.samples, item.seed)
+
+    def test_agreement_matches_single_checks_on_wide_forms(self, monkeypatch):
+        for item in _benchmark_items(monkeypatch, "wide-forms", [1]):
+            poly = Polynomial.from_tensor(item.instance)
+            assert oa_mode_agreement(poly, item.samples, item.seed) == _single_checks(poly, item.samples, item.seed)
+
+    def test_first_failure_in_the_second_chunk(self, monkeypatch):
+        # x2 y3 + x3 y2 has a table of two rows; two argument slots and a
+        # budget of 12 make chunks of 3, 12, ... samples, and the pair
+        # sweep reaches points (2, 3) at sample 6, inside the second chunk
+        monkeypatch.setattr(checks, "_CHUNK_WORK", 12)
+        poly = Polynomial.from_tensor(SymTensor(F3, 2, {(2, 3): 1}))
+        samples = structured_pair_count(3, 2) + 10
+        together = oa_mode_agreement(poly, samples, 7)
+        assert together == _single_checks(poly, samples, 7)
+        for mode in (OA_DISJOINT_ADD, OA_POSITIVE_CONE, OA_KRIVINE_SUM):
+            assert together[mode].samples_checked == 7 and together[mode].counterexample["sampleIndex"] == 6
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_fused_calls_keep_the_work_budget(self, monkeypatch, diagonal):
+        # the largest wide-forms cell, (m, n) = (4, 12)
+        m, n = 4, 12
+        tensor = sym_tensor(rng_for("budget", diagonal), Space.finite(n), m, diagonal=diagonal,
+                            ensure_off_diagonal=not diagonal)
+        core, _ = dense_core(tensor)
+        terms = int(np.count_nonzero(core[:, -1]))  # the rows P sums
+        gathered, chunks = [], []
+        original_gather, original_sides = intpath._gather_product, checks._oa_int_sides
+
+        def gather(points, coeffs, slots, max_abs, k=1):
+            gathered.append(slots[0].shape[0] * len(coeffs) * len(slots))
+            return original_gather(points, coeffs, slots, max_abs, k)
+
+        def sides(mode, kernels, block):
+            out = original_sides(mode, kernels, block)
+            # what each side of this chunk gathers alone
+            chunks.extend(
+                len(side) * side.shape[1] * terms * m if side.ndim == 3 else len(block) * len(core) * m
+                for side in out
+            )
+            return out
+
+        monkeypatch.setattr(intpath, "_gather_product", gather)
+        monkeypatch.setattr(checks, "_oa_int_sides", sides)
+        oa_mode_agreement(Polynomial.from_tensor(tensor), structured_pair_count(n, m) + 26, 1)
+        assert chunks and gathered
+        assert max(gathered) <= max(intpath._CHUNK_WORK, max(chunks))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_measure_polynomial_kernel_calls(self, monkeypatch, seed):
+        # one call per stack depth 1..4 and one for the Krivine product's form side
+        calls = [_counting(monkeypatch, name) for name in ("poly_eval_batch", "measure_poly_eval_batch",
+                                                           "form_eval_batch")]
+        poly = to_polynomial(measure(rng_for("kernel-calls", seed), Space.finite(5)), 4)
+        verdicts = oa_mode_agreement(poly, structured_pair_count(5, 4) + 26, seed)
+        assert all(v.passed and v.samples_checked == 96 for v in verdicts.values())
+        assert sum(map(len, calls)) <= 6
 
 
 class TestSampledStreams:
@@ -818,6 +924,15 @@ class TestDisjointPairs:
                     fast = checks._disjoint_pairs(np.random.default_rng(seed), samples, n, m, positive)
                     slow = _loop_disjoint_pairs(np.random.default_rng(seed), samples, n, m, positive)
                     assert fast.dtype == slow.dtype and np.array_equal(fast, slow), seed
+
+    def test_sweep_is_cached_read_only(self):
+        sweep = checks._sweep(5, 3)
+        assert checks._sweep(5, 3) is sweep
+        assert not any(array.flags.writeable for array in sweep)
+        pairs = checks._disjoint_pairs(np.random.default_rng(0), 8, 5, 3, positive=False)
+        pairs[:] = -1  # the block is the caller's own
+        again = checks._disjoint_pairs(np.random.default_rng(0), 8, 5, 3, positive=False)
+        assert again[0, 0, 0] == checks.SCALE and len(sweep[0]) == structured_pair_count(5, 3)
 
 
 class TestIdentitySides:

@@ -49,10 +49,10 @@ class TestFunctionals:
         assert not f.is_order_continuous()
 
     def test_measure_functional(self):
-        normal = Functional.of_measure(Measure(OM, {1: -3, 4: 2}))
+        normal = Functional(Measure(OM, {1: -3, 4: 2}))
         assert normal.value(om([2], 1)) == -6 + 2
         assert normal.is_order_continuous()
-        singular = Functional.of_measure(Measure(OM, {1: 1}, limit_atom=Fraction(-1, 2)))
+        singular = Functional(Measure(OM, {1: 1}, limit_atom=Fraction(-1, 2)))
         assert not singular.is_order_continuous()
         with pytest.raises(ValueError):
             Functional("measure")
@@ -66,11 +66,11 @@ class TestFunctionals:
             Functional(Measure(Space.finite(3), {1: 1}))
 
     def test_one_spelling_per_functional(self):
-        assert Functional.of_measure(Measure(OM, {}, limit_atom=1)) == Functional.limit()
-        assert Functional.of_measure(Measure(OM, {3: 1})) == Functional.coordinate(3)
-        assert hash(Functional.of_measure(Measure(OM, {3: 1}))) == hash(Functional.coordinate(3))
-        assert Functional.of_measure(Measure(OM, {3: 2})) != Functional.coordinate(3)
-        assert Functional.of_measure(Measure(OM, {3: 1}, limit_atom=1)) != Functional.limit()
+        assert Functional(Measure(OM, {}, limit_atom=1)) == Functional.limit()
+        assert Functional(Measure(OM, {3: 1})) == Functional.coordinate(3)
+        assert hash(Functional(Measure(OM, {3: 1}))) == hash(Functional.coordinate(3))
+        assert Functional(Measure(OM, {3: 2})) != Functional.coordinate(3)
+        assert Functional(Measure(OM, {3: 1}, limit_atom=1)) != Functional.limit()
 
 
 class TestProductPolynomial:
@@ -170,7 +170,7 @@ class TestDiscontinuityWitness:
 
     def test_measure_first_factor(self):
         poly = ProductFunctionalPolynomial(
-            2, Functional.of_measure(Measure(OM, {1: 2})), Functional.limit()
+            2, Functional(Measure(OM, {1: 2})), Functional.limit()
         )
         witness = discontinuity_witness(poly, probe_depth=10)
         assert witness.gap == 2
@@ -179,12 +179,12 @@ class TestDiscontinuityWitness:
     def test_limit_evaluation_spelled_as_a_measure(self, m):
         # twice the limit evaluation is no more order continuous than it: gap 2
         for limit_atom in (1, 2):
-            psi = Functional.of_measure(Measure(OM, {}, limit_atom=limit_atom))
+            psi = Functional(Measure(OM, {}, limit_atom=limit_atom))
             witness = discontinuity_witness(ProductFunctionalPolynomial(m, Functional.coordinate(1), psi), probe_depth=10)
             assert witness.gap == limit_atom
 
     def test_second_factor_with_isolated_mass(self):
-        psi = Functional.of_measure(Measure(OM, {3: 1}, limit_atom=1))
+        psi = Functional(Measure(OM, {3: 1}, limit_atom=1))
         witness = discontinuity_witness(ProductFunctionalPolynomial(2, Functional.coordinate(1), psi), probe_depth=6)
         assert witness.gap == 1
         assert witness.values == (0, 0, 0, 1, 1, 1)
@@ -201,7 +201,7 @@ class TestDiscontinuityWitness:
 
     def test_no_witness_when_base_value_vanishes(self):
         poly = ProductFunctionalPolynomial(
-            2, Functional.of_measure(Measure(OM, {1: 1, 2: -1})), Functional.limit()
+            2, Functional(Measure(OM, {1: 1, 2: -1})), Functional.limit()
         )
         with pytest.raises(NoWitnessError):
             discontinuity_witness(poly)
