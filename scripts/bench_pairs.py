@@ -7,10 +7,11 @@ Runs `perfbench/run.py --trace 0` from each checkout in turn, the parent
 first in even pairs and the change first in odd ones, so a host that drifts
 faster or slower touches both sides alike.  Each run's end-to-end metrics
 are added under "<workload> seed <seed>" in the output file, beside each
-side's median and quartiles, how many pairs the change won, each side's
-total operations attempted and failed over its runs, the commit and host
-each side reported, and a sha256 of each side's `src/` files, which names
-the code a side ran even where its checkout has no `.git` to read a commit
+side's median and quartiles, how many pairs the change won, whether the
+gain rule and the metric's bound hold (`summary`), each side's total
+operations attempted and failed over its runs, the commit and host each
+side reported, and a sha256 of each side's `src/` files, which names the
+code a side ran even where its checkout has no `.git` to read a commit
 from.  Runs already in the file for that key are kept, so a comparison can
 be extended by running the script again with the same --seconds; a
 different run length under the same key is refused with exit status 2,
@@ -67,9 +68,16 @@ def src_digest(checkout: Path) -> str:
     return digest.hexdigest()
 
 
-def summary(runs: dict, better: dict) -> dict:
-    """Per metric: each side's median and quartiles, and pairs the change won;
-    under "attempted" and "failed", each side's sum over its runs."""
+def summary(runs: dict, spec: dict) -> dict:
+    """Per metric: each side's median and quartiles, pairs the change won,
+    and two verdicts in the metric's ``better`` direction from ``spec``
+    (name -> its `BENCHMARK.json` end-to-end entry).  "gain_rule": at least
+    ten pairs, the change winning at least 9 in 10 of them (ties count for
+    neither side), and the change's median better than the parent's by more
+    than the parent's quartile spread.  "within_bound": the change's median
+    worse than the parent's by no more than the metric's relative ``bound``;
+    null for a metric the file does not declare.  Under "attempted" and
+    "failed", each side's sum over its runs."""
     out = {}
     for name in runs["parent"][0]["metrics"]:
         values = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
@@ -77,9 +85,16 @@ def summary(runs: dict, better: dict) -> dict:
         for side in SIDES:
             q1, median, q3 = statistics.quantiles(values[side], n=4) if len(values[side]) > 1 else values[side] * 3
             row[side] = {"median": median, "q1": q1, "q3": q3}
-        sign = 1 if better.get(name) == "higher" else -1
+        metric = spec.get(name)
+        sign = 1 if metric and metric["better"] == "higher" else -1
         row["change_wins"] = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         row["pairs"] = len(values["parent"])
+        parent = row["parent"]
+        gap = sign * (row["change"]["median"] - parent["median"])  # > 0: the change is better
+        row["gain_rule"] = (
+            row["pairs"] >= 10 and 10 * row["change_wins"] >= 9 * row["pairs"] and gap > parent["q3"] - parent["q1"]
+        )
+        row["within_bound"] = None if metric is None else gap >= -metric["bound"] * abs(parent["median"])
         out[name] = row
     for count in ("attempted", "failed"):
         out[count] = {side: sum(r[count] for r in runs[side]) for side in SIDES}
@@ -101,7 +116,7 @@ def main(argv=None) -> int:
         print(f"bench_pairs: warning: {args.parent} and {args.change} are not sibling directories;"
               " the checkout's place alone can move the result", file=sys.stderr)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     key = f"{args.workload} seed {args.seed}"
     entry = data.setdefault(key, {"seconds": args.seconds, "runs": {side: [] for side in SIDES}})
@@ -117,7 +132,7 @@ def main(argv=None) -> int:
         for side in SIDES:
             entry["runs"][side].append(done[side][0])
         entry["environment"] = {side: {**done[side][1], "src_sha256": sources[side]} for side in SIDES}
-        entry["summary"] = summary(entry["runs"], better)
+        entry["summary"] = summary(entry["runs"], metrics)
         args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")  # kept if a later pair is cut
         print(key, {side: done[side][0]["metrics"] for side in SIDES}, flush=True)
     return 0

@@ -2,9 +2,11 @@
 
 Identities checked by the sampled suites are homogeneous, so every instance
 is scaled to integers by its common denominator and batch-evaluated with
-NumPy.  A form is evaluated from its arrangement table, scaled once
+NumPy.  A form is evaluated from its arrangement table
 (`SymTensor.arrangement_table`, or one row per nonzero entry of a matrix
-form), by gathering each row's points from the arguments and multiplying:
+form), built from the scaled rows the exact reference reads
+(`tensors._scaled_rows`, enumerated once per run of calls on one form), by
+gathering each row's points from the arguments and multiplying:
 O(S * rows * m) for a batch of S samples.  The polynomial kernels sum P over
 a stack of k rows per sample, so each side of an identity between sums of
 P-values is one call, and the kernel, not its caller, bounds that whole sum
@@ -14,7 +16,7 @@ at any size.  Gathers run over chunks of samples that fit a byte budget.
 The reference the checks compare against stays `SymTensor.evaluate`,
 `GeneralMatrixForm.evaluate` and `Measure.integrate`, exact and independent
 of NumPy: each reads the arguments' integer rows as `Element` stores them,
-sums in Python integers (the tensor evaluator one table row at a time, the
+sums in Python integers (the tensor evaluator over the same scaled rows, the
 matrix evaluator over the dense matrix) and returns one Fraction per value.
 """
 
@@ -27,9 +29,8 @@ from itertools import product
 
 import numpy as np
 
-from .lattice import _integer_row
 from .measures import Measure
-from .tensors import Form, SymTensor, nondecreasing_indices
+from .tensors import Form, SymTensor, _scaled_rows, nondecreasing_indices
 
 INT64_LIMIT = 2**62
 _BYTE_CAP = 2**27  # largest array one gather may allocate (128 MiB)
@@ -41,18 +42,19 @@ _CHUNK_WORK = 2**16
 def dense_core(tensor: Form) -> tuple[np.ndarray, int]:
     """(table, scale): the arrangement table of any finite form times the
     common denominator of its entries as one integer array (rows, m + 2),
-    each row its m points, scaled coefficient and weight.  A symmetric
+    each row its m points, scaled coefficient and weight, built from the
+    form's `_scaled_rows`, the rows its exact evaluator sums.  A symmetric
     tensor lists every distinct arrangement of each stored entry; a matrix
     form lists one row per nonzero entry, weight 1.  The table is int64 only
     while the sum over rows of |coeff| * max(weight, 1) stays below
     `INT64_LIMIT`, so no int64 sum over its coefficients, or coefficients
     times weights, can wrap.  The name is older than the table; callers and
     benchmark traces know it."""
-    coeffs, scale = _integer_row(tensor.entries.values())
-    rows = [(*p, c, w) for p, c, w in tensor._arrangement_rows(coeffs, diagonal=False)]
-    mass = sum([abs(row[-2]) * (row[-1] or 1) for row in rows])  # weights are >= 0
+    rows, _, scale = _scaled_rows(tensor)
+    mass = sum([abs(c) * (w or 1) for _, c, w in rows])  # weights are >= 0
     dtype = np.int64 if mass < INT64_LIMIT else object
-    return np.array(rows, dtype=dtype).reshape(len(rows), tensor.degree + 2), scale
+    table = np.array([(*p, c, w) for p, c, w in rows], dtype=dtype)
+    return table.reshape(len(rows), tensor.degree + 2), scale
 
 
 def measure_weights(mu: Measure) -> tuple[np.ndarray, int]:

@@ -47,7 +47,10 @@ gathered (stack rows x products P sums per row x m); a stack already past
 the budget runs alone.  So `oa_mode_agreement` evaluates its seven modes
 in about five kernel calls on a small polynomial, and every mode still
 reads the samples, the first failure and the verdict its own check gives.
-Every check builds its table once and reads it in every chunk.
+Every check builds its int table once and reads it in every chunk.  The
+table is built from the form's scaled arrangement rows, which `tensors`
+keeps for the last form read, so the checks that follow on the same form,
+and its exact re-verifications, enumerate its arrangements no more.
 """
 
 from __future__ import annotations

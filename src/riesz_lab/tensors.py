@@ -5,12 +5,16 @@ multi-indices: the stored coefficient at alpha is the value of the full
 symmetric array at any arrangement of alpha.  `SymTensor.arrangement_table`
 lists, for each stored entry, its distinct arrangements as 0-based points and
 its multinomial weight m! / prod k_t! (k_t counts how often the point t
-occurs in alpha).  It is the one layout every evaluator reads.  The
-reference here walks the rows one at a time in exact integers, reading
-each argument's integer row as it is stored and the coefficients scaled once
-by their common denominator, and builds one Fraction per value; it never
-materialises the table.  The batch kernels in `_intpath` read the same table
-scaled to integer arrays.
+occurs in alpha).  It is the one layout every evaluator reads.
+
+`_scaled_rows` enumerates a form's table once, with the coefficients scaled
+to integers over their common denominator, and keeps it in one module slot
+keyed by the form object, so a run of calls on one form (the checks
+evaluate it again and again) walks its arrangements once.  The reference
+here sums those rows in exact integers, reading each argument's integer row
+as it is stored, and builds one Fraction per value; the batch kernels in
+`_intpath` build their integer arrays from the same rows.  Entries are
+read-only views, so a form cannot change under its cached rows.
 
 Order-2 forms with no symmetry assumption get their own matrix type.  Its
 table is one row per nonzero entry with weight 1, so the batch kernels read
@@ -24,6 +28,7 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from operator import getitem, mul
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegreeMismatchError, PositivityError, SpaceMismatchError
@@ -92,7 +97,7 @@ class SymTensor:
                 clean[key] = val
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "entries", dict(sorted(clean.items())))
+        object.__setattr__(self, "entries", MappingProxyType(dict(sorted(clean.items()))))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("SymTensor is immutable")
@@ -111,7 +116,7 @@ class SymTensor:
         return list(self._arrangement_rows(self.entries.values(), diagonal))
 
     def _arrangement_rows(
-        self, coeffs: Iterable[Fraction | int], diagonal: bool
+        self, coeffs: Iterable[Fraction | int], diagonal: bool = False
     ) -> Iterator[tuple[tuple[int, ...], Fraction | int, int]]:
         """The rows of `arrangement_table`, one at a time, with the i-th
         stored entry's coefficient read from the i-th item of ``coeffs``."""
@@ -141,16 +146,15 @@ class SymTensor:
         return self._contract([x], diagonal=True)
 
     def _contract(self, args: Sequence[Element], diagonal: bool) -> Fraction:
-        """The sum over the arrangement rows in exact integers: each argument
-        is read as stored, integers ``nums`` over ``den``, the coefficients
-        are scaled once to integers over their common denominator, and one
-        Fraction is built from the total.  ``diagonal`` takes one argument
-        and reads it in every slot."""
-        coeffs, scale = _integer_row(self.entries.values())
-        rows = self._arrangement_rows(coeffs, diagonal)
+        """The sum over the scaled arrangement rows (`_scaled_rows`) in exact
+        integers: each argument is read as stored, integers ``nums`` over
+        ``den``, and one Fraction is built from the total.  ``diagonal``
+        takes one argument, reads it in every slot and sums the weighted
+        rows alone."""
+        rows, weighted, scale = _scaled_rows(self)
         if diagonal:
             (x,) = args
-            total = sum(math.prod(map(x.nums.__getitem__, p), start=c * w) for p, c, w in rows)
+            total = sum(math.prod(map(x.nums.__getitem__, p), start=c * w) for p, c, w in weighted)
             return Fraction(total, scale * x.den**self.degree)
         xs = [x.nums for x in args]
         total = sum(math.prod(map(getitem, xs, p), start=c) for p, c, _ in rows)
@@ -234,17 +238,17 @@ class GeneralMatrixForm:
         entries = {(i, j): v for i, row in enumerate(mat, 1) for j, v in enumerate(row, 1) if v != 0}
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "rows", mat)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GeneralMatrixForm is immutable")
 
     def _arrangement_rows(
-        self, coeffs: Iterable[Fraction | int], diagonal: bool
+        self, coeffs: Iterable[Fraction | int]
     ) -> Iterator[tuple[tuple[int, ...], Fraction | int, int]]:
         """One row (points, coeff, 1) per entry, points 0-based, with the
         i-th entry's coefficient read from the i-th item of ``coeffs``; every
-        row carries weight, so ``diagonal`` lists them all."""
+        row carries weight."""
         for (i, j), coeff in zip(self.entries, coeffs):
             yield (i - 1, j - 1), coeff, 1
 
@@ -286,6 +290,28 @@ class GeneralMatrixForm:
 
 
 Form = SymTensor | GeneralMatrixForm
+
+# (form, rows, weighted rows, scale) of the last form `_scaled_rows` read, or
+# None before the first.  The form is held, not its id, so the id cannot be
+# reused by another form while its rows are cached.  The slot is read once
+# and replaced whole, so two threads racing on it only enumerate twice.
+_last_rows: tuple[Form, list, list, int] | None = None
+
+
+def _scaled_rows(form: Form) -> tuple[list, list, int]:
+    """(rows, weighted rows, scale): the form's arrangement rows
+    (points, coeff, weight) with every coefficient scaled to an integer by
+    the common denominator ``scale`` of the entries, and the rows of nonzero
+    weight among them.  The rows of the last form asked for are kept, keyed
+    by the object itself, so consecutive calls on one form enumerate its
+    arrangements once; another form replaces them."""
+    global _last_rows
+    slot = _last_rows
+    if slot is None or slot[0] is not form:
+        coeffs, scale = _integer_row(form.entries.values())
+        rows = list(form._arrangement_rows(coeffs))
+        slot = _last_rows = (form, rows, [row for row in rows if row[2]], scale)
+    return slot[1:]
 
 
 def atomic_partition(x: Element) -> list[Element]:

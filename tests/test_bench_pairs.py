@@ -111,3 +111,47 @@ def test_src_digest_tells_checkouts_apart(tmp_path, monkeypatch):
     differ = environment(b"x = 1\n", b"x = 2\n")
     assert differ["parent"]["src_sha256"] != differ["change"]["src_sha256"]
     assert differ["parent"]["src_sha256"] == same["parent"]["src_sha256"]
+
+
+def _runs(name: str, parent: list[float], change: list[float]) -> dict:
+    return {side: [{"metrics": {name: v}, "failed": 0, "attempted": 1} for v in values]
+            for side, values in (("parent", parent), ("change", change))}
+
+
+_SPEC = {
+    "items_per_s": {"name": "items_per_s", "better": "higher", "bound": 0.15},
+    "item_p50_ms": {"name": "item_p50_ms", "better": "lower", "bound": 0.2},
+}
+
+
+def test_gain_rule_needs_nine_in_ten_wins_and_a_gap_past_the_parent_spread():
+    summary = _module().summary
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # quartiles 101.75, 107.25
+    nine = [120] * 9 + [100]
+    assert summary(_runs("items_per_s", parent, nine), _SPEC)["items_per_s"]["gain_rule"] is True
+    eight = [120] * 8 + [100, 100]
+    assert summary(_runs("items_per_s", parent, eight), _SPEC)["items_per_s"]["gain_rule"] is False
+    # every pair won, but the medians 104.5 and 109.5 differ by less than 5.5
+    narrow = [v + 5 for v in parent]
+    row = summary(_runs("items_per_s", parent, narrow), _SPEC)["items_per_s"]
+    assert row["change_wins"] == 10 and row["gain_rule"] is False
+    assert summary(_runs("items_per_s", parent[:5], [120] * 5), _SPEC)["items_per_s"]["gain_rule"] is False
+    # lower is better: a drop in latency wins, a rise never does
+    faster = summary(_runs("item_p50_ms", parent, [80] * 10), _SPEC)["item_p50_ms"]
+    assert faster["gain_rule"] is True and faster["change_wins"] == 10
+    slower = summary(_runs("item_p50_ms", parent, [120] * 10), _SPEC)["item_p50_ms"]
+    assert slower["gain_rule"] is False and slower["change_wins"] == 0
+
+
+def test_within_bound_reads_the_metric_bound_in_its_direction():
+    summary = _module().summary
+    parent = [100.0] * 10
+
+    def within(name, change):
+        return summary(_runs(name, parent, [change] * 10), _SPEC)[name]["within_bound"]
+
+    assert within("items_per_s", 86) is True and within("items_per_s", 84) is False
+    assert within("items_per_s", 200) is True
+    assert within("item_p50_ms", 119) is True and within("item_p50_ms", 121) is False
+    assert within("item_p50_ms", 50) is True
+    assert summary(_runs("undeclared", parent, parent), _SPEC)["undeclared"]["within_bound"] is None

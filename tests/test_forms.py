@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -21,15 +23,19 @@ from riesz_lab import (
     atomic_partition,
     modulus_partition_oracle,
     norm_check,
+    oa_mode_agreement,
+    orthosymmetry_check,
     polarize,
     poly_add,
     poly_join,
     poly_meet,
     poly_modulus,
     polys_disjoint,
+    structured_pair_count,
     to_measure,
     to_polynomial,
 )
+from riesz_lab.checks import OS_DISJOINT, OS_J_IDENTITY
 from riesz_lab.errors import DegreeMismatchError, RepresentationError, SpaceMismatchError
 from riesz_lab.lattice import LIMIT
 from riesz_lab.tensors import arrangements, nondecreasing_indices
@@ -232,6 +238,63 @@ class TestIntegerReference:
         assert mu.integrate(Element.omega([1, 2], 3), 2) == Fraction(4, 3) - 18 + Fraction(9, 2)
         assert mu._scaled == ([2, 9, LIMIT], [2, -12, 3], 6)
         assert mu.integrate(Element.omega([], 1), 1) == Fraction(1, 3) - 2 + Fraction(1, 2)
+
+
+class TestScaledRows:
+    """The one slot of scaled arrangement rows that the exact evaluators and
+    the int table share: keyed by the form object, empty until first use."""
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_a_checked_tensor_is_enumerated_once(self, diagonal, monkeypatch):
+        # the checks one tensor goes through: orthosymmetry in two sampled
+        # modes, then the seven OA modes of its polynomial
+        n, m = 5, 3
+        tensor = sym_tensor(rng_for("one-table", diagonal), Space.finite(n), m,
+                            diagonal=diagonal, ensure_off_diagonal=not diagonal)
+        enumerations = []
+        rows = SymTensor._arrangement_rows
+
+        def counted(self, coeffs, diagonal=False):
+            enumerations.append(self)
+            return rows(self, coeffs, diagonal)
+
+        monkeypatch.setattr(SymTensor, "_arrangement_rows", counted)
+        samples = structured_pair_count(n, m) + 26
+        verdicts = [
+            orthosymmetry_check(tensor, OS_J_IDENTITY, 200, 7),
+            orthosymmetry_check(tensor, OS_DISJOINT, samples, 7),
+            *oa_mode_agreement(Polynomial.from_tensor(tensor), samples, 7).values(),
+        ]
+        assert all(v.passed for v in verdicts) == diagonal
+        assert enumerations == [tensor]
+
+    def test_interleaved_and_equal_forms_read_their_own_rows(self):
+        a = SymTensor(F3, 3, {(1, 1, 2): 3, (3, 3, 3): Fraction(1, 2), (1, 2, 3): Fraction(-2, 5)})
+        b = SymTensor(F3, 3, {(1, 1, 1): Fraction(7, 3), (2, 3, 3): -1})
+        b_twin = SymTensor(F3, 3, {(1, 1, 1): Fraction(7, 3), (2, 3, 3): -1})
+        c = SymTensor(F3, 3, {(2, 2, 3): Fraction(1, 7)})
+        c_twin = SymTensor(F3, 3, {(2, 2, 3): Fraction(1, 7)})
+        assert b == b_twin and b is not b_twin and c == c_twin and c is not c_twin
+        args = [fin(1, Fraction(-1, 2), 3), fin(2, 0, Fraction(1, 3)), fin(-1, 4, 1)]
+        x = args[0]
+        for tensor in (a, b, a, b_twin, c, c_twin, a):
+            assert tensor.evaluate(args) == _fraction_contract(tensor, [y.values for y in args], False)
+            assert tensor.evaluate_diagonal(x) == _fraction_contract(tensor, [x.values] * 3, True)
+
+    def test_importing_fills_nothing(self):
+        code = "import riesz_lab, riesz_lab.tensors as t; print(t._last_rows)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout == "None\n"
+
+    def test_entries_are_read_only(self):
+        tensor = SymTensor(F2, 2, {(1, 1): 1})
+        matrix = GeneralMatrixForm(F2, [[1, 2], [0, 1]])
+        assert tensor.evaluate_diagonal(fin(1, 1)) == 1
+        for form, key in ((tensor, (1, 2)), (matrix, (2, 1))):
+            with pytest.raises(TypeError):
+                form.entries[key] = 1
+        assert tensor.evaluate_diagonal(fin(1, 1)) == 1
+        assert dict(matrix.entries) == {(1, 1): 1, (1, 2): 2, (2, 2): 1}
 
 
 class TestPolynomialEvaluation:
