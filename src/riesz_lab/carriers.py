@@ -18,7 +18,7 @@ from .errors import InvariantViolation, RepresentationError
 from .lattice import LIMIT, Element, PrincipalIdeal, Space
 from .measures import Measure
 from .polynomials import Polynomial, to_measure
-from .restriction import restrict
+from .restriction import ConsistencyVerdict, restrict
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,7 @@ def nakano_regression_pair() -> tuple[Polynomial, Polynomial]:
     return Polynomial.from_measure(2, mu), Polynomial.from_measure(2, mu)
 
 
-@dataclass(frozen=True)
-class CarrierLocalisationVerdict:
-    passed: bool
-    failed_identity: str | None = None
-
-
-def local_carrier_check(poly: Polynomial, a: PrincipalIdeal | Element) -> CarrierLocalisationVerdict:
+def local_carrier_check(poly: Polynomial, a: PrincipalIdeal | Element) -> ConsistencyVerdict:
     """Null ideal and carrier localise along restriction.
 
     Within the ideal of a nonnegative generator, the restricted
@@ -145,8 +139,8 @@ def local_carrier_check(poly: Polynomial, a: PrincipalIdeal | Element) -> Carrie
     )
     for name, lhs, rhs in pairs:
         if lhs != rhs:
-            return CarrierLocalisationVerdict(False, name)
-    return CarrierLocalisationVerdict(True)
+            return ConsistencyVerdict(False, name)
+    return ConsistencyVerdict(True)
 
 
 def null_ideal_matches_modulus(poly: Polynomial, candidates: Iterable[Element]) -> bool:

@@ -6,9 +6,12 @@ witness report, ``carrier``/``nakano`` expose the band descriptors and the
 carrier criterion, and ``localize`` restricts a serialised object along a
 generator.  Each command declares exactly the options its handler reads;
 every command takes ``--out``, and only ``check`` and ``demo`` take
-``--depth``.  Exit codes: 0 all checks passed, 1 a property failed, 2 usage
-error (an option the command does not take, or ``--depth`` below 1,
-included) or an input or output file that cannot be read or written.
+``--depth``.  ``check`` hands on only the suite options the user set, so
+`SuiteConfig` holds their only defaults and checks; ``check --poly`` takes
+none of them, only ``--depth``, ``--format`` and ``--out``.  Exit codes: 0
+all checks passed, 1 a property failed, 2 usage error (an option the
+command does not take, or ``--depth`` below 1, included) or an input or
+output file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -44,19 +47,6 @@ from .tensors import SymTensor
 _ENV_SEED = "RIESZ_LAB_SEED"
 
 
-def _default_seed() -> str:
-    return os.environ.get(_ENV_SEED, "0")
-
-
-def _parse_trials(raw: str) -> int | str:
-    if raw == EXHAUSTIVE:
-        return EXHAUSTIVE
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"trials must be a positive integer or {EXHAUSTIVE!r}, got {raw!r}") from None
-
-
 def _write(payload: bytes, out: str | None) -> None:
     if out:
         with open(out, "wb") as fh:
@@ -84,25 +74,23 @@ def _cmd_check(args) -> int:
     suite = args.suite_flag or args.suite
     if not suite:
         raise ConfigError("pick a suite: " + ", ".join(SUITES))
+    # only the options given reach SuiteConfig, whose defaults are the only ones
+    options = {"m": args.m, "n": args.n, "space": args.space, "trials": args.trials, "seed": args.seed}
+    given = {name: value for name, value in options.items() if value is not None}
     if args.poly:
-        return _check_single_poly(suite, args)
-    config = SuiteConfig(
-        suite=suite,
-        m=args.m,
-        n=args.n,
-        space=args.space,
-        trials=_parse_trials(args.trials),
-        seed=args.seed if args.seed is not None else _default_seed(),
-        probe_depth=args.depth,
-    )
-    report = run_suite(config)
+        return _check_single_poly(suite, args, given)
+    if "seed" not in given and _ENV_SEED in os.environ:
+        given["seed"] = os.environ[_ENV_SEED]
+    report = run_suite(SuiteConfig(suite=suite, probe_depth=args.depth, **given))
     _write(emit_report(report, args.format), args.out)
     return 0 if report.passed else 1
 
 
-def _check_single_poly(suite: str, args) -> int:
+def _check_single_poly(suite: str, args, given: dict) -> int:
     if suite != "order-continuity":
         raise ConfigError("--poly targets the order-continuity suite")
+    if given:
+        raise ConfigError(f"--poly probes one file and takes no {', '.join('--' + name for name in given)}")
     poly = _load(args.poly, Polynomial, "a polynomial instance")
     if poly.space.is_finite:
         raise ConfigError("the dichotomy probe runs on the sequence backend")
@@ -199,10 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("suite", nargs="?", default=None, help="suite name")
     check.add_argument("--suite", dest="suite_flag", default=None, help="suite name")
     check.add_argument("--poly", default=None, help="probe one polynomial file instead")
-    check.add_argument("--m", type=int, default=2, help="polynomial degree")
-    check.add_argument("--n", type=int, default=3, help="finite space size")
-    check.add_argument("--space", default="", help="space spec: finite:N or omega1")
-    check.add_argument("--trials", default="100", help="trial count, or 'exhaustive'")
+    check.add_argument("--m", type=int, default=None, help="polynomial degree")
+    check.add_argument("--n", type=int, default=None, help="finite space size")
+    check.add_argument("--space", default=None, help="space spec: finite:N or omega1")
+    check.add_argument("--trials", default=None, help=f"trial count, or {EXHAUSTIVE!r}")
     check.add_argument("--seed", default=None, help=f"RNG seed (default ${_ENV_SEED} or 0)")
     check.add_argument("--depth", type=int, default=50, help="net probe depth")
     check.add_argument("--format", choices=("human", "json"), default="human")

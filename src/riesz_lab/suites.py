@@ -1,24 +1,30 @@
 """Named property suites over seeded random instances.
 
-Each suite exercises one slice of the library and returns one result per
-property, whose counterexamples carry everything needed to replay the
-failure.  Sampled properties run through one driver, `_property`: trial i of
-a property draws from its own stream, keyed by (seed, suite, property, i);
-the first failing trial decides the result (``samples = i + 1``, detail
-``trial i: ...``), and a failing property never hides the properties after
-it, so every property of the suite is reported.  The nakano suite
-additionally supports exhaustive enumeration at desk scale (n <= 4, weights
-in {-1, 0, 1}, m <= 3); beyond those caps it refuses rather than silently
-sampling.  The nakano regression pair and the counterexample suite are
-single-shot checks with no trial stream.
+One table, `_SUITES`, declares each suite once: its runner, the spaces it
+runs on, whether it draws polynomials (and so needs degree m >= 2), and its
+exhaustive class, if it has one.  `SuiteConfig` reads the table to default
+and refuse a run at construction, so the runners hold no policy.  Each
+suite returns one result per property, whose counterexamples carry
+everything needed to replay the failure.  Every property with a trial
+stream runs through one driver, `_property`: trial i draws from its own
+stream, keyed by (seed, suite, property, i), or takes the i-th case of an
+explicit enumeration; the first failing trial decides the result
+(``samples = i + 1``, detail ``trial i: ...``), and a failing property
+never hides the properties after it, so every property of the suite is
+reported.  The nakano suite's exhaustive class enumerates measure pairs at
+desk scale (finite spaces, n <= 4, weights in {-1, 0, 1}, m <= 3); beyond
+those caps it refuses rather than silently sampling.  The nakano
+regression pair and the counterexample suite are single-shot checks with
+no trial stream.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as cartesian
+from typing import Callable, Iterable
 
 from .carriers import (
     carrier,
@@ -85,40 +91,31 @@ from .sampling import (
     tensor_polynomial,
 )
 
-SUITES = (
-    "lattice-axioms",
-    "rearrangement",
-    "orthosymmetry",
-    "oa-characterisations",
-    "isometry",
-    "localisation",
-    "order-continuity",
-    "carriers",
-    "nakano",
-    "counterexample",
-)
-
-_POLYNOMIAL_SUITES = {
-    "orthosymmetry",
-    "oa-characterisations",
-    "isometry",
-    "localisation",
-    "order-continuity",
-    "carriers",
-    "nakano",
-    "counterexample",
-}
-
-_OMEGA_SUITES = {"order-continuity", "counterexample"}
-
 EXHAUSTIVE = "exhaustive"
 _EXHAUSTIVE_MAX_N = 4
 _EXHAUSTIVE_MAX_M = 3
 _EXHAUSTIVE_WEIGHTS = (-1, 0, 1)
 
+_FINITE, _OMEGA1 = "finite", "omega1"
+_BOTH = (_FINITE, _OMEGA1)
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """One row of the suite table; ``exhaustive(space, m)``, when present,
+    returns the suite's enumerated cases and refuses a request past its caps."""
+
+    runner: Callable
+    spaces: tuple[str, ...]
+    polynomial: bool
+    exhaustive: Callable[[Space, int], Iterable] | None = None
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """One run of a suite, checked against its row of `_SUITES` and with its
+    space resolved once, here."""
+
     suite: str
     m: int = 2
     n: int = 3
@@ -126,49 +123,61 @@ class SuiteConfig:
     trials: int | str = 100
     seed: int | str = 0
     probe_depth: int = 50
+    _space: Space = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.suite not in SUITES:
+        entry = _SUITES.get(self.suite)
+        if entry is None:
             raise ConfigError(f"unknown suite {self.suite!r}; choose from {', '.join(SUITES)}")
-        if isinstance(self.trials, str):
-            if self.trials != EXHAUSTIVE:
-                raise ConfigError(f"trials must be a positive integer or {EXHAUSTIVE!r}")
-            if self.suite != "nakano":
-                raise ConfigError("exhaustive enumeration is implemented for the nakano suite")
-        elif self.trials < 1:
+        if isinstance(self.trials, str) and self.trials != EXHAUSTIVE:
+            try:
+                object.__setattr__(self, "trials", int(self.trials))
+            except ValueError:
+                raise ConfigError(f"trials must be a positive integer or {EXHAUSTIVE!r}, got {self.trials!r}") from None
+        if self.trials != EXHAUSTIVE and self.trials < 1:
             raise ConfigError("need at least one trial")
-        if self.suite in _POLYNOMIAL_SUITES and self.m < 2:
+        if entry.polynomial and self.m < 2:
             raise ConfigError("polynomial suites need degree m >= 2")
         if self.m < 1:
             raise ConfigError("degree must be positive")
-        if self.n < 2:
-            raise ConfigError("finite spaces here need n >= 2")
         if self.probe_depth < 1:
             raise ConfigError("probe depth must be >= 1")
+        object.__setattr__(self, "_space", self._resolve(entry.spaces))
+        if self.trials == EXHAUSTIVE:
+            if entry.exhaustive is None:
+                with_class = ", ".join(name for name, suite in _SUITES.items() if suite.exhaustive)
+                raise ConfigError(f"the {self.suite} suite has no exhaustive class; suites with one: {with_class}")
+            entry.exhaustive(self._space, self.m)  # refuses past the class's caps; enumerates nothing yet
+
+    def _resolve(self, spaces: tuple[str, ...]) -> Space:
+        """The space spec, by default ``finite:n`` or, for a suite that runs
+        only on omega1, ``omega1``; the n >= 2 floor applies here alone."""
+        spec = self.space or (f"{_FINITE}:{self.n}" if _FINITE in spaces else _OMEGA1)
+        kind, colon, size = spec.partition(":")
+        if (kind, colon) not in ((_OMEGA1, ""), (_FINITE, ":")):
+            raise ConfigError(f"bad space spec {spec!r}; use finite:N or omega1")
+        if kind not in spaces:
+            home = "finite spaces" if kind == _OMEGA1 else "the sequence backend (omega1)"
+            raise ConfigError(f"the {self.suite} suite runs on {home}, not {spec}")
+        if kind == _OMEGA1:
+            return Space.omega_plus_one()
+        try:
+            n = int(size)
+        except ValueError:
+            raise ConfigError(f"bad space spec {spec!r}") from None
+        if n < 2:
+            raise ConfigError("finite spaces here need n >= 2")
+        return Space.finite(n)
 
     def resolved_space(self) -> Space:
-        if self.space:
-            if self.space == "omega1":
-                return Space.omega_plus_one()
-            if self.space.startswith("finite:"):
-                try:
-                    n = int(self.space.split(":", 1)[1])
-                except ValueError:
-                    raise ConfigError(f"bad space spec {self.space!r}") from None
-                if n < 1:
-                    raise ConfigError("finite space needs n >= 1")
-                return Space.finite(n)
-            raise ConfigError(f"bad space spec {self.space!r}; use finite:N or omega1")
-        if self.suite in _OMEGA_SUITES:
-            return Space.omega_plus_one()
-        return Space.finite(self.n)
+        return self._space
 
     def echo(self) -> dict:
         return {
             "suite": self.suite,
             "m": self.m,
             "n": self.n,
-            "space": repr(self.resolved_space()),
+            "space": repr(self._space),
             "trials": self.trials,
             "seed": str(self.seed),
             "probeDepth": self.probe_depth,
@@ -176,9 +185,8 @@ class SuiteConfig:
 
 
 def run_suite(config: SuiteConfig) -> Report:
-    runner = _RUNNERS[config.suite]
     start = time.perf_counter()
-    results = tuple(runner(config))
+    results = tuple(_SUITES[config.suite].runner(config))
     return Report(config.suite, config.echo(), results, time.perf_counter() - start)
 
 
@@ -188,21 +196,25 @@ def _oa_samples(space: Space, m: int) -> int:
     return 24
 
 
-def _property(config: SuiteConfig, name: str, body) -> PropertyResult:
-    """Run ``body(rng, i)`` on the property's trial streams until one fails.
+def _property(config: SuiteConfig, name: str, body, cases: Iterable | None = None) -> PropertyResult:
+    """Run ``body(case, i)`` on trial i until one fails.
 
-    ``body`` returns ``None`` when trial ``i`` holds and ``(detail,
-    counterexample)`` when it does not; the first failing trial decides the
-    result, with ``samples = i + 1`` and the detail prefixed by ``trial i``.
+    A trial's case is its own stream, ``rng_for(seed, suite, name, i)``, or
+    the i-th of an explicit enumeration ``cases``.  ``body`` returns
+    ``None`` when trial ``i`` holds and ``(detail, counterexample)`` when it
+    does not; the first failing trial decides the result, with ``samples =
+    i + 1`` and the detail prefixed by ``trial i``.
     """
-    trials = int(config.trials)
-    for i in range(trials):
-        failure = body(rng_for(config.seed, config.suite, name, i), i)
+    if cases is None:
+        cases = (rng_for(config.seed, config.suite, name, i) for i in range(config.trials))
+    i = -1
+    for i, case in enumerate(cases):
+        failure = body(case, i)
         if failure is not None:
             detail, counterexample = failure
             prefix = f"trial {i}"
             return PropertyResult(name, False, i + 1, f"{prefix}: {detail}" if detail else prefix, counterexample)
-    return PropertyResult(name, True, trials)
+    return PropertyResult(name, True, i + 1)
 
 
 # -- lattice axioms -------------------------------------------------------------------
@@ -293,8 +305,6 @@ def _rearrangement(config: SuiteConfig):
 
 def _orthosymmetry(config: SuiteConfig):
     space = config.resolved_space()
-    if not space.is_finite:
-        raise ConfigError("multilinear forms live on finite spaces")
     samples = max(60, structured_pair_count(space.n, config.m) + 10)
     modes = [OS_J_IDENTITY, OS_DISJOINT] + ([OS_BILINEAR] if config.m == 2 else [])
 
@@ -409,8 +419,6 @@ def _masked_positive(rng, space: Space) -> Element:
 
 def _localisation(config: SuiteConfig):
     space = config.resolved_space()
-    if not space.is_finite:
-        raise ConfigError("restriction identities run on finite spaces")
 
     def lattice_identities(rng, i):
         a = _masked_positive(rng, space)
@@ -476,8 +484,6 @@ def _localisation(config: SuiteConfig):
 
 def _order_continuity(config: SuiteConfig):
     space = config.resolved_space()
-    if space.is_finite:
-        raise ConfigError("order-continuity phenomena need the sequence backend")
 
     def dichotomy(rng, i):
         poly = measure_polynomial(rng, space, config.m)
@@ -566,47 +572,46 @@ def _carriers(config: SuiteConfig):
 # -- nakano -------------------------------------------------------------------------------
 
 
-def _exhaustive_measures(space: Space):
-    for weights in cartesian(_EXHAUSTIVE_WEIGHTS, repeat=space.n):
-        yield Measure(space, {t: w for t, w in zip(space.points(), weights) if w})
+def _exhaustive_measure_pairs(space: Space, m: int):
+    """The nakano suite's exhaustive class: every ordered pair of measures on
+    ``space`` with weights in {-1, 0, 1}.  The caps are checked on the call;
+    the pairs are produced as they are consumed."""
+    if not space.is_finite:
+        raise ConfigError("exhaustive enumeration runs on finite spaces")
+    if space.n > _EXHAUSTIVE_MAX_N or m > _EXHAUSTIVE_MAX_M:
+        raise ConfigError(f"exhaustive caps: n <= {_EXHAUSTIVE_MAX_N}, m <= {_EXHAUSTIVE_MAX_M}; narrow the request")
+    measures = [
+        Measure(space, {t: w for t, w in zip(space.points(), weights) if w})
+        for weights in cartesian(_EXHAUSTIVE_WEIGHTS, repeat=space.n)
+    ]
+    return cartesian(measures, repeat=2)
 
 
 def _nakano(config: SuiteConfig):
     space = config.resolved_space()
+
+    def criterion(p, q, label):
+        try:
+            report = nakano_verify(p, q)
+        except InvariantViolation as exc:
+            return f"{label}: {exc}", None
+        if not (report.hypothesis_met and report.equivalence_holds):
+            return label, None
+
     if config.trials == EXHAUSTIVE:
-        if not space.is_finite:
-            raise ConfigError("exhaustive enumeration runs on finite spaces")
-        if space.n > _EXHAUSTIVE_MAX_N or config.m > _EXHAUSTIVE_MAX_M:
-            raise ConfigError(
-                f"exhaustive caps: n <= {_EXHAUSTIVE_MAX_N}, m <= {_EXHAUSTIVE_MAX_M}; narrow the request"
-            )
-        name = "carrier-criterion-exhaustive"
-        count = 0
-        all_measures = list(_exhaustive_measures(space))
-        for mu in all_measures:
-            p = Polynomial.from_measure(config.m, mu)
-            for nu in all_measures:
-                count += 1
-                try:
-                    report = nakano_verify(p, Polynomial.from_measure(config.m, nu))
-                except InvariantViolation as exc:
-                    yield PropertyResult(name, False, count, f"{mu!r} vs {nu!r}: {exc}")
-                    return
-                if not report.equivalence_holds:
-                    yield PropertyResult(name, False, count, f"{mu!r} vs {nu!r}")
-                    return
-        yield PropertyResult(name, True, count)
+
+        def enumerated(pair, i):
+            mu, nu = pair
+            p, q = (Polynomial.from_measure(config.m, measure) for measure in pair)
+            return criterion(p, q, f"{mu!r} vs {nu!r}")
+
+        yield _property(config, "carrier-criterion-exhaustive", enumerated, _exhaustive_measure_pairs(space, config.m))
         return
 
     def with_hypothesis(rng, i):
         p = measure_polynomial(rng, space, config.m, normal=True)
         q = measure_polynomial(rng, space, config.m)
-        try:
-            report = nakano_verify(p, q)
-        except InvariantViolation as exc:
-            return f"{p!r} vs {q!r}: {exc}", None
-        if not (report.hypothesis_met and report.equivalence_holds):
-            return f"{p!r} vs {q!r}", None
+        return criterion(p, q, f"{p!r} vs {q!r}")
 
     yield _property(config, "carrier-criterion-with-hypothesis", with_hypothesis)
 
@@ -627,8 +632,6 @@ def _nakano(config: SuiteConfig):
 
 
 def _counterexample(config: SuiteConfig):
-    if config.resolved_space().is_finite:
-        raise ConfigError("the counterexample polynomial lives on the sequence backend")
     depth = config.probe_depth
 
     name = "witness-gap-is-one"
@@ -650,15 +653,17 @@ def _counterexample(config: SuiteConfig):
         yield PropertyResult(name, True, 1)
 
 
-_RUNNERS = {
-    "lattice-axioms": _lattice_axioms,
-    "rearrangement": _rearrangement,
-    "orthosymmetry": _orthosymmetry,
-    "oa-characterisations": _oa_characterisations,
-    "isometry": _isometry,
-    "localisation": _localisation,
-    "order-continuity": _order_continuity,
-    "carriers": _carriers,
-    "nakano": _nakano,
-    "counterexample": _counterexample,
+_SUITES = {
+    "lattice-axioms": _Suite(_lattice_axioms, _BOTH, polynomial=False),
+    "rearrangement": _Suite(_rearrangement, _BOTH, polynomial=False),
+    "orthosymmetry": _Suite(_orthosymmetry, (_FINITE,), polynomial=True),
+    "oa-characterisations": _Suite(_oa_characterisations, _BOTH, polynomial=True),
+    "isometry": _Suite(_isometry, _BOTH, polynomial=True),
+    "localisation": _Suite(_localisation, (_FINITE,), polynomial=True),
+    "order-continuity": _Suite(_order_continuity, (_OMEGA1,), polynomial=True),
+    "carriers": _Suite(_carriers, _BOTH, polynomial=True),
+    "nakano": _Suite(_nakano, _BOTH, polynomial=True, exhaustive=_exhaustive_measure_pairs),
+    "counterexample": _Suite(_counterexample, (_OMEGA1,), polynomial=True),
 }
+
+SUITES = tuple(_SUITES)

@@ -747,6 +747,24 @@ class TestCliInProcess:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(command[-2:])}" in capsys.readouterr().err
 
+    def test_poly_probe_refuses_the_suite_options(self, capsys, tmp_path):
+        poly, _ = self._inputs(tmp_path)
+        argv = ["check", "order-continuity", "--poly", poly, "--depth", "5", "--format", "json"]
+        suite_options = ["--m", "7", "--n", "9", "--space", "finite:4", "--trials", "5", "--seed", "3"]
+        assert main([*argv, *suite_options]) == 2
+        assert "takes no --m, --n, --space, --trials, --seed" in capsys.readouterr().err
+        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        assert json.loads((tmp_path / "report.json").read_bytes())["config"] == {"poly": poly, "probeDepth": 5}
+
+    def test_one_finite_size_floor(self, capsys):
+        # the floor applies to the space a run resolves, whichever way it is spelled
+        assert main(["check", "lattice-axioms", "--space", "finite:1"]) == 2
+        assert "finite spaces here need n >= 2" in capsys.readouterr().err
+        assert main(["check", "lattice-axioms", "--n", "1"]) == 2
+        assert "finite spaces here need n >= 2" in capsys.readouterr().err
+        assert main(["check", "order-continuity", "--n", "1", "--trials", "2", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["n"] == 1
+
     def test_localize_rejects_an_element_to_restrict(self, capsys, tmp_path):
         _, gen = self._inputs(tmp_path)
         assert main(["localize", "--obj", gen, "--gen", gen]) == 2

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
+import inspect
 import itertools
 
 import pytest
@@ -36,6 +38,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SuiteConfig(suite="lattice-axioms", trials=EXHAUSTIVE)
         assert SuiteConfig(suite="nakano", trials=EXHAUSTIVE).trials == EXHAUSTIVE
+        # the command line's spelling: a decimal string becomes the count
+        config = SuiteConfig(suite="lattice-axioms", trials="25")
+        assert config.trials == 25 and config.echo()["trials"] == 25
 
     def test_degree_and_size_floors(self):
         with pytest.raises(ConfigError):
@@ -45,8 +50,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SuiteConfig(suite="lattice-axioms", n=1)
         with pytest.raises(ConfigError):
+            SuiteConfig(suite="lattice-axioms", space="finite:1")
+        with pytest.raises(ConfigError):
             SuiteConfig(suite="lattice-axioms", probe_depth=0)
         assert SuiteConfig(suite="lattice-axioms", m=1, n=2).m == 1
+        # the floor applies to the resolved space, so an n the run never reads goes unchecked
+        assert not SuiteConfig(suite="order-continuity", n=1).resolved_space().is_finite
+        assert SuiteConfig(suite="lattice-axioms", n=1, space="finite:2").resolved_space().n == 2
+
+    # the spaces each suite declares; every other suite runs on both
+    _FINITE_ONLY = {"orthosymmetry", "localisation"}
+    _OMEGA1_ONLY = {"order-continuity", "counterexample"}
+
+    @pytest.mark.parametrize("suite", SUITES)
+    @pytest.mark.parametrize("space", ["finite:3", "omega1"])
+    def test_undeclared_space_refused_at_construction(self, suite, space):
+        undeclared = self._OMEGA1_ONLY if space == "finite:3" else self._FINITE_ONLY
+        if suite in undeclared:
+            with pytest.raises(ConfigError, match=f"the {suite} suite runs on "):
+                SuiteConfig(suite=suite, space=space)
+        else:
+            assert SuiteConfig(suite=suite, space=space).resolved_space().is_finite == (space == "finite:3")
 
     def test_space_resolution(self):
         assert SuiteConfig(suite="lattice-axioms", n=4).resolved_space().n == 4
@@ -102,6 +126,21 @@ class TestSuiteRuns:
             run_suite(SuiteConfig(suite="localisation", space="omega1", trials=3))
         with pytest.raises(ConfigError):
             run_suite(SuiteConfig(suite="order-continuity", space="finite:3", trials=3))
+
+    def test_no_runner_raises_config_error(self):
+        # a run's policy lives in the suite table and SuiteConfig, never in a runner
+        runners = {entry.runner.__name__ for entry in suites._SUITES.values()}
+        functions = {
+            node.name: node for node in ast.walk(ast.parse(inspect.getsource(suites))) if isinstance(node, ast.FunctionDef)
+        }
+        assert runners <= set(functions)
+        raising = {
+            name
+            for name in runners
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Raise) and "ConfigError" in ast.unparse(node.exc)
+        }
+        assert raising == set()
 
     def test_counterexample_needs_the_sequence_backend(self, capsys):
         with pytest.raises(ConfigError, match="sequence backend"):
@@ -171,6 +210,12 @@ class TestFailurePath:
             "disjointness-localises",
         ]
         self._assert_first_fails_rest_reported(report, names, f"trial {self.K}: identity modulus on generator ")
+
+    def test_exhaustive_failure_names_its_case(self, monkeypatch):
+        broken = lambda report: dataclasses.replace(report, equivalence_holds=False)  # noqa: E731
+        self._fail_on_call(monkeypatch, "nakano_verify", self.K, broken)
+        report = run_suite(SuiteConfig(suite="nakano", space="finite:2", trials=EXHAUSTIVE))
+        self._assert_first_fails_rest_reported(report, ["carrier-criterion-exhaustive"], f"trial {self.K}: ")
 
     def test_matrix_failure_detail_and_counterexample(self, monkeypatch):
         real = suites.orthosymmetry_check
