@@ -48,13 +48,19 @@ def dense_core(tensor: Form) -> tuple[np.ndarray, int]:
     form lists one row per nonzero entry, weight 1.  The table is int64 only
     while the sum over rows of |coeff| * max(weight, 1) stays below
     `INT64_LIMIT`, so no int64 sum over its coefficients, or coefficients
-    times weights, can wrap.  The name is older than the table; callers and
-    benchmark traces know it."""
-    rows, _, scale = _scaled_rows(tensor)
-    mass = sum([abs(c) * (w or 1) for _, c, w in rows])  # weights are >= 0
-    dtype = np.int64 if mass < INT64_LIMIT else object
-    table = np.array([(*p, c, w) for p, c, w in rows], dtype=dtype)
-    return table.reshape(len(rows), tensor.degree + 2), scale
+    times weights, can wrap.  The array is read-only and kept in the rows'
+    slot, so every check on one form, and each mode of a check, reads the
+    one array.  The name is older than the table; callers and benchmark
+    traces know it."""
+    slot = _scaled_rows(tensor)
+    rows, _, scale, table = slot
+    if table is None:
+        mass = sum([abs(c) * (w or 1) for _, c, w in rows])  # weights are >= 0
+        dtype = np.int64 if mass < INT64_LIMIT else object
+        table = np.array([(*p, c, w) for p, c, w in rows], dtype=dtype).reshape(len(rows), tensor.degree + 2)
+        table.flags.writeable = False
+        slot[3] = table
+    return table, scale
 
 
 def measure_weights(mu: Measure) -> tuple[np.ndarray, int]:

@@ -17,18 +17,21 @@ serialised arguments alone.
 
 Every sampled check draws its arguments as int arrays and runs through one
 driver, `_sampled_check`.  `Element`s are built from those arrays only
-where the object path reads them: the first failing sample, which `_failure`
-re-verifies; the first three samples of a passing Krivine check, which are
-spot-checked through genuine radical elements; and every sample when the
-object sweep runs, which it does only for omega1 and under
+where the object path reads them: the first failing sample, which
+`_failure` re-verifies; the first three samples of a passing Krivine
+check, which are spot-checked through genuine radical elements; and every
+sample when the object sweep runs, which it does only for omega1 and under
 ``force_object``.  The Krivine modes draw alike for every polynomial:
 positive disjoint pairs, whose power-sum radical roots to x + y, and
 perfect-power tuples x_i = u g_i / g_{i+1}, whose product radical roots to
 u.  So every radical roots exactly, and the int path compares P at the
 root with the right side on the polynomial's one table.  An `Element`
-stores its row as integers over one denominator, so a sample row enters
-it as drawn, with its block's denominator, and no Fraction is built per
-value.  Symmetric tensors and matrix forms share one table layout
+stores its row as integers over one denominator, so a sample row enters it
+as drawn, with its block's denominator, and no Fraction is built per
+value; the object sweep converts each block to Python int rows with one
+``tolist`` and builds every sample's Elements from those rows over the
+identity's own denominator (1 for the Krivine product, `SCALE` otherwise).
+Symmetric tensors and matrix forms share one table layout
 (`_intpath.dense_core`), so both run on the batch kernels.  omega1 samples
 come from the same arrays: each row, the values at points 1..6 and then
 the tail, is an `Element` row as it stands.
@@ -412,7 +415,12 @@ def _passed(identity: _Identity) -> CheckVerdict:
 
 
 def _object_sweep(identity: _Identity) -> CheckVerdict:
-    samples = (identity.args(sample) for block in identity.blocks for sample in block)
+    """Every sample through `identity_sides` as Elements.  Each block is
+    converted to Python int rows by one ``tolist``, and each sample's
+    Elements are built from those rows over the identity's denominator."""
+    space, denom = identity.thing.space, identity.denom
+    blocks = (block.tolist() for block in identity.blocks)
+    samples = ([Element(space, row, denom) for row in sample] for block in blocks for sample in block)
     for index, args in enumerate(samples):
         lhs, rhs = identity_sides(identity.thing, identity.mode, args)
         if lhs != rhs:

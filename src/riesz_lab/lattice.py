@@ -16,6 +16,10 @@ last entry and both are brought to the lcm of their denominators, and every
 pointwise kernel is written once, in Python ints, for both backends.
 ``Element.values`` is the same row as a tuple of `fractions.Fraction`s,
 built on first use.
+
+Decreasing rearrangements, defined as joins of subset meets, are built by
+an insertion recurrence of t(t-1) joins and meets for a t-tuple; its proof
+is in `decreasing_rearrangements`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -337,29 +340,41 @@ def is_disjoint(x: Element, y: Element) -> bool:
 
 
 def decreasing_rearrangement(xs: Sequence[Element], k: int) -> Element:
-    """The k-th decreasing rearrangement of the tuple: the join, over all
-    k-element subsets, of the subset meets.  Pointwise this is the k-th
-    largest of the tuple's values at that point.
-    """
-    m = len(xs)
-    if m == 0:
-        raise DegreeMismatchError("rearrangement of an empty tuple")
-    if not 1 <= k <= m:
-        raise DegreeMismatchError(f"k={k} outside 1..{m}")
-    for x in xs[1:]:
-        _check_same_space(xs[0], x)
-    best: Element | None = None
-    for subset in combinations(xs, k):
-        cur = subset[0]
-        for x in subset[1:]:
-            cur = cur.meet(x)
-        best = cur if best is None else best.join(cur)
-    return best
+    """The k-th decreasing rearrangement J_k of the tuple: pointwise, the
+    k-th largest of the tuple's values; `decreasing_rearrangements` gives
+    how it is built."""
+    if not 1 <= k <= len(xs):
+        raise DegreeMismatchError(f"k={k} outside 1..{len(xs)}")
+    return decreasing_rearrangements(xs)[k - 1]
 
 
 def decreasing_rearrangements(xs: Sequence[Element]) -> list[Element]:
-    """All rearrangements (J_1, .., J_m) of the tuple, largest first."""
-    return [decreasing_rearrangement(xs, k) for k in range(1, len(xs) + 1)]
+    """All rearrangements (J_1, .., J_t) of the tuple, largest first.
+
+    J_k is by definition the join, over the k-element subsets of the tuple,
+    of their meets.  The list is built by inserting the elements one at a
+    time: (x_1) rearranges to (x_1), and when J_1, .., J_s rearrange the
+    first s elements, inserting the next element x gives
+
+        J_1 v x,  J_k v (J_{k-1} ^ x) for 1 < k <= s,  J_s ^ x.
+
+    Proof, by distributivity alone: a k-subset of the first s + 1 elements
+    either omits x, and the join of the meets of those is J_k, or holds x,
+    and the join of the meets of those is the join of x ^ meet(S) over the
+    (k-1)-subsets S of the first s, which is x ^ J_{k-1}.  For k = 1 the
+    second kind is {x} alone, with meet x; for k = s + 1 the first kind is
+    empty.  So the recurrence equals the subset formula in any vector
+    lattice, and like it uses only joins and meets: 2s of them to insert
+    the (s+1)-th element, t(t-1) for the tuple (12 at t = 4), where the
+    subset formula takes a meet per subset member past the first and a
+    join per subset past the first (28 at t = 4).  Mismatched spaces are
+    refused by the first join with each element."""
+    if not xs:
+        raise DegreeMismatchError("rearrangement of an empty tuple")
+    js = [xs[0]]
+    for x in xs[1:]:
+        js = [js[0].join(x), *(lo.join(hi.meet(x)) for hi, lo in zip(js, js[1:])), js[-1].meet(x)]
+    return js
 
 
 # -- radicals -------------------------------------------------------------------

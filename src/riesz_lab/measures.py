@@ -46,19 +46,24 @@ class Measure:
     def integrate(self, x: Element, power: int = 1) -> Fraction:
         """integral of x^power: sum of w_t * x(t)^power plus the limit term.
 
-        x is read as it is stored, integers ``x.nums`` over ``x.den``; each
-        atom reads the row entry `Element.column` names, so an atom past the
-        row, and the limit atom, read the tail.  The weights, limit atom
-        included, are scaled to integers over their common denominator once
-        per measure, on first use.  The sum runs in exact integers and one
-        Fraction is built from it.  ``power`` is a nonnegative int."""
+        x is read as it is stored, integers ``x.nums`` over ``x.den``.  An
+        atom at point t reads entry min(t, len(x.nums)) - 1 of the row, and
+        the limit atom its last entry: the entry `Element.column` names, so
+        an atom past the row, and the limit atom, read the tail, found by
+        index arithmetic alone.  The weights, limit atom included, are
+        scaled to integers over their common denominator once per measure,
+        on first use.  The sum runs in exact integers and one Fraction is
+        built from it.  ``power`` is a nonnegative int."""
         if not isinstance(power, int) or power < 0:
             raise ValueError(f"power must be a nonnegative integer, got {power!r}")
         if x.space is not self.space and x.space != self.space:
             raise SpaceMismatchError("element on the wrong space")
         points, weights, scale = self._integer_weights()
-        values = map(x.nums.__getitem__, map(x.column, points))
-        total = sum(w * v**power for w, v in zip(weights, values))
+        nums = x.nums
+        last = len(nums) - 1
+        total = 0
+        for w, t in zip(weights, points):
+            total += w * nums[last if t is LIMIT or t > last else t - 1] ** power
         return Fraction(total, scale * x.den**power)
 
     def _integer_weights(self) -> tuple[list, list[int], int]:

@@ -7,14 +7,16 @@ lists, for each stored entry, its distinct arrangements as 0-based points and
 its multinomial weight m! / prod k_t! (k_t counts how often the point t
 occurs in alpha).  It is the one layout every evaluator reads.
 
-`_scaled_rows` enumerates a form's table once, with the coefficients scaled
-to integers over their common denominator, and keeps it in one module slot
-keyed by the form object, so a run of calls on one form (the checks
-evaluate it again and again) walks its arrangements once.  The reference
-here sums those rows in exact integers, reading each argument's integer row
-as it is stored, and builds one Fraction per value; the batch kernels in
-`_intpath` build their integer arrays from the same rows.  Entries are
-read-only views, so a form cannot change under its cached rows.
+`_scaled_rows` enumerates a form's table once, with the coefficients
+scaled to integers over their common denominator, and keeps it in one
+module slot keyed by the form object, so a run of calls on one form (the
+checks evaluate it again and again) walks its arrangements once; the slot
+also holds the int array `_intpath.dense_core` builds from those rows, so
+the array too is built once per run.  The reference here sums those rows
+in exact integers, reading each argument's integer row as it is stored,
+and builds one Fraction per value; the batch kernels in `_intpath` build
+their integer arrays from the same rows.  Entries are read-only views, so
+a form cannot change under its cached rows.
 
 Order-2 forms with no symmetry assumption get their own matrix type.  Its
 table is one row per nonzero entry with weight 1, so the batch kernels read
@@ -151,7 +153,7 @@ class SymTensor:
         ``den``, and one Fraction is built from the total.  ``diagonal``
         takes one argument, reads it in every slot and sums the weighted
         rows alone."""
-        rows, weighted, scale = _scaled_rows(self)
+        rows, weighted, scale, _ = _scaled_rows(self)
         if diagonal:
             (x,) = args
             total = sum(math.prod(map(x.nums.__getitem__, p), start=c * w) for p, c, w in weighted)
@@ -291,27 +293,30 @@ class GeneralMatrixForm:
 
 Form = SymTensor | GeneralMatrixForm
 
-# (form, rows, weighted rows, scale) of the last form `_scaled_rows` read, or
-# None before the first.  The form is held, not its id, so the id cannot be
-# reused by another form while its rows are cached.  The slot is read once
-# and replaced whole, so two threads racing on it only enumerate twice.
-_last_rows: tuple[Form, list, list, int] | None = None
+# (form, [rows, weighted rows, scale, table]) of the last form `_scaled_rows`
+# read, or None before the first.  The form is held, not its id, so the id
+# cannot be reused by another form while its rows are cached.  The slot is
+# read once and replaced whole, and the table is stored into the list read,
+# so two threads racing on it only enumerate, or build the table, twice.
+_last_rows: tuple[Form, list] | None = None
 
 
-def _scaled_rows(form: Form) -> tuple[list, list, int]:
-    """(rows, weighted rows, scale): the form's arrangement rows
+def _scaled_rows(form: Form) -> list:
+    """[rows, weighted rows, scale, table]: the form's arrangement rows
     (points, coeff, weight) with every coefficient scaled to an integer by
     the common denominator ``scale`` of the entries, and the rows of nonzero
-    weight among them.  The rows of the last form asked for are kept, keyed
-    by the object itself, so consecutive calls on one form enumerate its
-    arrangements once; another form replaces them."""
+    weight among them.  ``table`` is None until `_intpath.dense_core`
+    stores the rows' int array there.  The list of the last form asked for
+    is kept, keyed by the object itself, so consecutive calls on one form
+    enumerate its arrangements, and build its table, once; another form
+    replaces it."""
     global _last_rows
     slot = _last_rows
     if slot is None or slot[0] is not form:
         coeffs, scale = _integer_row(form.entries.values())
         rows = list(form._arrangement_rows(coeffs))
-        slot = _last_rows = (form, rows, [row for row in rows if row[2]], scale)
-    return slot[1:]
+        slot = _last_rows = (form, [rows, [row for row in rows if row[2]], scale, None])
+    return slot[1]
 
 
 def atomic_partition(x: Element) -> list[Element]:

@@ -35,6 +35,7 @@ from riesz_lab import (
     to_measure,
     to_polynomial,
 )
+from riesz_lab._intpath import dense_core
 from riesz_lab.checks import OS_DISJOINT, OS_J_IDENTITY
 from riesz_lab.errors import DegreeMismatchError, RepresentationError, SpaceMismatchError
 from riesz_lab.lattice import LIMIT
@@ -223,6 +224,13 @@ class TestIntegerReference:
         assert mu.integrate(x, 2) == 2 * Fraction(1, 4) + Fraction(1, 3) * 9 - Fraction(9, 2)
         assert mu.integrate(x, 0) == mu.integrate(Element.constant(OM, 1), 1)
 
+    def test_an_atom_at_the_row_end_reads_the_last_entry(self):
+        # an atom at point len(nums) reads entry len(nums) - 1: the last
+        # point value of a finite row, the tail of an omega1 row
+        assert Measure(F3, {3: 2}).integrate(fin(1, 2, 5), 1) == 10
+        x = Element.omega([1, 2], 5)  # nums (1, 2, 5): point 2 reads 2, point 3 the tail
+        assert Measure(OM, {2: 1, 3: 3}).integrate(x, 2) == 4 + 3 * 25
+
     @pytest.mark.parametrize("power", [-1, 1.0, Fraction(2), "2"])
     def test_integrate_rejects_a_power_that_is_not_a_nonnegative_int(self, power):
         with pytest.raises(ValueError):
@@ -280,6 +288,18 @@ class TestScaledRows:
         for tensor in (a, b, a, b_twin, c, c_twin, a):
             assert tensor.evaluate(args) == _fraction_contract(tensor, [y.values for y in args], False)
             assert tensor.evaluate_diagonal(x) == _fraction_contract(tensor, [x.values] * 3, True)
+
+    def test_the_int_table_is_built_once_per_form_and_read_only(self):
+        a = SymTensor(F3, 2, {(1, 2): Fraction(1, 2), (3, 3): 2})
+        b = SymTensor(F3, 2, {(1, 1): 1})
+        table, scale = dense_core(a)
+        assert a.evaluate_diagonal(fin(1, 2, 3)) == 20
+        assert dense_core(a)[0] is table and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        dense_core(b)
+        again, again_scale = dense_core(a)
+        assert again is not table and again.tolist() == table.tolist() and again_scale == scale
 
     def test_importing_fills_nothing(self):
         code = "import riesz_lab, riesz_lab.tensors as t; print(t._last_rows)"

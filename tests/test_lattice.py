@@ -7,6 +7,8 @@ import math
 import operator
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from riesz_lab.errors import (
 )
 from riesz_lab.jsonio import dumps_canonical, element_to_obj
 from riesz_lab.sampling import element, rational, rng_for
+from riesz_lab.suites import _sorted_columns_oracle
 
 F2 = Space.finite(2)
 OM = Space.omega_plus_one()
@@ -286,7 +289,54 @@ class TestDisjointness:
         assert is_disjoint(tail_part, head_part)
 
 
+def _subset_rearrangement(xs, k):
+    """The definition of J_k: the join, over the k-element subsets of the
+    tuple, of their meets."""
+    return reduce(Element.join, (reduce(Element.meet, subset) for subset in combinations(xs, k)))
+
+
+@st.composite
+def _tuples(draw):
+    """t = 1..5 elements of one space; omega1 rows of independent widths."""
+    t = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        return [Element.finite(draw(st.lists(_small, min_size=n, max_size=n))) for _ in range(t)]
+    return [om(draw(st.lists(_small, max_size=5)), draw(_small)) for _ in range(t)]
+
+
 class TestRearrangements:
+    @settings(max_examples=300, deadline=None)
+    @given(_tuples())
+    def test_recurrence_matches_the_subset_formula_and_the_sort(self, xs):
+        js = decreasing_rearrangements(xs)
+        assert js == [_subset_rearrangement(xs, k) for k in range(1, len(xs) + 1)]
+        assert js == _sorted_columns_oracle(xs)
+        assert [decreasing_rearrangement(xs, k) for k in range(1, len(xs) + 1)] == js
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+    def test_joins_and_meets_number_t_times_t_minus_one(self, t, monkeypatch):
+        # the subset formula takes 28 at t = 4 and grows exponentially
+        calls = []
+        for name in ("join", "meet"):
+            op = getattr(Element, name)
+            monkeypatch.setattr(Element, name, lambda self, other, op=op: calls.append(op) or op(self, other))
+        xs = [om([(3 * i + 2 * p) % 7 for p in range(i + 1)], -i) for i in range(t)]
+        js = decreasing_rearrangements(xs)
+        assert len(calls) == t * (t - 1)
+        assert js == _sorted_columns_oracle(xs)
+
+    def test_empty_tuple_and_mixed_spaces_refused(self):
+        with pytest.raises(DegreeMismatchError):
+            decreasing_rearrangements([])
+        with pytest.raises(DegreeMismatchError):
+            decreasing_rearrangement([], 1)
+        for xs in ([fin(1, 2), om([1], 2)], [fin(1, 2), fin(0, 1), fin(1, 2, 3)]):
+            with pytest.raises(SpaceMismatchError):
+                decreasing_rearrangements(xs)
+            with pytest.raises(SpaceMismatchError):
+                decreasing_rearrangement(xs, 1)
+
     def test_scalar_sort(self):
         xs = [Element.finite([5]), Element.finite([2]), Element.finite([7])]
         js = decreasing_rearrangements(xs)

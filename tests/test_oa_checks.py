@@ -298,6 +298,25 @@ class TestOrthogonalAdditivity:
                     args = [checks._element(poly.space, x, denom) for x in row]
                     assert krivine_radical(kind, poly.degree, args).exact_root() is not None, (poly, row)
 
+    def test_object_sweep_reads_each_block_over_its_own_denominator(self, monkeypatch):
+        # the Krivine product draws over denominator 1, every other mode over
+        # SCALE; the sweep's Elements are the ones a failure would report
+        poly = to_polynomial(Measure(OM, {1: 2, 3: Fraction(-1, 4)}, limit_atom=1), 3)
+        seen = []
+        sides = checks.identity_sides
+
+        def recorded(thing, mode, args):
+            seen.append(args)
+            return sides(thing, mode, args)
+
+        monkeypatch.setattr(checks, "identity_sides", recorded)
+        for mode in OA_MODES:
+            identity = checks._oa_identity(mode, 12, 5, True, checks._PolyKernels(poly))
+            seen.clear()
+            assert checks._object_sweep(identity).passed, mode
+            assert seen == [identity.args(sample) for block in identity.blocks for sample in block], mode
+            assert (identity.denom == 1) == (mode == OA_KRIVINE_PRODUCT)
+
     def test_sample_floor(self):
         poly = to_polynomial(Measure(F2, {1: 1}), 2)
         with pytest.raises(ValueError):
