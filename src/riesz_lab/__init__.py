@@ -53,10 +53,8 @@ from .lattice import (
     PrincipalIdeal,
     RadicalElement,
     Space,
-    decreasing_rearrangement,
     decreasing_rearrangements,
     exact_fraction_root,
-    is_disjoint,
     krivine_radical,
 )
 from .jsonio import (
@@ -94,7 +92,6 @@ from .polynomials import (
 from .report import PropertyResult, Report, attach_instance, emit_report, reverify_counterexample
 from .restriction import (
     LocalDisjointnessReport,
-    RestrictedObject,
     default_generators,
     local_disjointness,
     local_lattice_consistency,

@@ -17,7 +17,7 @@ from typing import Iterable
 from .errors import InvariantViolation, RepresentationError
 from .lattice import LIMIT, Element, PrincipalIdeal, Space
 from .measures import Measure
-from .polynomials import Polynomial, to_measure
+from .polynomials import Polynomial, to_measure, to_polynomial
 from .restriction import ConsistencyVerdict, restrict
 
 
@@ -118,10 +118,10 @@ def nakano_regression_pair() -> tuple[Polynomial, Polynomial]:
     disjoint, yet both carriers are empty."""
     space = Space.omega_plus_one()
     mu = Measure(space, {}, limit_atom=1)
-    return Polynomial.from_measure(2, mu), Polynomial.from_measure(2, mu)
+    return to_polynomial(mu, 2), to_polynomial(mu, 2)
 
 
-def local_carrier_check(poly: Polynomial, a: PrincipalIdeal | Element) -> ConsistencyVerdict:
+def local_carrier_check(poly: Polynomial, gen: Element) -> ConsistencyVerdict:
     """Null ideal and carrier localise along restriction.
 
     Within the ideal of a nonnegative generator, the restricted
@@ -130,9 +130,8 @@ def local_carrier_check(poly: Polynomial, a: PrincipalIdeal | Element) -> Consis
     """
     if not poly.space.is_finite:
         raise RepresentationError("descriptor intersections are finite-space checks")
-    ideal = a if isinstance(a, PrincipalIdeal) else PrincipalIdeal(a)
-    supp = ideal.support_points()
-    restricted = restrict(poly, ideal).induced
+    supp = PrincipalIdeal(gen).support_points()
+    restricted = restrict(poly, gen)
     pairs = (
         ("null-ideal", null_ideal(restricted).intersect_points(supp), null_ideal(poly).intersect_points(supp)),
         ("carrier", carrier(restricted).intersect_points(supp), carrier(poly).intersect_points(supp)),
@@ -146,7 +145,7 @@ def local_carrier_check(poly: Polynomial, a: PrincipalIdeal | Element) -> Consis
 def null_ideal_matches_modulus(poly: Polynomial, candidates: Iterable[Element]) -> bool:
     """Cross-check the descriptor against the defining evaluation rule."""
     desc = null_ideal(poly)
-    modulus = Polynomial.from_measure(poly.degree, abs(to_measure(poly)))
+    modulus = to_polynomial(abs(to_measure(poly)), poly.degree)
     for x in candidates:
         by_eval = modulus.evaluate(abs(x)) == 0
         if desc.contains(x) != by_eval:

@@ -164,8 +164,7 @@ def _cmd_nakano(args) -> int:
 def _cmd_localize(args) -> int:
     obj = _load(args.obj, (Measure, Polynomial, SymTensor), "a measure, tensor or polynomial instance")
     generator = _load(args.gen, Element, "a generator element")
-    restricted = restrict(obj, generator)
-    _emit_json(to_obj(restricted.induced), args.out)
+    _emit_json(to_obj(restrict(obj, generator)), args.out)
     return 0
 
 

@@ -175,9 +175,6 @@ class ConvergenceCertificate:
         if self.sequence.space != self.limit.space or self.dominator.space != self.limit.space:
             raise SpaceMismatchError("certificate parts on different spaces")
 
-    def verify(self, probe_depth: int = 50) -> CertificateVerdict:
-        return verify_certificate(self, probe_depth)
-
 
 def verify_certificate(cert: ConvergenceCertificate, probe_depth: int = 50) -> CertificateVerdict:
     """Probe |x_n - limit| <= y_n and y_{n+1} <= y_n for n <= probe_depth,

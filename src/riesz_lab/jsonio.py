@@ -248,7 +248,7 @@ def parse_polynomial(obj: Any, path: str = "$") -> Polynomial | ProductFunctiona
     if kind == MEASURE:
         mu = parse_measure(_require(obj, "measure", path), f"{path}.measure")
         try:
-            return Polynomial.from_measure(degree, mu)
+            return Polynomial(degree, MEASURE, mu)
         except Exception as exc:
             raise MalformedInstanceError(path, str(exc)) from None
     if kind == TENSOR:

@@ -334,20 +334,6 @@ class Element:
         return f"Element(prefix=[{pre}], tail={self.tail})"
 
 
-def is_disjoint(x: Element, y: Element) -> bool:
-    """|x| and |y| have zero meet."""
-    return abs(x).meet(abs(y)).is_zero()
-
-
-def decreasing_rearrangement(xs: Sequence[Element], k: int) -> Element:
-    """The k-th decreasing rearrangement J_k of the tuple: pointwise, the
-    k-th largest of the tuple's values; `decreasing_rearrangements` gives
-    how it is built."""
-    if not 1 <= k <= len(xs):
-        raise DegreeMismatchError(f"k={k} outside 1..{len(xs)}")
-    return decreasing_rearrangements(xs)[k - 1]
-
-
 def decreasing_rearrangements(xs: Sequence[Element]) -> list[Element]:
     """All rearrangements (J_1, .., J_t) of the tuple, largest first.
 

@@ -6,9 +6,11 @@ criterion is decided structurally.  A linear functional is its representing
 measure too (a coordinate is a unit atom, the limit evaluation the unit
 limit atom), so it is order continuous exactly when that measure is normal.
 For polynomials built from a product of linear functionals no dichotomy
-holds: the probe machinery certifies order continuity at zero along
-explicit nets, while a separate constructor produces a verified witness of
-discontinuity at the constant-one element.
+holds: one net probe (`_probe`) verifies a net's certificate and reads P
+and its certified bound along the net up to its settling index; it
+certifies order continuity at zero along nets decreasing to zero, and reads
+the witness of discontinuity at the constant-one element along 1 - T_n,
+where T_n is the indicator of the limit point and the isolated points >= n.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .convergence import ConvergenceCertificate, ElementFamily, TailFamily, family_horizon
+from .convergence import ConvergenceCertificate, ElementFamily, TailFamily, family_horizon, verify_certificate
 from .errors import BoundViolationError, CertificateError, NoWitnessError, SpaceMismatchError
 from .lattice import Element, Space, q
 from .measures import Measure, is_normal_measure
@@ -149,9 +151,10 @@ def discontinuity_witness(poly: ProductFunctionalPolynomial, probe_depth: int = 
     The net x_n = 1 - indicator(>= n) order converges to the base point.  An
     order continuous phi follows it; a psi that is not order continuous
     need not, since the limit atom reads the tail, which is zero along the
-    net.  The gap is the least distance of the probed values from the base
-    value (one for phi a coordinate and psi the limit evaluation), and a
-    zero gap is refused.
+    net.  The net is read by `_probe`, like the zero probes.  The gap is
+    the least distance of the probed values from the base value (one for
+    phi a coordinate and psi the limit evaluation), and a zero gap is
+    refused.
     """
     if not poly.phi.is_order_continuous() or poly.psi.is_order_continuous():
         raise NoWitnessError(
@@ -160,13 +163,8 @@ def discontinuity_witness(poly: ProductFunctionalPolynomial, probe_depth: int = 
         )
     space = Space.omega_plus_one()
     one = Element.constant(space, 1)
-    net = TailFamily(one, Element.constant(space, -1))
-    cert = ConvergenceCertificate(net, one, TailFamily.indicator(1))
-    verdict = cert.verify(probe_depth)
-    if not verdict.passed:
-        raise CertificateError(f"witness net failed verification: {verdict.reason}")
-    stop = min(_settling_index(poly, net), probe_depth)
-    values = _repeat_last([poly.evaluate(net.member(n)) for n in range(1, stop + 1)], probe_depth)
+    cert = ConvergenceCertificate(TailFamily(one, Element.constant(space, -1)), one, TailFamily.indicator(1))
+    values = _probe(poly, cert, probe_depth).probed_values
     base_value = poly.evaluate(one)
     gap = min(abs(v - base_value) for v in values)
     if gap <= 0:
@@ -219,6 +217,37 @@ def _certified_bound(poly, x: Element) -> Fraction | None:
     return poly.phi.measure.variation_norm() ** (m - 1) * poly.psi.measure.variation_norm() * x.sup_norm() ** m
 
 
+def _probe(poly, cert: ConvergenceCertificate, depth: int) -> NetProbe:
+    """Verify the certificate, then evaluate P and its certified bound (the
+    modulus integral for measure polynomials, the sup-norm power for
+    product polynomials) along its net up to ``depth``.
+
+    Values and bounds are computed only up to the net's settling index
+    (`_settling_index`) and repeated from there to ``depth``: past it they
+    are constant in n, and the eventual value is P at that index.  A value
+    that escapes its bound raises `CertificateError`.
+    """
+    verdict = verify_certificate(cert, depth)
+    if not verdict.passed:
+        raise CertificateError(f"unverifiable certificate: {verdict.reason}")
+    family = cert.sequence
+    settle = _settling_index(poly, family)
+    members = [family.member(n) for n in range(1, min(settle, depth) + 1)]
+    values = [poly.evaluate(x) for x in members]
+    bounds = []
+    for x, v in zip(members, values):
+        bound = _certified_bound(poly, x)
+        if bound is None:
+            bounds = None
+            break
+        if abs(v) > bound:
+            raise CertificateError("probed value escapes its certified bound")
+        bounds.append(bound)
+    eventual = values[-1] if settle <= depth else poly.evaluate(family.member(settle))
+    bound_values = _repeat_last(bounds, depth) if bounds is not None else None
+    return NetProbe(eventual, _repeat_last(values, depth), bound_values)
+
+
 def zero_order_continuity_probe(
     poly: Polynomial | ProductFunctionalPolynomial,
     nets: Sequence[ConvergenceCertificate],
@@ -227,41 +256,17 @@ def zero_order_continuity_probe(
     """Evaluate a polynomial along verified nets decreasing to zero.
 
     Passes when every net's exact eventual value is zero and, where a
-    certified bound exists (the modulus integral for measure polynomials,
-    the sup-norm power for product polynomials), each probed value respects
-    it.  Values and bounds are computed only up to the net's settling index
-    (`_settling_index`) and repeated from there to ``probe_depth``: past it
-    they are constant in n, and the eventual value is P at that index.
+    certified bound exists, each probed value respects it; each net is
+    read by `_probe`.
     """
     probes = []
-    passed = True
     for cert in nets:
         if cert.limit.space != poly.space:
             raise SpaceMismatchError("probe net and polynomial on different spaces")
         if not cert.limit.is_zero():
             raise CertificateError("probe nets must converge to zero")
-        verdict = cert.verify(probe_depth)
-        if not verdict.passed:
-            raise CertificateError(f"unverifiable certificate: {verdict.reason}")
-        family = cert.sequence
-        settle = _settling_index(poly, family)
-        members = [family.member(n) for n in range(1, min(settle, probe_depth) + 1)]
-        values = [poly.evaluate(x) for x in members]
-        bounds = []
-        for x, v in zip(members, values):
-            bound = _certified_bound(poly, x)
-            if bound is None:
-                bounds = None
-                break
-            if abs(v) > bound:
-                raise CertificateError("probed value escapes its certified bound")
-            bounds.append(bound)
-        eventual = values[-1] if settle <= probe_depth else poly.evaluate(family.member(settle))
-        if eventual != 0:
-            passed = False
-        bound_values = _repeat_last(bounds, probe_depth) if bounds is not None else None
-        probes.append(NetProbe(eventual, _repeat_last(values, probe_depth), bound_values))
-    return ProbeVerdict(passed, tuple(probes))
+        probes.append(_probe(poly, cert, probe_depth))
+    return ProbeVerdict(all(p.eventual_value == 0 for p in probes), tuple(probes))
 
 
 def dichotomy_agrees(poly: Polynomial, scale: Fraction | int = 1, probe_depth: int = 20) -> bool:

@@ -49,10 +49,6 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @staticmethod
-    def from_measure(degree: int, mu: Measure) -> "Polynomial":
-        return Polynomial(degree, MEASURE, mu)
-
-    @staticmethod
     def from_tensor(tensor: SymTensor) -> "Polynomial":
         return Polynomial(tensor.degree, TENSOR, tensor)
 
@@ -100,7 +96,7 @@ class Polynomial:
 
 
 def to_polynomial(mu: Measure, degree: int) -> Polynomial:
-    return Polynomial.from_measure(degree, mu)
+    return Polynomial(degree, MEASURE, mu)
 
 
 def to_measure(poly: Polynomial) -> Measure:
@@ -148,22 +144,22 @@ def _require_measure(poly: Polynomial, what: str) -> Measure:
 
 def poly_modulus(poly: Polynomial) -> Polynomial:
     mu = _require_measure(poly, "polynomial modulus")
-    return Polynomial.from_measure(poly.degree, abs(mu))
+    return to_polynomial(abs(mu), poly.degree)
 
 
 def poly_join(p: Polynomial, r: Polynomial) -> Polynomial:
     _check_pair(p, r)
-    return Polynomial.from_measure(p.degree, p.rep.join(r.rep))
+    return to_polynomial(p.rep.join(r.rep), p.degree)
 
 
 def poly_meet(p: Polynomial, r: Polynomial) -> Polynomial:
     _check_pair(p, r)
-    return Polynomial.from_measure(p.degree, p.rep.meet(r.rep))
+    return to_polynomial(p.rep.meet(r.rep), p.degree)
 
 
 def poly_add(p: Polynomial, r: Polynomial) -> Polynomial:
     _check_pair(p, r)
-    return Polynomial.from_measure(p.degree, p.rep + r.rep)
+    return to_polynomial(p.rep + r.rep, p.degree)
 
 
 def _check_pair(p: Polynomial, r: Polynomial) -> None:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .lattice import Element, Space
 from .measures import Measure
-from .polynomials import Polynomial
+from .polynomials import Polynomial, to_polynomial
 from .tensors import GeneralMatrixForm, SymTensor, nondecreasing_indices
 
 DENOMINATORS = (1, 2, 3, 4)
@@ -156,7 +156,7 @@ def matrix_form(rng: random.Random, space: Space) -> GeneralMatrixForm:
 
 
 def measure_polynomial(rng: random.Random, space: Space, degree: int, normal: bool = False) -> Polynomial:
-    return Polynomial.from_measure(degree, measure(rng, space, normal=normal))
+    return to_polynomial(measure(rng, space, normal=normal), degree)
 
 
 def tensor_polynomial(

@@ -180,7 +180,7 @@ class SymTensor:
 
     # -- lattice operations (entrywise on the symmetric array) ------------------
 
-    def modulus(self) -> "SymTensor":
+    def __abs__(self) -> "SymTensor":
         return SymTensor(self.space, self.degree, {i: abs(v) for i, v in self.entries.items()})
 
     def _merge(self, other: "SymTensor", op) -> "SymTensor":
@@ -273,7 +273,7 @@ class GeneralMatrixForm:
                 total += xi * sum(map(mul, coeffs[i * n : (i + 1) * n], y.nums))
         return Fraction(total, scale * x.den * y.den)
 
-    def modulus(self) -> "GeneralMatrixForm":
+    def __abs__(self) -> "GeneralMatrixForm":
         return GeneralMatrixForm(self.space, [[abs(v) for v in row] for row in self.rows])
 
     def off_diagonal_entries(self) -> dict[tuple[int, int], Fraction]:

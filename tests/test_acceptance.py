@@ -50,6 +50,7 @@ from riesz_lab import (
     to_obj,
     to_polynomial,
     urysohn_witness_net,
+    verify_certificate,
     zero_order_continuity_probe,
 )
 from riesz_lab.checks import OS_DIAGONAL, OS_J_IDENTITY
@@ -190,7 +191,7 @@ def test_criterion_5_modulus_partition_oracle():
                     x = element(rng, space, positive=True)
                     args.append(x if not x.is_zero() else Element.constant(space, 1))
                 atomics = [atomic_partition(x) for x in args]
-                exact = form.modulus().evaluate(args)
+                exact = abs(form).evaluate(args)
                 at_atomic = modulus_partition_oracle(form, args, atomics)
                 if at_atomic != exact:
                     ok = False
@@ -241,7 +242,7 @@ def test_criterion_6_localisation_identities():
             space,
             values=[v if g != 0 else Fraction(0) for v, g in zip(element(rng, space).values, gen.values)],
         )
-        if restrict(p, gen).induced.evaluate(masked) != p.evaluate(masked):
+        if restrict(p, gen).evaluate(masked) != p.evaluate(masked):
             ok = False
     _criterion(6, "localisation-identities", ok, "500 object/generator pairs, n <= 5")
 
@@ -264,7 +265,7 @@ def test_criterion_7_order_continuity_dichotomy():
         poly = ProductFunctionalPolynomial(m, Functional.coordinate(1), Functional.limit())
         probe = zero_order_continuity_probe(poly, [urysohn_witness_net()], probe_depth=25)
         witness = discontinuity_witness(poly, probe_depth=25)
-        if not probe.passed or witness.gap != 1 or not witness.net.verify(25).passed:
+        if not probe.passed or witness.gap != 1 or not verify_certificate(witness.net, 25).passed:
             ok = False
     elapsed = monotonic() - start
     ok = ok and elapsed < 10.0

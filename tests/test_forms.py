@@ -388,11 +388,11 @@ class TestPolarisation:
 class TestModulus:
     def test_matrix_coefficientwise(self):
         form = GeneralMatrixForm(F2, [[1, -2], [-2, 3]])
-        assert form.modulus() == GeneralMatrixForm(F2, [[1, 2], [2, 3]])
+        assert abs(form) == GeneralMatrixForm(F2, [[1, 2], [2, 3]])
 
     def test_fixed_point_when_nonnegative(self):
         a = SymTensor(F2, 2, {(1, 1): 2, (1, 2): Fraction(1, 3)})
-        assert a.modulus() == a
+        assert abs(a) == a
 
     def test_atomic_partition_attains_modulus(self):
         a = SymTensor(F2, 2, {(1, 1): 1, (2, 2): 1, (1, 2): -1})
@@ -400,7 +400,7 @@ class TestModulus:
         parts = atomic_partition(x)
         value = modulus_partition_oracle(a, [x, x], [parts, parts])
         assert value == 4
-        assert a.modulus().evaluate([x, x]) == 4
+        assert abs(a).evaluate([x, x]) == 4
 
     def test_trivial_partition_is_plain_abs(self):
         a = SymTensor(F2, 2, {(1, 2): -3})
@@ -418,7 +418,7 @@ class TestModulus:
             coarse = modulus_partition_oracle(a, [x, y], [[x], [y]])
             fine = modulus_partition_oracle(a, [x, y], [atomic_x, atomic_y])
             assert coarse <= fine
-            assert fine == a.modulus().evaluate([x, y])
+            assert fine == abs(a).evaluate([x, y])
 
     def test_partition_must_sum(self):
         a = SymTensor(F2, 2, {(1, 1): 1})

@@ -6,12 +6,16 @@ bound by an import must appear as a name somewhere else in the module, or
 inside a string annotation.  ``__init__.py`` re-exports and is skipped.  A
 private name (``_foo``) bound at module level or in a class body must be
 read somewhere in the package beyond its own definition, so a dead helper,
-or a dead private method, fails here.
+or a dead private method, fails here.  Likewise a public name that
+``__init__.py`` exports must be read by the package beyond its own
+definition, or be named by the benchmark (``perfbench/``) or the scripts
+(``scripts/``), so a dead entry point fails here too.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -71,16 +75,19 @@ def _definitions(body: list[ast.stmt]):
             yield from _definitions(node.body)
 
 
+def _bound_names(node: ast.stmt) -> list[str]:
+    """Names a statement binds by a def, a class or an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return []
+
+
 def _private_names(node: ast.stmt) -> list[str]:
     """Private names a statement binds by a def, a class or an assignment."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        names = [node.name]
-    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
-    else:
-        return []
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return [name for name in _bound_names(node) if name.startswith("_") and not name.startswith("__")]
 
 
 def _references(node: ast.AST) -> Counter:
@@ -109,6 +116,41 @@ def test_no_unreferenced_private_names():
         if total[name] == _references(node)[name]
     ]
     assert not dead, f"private names defined but never read elsewhere in the package: {', '.join(dead)}"
+
+
+# exported only as independent oracles that the tests compare the package with
+ORACLES = {
+    "independent_scan": "per-point recheck of a certificate, bypassing the Element kernel",
+    "atomic_partition": "the partitions the brute-force modulus supremum ranges over",
+    "modulus_partition_oracle": "brute-force partition supremum against the coefficientwise modulus",
+    "exact_fraction_root": "exact Fraction root that RadicalElement.exact_root is compared with",
+}
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_no_dead_public_entry_points():
+    init = Path(riesz_lab.__file__)
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE if path != init]
+    total = sum((_references(tree) for tree in trees), Counter())
+    own = Counter()  # reads inside each name's own top-level definition
+    for tree in trees:
+        for node in tree.body:
+            for name in _bound_names(node):
+                own[name] += _references(node)[name]
+    outside = " ".join(path.read_text() for folder in ("perfbench", "scripts") for path in (REPO / folder).glob("*.py"))
+    dead = sorted(
+        name
+        for name in exported - ORACLES.keys()
+        if total[name] == own[name] and not re.search(rf"\b{name}\b", outside)
+    )
+    assert not dead, f"exported names nothing in the package, perfbench or scripts reads: {', '.join(dead)}"
 
 
 # the modules that evaluate identities; sampling, suites and report may use

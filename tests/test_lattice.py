@@ -21,10 +21,8 @@ from riesz_lab import (
     PrincipalIdeal,
     RadicalElement,
     Space,
-    decreasing_rearrangement,
     decreasing_rearrangements,
     exact_fraction_root,
-    is_disjoint,
     krivine_radical,
 )
 from riesz_lab.errors import (
@@ -278,15 +276,20 @@ class TestAxiomsRandom:
             assert x.join(y.meet(z)) == x.join(y).meet(x.join(z))
 
 
+def disjoint(x: Element, y: Element) -> bool:
+    """|x| and |y| have zero meet."""
+    return abs(x).meet(abs(y)).is_zero()
+
+
 class TestDisjointness:
     def test_basis_pairs(self):
-        assert is_disjoint(fin(1, 0), fin(0, 5))
-        assert not is_disjoint(fin(1, 1), fin(0, 5))
+        assert disjoint(fin(1, 0), fin(0, 5))
+        assert not disjoint(fin(1, 1), fin(0, 5))
 
     def test_tail_indicator_vs_prefix_support(self):
         tail_part = Element.tail_indicator(OM, 4)
         head_part = om([1, 2, 3], 0)
-        assert is_disjoint(tail_part, head_part)
+        assert disjoint(tail_part, head_part)
 
 
 def _subset_rearrangement(xs, k):
@@ -312,7 +315,6 @@ class TestRearrangements:
         js = decreasing_rearrangements(xs)
         assert js == [_subset_rearrangement(xs, k) for k in range(1, len(xs) + 1)]
         assert js == _sorted_columns_oracle(xs)
-        assert [decreasing_rearrangement(xs, k) for k in range(1, len(xs) + 1)] == js
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
     def test_joins_and_meets_number_t_times_t_minus_one(self, t, monkeypatch):
@@ -329,13 +331,9 @@ class TestRearrangements:
     def test_empty_tuple_and_mixed_spaces_refused(self):
         with pytest.raises(DegreeMismatchError):
             decreasing_rearrangements([])
-        with pytest.raises(DegreeMismatchError):
-            decreasing_rearrangement([], 1)
         for xs in ([fin(1, 2), om([1], 2)], [fin(1, 2), fin(0, 1), fin(1, 2, 3)]):
             with pytest.raises(SpaceMismatchError):
                 decreasing_rearrangements(xs)
-            with pytest.raises(SpaceMismatchError):
-                decreasing_rearrangement(xs, 1)
 
     def test_scalar_sort(self):
         xs = [Element.finite([5]), Element.finite([2]), Element.finite([7])]
@@ -347,10 +345,6 @@ class TestRearrangements:
         xs = [fin(1, 0), fin(0, 1), fin(1, 1)]
         js = decreasing_rearrangements(xs)
         assert js == [fin(1, 1), fin(1, 1), fin(0, 0)]
-
-    def test_out_of_range_k(self):
-        with pytest.raises(DegreeMismatchError):
-            decreasing_rearrangement([fin(1, 2)], 2)
 
     @pytest.mark.parametrize("space", [Space.finite(3), OM])
     @pytest.mark.parametrize("m", [2, 3, 4])

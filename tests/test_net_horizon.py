@@ -254,3 +254,20 @@ class TestProbeCost:
         assert dichotomy_agrees(poly, probe_depth=40)
         assert len(calls) <= 20
         assert max(calls) <= 7
+
+    def test_witness_member_calls(self, monkeypatch):
+        calls = []
+        member = TailFamily.member
+
+        def counted(self, n):
+            calls.append(n)
+            return member(self, n)
+
+        monkeypatch.setattr(TailFamily, "member", counted)
+        poly = ProductFunctionalPolynomial(3, Functional.coordinate(5), Functional.limit())
+        witness = discontinuity_witness(poly, 40)
+        # the values settle past the coordinate's atom, at index 6
+        assert len(calls) <= 15
+        assert max(calls) <= 6
+        assert len(witness.values) == 40
+        assert witness.gap == 1

@@ -23,6 +23,7 @@ from riesz_lab import (
     power_net_dominator,
     to_polynomial,
     urysohn_witness_net,
+    verify_certificate,
     zero_order_continuity_probe,
 )
 from riesz_lab.errors import BoundViolationError, CertificateError, NoWitnessError, SpaceMismatchError
@@ -107,12 +108,12 @@ class TestUrysohnNet:
         assert cert.sequence.member(1) == om([], 1)
         assert cert.sequence.member(3) == om([0, 0], 1)
         assert cert.limit == Element.zero(OM)
-        assert cert.verify(40).passed
+        assert verify_certificate(cert, 40).passed
 
     def test_scaled(self):
         cert = urysohn_witness_net(Fraction(1, 3))
         assert cert.sequence.member(2) == om([0], Fraction(1, 3))
-        assert cert.verify(10).passed
+        assert verify_certificate(cert, 10).passed
 
     def test_bad_scale(self):
         with pytest.raises(ValueError):
@@ -134,15 +135,15 @@ class TestPowerNetDominator:
         powered = power_net_dominator(urysohn_witness_net(), 3, 1)
         assert powered.limit.is_zero()
         assert powered.sequence.member(2) == om([0], 1)
-        assert powered.verify(30).passed
+        assert verify_certificate(powered, 30).passed
 
     def test_nonzero_limit_uses_larger_factor(self):
         one = Element.constant(OM, 1)
         base = ConvergenceCertificate(TailFamily(one, Element.constant(OM, -1)), one, TailFamily.indicator(1))
-        assert base.verify(20).passed
+        assert verify_certificate(base, 20).passed
         powered = power_net_dominator(base, 2, 1)
         assert powered.limit == one
-        assert powered.verify(20).passed
+        assert verify_certificate(powered, 20).passed
 
     def test_sequence_bound_enforced(self):
         with pytest.raises(BoundViolationError):
@@ -166,7 +167,7 @@ class TestDiscontinuityWitness:
         assert witness.base_value == 1
         assert witness.base_point == Element.constant(OM, 1)
         assert set(witness.values) == {0}
-        assert witness.net.verify(30).passed
+        assert verify_certificate(witness.net, 30).passed
 
     def test_measure_first_factor(self):
         poly = ProductFunctionalPolynomial(

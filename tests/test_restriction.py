@@ -10,7 +10,6 @@ from riesz_lab import (
     Element,
     Measure,
     Polynomial,
-    PrincipalIdeal,
     Space,
     SymTensor,
     default_generators,
@@ -19,7 +18,7 @@ from riesz_lab import (
     restrict,
     to_polynomial,
 )
-from riesz_lab.errors import DegreeMismatchError, RepresentationError, SpaceMismatchError
+from riesz_lab.errors import DegreeMismatchError, InvalidGeneratorError, RepresentationError, SpaceMismatchError
 from riesz_lab.sampling import element, measure, rng_for, sym_tensor
 
 F3, F4 = Space.finite(3), Space.finite(4)
@@ -46,19 +45,15 @@ def masked(x: Element, gen: Element) -> Element:
 class TestRestrictMeasure:
     def test_finite_masks_atoms(self):
         mu = Measure(F3, {1: 1, 2: 2, 3: -1})
-        out = restrict(mu, fin(1, 0, 2))
-        assert out.parent is mu
-        assert out.induced == Measure(F3, {1: 1, 3: -1})
+        assert restrict(mu, fin(1, 0, 2)) == Measure(F3, {1: 1, 3: -1})
 
     def test_tail_generator_keeps_limit_atom(self):
         mu = Measure(OM, {1: 5, 3: 2}, limit_atom=7)
-        out = restrict(mu, om([0], 1))
-        assert out.induced == Measure(OM, {3: 2}, limit_atom=7)
+        assert restrict(mu, om([0], 1)) == Measure(OM, {3: 2}, limit_atom=7)
 
     def test_window_generator_drops_limit_atom(self):
         mu = Measure(OM, {2: 4, 5: 1}, limit_atom=7)
-        out = restrict(mu, om([1, 1, 1], 0))
-        assert out.induced == Measure(OM, {2: 4})
+        assert restrict(mu, om([1, 1, 1], 0)) == Measure(OM, {2: 4})
 
     def test_space_mismatch(self):
         with pytest.raises(SpaceMismatchError):
@@ -68,27 +63,29 @@ class TestRestrictMeasure:
 class TestRestrictFormsAndPolys:
     def test_tensor_masks_entries(self):
         a = SymTensor(F3, 2, {(1, 2): 1, (2, 2): 2, (3, 3): 1})
-        out = restrict(a, fin(1, 1, 0))
-        assert out.induced == SymTensor(F3, 2, {(1, 2): 1, (2, 2): 2})
+        assert restrict(a, fin(1, 1, 0)) == SymTensor(F3, 2, {(1, 2): 1, (2, 2): 2})
 
     def test_tensor_needs_finite_space(self):
         a = SymTensor(F3, 2, {(1, 1): 1})
         poly = to_polynomial(Measure(OM, {1: 1}), 2)
         with pytest.raises(SpaceMismatchError):
             restrict(a, om([1], 0))
-        assert restrict(poly, om([1], 0)).induced == to_polynomial(Measure(OM, {1: 1}), 2)
+        assert restrict(poly, om([1], 0)) == to_polynomial(Measure(OM, {1: 1}), 2)
 
     def test_polynomial_routes_by_representation(self):
         gen = fin(0, 1, 1)
         p = to_polynomial(Measure(F3, {1: 1, 2: 2}), 2)
-        assert restrict(p, gen).induced == to_polynomial(Measure(F3, {2: 2}), 2)
+        assert restrict(p, gen) == to_polynomial(Measure(F3, {2: 2}), 2)
         q = Polynomial.from_tensor(SymTensor(F3, 2, {(1, 3): 1, (2, 3): 5}))
-        assert restrict(q, gen).induced == Polynomial.from_tensor(SymTensor(F3, 2, {(2, 3): 5}))
+        assert restrict(q, gen) == Polynomial.from_tensor(SymTensor(F3, 2, {(2, 3): 5}))
 
-    def test_ideal_and_raw_generator_agree(self):
+    def test_zero_or_negative_generator_refused(self):
         mu = Measure(F3, {1: 1, 3: 4})
-        gen = fin(2, 0, 1)
-        assert restrict(mu, gen).induced == restrict(mu, PrincipalIdeal(gen)).induced
+        for gen in (fin(0, 0, 0), fin(2, -1, 1)):
+            with pytest.raises(InvalidGeneratorError):
+                restrict(mu, gen)
+            with pytest.raises(InvalidGeneratorError):
+                restrict(to_polynomial(mu, 2), gen)
 
     def test_unsupported_type(self):
         with pytest.raises(TypeError):
@@ -107,7 +104,7 @@ class TestEvaluationAgreement:
             if gen.is_zero():
                 continue
             x = masked(element(rng, F4), gen)
-            assert restrict(poly, gen).induced.evaluate(x) == poly.evaluate(x)
+            assert restrict(poly, gen).evaluate(x) == poly.evaluate(x)
 
     def test_agreement_on_omega_ideal_members(self):
         for i in range(60):
@@ -117,7 +114,7 @@ class TestEvaluationAgreement:
             if gen.is_zero():
                 continue
             x = masked(element(rng, OM), gen)
-            assert restrict(poly, gen).induced.evaluate(x) == poly.evaluate(x)
+            assert restrict(poly, gen).evaluate(x) == poly.evaluate(x)
 
 
 class TestFunctoriality:
@@ -132,8 +129,8 @@ class TestFunctoriality:
             if small.is_zero():
                 continue
             obj = measure(rng, space)
-            once = restrict(obj, small).induced
-            twice = restrict(restrict(obj, big).induced, small).induced
+            once = restrict(obj, small)
+            twice = restrict(restrict(obj, big), small)
             assert once == twice
 
 
@@ -183,15 +180,15 @@ class TestDefaultGenerators:
     def test_finite_shape(self):
         gens = default_generators(F3)
         assert len(gens) == 4
-        assert [g.generator for g in gens[:3]] == [Element.basis(F3, t) for t in (1, 2, 3)]
-        assert gens[-1].generator == Element.constant(F3, 1)
+        assert gens[:3] == [Element.basis(F3, t) for t in (1, 2, 3)]
+        assert gens[-1] == Element.constant(F3, 1)
 
     def test_omega_shape(self):
         gens = default_generators(OM)
         assert len(gens) == 5
-        assert gens[0].generator == om([1], 0)
-        assert gens[3].generator == om([0, 0, 0, 1], 0)
-        assert gens[-1].generator == Element.constant(OM, 1)
+        assert gens[0] == om([1], 0)
+        assert gens[3] == om([0, 0, 0, 1], 0)
+        assert gens[-1] == Element.constant(OM, 1)
 
 
 class TestLocalDisjointness:
@@ -208,7 +205,7 @@ class TestLocalDisjointness:
         q = to_polynomial(Measure(F3, {1: 2, 2: 1}), 2)
         report = local_disjointness(p, q)
         assert not report.globally_disjoint
-        verdicts = {g.generator: v for g, v in report.per_generator}
+        verdicts = dict(report.per_generator)
         assert verdicts[Element.basis(F3, 1)] is False
         assert verdicts[Element.basis(F3, 3)] is True
         assert verdicts[Element.constant(F3, 1)] is False
@@ -217,9 +214,9 @@ class TestLocalDisjointness:
     def test_constant_generator_always_present(self):
         p = to_polynomial(Measure(F3, {1: 1}), 2)
         q = to_polynomial(Measure(F3, {2: 1}), 2)
-        report = local_disjointness(p, q, [PrincipalIdeal(fin(0, 1, 0))])
-        assert len(report.per_generator) == 2
-        assert report.per_generator[-1][0].generator == Element.constant(F3, 1)
+        report = local_disjointness(p, q)
+        assert [g for g, _ in report.per_generator] == default_generators(F3)
+        assert report.per_generator[-1] == (Element.constant(F3, 1), True)
         assert report.equivalence_holds
 
     def test_equivalence_random(self):
