@@ -29,7 +29,6 @@ from .convergence import (
     ConvergenceCertificate,
     ExplicitFamily,
     TailFamily,
-    independent_scan,
     verify_certificate,
 )
 from .errors import (
@@ -54,7 +53,6 @@ from .lattice import (
     RadicalElement,
     Space,
     decreasing_rearrangements,
-    exact_fraction_root,
     krivine_radical,
 )
 from .jsonio import (
@@ -98,11 +96,6 @@ from .restriction import (
     restrict,
 )
 from .suites import SUITES, SuiteConfig, run_suite
-from .tensors import (
-    GeneralMatrixForm,
-    SymTensor,
-    atomic_partition,
-    modulus_partition_oracle,
-)
+from .tensors import GeneralMatrixForm, SymTensor
 
 __version__ = "0.1.0"

@@ -2,9 +2,9 @@
 
 Identities checked by the sampled suites are homogeneous, so every instance
 is scaled to integers by its common denominator and batch-evaluated with
-NumPy.  A form is evaluated from its arrangement table
-(`SymTensor.arrangement_table`, or one row per nonzero entry of a matrix
-form), built from the scaled rows the exact reference reads
+NumPy.  A form is evaluated from its arrangement rows
+(`SymTensor._arrangement_rows`, or one row per nonzero entry of a matrix
+form) as the exact reference reads them, scaled to integers
 (`tensors._scaled_rows`, enumerated once per run of calls on one form), by
 gathering each row's points from the arguments and multiplying:
 O(S * rows * m) for a batch of S samples.  The polynomial kernels sum P over

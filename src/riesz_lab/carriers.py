@@ -17,7 +17,8 @@ from typing import Iterable
 from .errors import InvariantViolation, RepresentationError
 from .lattice import LIMIT, Element, PrincipalIdeal, Space
 from .measures import Measure
-from .polynomials import Polynomial, to_measure, to_polynomial
+from .order_continuity import oa_order_continuity
+from .polynomials import Polynomial, polys_disjoint, to_measure, to_polynomial
 from .restriction import ConsistencyVerdict, restrict
 
 
@@ -99,9 +100,6 @@ def nakano_verify(p: Polynomial, q: Polynomial) -> NakanoReport:
     With at least one order-continuous member the two verdicts must agree;
     without the hypothesis the report records whether they happen to.
     """
-    from .order_continuity import oa_order_continuity
-    from .polynomials import polys_disjoint
-
     oc_p = oa_order_continuity(p)
     oc_q = oa_order_continuity(q)
     pd = polys_disjoint(p, q)

@@ -6,8 +6,8 @@ sampled identities.  The sampled checks draw seeded instances, prepend a
 deterministic sweep of scaled basis pairs that provably catches any order-2
 mixed entry, and compare both sides exactly.
 
-On finite spaces the samples are integer multiples of 1/12 (numerators in
-[-9, 9], denominators in {1, 2, 3, 4}); every identity checked here is
+On finite spaces the samples are multiples of 1/12 (the `sampling` grammar:
+numerators in [-9, 9] over {1, 2, 3, 4}); every identity checked here is
 invariant under a common positive scaling, so the comparisons run on the
 scaled integers through the exact batch kernels of `_intpath`, on int64 when
 their overflow bound allows and on Python ints otherwise.  The kernels and
@@ -58,6 +58,7 @@ and its exact re-verifications, enumerate its arrangements no more.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -82,9 +83,10 @@ from .lattice import (
     krivine_radical,
 )
 from .polynomials import TENSOR, Polynomial
+from .sampling import DENOMINATORS, NUMERATOR_BOUND
 from .tensors import Form, GeneralMatrixForm
 
-SCALE = 12  # lcm of the permitted sample denominators {1,2,3,4}
+SCALE = math.lcm(*DENOMINATORS)  # 12, every sample value is a multiple of 1/SCALE
 
 OS_DIAGONAL = "diagonal"
 OS_J_IDENTITY = "j-identity"
@@ -183,7 +185,7 @@ def identity_sides(thing, mode: str, args: Sequence[Element]) -> tuple[Fraction,
 
 # -- seeded sample construction ---------------------------------------------------
 
-_DEN_STEP = np.array([12, 6, 4, 3], dtype=np.int64)  # SCALE // {1,2,3,4}
+_DEN_STEP = np.array([SCALE // d for d in DENOMINATORS], dtype=np.int64)
 _OMEGA_PREFIX = 6
 
 
@@ -194,8 +196,8 @@ def _seedseq(seed) -> np.random.SeedSequence:
 
 
 def _values(rng: np.random.Generator, shape) -> np.ndarray:
-    num = rng.integers(-9, 10, size=shape).astype(np.int64)
-    den = rng.integers(0, 4, size=shape)
+    num = rng.integers(-NUMERATOR_BOUND, NUMERATOR_BOUND + 1, size=shape).astype(np.int64)
+    den = rng.integers(0, len(DENOMINATORS), size=shape)
     return num * _DEN_STEP[den]
 
 

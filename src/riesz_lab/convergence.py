@@ -198,28 +198,3 @@ def verify_certificate(cert: ConvergenceCertificate, probe_depth: int = 50) -> C
     if not cert.dominator.infimum_is_zero():
         return CertificateVerdict(False, "infimum", None)
     return CertificateVerdict(True)
-
-
-def independent_scan(cert: ConvergenceCertificate, depth: int) -> bool:
-    """Re-check domination/monotonicity point by point from raw values,
-    bypassing the Element lattice kernel.  Test oracle."""
-
-    def raw(e: Element, i: int) -> Fraction:
-        if e.space.is_finite:
-            return e.values[i - 1]
-        return e.prefix[i - 1] if i <= len(e.prefix) else e.tail
-
-    finite = cert.limit.space.is_finite
-    for n in range(1, depth + 1):
-        xn, yn, ynext = cert.sequence.member(n), cert.dominator.member(n), cert.dominator.member(n + 1)
-        # every point of a finite space; on omega1 the widest prefix and one past it
-        last = cert.limit.space.n if finite else max(len(e.prefix) for e in (xn, yn, ynext, cert.limit)) + 1
-        for i in range(1, last + 1):
-            if abs(raw(xn, i) - raw(cert.limit, i)) > raw(yn, i):
-                return False
-            if raw(ynext, i) > raw(yn, i):
-                return False
-        if not finite:
-            if abs(xn.tail - cert.limit.tail) > yn.tail or ynext.tail > yn.tail:
-                return False
-    return True

@@ -246,31 +246,28 @@ def parse_polynomial(obj: Any, path: str = "$") -> Polynomial | ProductFunctiona
     if not isinstance(declared_oa, bool):
         raise MalformedInstanceError(f"{path}.oa", "expected a JSON boolean")
     if kind == MEASURE:
-        mu = parse_measure(_require(obj, "measure", path), f"{path}.measure")
-        try:
-            return Polynomial(degree, MEASURE, mu)
-        except Exception as exc:
-            raise MalformedInstanceError(path, str(exc)) from None
-    if kind == TENSOR:
-        tensor = parse_tensor(_require(obj, "tensor", path), f"{path}.tensor")
-        if declared_oa and not tensor.is_diagonal():
-            idx = next(iter(tensor.off_diagonal_entries()))
+        rep = parse_measure(_require(obj, "measure", path), f"{path}.measure")
+    elif kind == TENSOR:
+        rep = parse_tensor(_require(obj, "tensor", path), f"{path}.tensor")
+        if declared_oa and not rep.is_diagonal():
+            idx = next(iter(rep.off_diagonal_entries()))
             raise MalformedInstanceError(
                 f"{path}.tensor.entries",
                 f"off-diagonal entry {list(idx)} in an instance declared orthogonally additive",
             )
-        try:
-            return Polynomial(degree, TENSOR, tensor)
-        except Exception as exc:
-            raise MalformedInstanceError(path, str(exc)) from None
-    if kind == PRODUCT:
+    elif kind == PRODUCT:
         phi = parse_functional(_require(obj, "phi", path), f"{path}.phi")
         psi = parse_functional(_require(obj, "psi", path), f"{path}.psi")
         try:
             return ProductFunctionalPolynomial(degree, phi, psi)
         except Exception as exc:
             raise MalformedInstanceError(path, str(exc)) from None
-    raise MalformedInstanceError(f"{path}.kind", f"unknown polynomial kind {kind!r}")
+    else:
+        raise MalformedInstanceError(f"{path}.kind", f"unknown polynomial kind {kind!r}")
+    try:
+        return Polynomial(degree, rep)
+    except Exception as exc:
+        raise MalformedInstanceError(path, str(exc)) from None
 
 
 # -- descriptors ---------------------------------------------------------------------

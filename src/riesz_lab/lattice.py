@@ -15,7 +15,7 @@ entry, so two rows combine pointwise once the shorter is padded with its
 last entry and both are brought to the lcm of their denominators, and every
 pointwise kernel is written once, in Python ints, for both backends.
 ``Element.values`` is the same row as a tuple of `fractions.Fraction`s,
-built on first use.
+built on each read: the integer row is the one stored copy.
 
 Decreasing rearrangements, defined as joins of subset meets, are built by
 an insertion recurrence of t(t-1) joins and meets for a t-tuple; its proof
@@ -143,10 +143,10 @@ class Element:
 
     ``Element(space, values)`` takes rationals; ``Element(space, nums, den)``
     takes integer numerators over a positive integer ``den``, in any
-    scaling.  ``values`` is the row as Fractions, built on first use.
+    scaling.  ``values`` is the row as Fractions, built on each read.
     """
 
-    __slots__ = ("space", "nums", "den", "_values")
+    __slots__ = ("space", "nums", "den")
 
     def __init__(self, space: Space, values: Sequence[Rational], den: int | None = None) -> None:
         if den is None:
@@ -171,7 +171,6 @@ class Element:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_values", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Element is immutable")
@@ -218,12 +217,8 @@ class Element:
 
     @property
     def values(self) -> tuple[Fraction, ...]:
-        """The row as Fractions, nums[i] / den, built once on first use."""
-        vals = self._values
-        if vals is None:
-            vals = tuple(Fraction(v, self.den) for v in self.nums)
-            object.__setattr__(self, "_values", vals)
-        return vals
+        """The row as Fractions, nums[i] / den, built on each read."""
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     @property
     def prefix(self) -> tuple[Fraction, ...] | None:
@@ -385,15 +380,6 @@ def _int_root(value: int, degree: int) -> int | None:
     return root if root**degree == value else None
 
 
-def exact_fraction_root(value: Fraction, degree: int) -> Fraction | None:
-    """Exact rational degree-th root of a nonnegative rational, or None."""
-    num = _int_root(value.numerator, degree)
-    den = _int_root(value.denominator, degree)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
 @dataclass(frozen=True)
 class RadicalElement:
     """base**(1/degree) for a nonnegative base, held symbolically.
@@ -415,19 +401,6 @@ class RadicalElement:
     @property
     def space(self) -> Space:
         return self.base.space
-
-    def join(self, other: "RadicalElement") -> "RadicalElement":
-        self._check_compatible(other)
-        return RadicalElement(self.degree, self.base.join(other.base))
-
-    def meet(self, other: "RadicalElement") -> "RadicalElement":
-        self._check_compatible(other)
-        return RadicalElement(self.degree, self.base.meet(other.base))
-
-    def _check_compatible(self, other: "RadicalElement") -> None:
-        if self.degree != other.degree:
-            raise DegreeMismatchError("radicals of different degree do not mix")
-        _check_same_space(self.base, other.base)
 
     def exact_root(self) -> Element | None:
         """The radical as a plain element when it is exactly rational.

@@ -108,10 +108,6 @@ class Measure:
     def __abs__(self) -> "Measure":
         return Measure(self.space, {t: abs(w) for t, w in self.atoms.items()}, abs(self.limit_atom))
 
-    def scale(self, c: Rational) -> "Measure":
-        c = q(c)
-        return Measure(self.space, {t: w * c for t, w in self.atoms.items()}, self.limit_atom * c)
-
     def is_disjoint(self, other: "Measure") -> bool:
         """No point, isolated or limit, carries mass in both."""
         if set(self.atoms) & set(other.atoms):
@@ -144,10 +140,9 @@ class Measure:
 def is_normal_measure(mu: Measure) -> bool:
     """Whether the measure vanishes on every closed nowhere dense set.
 
-    On a finite space every set is open, so every measure is normal.  On the
-    sequence backend the only obstruction is mass at the limit point: {limit}
-    is closed with empty interior, so normality is exactly limit_atom == 0.
+    On the sequence backend the only obstruction is mass at the limit point:
+    {limit} is closed with empty interior, so normality is limit_atom == 0.
+    On a finite space every set is open and every measure normal, which the
+    same test says, because `Measure` refuses a limit atom there.
     """
-    if mu.space.is_finite:
-        return True
     return mu.limit_atom == 0

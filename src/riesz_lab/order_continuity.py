@@ -53,10 +53,10 @@ class Functional:
         return self.measure.integrate(x, 1)
 
     def is_order_continuous(self) -> bool:
-        """Normality of the modulus: evaluation at an isolated point follows
+        """Normality of the measure: evaluation at an isolated point follows
         any order limit; mass at the limit point does not (the
         tail-indicator net decreases to zero with value one throughout)."""
-        return is_normal_measure(abs(self.measure))
+        return is_normal_measure(self.measure)
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,10 @@ class ProductFunctionalPolynomial:
 def oa_order_continuity(poly: Polynomial) -> bool:
     """Decide order continuity of an orthogonally additive polynomial.
 
-    The verdict is the normality of the modulus of the representing
-    measure, which settles continuity at every point at once.
+    The verdict is the normality of the representing measure, equivalently
+    of its modulus, which settles continuity at every point at once.
     """
-    mu = to_measure(poly)
-    return is_normal_measure(abs(mu))
+    return is_normal_measure(to_measure(poly))
 
 
 # -- net constructions ----------------------------------------------------------------

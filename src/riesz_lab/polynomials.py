@@ -24,23 +24,22 @@ TENSOR = "tensor"
 
 
 class Polynomial:
-    """A degree-m homogeneous polynomial with an exact representation."""
+    """A degree-m homogeneous polynomial represented exactly by a `Measure`
+    or a `SymTensor`; ``kind``, `MEASURE` or `TENSOR`, names which."""
 
     __slots__ = ("degree", "kind", "rep")
 
-    def __init__(self, degree: int, kind: str, rep: Measure | SymTensor) -> None:
+    def __init__(self, degree: int, rep: Measure | SymTensor) -> None:
         if not isinstance(degree, int) or degree < 1:
             raise DegreeMismatchError("polynomial degree must be a positive integer")
-        if kind == MEASURE:
-            if not isinstance(rep, Measure):
-                raise RepresentationError("measure kind needs a Measure")
-        elif kind == TENSOR:
-            if not isinstance(rep, SymTensor):
-                raise RepresentationError("tensor kind needs a SymTensor")
+        if isinstance(rep, Measure):
+            kind = MEASURE
+        elif isinstance(rep, SymTensor):
             if rep.degree != degree:
                 raise DegreeMismatchError("tensor degree differs from polynomial degree")
+            kind = TENSOR
         else:
-            raise RepresentationError(f"unknown representation {kind!r}")
+            raise RepresentationError(f"a polynomial is a Measure or a SymTensor, got {type(rep).__name__}")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "rep", rep)
@@ -50,7 +49,7 @@ class Polynomial:
 
     @staticmethod
     def from_tensor(tensor: SymTensor) -> "Polynomial":
-        return Polynomial(tensor.degree, TENSOR, tensor)
+        return Polynomial(tensor.degree, tensor)
 
     @property
     def space(self) -> Space:
@@ -83,10 +82,10 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.degree == other.degree and self.kind == other.kind and self.rep == other.rep
+        return self.degree == other.degree and self.rep == other.rep
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.kind, self.rep))
+        return hash((self.degree, self.rep))
 
     def __repr__(self) -> str:
         return f"Polynomial(m={self.degree}, {self.kind}, {self.rep!r})"
@@ -96,7 +95,7 @@ class Polynomial:
 
 
 def to_polynomial(mu: Measure, degree: int) -> Polynomial:
-    return Polynomial(degree, MEASURE, mu)
+    return Polynomial(degree, mu)
 
 
 def to_measure(poly: Polynomial) -> Measure:

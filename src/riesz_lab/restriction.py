@@ -32,7 +32,7 @@ def restrict(obj: Restrictable, gen: Element) -> Restrictable:
     atom survives exactly when the generator is nonzero at the limit point).
     """
     if isinstance(obj, Polynomial):
-        return Polynomial(obj.degree, obj.kind, restrict(obj.rep, gen))
+        return Polynomial(obj.degree, restrict(obj.rep, gen))
     ideal = PrincipalIdeal(gen)
     if not isinstance(obj, (Measure, SymTensor)):
         raise TypeError(f"cannot restrict {type(obj).__name__}")

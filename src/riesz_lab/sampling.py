@@ -20,6 +20,7 @@ from .measures import Measure
 from .polynomials import Polynomial, to_polynomial
 from .tensors import GeneralMatrixForm, SymTensor, nondecreasing_indices
 
+NUMERATOR_BOUND = 9  # sample values n / d: |n| <= NUMERATOR_BOUND, d in DENOMINATORS
 DENOMINATORS = (1, 2, 3, 4)
 
 
@@ -31,7 +32,7 @@ def rng_for(seed: int | str, *branch: int | str) -> random.Random:
 
 def rational(rng: random.Random, nonzero: bool = False) -> Fraction:
     while True:
-        value = Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+        value = Fraction(rng.randint(-NUMERATOR_BOUND, NUMERATOR_BOUND), rng.choice(DENOMINATORS))
         if value != 0 or not nonzero:
             return value
 

@@ -274,8 +274,8 @@ def _sorted_columns_oracle(xs):
     space = xs[0].space
     k = len(xs)
     if space.is_finite:
-        columns = [sorted((x.values[t] for x in xs), reverse=True) for t in range(space.n)]
-        return [Element(space, values=[columns[t][i] for t in range(space.n)]) for i in range(k)]
+        columns = [sorted(column, reverse=True) for column in zip(*(x.values for x in xs))]
+        return [Element(space, values=[column[i] for column in columns]) for i in range(k)]
     width = max(len(x.prefix) for x in xs)
     columns = [sorted((x.value_at(t) for x in xs), reverse=True) for t in range(1, width + 1)]
     tails = sorted((x.tail for x in xs), reverse=True)

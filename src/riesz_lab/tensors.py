@@ -2,10 +2,10 @@
 
 A symmetric m-linear form is determined by its values on nondecreasing
 multi-indices: the stored coefficient at alpha is the value of the full
-symmetric array at any arrangement of alpha.  `SymTensor.arrangement_table`
-lists, for each stored entry, its distinct arrangements as 0-based points and
-its multinomial weight m! / prod k_t! (k_t counts how often the point t
-occurs in alpha).  It is the one layout every evaluator reads.
+symmetric array at any arrangement of alpha.  `SymTensor._arrangement_rows`
+lists each stored entry's distinct arrangements as 0-based points, the first
+weighted m! / prod k_t! (k_t counts t in alpha) and the rest weighted 0, so
+the weighted rows alone give the diagonal: the one layout evaluators read.
 
 `_scaled_rows` enumerates a form's table once, with the coefficients
 scaled to integers over their common denominator, and keeps it in one
@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from operator import getitem, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DegreeMismatchError, PositivityError, SpaceMismatchError
+from .errors import DegreeMismatchError, SpaceMismatchError
 from .lattice import Element, Rational, Space, _integer_row, q
 
 
@@ -110,28 +110,22 @@ class SymTensor:
 
     # -- evaluation ---------------------------------------------------------
 
-    def arrangement_table(self, diagonal: bool = False) -> list[tuple[tuple[int, ...], Fraction, int]]:
+    def _arrangement_rows(
+        self, coeffs: Iterable[Fraction | int]
+    ) -> Iterator[tuple[tuple[int, ...], Fraction | int, int]]:
         """Rows (points, coeff, weight), stored entry by stored entry: the
         sorted index with weight m!/prod k_t!, then its other distinct
-        arrangements with weight 0; points are 0-based.  ``diagonal`` lists
-        the weighted rows only."""
-        return list(self._arrangement_rows(self.entries.values(), diagonal))
-
-    def _arrangement_rows(
-        self, coeffs: Iterable[Fraction | int], diagonal: bool = False
-    ) -> Iterator[tuple[tuple[int, ...], Fraction | int, int]]:
-        """The rows of `arrangement_table`, one at a time, with the i-th
-        stored entry's coefficient read from the i-th item of ``coeffs``."""
+        arrangements with weight 0; points are 0-based, and the i-th stored
+        entry's coefficient is read from the i-th item of ``coeffs``."""
         for idx, coeff in zip(self.entries, coeffs):
             points = tuple(t - 1 for t in idx)
             yield points, coeff, arrangements(idx)
-            if not diagonal:
-                for p in _later_arrangements(points):
-                    yield p, coeff, 0
+            for p in _later_arrangements(points):
+                yield p, coeff, 0
 
     def evaluate(self, args: Sequence[Element]) -> Fraction:
-        """A(x_1, .., x_m): coeff * prod_i x_i(point_i) summed over every row
-        of the arrangement table."""
+        """A(x_1, .., x_m): coeff * prod_i x_i(point_i) summed over every
+        arrangement row."""
         if len(args) != self.degree:
             raise DegreeMismatchError(f"expected {self.degree} arguments, got {len(args)}")
         for x in args:
@@ -317,43 +311,3 @@ def _scaled_rows(form: Form) -> list:
         rows = list(form._arrangement_rows(coeffs))
         slot = _last_rows = (form, [rows, [row for row in rows if row[2]], scale, None])
     return slot[1]
-
-
-def atomic_partition(x: Element) -> list[Element]:
-    """x(t) * e_t over the support of a nonnegative finite-space element."""
-    if not x.space.is_finite:
-        raise SpaceMismatchError("atomic partitions need a finite space")
-    if not x.is_nonnegative():
-        raise PositivityError("partitions are taken of nonnegative elements")
-    return [Element.basis(x.space, t) * v for t, v in zip(x.space.points(), x.values) if v != 0]
-
-
-def modulus_partition_oracle(
-    form: Form,
-    args: Sequence[Element],
-    partitions: Sequence[Sequence[Element]],
-) -> Fraction:
-    """sum over all choices (u^1_{i_1}, .., u^m_{i_m}) of |A(...)|, where the
-    k-th partition is a finite decomposition of args[k] into nonnegative
-    parts.  This is the partition functional whose supremum over all
-    partitions is the modulus evaluated at the (nonnegative) arguments.
-    """
-    m = form.degree
-    if len(args) != m or len(partitions) != m:
-        raise DegreeMismatchError("need one argument and one partition per slot")
-    for x, parts in zip(args, partitions):
-        if not x.is_nonnegative():
-            raise PositivityError("arguments must be nonnegative")
-        if not parts:
-            raise ValueError("empty partition")
-        total = Element.zero(x.space)
-        for part in parts:
-            if not part.is_nonnegative():
-                raise PositivityError("partition parts must be nonnegative")
-            total = total + part
-        if total != x:
-            raise ValueError("partition does not sum to its argument")
-    result = Fraction(0)
-    for combo in product(*partitions):
-        result += abs(form.evaluate(list(combo)))
-    return result

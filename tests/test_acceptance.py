@@ -23,7 +23,6 @@ from riesz_lab import (
     Space,
     SymTensor,
     attach_instance,
-    atomic_partition,
     carriers_disjoint,
     dichotomy_agrees,
     discontinuity_witness,
@@ -31,7 +30,6 @@ from riesz_lab import (
     local_carrier_check,
     local_disjointness,
     local_lattice_consistency,
-    modulus_partition_oracle,
     nakano_regression_pair,
     nakano_verify,
     norm_check,
@@ -55,6 +53,8 @@ from riesz_lab import (
 )
 from riesz_lab.checks import OS_DIAGONAL, OS_J_IDENTITY
 from riesz_lab.sampling import element, measure, rng_for, sym_tensor
+
+from oracles import atomic_partition, modulus_partition_oracle
 
 OM = Space.omega_plus_one()
 GRID = [(m, n) for m in (2, 3, 4) for n in (2, 3, 4, 5)]

@@ -12,11 +12,12 @@ from riesz_lab import (
     ExplicitFamily,
     Space,
     TailFamily,
-    independent_scan,
     verify_certificate,
 )
 from riesz_lab.convergence import family_horizon
 from riesz_lab.errors import SpaceMismatchError, UnsupportedFamilyError
+
+from oracles import independent_scan
 
 OM = Space.omega_plus_one()
 

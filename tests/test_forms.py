@@ -20,8 +20,6 @@ from riesz_lab import (
     RadicalElement,
     Space,
     SymTensor,
-    atomic_partition,
-    modulus_partition_oracle,
     norm_check,
     oa_mode_agreement,
     orthosymmetry_check,
@@ -37,10 +35,14 @@ from riesz_lab import (
 )
 from riesz_lab._intpath import dense_core
 from riesz_lab.checks import OS_DISJOINT, OS_J_IDENTITY
-from riesz_lab.errors import DegreeMismatchError, RepresentationError, SpaceMismatchError
+from riesz_lab.errors import DegreeMismatchError, MalformedInstanceError, RepresentationError, SpaceMismatchError
+from riesz_lab.jsonio import parse_polynomial, polynomial_to_obj
 from riesz_lab.lattice import LIMIT
-from riesz_lab.tensors import arrangements, nondecreasing_indices
+from riesz_lab.polynomials import MEASURE, TENSOR
+from riesz_lab.tensors import _scaled_rows, arrangements, nondecreasing_indices
 from riesz_lab.sampling import element, measure, rng_for, sym_tensor
+
+from oracles import atomic_partition, modulus_partition_oracle
 
 F1, F2, F3 = Space.finite(1), Space.finite(2), Space.finite(3)
 OM = Space.omega_plus_one()
@@ -107,16 +109,20 @@ class TestFormEvaluation:
 
     def test_arrangement_table(self):
         a = SymTensor(F3, 3, {(1, 1, 2): 3, (3, 3, 3): Fraction(1, 2)})
-        assert a.arrangement_table() == [
+        assert list(a._arrangement_rows(a.entries.values())) == [
             ((0, 0, 1), 3, 3), ((0, 1, 0), 3, 0), ((1, 0, 0), 3, 0), ((2, 2, 2), Fraction(1, 2), 1)
         ]
-        assert a.arrangement_table(diagonal=True) == [((0, 0, 1), 3, 3), ((2, 2, 2), Fraction(1, 2), 1)]
+        # scaled over the common denominator 2; the weighted rows are the diagonal ones
+        rows, weighted, scale, _ = _scaled_rows(a)
+        assert scale == 2
+        assert rows == [((0, 0, 1), 6, 3), ((0, 1, 0), 6, 0), ((1, 0, 0), 6, 0), ((2, 2, 2), 1, 1)]
+        assert weighted == [((0, 0, 1), 6, 3), ((2, 2, 2), 1, 1)]
 
     def test_arrangements_follow_the_permutation_set(self):
         for m in range(1, 7):
             for n in range(1, 5):
                 for idx in nondecreasing_indices(n, m):
-                    rows = SymTensor(Space.finite(n), m, {idx: 1}).arrangement_table()
+                    rows = list(SymTensor(Space.finite(n), m, {idx: 1})._arrangement_rows([1]))
                     points = tuple(t - 1 for t in idx)
                     assert [p for p, _, _ in rows] == [points] + sorted(set(permutations(points)) - {points})
                     assert [w for _, _, w in rows] == [arrangements(idx)] + [0] * (len(rows) - 1)
@@ -167,9 +173,10 @@ def _measure_cases(draw):
 
 
 def _fraction_contract(tensor, rows, diagonal):
-    """The arrangement-table sum one Fraction product at a time."""
+    """The arrangement-row sum one Fraction product at a time; ``diagonal``
+    weights each row, so only the weighted rows count."""
     total = Fraction(0)
-    for points, coeff, weight in tensor.arrangement_table(diagonal):
+    for points, coeff, weight in tensor._arrangement_rows(tensor.entries.values()):
         term = coeff * weight if diagonal else coeff
         for row, point in zip(rows, points):
             term *= row[point]
@@ -262,9 +269,9 @@ class TestScaledRows:
         enumerations = []
         rows = SymTensor._arrangement_rows
 
-        def counted(self, coeffs, diagonal=False):
+        def counted(self, coeffs):
             enumerations.append(self)
-            return rows(self, coeffs, diagonal)
+            return rows(self, coeffs)
 
         monkeypatch.setattr(SymTensor, "_arrangement_rows", counted)
         samples = structured_pair_count(n, m) + 26
@@ -315,6 +322,39 @@ class TestScaledRows:
                 form.entries[key] = 1
         assert tensor.evaluate_diagonal(fin(1, 1)) == 1
         assert dict(matrix.entries) == {(1, 1): 1, (1, 2): 2, (2, 2): 1}
+
+
+class TestPolynomialConstruction:
+    """`Polynomial(degree, rep)`: the kind is read off the representation."""
+
+    def test_kind_follows_the_representation(self):
+        mu, tensor = Measure(OM, {2: 1}, limit_atom=-1), SymTensor(F2, 3, {(1, 1, 2): 1})
+        assert Polynomial(2, mu).kind == MEASURE and Polynomial(2, mu).rep is mu
+        assert Polynomial(3, tensor).kind == TENSOR and Polynomial(3, tensor).rep is tensor
+        assert Polynomial.from_tensor(tensor) == Polynomial(3, tensor)
+        assert to_polynomial(mu, 2) == Polynomial(2, mu) != Polynomial(3, mu)
+
+    @pytest.mark.parametrize("rep", [None, fin(1, 2), GeneralMatrixForm(F2, [[1, 0], [0, 1]]), MEASURE])
+    def test_a_non_representation_is_refused(self, rep):
+        with pytest.raises(RepresentationError):
+            Polynomial(2, rep)
+
+    def test_a_tensor_of_another_degree_is_refused(self):
+        with pytest.raises(DegreeMismatchError, match="tensor degree differs from polynomial degree"):
+            Polynomial(2, SymTensor(F2, 3, {(1, 1, 2): 1}))
+        with pytest.raises(DegreeMismatchError, match="positive integer"):
+            Polynomial(0, Measure(F2, {1: 1}))
+
+    def test_json_degree_mismatch_names_its_path(self):
+        obj = polynomial_to_obj(Polynomial(3, SymTensor(F2, 3, {(1, 1, 2): 1})))
+        assert parse_polynomial(obj, "$.poly") == Polynomial(3, SymTensor(F2, 3, {(1, 1, 2): 1}))
+        obj["degree"] = 2
+        with pytest.raises(MalformedInstanceError, match=r"^\$\.poly: tensor degree differs") as err:
+            parse_polynomial(obj, "$.poly")
+        assert err.value.path == "$.poly"
+        measure = {**polynomial_to_obj(to_polynomial(Measure(F2, {1: 1}), 2)), "degree": 0}
+        with pytest.raises(MalformedInstanceError, match=r"^\$\.poly: polynomial degree must be a positive"):
+            parse_polynomial(measure, "$.poly")
 
 
 class TestPolynomialEvaluation:
@@ -468,7 +508,8 @@ class TestNorms:
             mu = measure(rng, OM)
             c = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4)))
             base = norm_check(to_polynomial(mu, 2))
-            scaled = norm_check(to_polynomial(mu.scale(c), 2))
+            scaled_mu = Measure(mu.space, {t: w * c for t, w in mu.atoms.items()}, mu.limit_atom * c)
+            scaled = norm_check(to_polynomial(scaled_mu, 2))
             assert scaled == (abs(c) * base[0], abs(c) * base[1])
 
 

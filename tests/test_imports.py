@@ -9,7 +9,8 @@ read somewhere in the package beyond its own definition, so a dead helper,
 or a dead private method, fails here.  Likewise a public name that
 ``__init__.py`` exports must be read by the package beyond its own
 definition, or be named by the benchmark (``perfbench/``) or the scripts
-(``scripts/``), so a dead entry point fails here too.
+(``scripts/``), so a dead entry point fails here too, and a public method
+or property must be read as an attribute there, so a dead method fails.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ def test_no_unused_imports(path):
 
 
 PACKAGE = sorted(Path(riesz_lab.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _definitions(body: list[ast.stmt]):
@@ -118,15 +120,52 @@ def test_no_unreferenced_private_names():
     assert not dead, f"private names defined but never read elsewhere in the package: {', '.join(dead)}"
 
 
-# exported only as independent oracles that the tests compare the package with
-ORACLES = {
-    "independent_scan": "per-point recheck of a certificate, bypassing the Element kernel",
-    "atomic_partition": "the partitions the brute-force modulus supremum ranges over",
-    "modulus_partition_oracle": "brute-force partition supremum against the coefficientwise modulus",
-    "exact_fraction_root": "exact Fraction root that RadicalElement.exact_root is compared with",
-}
+def _docstrings(tree: ast.AST) -> set[int]:
+    """ids of the docstring constants of a module, its classes and functions."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
 
-REPO = Path(__file__).resolve().parents[1]
+
+def test_no_dead_public_methods():
+    """Every public method or property of a class in the package is read as
+    an attribute somewhere in the package, the benchmark (``perfbench/``)
+    or the scripts (``scripts/``), or is named there as ``Class.method`` in
+    a string other than a docstring, as a traced span is.
+
+    The scan matches attribute names, not the classes they are read on, so
+    a name another class shares lets a method through: a ``scale`` method
+    of `Measure` would pass on ``refclock.scale`` in the benchmark, and a
+    ``join`` of `RadicalElement` on ``Element.join``."""
+    sources = [*PACKAGE, *(path for folder in ("perfbench", "scripts") for path in (REPO / folder).glob("*.py"))]
+    read, strings = set(), []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        docs = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+                strings.append(node.value)
+    named = "\n".join(strings)
+    dead = [
+        f"{path.name}:{item.lineno} {cls.name}.{item.name}"
+        for path in PACKAGE
+        for cls in _definitions(ast.parse(path.read_text(), filename=str(path)).body)
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+        and item.name not in read
+        and not re.search(rf"\b{cls.name}\.{item.name}\b", named)
+    ]
+    assert not dead, f"public methods nothing in the package, perfbench or scripts reads: {', '.join(dead)}"
 
 
 def test_no_dead_public_entry_points():
@@ -147,7 +186,7 @@ def test_no_dead_public_entry_points():
     outside = " ".join(path.read_text() for folder in ("perfbench", "scripts") for path in (REPO / folder).glob("*.py"))
     dead = sorted(
         name
-        for name in exported - ORACLES.keys()
+        for name in exported
         if total[name] == own[name] and not re.search(rf"\b{name}\b", outside)
     )
     assert not dead, f"exported names nothing in the package, perfbench or scripts reads: {', '.join(dead)}"

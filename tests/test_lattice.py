@@ -22,7 +22,6 @@ from riesz_lab import (
     RadicalElement,
     Space,
     decreasing_rearrangements,
-    exact_fraction_root,
     krivine_radical,
 )
 from riesz_lab.errors import (
@@ -34,6 +33,8 @@ from riesz_lab.errors import (
 from riesz_lab.jsonio import dumps_canonical, element_to_obj
 from riesz_lab.sampling import element, rational, rng_for
 from riesz_lab.suites import _sorted_columns_oracle
+
+from oracles import exact_fraction_root
 
 F2 = Space.finite(2)
 OM = Space.omega_plus_one()
@@ -396,26 +397,6 @@ class TestRadicals:
     def test_degree_one_is_base(self):
         x = fin(3, Fraction(1, 2))
         assert RadicalElement(1, x).exact_root() == x
-
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_join_meet_commute_with_float_oracle(self, m):
-        # monotone calculus: max(a,b)^(1/m) == max(a^(1/m), b^(1/m)); the
-        # lattice of radicals acts on bases, checked against float roots
-        for i in range(100):
-            rng = rng_for("radlattice", m, i)
-            a = element(rng, Space.finite(3), positive=True)
-            b = element(rng, Space.finite(3), positive=True)
-            ra, rb = RadicalElement(m, a), RadicalElement(m, b)
-            assert ra.join(rb).base == a.join(b)
-            assert ra.meet(rb).base == a.meet(b)
-            for t in range(3):
-                lhs = float(a.join(b).values[t]) ** (1.0 / m)
-                rhs = max(float(a.values[t]) ** (1.0 / m), float(b.values[t]) ** (1.0 / m))
-                assert abs(lhs - rhs) < 1e-9
-
-    def test_mixed_degree_rejected(self):
-        with pytest.raises(DegreeMismatchError):
-            RadicalElement(2, fin(1, 1)).join(RadicalElement(3, fin(1, 1)))
 
     def test_exact_fraction_root_table(self):
         assert exact_fraction_root(Fraction(27, 8), 3) == Fraction(3, 2)
