@@ -3,21 +3,22 @@
 Identities checked by the sampled suites are homogeneous, so every instance
 is scaled to integers by its common denominator and batch-evaluated with
 NumPy.  A form is evaluated from its arrangement rows
-(`SymTensor._arrangement_rows`, or one row per nonzero entry of a matrix
-form) as the exact reference reads them, scaled to integers
-(`tensors._scaled_rows`, enumerated once per run of calls on one form), by
-gathering each row's points from the arguments and multiplying:
-O(S * rows * m) for a batch of S samples.  The polynomial kernels sum P over
-a stack of k rows per sample, so each side of an identity between sums of
-P-values is one call, and the kernel, not its caller, bounds that whole sum
-in exact Python integers: int64 when the bound stays below `INT64_LIMIT`,
-otherwise `dtype=object` arrays of Python ints, the same gather and product
-at any size.  Gathers run over chunks of samples that fit a byte budget.
-The reference the checks compare against stays `SymTensor.evaluate`,
-`GeneralMatrixForm.evaluate` and `Measure.integrate`, exact and independent
-of NumPy: each reads the arguments' integer rows as `Element` stores them,
-sums in Python integers (the tensor evaluator over the same scaled rows, the
-matrix evaluator over the dense matrix) and returns one Fraction per value.
+(`Form._arrangement_rows`: a symmetric tensor's arrangements, or one row
+per nonzero entry of a matrix form) as the exact reference reads them,
+scaled to integers (`tensors._scaled_rows`, enumerated once per run of
+calls on one form), by gathering each row's points from the arguments and
+multiplying: O(S * rows * m) for a batch of S samples.  The polynomial
+kernels sum P over a stack of k rows per sample, so each side of an
+identity between sums of P-values is one call, and the kernel, not its
+caller, bounds that whole sum in exact Python integers: int64 when the
+bound stays below `INT64_LIMIT`, otherwise `dtype=object` arrays of Python
+ints, the same gather and product at any size.  Gathers run over chunks of
+samples that fit a byte budget.  The reference the checks compare against
+stays `Form.evaluate` (with `SymTensor.evaluate_diagonal`) and
+`Measure.integrate`, exact and independent of NumPy: each reads the
+arguments' integer rows as `Element` stores them, sums in Python integers
+(the form evaluators over the same scaled rows as the kernels) and returns
+one Fraction per value.
 """
 
 from __future__ import annotations

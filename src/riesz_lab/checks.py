@@ -31,10 +31,11 @@ as drawn, with its block's denominator, and no Fraction is built per
 value; the object sweep converts each block to Python int rows with one
 ``tolist`` and builds every sample's Elements from those rows over the
 identity's own denominator (1 for the Krivine product, `SCALE` otherwise).
-Symmetric tensors and matrix forms share one table layout
-(`_intpath.dense_core`), so both run on the batch kernels.  omega1 samples
-come from the same arrays: each row, the values at points 1..6 and then
-the tail, is an `Element` row as it stands.
+Symmetric tensors and matrix forms are both `tensors.Form`s, with one row
+layout that the exact evaluator and the int table (`_intpath.dense_core`)
+read, so both run on the batch kernels.  omega1 samples come from the same
+arrays: each row, the values at points 1..6 and then the tail, is an
+`Element` row as it stands.
 
 One failing sample decides an identity, so the driver hands the kernels
 each block in chunks and stops at the first chunk with a mismatch.  The
@@ -526,13 +527,13 @@ class _PolyKernels:
         [c]*m + [w_c, 1] per atom c, read from its weights."""
         if self.poly.kind == TENSOR:
             return dense_core(self.poly.rep)
-        weights, scale = self.weights
+        weights, scale = self._weights
         m = self.poly.degree
         rows = [(*[c] * m, w, 1) for c, w in enumerate(weights.tolist()) if w]
         return np.array(rows, dtype=weights.dtype).reshape(len(rows), m + 2), scale
 
     @cached_property
-    def weights(self) -> tuple[np.ndarray, int]:
+    def _weights(self) -> tuple[np.ndarray, int]:
         """(weights, scale) of a measure polynomial's measure."""
         return measure_weights(self.poly.rep)
 
@@ -540,7 +541,7 @@ class _PolyKernels:
     def rows(self) -> int:
         """Rows of the table `evaluate` reads: the core's for a tensor, the
         weights' for a measure."""
-        return len(self.core[0]) if self.poly.kind == TENSOR else len(self.weights[0])
+        return len(self.core[0]) if self.poly.kind == TENSOR else len(self._weights[0])
 
     @cached_property
     def terms(self) -> int:
@@ -548,13 +549,13 @@ class _PolyKernels:
         weighted rows for a tensor, the weights for a measure."""
         if self.poly.kind == TENSOR:
             return int(np.count_nonzero(self.core[0][:, -1]))
-        return len(self.weights[0])
+        return len(self._weights[0])
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """sum_j P(x_j) on a batch of stacks (S, k, n), or P on rows (S, n)."""
         if self.poly.kind == TENSOR:
             return poly_eval_batch(self.core[0], xs)
-        return measure_poly_eval_batch(self.weights[0], self.poly.degree, xs)
+        return measure_poly_eval_batch(self._weights[0], self.poly.degree, xs)
 
 
 def orthogonal_additivity_check(

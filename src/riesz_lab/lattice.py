@@ -230,19 +230,15 @@ class Element:
         """omega1: the value at the limit point; None on finite spaces."""
         return None if self.space.is_finite else Fraction(self.nums[-1], self.den)
 
-    def column(self, point: int | _LimitPoint) -> int:
-        """Index of the row entry that ``point`` reads: its own entry, or on
-        omega1 the last entry for the limit point and every isolated point
-        past the row."""
+    def value_at(self, point: int | _LimitPoint) -> Fraction:
+        """The value at ``point``: its own row entry, or on omega1 the last
+        entry for the limit point and every isolated point past the row."""
         size = len(self.nums)
         if isinstance(point, int) and 0 < point <= size:
-            return point - 1
+            return Fraction(self.nums[point - 1], self.den)
         if not self.space.is_finite and (point is LIMIT or isinstance(point, int) and point > 0):
-            return size - 1
+            return Fraction(self.nums[-1], self.den)
         raise ValueError(f"no point {point!r} in {self.space!r}")
-
-    def value_at(self, point: int | _LimitPoint) -> Fraction:
-        return Fraction(self.nums[self.column(point)], self.den)
 
     # -- pointwise kernels, in ints ------------------------------------------
 
@@ -468,24 +464,6 @@ class PrincipalIdeal:
     @property
     def space(self) -> Space:
         return self.generator.space
-
-    def membership_witness(self, x: Element) -> Fraction | None:
-        """The least lambda with |x| <= lambda * generator, or None."""
-        xs, caps, _ = _aligned(x, self.generator)
-        bound = Fraction(0)
-        for v, cap in zip(xs, caps):
-            mag = abs(v)
-            if cap == 0:
-                if mag != 0:
-                    return None
-                continue
-            ratio = Fraction(mag, cap)
-            if ratio > bound:
-                bound = ratio
-        return bound
-
-    def __contains__(self, x: Element) -> bool:
-        return self.membership_witness(x) is not None
 
     def support_points(self) -> frozenset[int]:
         """Isolated support of the generator (finite spaces only)."""

@@ -48,7 +48,7 @@ class Measure:
 
         x is read as it is stored, integers ``x.nums`` over ``x.den``.  An
         atom at point t reads entry min(t, len(x.nums)) - 1 of the row, and
-        the limit atom its last entry: the entry `Element.column` names, so
+        the limit atom its last entry, as `Element.value_at` reads them, so
         an atom past the row, and the limit atom, read the tail, found by
         index arithmetic alone.  The weights, limit atom included, are
         scaled to integers over their common denominator once per measure,

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .convergence import ConvergenceCertificate, ElementFamily, TailFamily, family_horizon, verify_certificate
+from .convergence import (
+    ConvergenceCertificate,
+    ElementFamily,
+    ExplicitFamily,
+    TailFamily,
+    family_horizon,
+    verify_certificate,
+)
 from .errors import BoundViolationError, CertificateError, NoWitnessError, SpaceMismatchError
 from .lattice import Element, Space, q
 from .measures import Measure, is_normal_measure
@@ -207,6 +214,26 @@ def _repeat_last(items: list, length: int) -> tuple:
     return tuple(items) + tuple(items[-1:]) * (length - len(items))
 
 
+def _eventual_value(poly, family: ElementFamily, settle: int) -> Fraction:
+    """P at member ``settle``, read without building that member.
+
+    An explicit family's member there is its last.  A tail member past
+    every atom reads ``base`` at each isolated atom and base + slope at the
+    limit point, so P is an integral over the atoms of those values alone,
+    however far the atoms lie."""
+    if isinstance(family, ExplicitFamily):
+        return poly.evaluate(family.member(settle))
+    limit = (family.base + family.slope).tail
+
+    def integral(mu: Measure, power: int) -> Fraction:
+        isolated = (w * family.base.value_at(t) ** power for t, w in mu.atoms.items())
+        return sum(isolated, mu.limit_atom * limit**power)
+
+    if isinstance(poly, Polynomial):
+        return integral(poly.rep, poly.degree)
+    return integral(poly.phi.measure, 1) ** (poly.degree - 1) * integral(poly.psi.measure, 1)
+
+
 def _certified_bound(poly, x: Element) -> Fraction | None:
     if isinstance(poly, Polynomial):
         if poly.kind == MEASURE:
@@ -223,8 +250,9 @@ def _probe(poly, cert: ConvergenceCertificate, depth: int) -> NetProbe:
 
     Values and bounds are computed only up to the net's settling index
     (`_settling_index`) and repeated from there to ``depth``: past it they
-    are constant in n, and the eventual value is P at that index.  A value
-    that escapes its bound raises `CertificateError`.
+    are constant in n, and the eventual value is P at that index, read by
+    `_eventual_value` when the index lies past ``depth``.  A value that
+    escapes its bound raises `CertificateError`.
     """
     verdict = verify_certificate(cert, depth)
     if not verdict.passed:
@@ -242,7 +270,7 @@ def _probe(poly, cert: ConvergenceCertificate, depth: int) -> NetProbe:
         if abs(v) > bound:
             raise CertificateError("probed value escapes its certified bound")
         bounds.append(bound)
-    eventual = values[-1] if settle <= depth else poly.evaluate(family.member(settle))
+    eventual = values[-1] if settle <= depth else _eventual_value(poly, family, settle)
     bound_values = _repeat_last(bounds, depth) if bounds is not None else None
     return NetProbe(eventual, _repeat_last(values, depth), bound_values)
 

@@ -10,15 +10,13 @@ arithmetic exact and fast.
 from __future__ import annotations
 
 import math
-import operator
 import random
-from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 from .lattice import Element, Space
 from .measures import Measure
 from .polynomials import Polynomial, to_polynomial
-from .tensors import GeneralMatrixForm, SymTensor, nondecreasing_indices
+from .tensors import GeneralMatrixForm, SymTensor
 
 NUMERATOR_BOUND = 9  # sample values n / d: |n| <= NUMERATOR_BOUND, d in DENOMINATORS
 DENOMINATORS = (1, 2, 3, 4)
@@ -76,51 +74,27 @@ def measure(rng: random.Random, space: Space, normal: bool = False) -> Measure:
     return Measure(space, atoms, limit_atom=limit)
 
 
-class _IndexPool(Sequence):
-    """The nondecreasing multi-indices of length m over points 1..n, in the
-    order `nondecreasing_indices` yields them, indexed by rank without
-    being listed; ``mixed`` leaves out the n diagonal indices (t, .., t).
-
-    `random.sample` and `random.choice` read a large pool through `len` and
-    `__getitem__` only, and copy a small one through `__iter__`, so they
-    draw exactly what they would draw from the equivalent list.
-    """
-
-    def __init__(self, n: int, m: int, mixed: bool = False) -> None:
-        self.n, self.m, self.mixed = n, m, mixed
+def _unrank(n: int, m: int, rank: int, mixed: bool = False) -> tuple[int, ...]:
+    """The nondecreasing multi-index of length m over points 1..n at
+    ``rank`` in the order `tensors.nondecreasing_indices` yields them;
+    ``mixed`` ranks only the indices other than the n diagonal (t, .., t)."""
+    if mixed:
         total = math.comb(n + m - 1, m)
-        # rank of (t, .., t): the indices whose first point is below t
-        self._diagonal_ranks = [total - math.comb(n - t + m, m) for t in range(1, n + 1)] if mixed else []
-        self._len = total - len(self._diagonal_ranks)
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, rank: int) -> tuple[int, ...]:
-        rank = operator.index(rank)
-        if rank < 0:
-            rank += self._len
-        if not 0 <= rank < self._len:
-            raise IndexError("index pool rank out of range")
-        for skipped in self._diagonal_ranks:
-            if skipped > rank:
+        for t in range(1, n + 1):
+            # the rank of (t, .., t) among all indices: those whose first point is below t
+            if total - math.comb(n - t + m, m) > rank:
                 break
             rank += 1
-        # lexicographic unranking: C(n - t + k - 1, k - 1) indices of length
-        # k start with point t and continue with points >= t
-        idx = []
-        t = 1
-        for k in range(self.m, 0, -1):
-            while rank >= (count := math.comb(self.n - t + k - 1, k - 1)):
-                rank -= count
-                t += 1
-            idx.append(t)
-        return tuple(idx)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for idx in nondecreasing_indices(self.n, self.m):
-            if not (self.mixed and idx[0] == idx[-1]):
-                yield idx
+    # lexicographic unranking: C(n - t + k - 1, k - 1) indices of length k
+    # start with point t and continue with points >= t
+    idx = []
+    t = 1
+    for k in range(m, 0, -1):
+        while rank >= (count := math.comb(n - t + k - 1, k - 1)):
+            rank -= count
+            t += 1
+        idx.append(t)
+    return tuple(idx)
 
 
 def sym_tensor(
@@ -133,21 +107,26 @@ def sym_tensor(
     """Sparse random symmetric tensor drawn from at most 2n candidate indices.
 
     ``diagonal`` keeps every entry on the diagonal; ``ensure_off_diagonal``
-    plants at least one genuinely mixed entry.
+    plants at least one genuinely mixed entry.  Candidates are drawn as
+    ranks (of the n diagonal indices alone for ``diagonal``) and unranked
+    by `_unrank`; `random.sample` and `random.choice` read a `range` as
+    they read the list it ranks, so the draws are those from the list.
     """
     n = space.n
     entries: dict[tuple[int, ...], Fraction] = {}
-    diag_candidates = [(t,) * degree for t in space.points()]
-    all_candidates = _IndexPool(n, degree)
-    mixed = _IndexPool(n, degree, mixed=True)
-    pool = diag_candidates if diagonal else all_candidates
-    for idx in rng.sample(pool, min(2 * n, len(pool))):
+    total = math.comb(n + degree - 1, degree)
+    size = n if diagonal else total
+
+    def candidate(rank: int) -> tuple[int, ...]:
+        return (rank + 1,) * degree if diagonal else _unrank(n, degree, rank)
+
+    for rank in rng.sample(range(size), min(2 * n, size)):
         if rng.random() < 0.7:
-            entries[idx] = rational(rng, nonzero=True)
-    if ensure_off_diagonal and mixed and not any(len(set(i)) > 1 for i in entries):
-        entries[rng.choice(mixed)] = rational(rng, nonzero=True)
+            entries[candidate(rank)] = rational(rng, nonzero=True)
+    if ensure_off_diagonal and total > n and not any(len(set(i)) > 1 for i in entries):
+        entries[_unrank(n, degree, rng.choice(range(total - n)), mixed=True)] = rational(rng, nonzero=True)
     if not entries:
-        entries[rng.choice(pool)] = rational(rng, nonzero=True)
+        entries[candidate(rng.choice(range(size)))] = rational(rng, nonzero=True)
     return SymTensor(space, degree, entries)
 
 

@@ -1,27 +1,29 @@
-"""Symmetric multilinear forms on finite spaces, stored sparsely.
+"""Multilinear forms on finite spaces, stored sparsely.
 
-A symmetric m-linear form is determined by its values on nondecreasing
-multi-indices: the stored coefficient at alpha is the value of the full
-symmetric array at any arrangement of alpha.  `SymTensor._arrangement_rows`
-lists each stored entry's distinct arrangements as 0-based points, the first
-weighted m! / prod k_t! (k_t counts t in alpha) and the rest weighted 0, so
-the weighted rows alone give the diagonal: the one layout evaluators read.
+Every form here is a `Form`: its nonzero entries keyed by 1-based index
+tuples, and one exact evaluator over its arrangement rows.
+`_arrangement_rows` lists each stored entry's points 0-based with a
+coefficient and a weight, and the weighted rows alone give the diagonal:
+the one layout evaluators read.
 
-`_scaled_rows` enumerates a form's table once, with the coefficients
-scaled to integers over their common denominator, and keeps it in one
-module slot keyed by the form object, so a run of calls on one form (the
-checks evaluate it again and again) walks its arrangements once; the slot
-also holds the int array `_intpath.dense_core` builds from those rows, so
-the array too is built once per run.  The reference here sums those rows
-in exact integers, reading each argument's integer row as it is stored,
-and builds one Fraction per value; the batch kernels in `_intpath` build
-their integer arrays from the same rows.  Entries are read-only views, so
-a form cannot change under its cached rows.
+A symmetric m-linear form (`SymTensor`) is determined by its values on
+nondecreasing multi-indices: the stored coefficient at alpha is the value
+of the full symmetric array at any arrangement of alpha.  Its rows are each
+stored entry's distinct arrangements, the first weighted m! / prod k_t!
+(k_t counts t in alpha) and the rest weighted 0.  An order-2 form with no
+symmetry assumption (`GeneralMatrixForm`) has no arrangements to fold: its
+rows are its entries, one each with weight 1.
 
-Order-2 forms with no symmetry assumption get their own matrix type.  Its
-table is one row per nonzero entry with weight 1, so the batch kernels read
-it unchanged; its dense `evaluate`, a sum over the whole matrix in exact
-integers, stays an independent reference.
+`_scaled_rows` enumerates a form's rows once, with the coefficients scaled
+to integers over their common denominator, and keeps them in one module
+slot keyed by the form object, so a run of calls on one form (the checks
+evaluate it again and again) walks its arrangements once; the slot also
+holds the int array `_intpath.dense_core` builds from those rows, so the
+array too is built once per run.  The reference here sums those rows in
+exact integers, reading each argument's integer row as it is stored, and
+builds one Fraction per value; the batch kernels in `_intpath` build their
+integer arrays from the same rows.  Entries are read-only views, so a form
+cannot change under its cached rows.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import getitem, mul
+from operator import getitem
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -70,7 +72,63 @@ def _later_arrangements(points: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         yield tuple(a)
 
 
-class SymTensor:
+class Form:
+    """A multilinear form on a finite space: ``space``, ``degree`` and its
+    nonzero ``entries``, an immutable mapping from 1-based index tuples to
+    Fractions.  A subclass lists the entries' rows (points, coeff, weight)
+    in `_arrangement_rows(coeffs)`, entry by entry, points 0-based, the
+    i-th entry's coefficient read from the i-th item of ``coeffs``;
+    evaluation reads those rows, and equality the entries."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def evaluate(self, args: Sequence[Element]) -> Fraction:
+        """A(x_1, .., x_m): coeff * prod_i x_i(point_i) summed over every
+        arrangement row."""
+        if len(args) != self.degree:
+            raise DegreeMismatchError(f"expected {self.degree} arguments, got {len(args)}")
+        for x in args:
+            if x.space != self.space:
+                raise SpaceMismatchError("argument on the wrong space")
+        return self._contract(args, diagonal=False)
+
+    def _contract(self, args: Sequence[Element], diagonal: bool) -> Fraction:
+        """The sum over the scaled arrangement rows (`_scaled_rows`) in exact
+        integers: each argument is read as stored, integers ``nums`` over
+        ``den``, and one Fraction is built from the total.  ``diagonal``
+        takes one argument, reads it in every slot and sums the weighted
+        rows alone."""
+        rows, weighted, scale, _ = _scaled_rows(self)
+        if diagonal:
+            (x,) = args
+            total = sum(math.prod(map(x.nums.__getitem__, p), start=c * w) for p, c, w in weighted)
+            return Fraction(total, scale * x.den**self.degree)
+        xs = [x.nums for x in args]
+        total = sum(math.prod(map(getitem, xs, p), start=c) for p, c, _ in rows)
+        return Fraction(total, scale * math.prod(x.den for x in args))
+
+    def off_diagonal_entries(self) -> dict[tuple[int, ...], Fraction]:
+        """The entries whose index names at least two distinct points."""
+        return {idx: v for idx, v in self.entries.items() if len(set(idx)) > 1}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Form):
+            return NotImplemented
+        return (
+            type(self) is type(other)
+            and self.space == other.space
+            and self.degree == other.degree
+            and self.entries == other.entries
+        )
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.space, self.degree, tuple(self.entries.items())))
+
+
+class SymTensor(Form):
     """A symmetric m-linear form on a finite space."""
 
     __slots__ = ("space", "degree", "entries")
@@ -101,9 +159,6 @@ class SymTensor:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "entries", MappingProxyType(dict(sorted(clean.items()))))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SymTensor is immutable")
-
     @staticmethod
     def diagonal(space: Space, degree: int, weights: Mapping[int, Rational]) -> "SymTensor":
         return SymTensor(space, degree, {(t,) * degree: w for t, w in weights.items()})
@@ -113,10 +168,8 @@ class SymTensor:
     def _arrangement_rows(
         self, coeffs: Iterable[Fraction | int]
     ) -> Iterator[tuple[tuple[int, ...], Fraction | int, int]]:
-        """Rows (points, coeff, weight), stored entry by stored entry: the
-        sorted index with weight m!/prod k_t!, then its other distinct
-        arrangements with weight 0; points are 0-based, and the i-th stored
-        entry's coefficient is read from the i-th item of ``coeffs``."""
+        """The sorted index with weight m!/prod k_t!, then its other
+        distinct arrangements with weight 0."""
         for idx, coeff in zip(self.entries, coeffs):
             points = tuple(t - 1 for t in idx)
             yield points, coeff, arrangements(idx)
@@ -124,14 +177,9 @@ class SymTensor:
                 yield p, coeff, 0
 
     def evaluate(self, args: Sequence[Element]) -> Fraction:
-        """A(x_1, .., x_m): coeff * prod_i x_i(point_i) summed over every
-        arrangement row."""
-        if len(args) != self.degree:
-            raise DegreeMismatchError(f"expected {self.degree} arguments, got {len(args)}")
-        for x in args:
-            if x.space != self.space:
-                raise SpaceMismatchError("argument on the wrong space")
-        return self._contract(args, diagonal=False)
+        """`Form.evaluate`, defined in this class so that the benchmark's
+        span ``SymTensor.evaluate`` wraps the tensors' calls alone."""
+        return Form.evaluate(self, args)
 
     def evaluate_diagonal(self, x: Element) -> Fraction:
         """A(x, .., x).  Every arrangement of an entry contributes the same
@@ -140,21 +188,6 @@ class SymTensor:
         if x.space != self.space:
             raise SpaceMismatchError("argument on the wrong space")
         return self._contract([x], diagonal=True)
-
-    def _contract(self, args: Sequence[Element], diagonal: bool) -> Fraction:
-        """The sum over the scaled arrangement rows (`_scaled_rows`) in exact
-        integers: each argument is read as stored, integers ``nums`` over
-        ``den``, and one Fraction is built from the total.  ``diagonal``
-        takes one argument, reads it in every slot and sums the weighted
-        rows alone."""
-        rows, weighted, scale, _ = _scaled_rows(self)
-        if diagonal:
-            (x,) = args
-            total = sum(math.prod(map(x.nums.__getitem__, p), start=c * w) for p, c, w in weighted)
-            return Fraction(total, scale * x.den**self.degree)
-        xs = [x.nums for x in args]
-        total = sum(math.prod(map(getitem, xs, p), start=c) for p, c, _ in rows)
-        return Fraction(total, scale * math.prod(x.den for x in args))
 
     # -- structure ------------------------------------------------------------
 
@@ -165,9 +198,6 @@ class SymTensor:
         if not self.is_diagonal():
             raise ValueError("tensor has off-diagonal entries")
         return {idx[0]: v for idx, v in self.entries.items()}
-
-    def off_diagonal_entries(self) -> dict[tuple[int, ...], Fraction]:
-        return {idx: v for idx, v in self.entries.items() if len(set(idx)) > 1}
 
     def is_positive(self) -> bool:
         return all(v >= 0 for v in self.entries.values())
@@ -196,96 +226,48 @@ class SymTensor:
         kept = {i: v for i, v in self.entries.items() if set(i) <= points}
         return SymTensor(self.space, self.degree, kept)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymTensor):
-            return NotImplemented
-        return (
-            self.space == other.space
-            and self.degree == other.degree
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.degree, tuple(self.entries.items())))
-
     def __repr__(self) -> str:
         return f"SymTensor(m={self.degree}, {self.space!r}, {len(self.entries)} entries)"
 
 
-class GeneralMatrixForm:
+class GeneralMatrixForm(Form):
     """A bilinear form on a finite space with no symmetry assumption.
 
     ``entries`` maps each nonzero (i, j), 1-based, to its coefficient in
-    row-major order.  A non-symmetric matrix has no arrangements to fold, so
-    its arrangement rows are its entries, one each with weight 1: the same
-    layout as a `SymTensor`'s, read by the same batch kernels.
+    row-major order; ``rows`` rebuilds the dense matrix from them.
     """
 
-    __slots__ = ("space", "rows", "entries")
+    __slots__ = ("space", "entries")
 
     degree = 2
 
     def __init__(self, space: Space, rows: Sequence[Sequence[Rational]]) -> None:
         if not space.is_finite:
             raise SpaceMismatchError("matrix forms live on finite spaces")
-        mat = tuple(tuple(q(v) for v in row) for row in rows)
-        if len(mat) != space.n or any(len(row) != space.n for row in mat):
+        if len(rows) != space.n or any(len(row) != space.n for row in rows):
             raise ValueError(f"need an {space.n} x {space.n} matrix")
-        entries = {(i, j): v for i, row in enumerate(mat, 1) for j, v in enumerate(row, 1) if v != 0}
+        values = ((i, j, q(v)) for i, row in enumerate(rows, 1) for j, v in enumerate(row, 1))
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "rows", mat)
-        object.__setattr__(self, "entries", MappingProxyType(entries))
+        object.__setattr__(self, "entries", MappingProxyType({(i, j): v for i, j, v in values if v != 0}))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GeneralMatrixForm is immutable")
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        points, zero = self.space.points(), Fraction(0)
+        return tuple(tuple(self.entries.get((i, j), zero) for j in points) for i in points)
 
     def _arrangement_rows(
         self, coeffs: Iterable[Fraction | int]
     ) -> Iterator[tuple[tuple[int, ...], Fraction | int, int]]:
-        """One row (points, coeff, 1) per entry, points 0-based, with the
-        i-th entry's coefficient read from the i-th item of ``coeffs``; every
-        row carries weight."""
+        """One row (points, coeff, 1) per entry: every row carries weight."""
         for (i, j), coeff in zip(self.entries, coeffs):
             yield (i - 1, j - 1), coeff, 1
-
-    def evaluate(self, args: Sequence[Element]) -> Fraction:
-        """x^T M y, summed densely over the rows: the reference the batch
-        kernels are checked against.  The matrix is scaled once to integers
-        over the common denominator of its entries, x and y are read as
-        stored, integers ``nums`` over ``den``, and one Fraction is built
-        from the total."""
-        if len(args) != 2:
-            raise DegreeMismatchError("matrix forms are bilinear")
-        x, y = args
-        if x.space != self.space or y.space != self.space:
-            raise SpaceMismatchError("argument on the wrong space")
-        n = self.space.n
-        coeffs, scale = _integer_row(v for row in self.rows for v in row)
-        total = 0
-        for i, xi in enumerate(x.nums):
-            if xi:
-                total += xi * sum(map(mul, coeffs[i * n : (i + 1) * n], y.nums))
-        return Fraction(total, scale * x.den * y.den)
 
     def __abs__(self) -> "GeneralMatrixForm":
         return GeneralMatrixForm(self.space, [[abs(v) for v in row] for row in self.rows])
 
-    def off_diagonal_entries(self) -> dict[tuple[int, int], Fraction]:
-        return {(i, j): v for (i, j), v in self.entries.items() if i != j}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GeneralMatrixForm):
-            return NotImplemented
-        return self.space == other.space and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.rows))
-
     def __repr__(self) -> str:
         return f"GeneralMatrixForm({self.space!r})"
 
-
-Form = SymTensor | GeneralMatrixForm
 
 # (form, [rows, weighted rows, scale, table]) of the last form `_scaled_rows`
 # read, or None before the first.  The form is held, not its id, so the id

@@ -3,18 +3,28 @@
 Each recomputes a quantity by a route the package does not take, and none
 is read by the package itself: a per-point recheck of a convergence
 certificate, the atomic partitions and the brute-force partition sum that
-the coefficientwise modulus of a form is compared with, and an exact root
-of a rational that `RadicalElement.exact_root` is compared with.
+the coefficientwise modulus of a form is compared with, an exact root of a
+rational that `RadicalElement.exact_root` is compared with, the least
+scale that puts an element in a principal ideal, and a form's value read
+from its JSON alone, summed over every ordered index tuple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from math import prod
 from typing import Sequence
 
-from riesz_lab import ConvergenceCertificate, DegreeMismatchError, Element, PositivityError, SpaceMismatchError
-from riesz_lab.lattice import _int_root
+from riesz_lab import (
+    ConvergenceCertificate,
+    DegreeMismatchError,
+    Element,
+    PositivityError,
+    PrincipalIdeal,
+    SpaceMismatchError,
+)
+from riesz_lab.lattice import _aligned, _int_root
 from riesz_lab.tensors import Form
 
 
@@ -90,3 +100,43 @@ def exact_fraction_root(value: Fraction, degree: int) -> Fraction | None:
     if num is None or den is None:
         return None
     return Fraction(num, den)
+
+
+def membership_witness(ideal: PrincipalIdeal, x: Element) -> Fraction | None:
+    """The least lambda with |x| <= lambda * generator, or None when x is
+    not in the ideal."""
+    xs, caps, _ = _aligned(x, ideal.generator)
+    bound = Fraction(0)
+    for v, cap in zip(xs, caps):
+        mag = abs(v)
+        if cap == 0:
+            if mag != 0:
+                return None
+            continue
+        ratio = Fraction(mag, cap)
+        if ratio > bound:
+            bound = ratio
+    return bound
+
+
+def json_form_value(form: dict, args: Sequence[dict]) -> Fraction:
+    """A(x_1, .., x_m) read from `jsonio.to_obj` output alone: the form's
+    full array holds a tensor entry's value at every ordered arrangement of
+    its ``idx`` and a matrix's ``rows`` as they stand, and the value is the
+    sum over all ordered index tuples (i_1, .., i_m) of the array entry
+    times x_1(i_1) * .. * x_m(i_m), read from the arguments' ``values``."""
+    n = form["space"]["n"]
+    if "rows" in form:
+        m = 2
+        array = {(i, j): Fraction(v) for i, row in enumerate(form["rows"], 1) for j, v in enumerate(row, 1)}
+    else:
+        m = form["m"]
+        array = {idx: Fraction(e["val"]) for e in form["entries"] for idx in permutations(e["idx"])}
+    if len(args) != m:
+        raise DegreeMismatchError(f"expected {m} arguments, got {len(args)}")
+    values = [[Fraction(v) for v in x["values"]] for x in args]
+    total = Fraction(0)
+    for idx in product(range(1, n + 1), repeat=m):
+        if array.get(idx):
+            total += array[idx] * prod(row[i - 1] for row, i in zip(values, idx))
+    return total

@@ -36,13 +36,13 @@ from riesz_lab import (
 from riesz_lab._intpath import dense_core
 from riesz_lab.checks import OS_DISJOINT, OS_J_IDENTITY
 from riesz_lab.errors import DegreeMismatchError, MalformedInstanceError, RepresentationError, SpaceMismatchError
-from riesz_lab.jsonio import parse_polynomial, polynomial_to_obj
+from riesz_lab.jsonio import matrix_to_obj, parse_matrix, parse_polynomial, polynomial_to_obj, to_obj
 from riesz_lab.lattice import LIMIT
 from riesz_lab.polynomials import MEASURE, TENSOR
 from riesz_lab.tensors import _scaled_rows, arrangements, nondecreasing_indices
 from riesz_lab.sampling import element, measure, rng_for, sym_tensor
 
-from oracles import atomic_partition, modulus_partition_oracle
+from oracles import atomic_partition, json_form_value, modulus_partition_oracle
 
 F1, F2, F3 = Space.finite(1), Space.finite(2), Space.finite(3)
 OM = Space.omega_plus_one()
@@ -322,6 +322,78 @@ class TestScaledRows:
                 form.entries[key] = 1
         assert tensor.evaluate_diagonal(fin(1, 1)) == 1
         assert dict(matrix.entries) == {(1, 1): 1, (1, 2): 2, (2, 2): 1}
+
+
+def _oracle_value(form, args):
+    return json_form_value(to_obj(form), [to_obj(x) for x in args])
+
+
+def _seeded_value(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+def _seeded_row(rng, n):
+    return [_seeded_value(rng) for _ in range(n)]
+
+
+class TestJsonOracle:
+    """Every evaluator against the JSON-only oracle, which expands a
+    tensor's entries to all their ordered arrangements itself and sums over
+    every ordered index tuple; denominators up to 12."""
+
+    def test_tensor_evaluators(self):
+        for m in range(1, 6):
+            for n in range(1, 7):
+                space = Space.finite(n)
+                for i in range(3):
+                    rng = rng_for("json-oracle", m, n, i)
+                    candidates = list(nondecreasing_indices(n, m))
+                    picked = rng.sample(candidates, min(len(candidates), rng.randint(1, 2 * n)))
+                    tensor = SymTensor(space, m, {idx: _seeded_value(rng) for idx in picked})
+                    args = [Element(space, _seeded_row(rng, n)) for _ in range(m)]
+                    assert tensor.evaluate(args) == _oracle_value(tensor, args), (m, n, i)
+                    assert tensor.evaluate_diagonal(args[0]) == _oracle_value(tensor, [args[0]] * m), (m, n, i)
+
+    def test_matrix_evaluator(self):
+        for n in range(1, 7):
+            space = Space.finite(n)
+            for i in range(6):
+                rng = rng_for("json-oracle-matrix", n, i)
+                matrix = GeneralMatrixForm(space, [_seeded_row(rng, n) for _ in range(n)])
+                args = [Element(space, _seeded_row(rng, n)) for _ in range(2)]
+                assert matrix.evaluate(args) == _oracle_value(matrix, args), (n, i)
+
+    def test_hand_values(self):
+        assert json_form_value(to_obj(SymTensor(F2, 2, {(1, 2): 1})), [to_obj(fin(1, 2)), to_obj(fin(3, 4))]) == 10
+        matrix = GeneralMatrixForm(F2, [[0, 1], [0, 0]])
+        assert json_form_value(to_obj(matrix), [to_obj(fin(1, 2)), to_obj(fin(3, 4))]) == 4
+
+
+class TestMatrixStorage:
+    """A matrix form keeps its nonzero entries only; ``rows`` rebuilds the
+    dense matrix from them."""
+
+    def test_rows_return_the_input_matrix(self):
+        rows = [[1, Fraction(-2, 3), 0], [0, 0, 0], [Fraction(5, 12), 0, 7]]
+        matrix = GeneralMatrixForm(F3, rows)
+        assert matrix.rows == tuple(tuple(Fraction(v) for v in row) for row in rows)
+        assert all(type(v) is Fraction for row in matrix.rows for v in row)
+        assert GeneralMatrixForm.__slots__ == ("space", "entries")
+
+    def test_explicit_zeros_compare_and_hash_alike(self):
+        dense = GeneralMatrixForm(F2, [[1, Fraction(0)], ["0", Fraction(3, 2)]])
+        other = abs(GeneralMatrixForm(F2, [[-1, 0], [0, Fraction(-3, 2)]]))
+        assert dense == other and hash(dense) == hash(other)
+        assert dense != GeneralMatrixForm(F2, [[1, 0], [1, Fraction(3, 2)]])
+        assert dense != SymTensor(F2, 2, {(1, 1): 1, (2, 2): Fraction(3, 2)})
+
+    def test_json_round_trip(self):
+        for i in range(10):
+            rng = rng_for("matrix-json", i)
+            n = rng.randint(1, 5)
+            rows = [[rng.choice([0, _seeded_value(rng)]) for _ in range(n)] for _ in range(n)]
+            matrix = GeneralMatrixForm(Space.finite(n), rows)
+            assert parse_matrix(matrix_to_obj(matrix)) == matrix
 
 
 class TestPolynomialConstruction:

@@ -10,7 +10,8 @@ or a dead private method, fails here.  Likewise a public name that
 ``__init__.py`` exports must be read by the package beyond its own
 definition, or be named by the benchmark (``perfbench/``) or the scripts
 (``scripts/``), so a dead entry point fails here too, and a public method
-or property must be read as an attribute there, so a dead method fails.
+or property must be read as an attribute there outside its own class, so a
+dead method fails.
 """
 
 from __future__ import annotations
@@ -133,25 +134,32 @@ def _docstrings(tree: ast.AST) -> set[int]:
     }
 
 
+def _attribute_reads(node: ast.AST) -> Counter:
+    """How often a subtree reads each attribute name."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def test_no_dead_public_methods():
     """Every public method or property of a class in the package is read as
     an attribute somewhere in the package, the benchmark (``perfbench/``)
-    or the scripts (``scripts/``), or is named there as ``Class.method`` in
-    a string other than a docstring, as a traced span is.
+    or the scripts (``scripts/``) outside its own class, or is named there
+    as ``Class.method`` in a string other than a docstring, as a traced
+    span is.  A read inside the defining class (a helper only its siblings
+    call) does not count, as a read inside a private name's own definition
+    does not.
 
     The scan matches attribute names, not the classes they are read on, so
     a name another class shares lets a method through: a ``scale`` method
     of `Measure` would pass on ``refclock.scale`` in the benchmark, and a
     ``join`` of `RadicalElement` on ``Element.join``."""
     sources = [*PACKAGE, *(path for folder in ("perfbench", "scripts") for path in (REPO / folder).glob("*.py"))]
-    read, strings = set(), []
+    read, strings = Counter(), []
     for path in sources:
         tree = ast.parse(path.read_text(), filename=str(path))
         docs = _docstrings(tree)
+        read += _attribute_reads(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
                 strings.append(node.value)
     named = "\n".join(strings)
     dead = [
@@ -162,7 +170,7 @@ def test_no_dead_public_methods():
         for item in cls.body
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not item.name.startswith("_")
-        and item.name not in read
+        and read[item.name] == _attribute_reads(cls)[item.name]
         and not re.search(rf"\b{cls.name}\.{item.name}\b", named)
     ]
     assert not dead, f"public methods nothing in the package, perfbench or scripts reads: {', '.join(dead)}"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,7 +30,9 @@ from riesz_lab import (
     zero_order_continuity_probe,
 )
 from riesz_lab.errors import BoundViolationError, CertificateError, NoWitnessError, SpaceMismatchError
-from riesz_lab.sampling import measure, rng_for
+from riesz_lab.jsonio import dumps_canonical, to_obj
+from riesz_lab.order_continuity import _eventual_value, _settling_index
+from riesz_lab.sampling import element, measure, rational, rng_for
 
 OM = Space.omega_plus_one()
 
@@ -292,3 +297,47 @@ class TestDichotomy:
     def test_finite_space_rejected(self):
         with pytest.raises(SpaceMismatchError):
             dichotomy_agrees(to_polynomial(Measure(Space.finite(2), {1: 1}), 2))
+
+
+class TestFarAtoms:
+    """A tail net settles only past its polynomial's last atom; past the
+    probe depth P there is read from the atoms, not from a member as wide
+    as the last atom."""
+
+    @staticmethod
+    def _far_measure(rng, far):
+        atoms = {far: rational(rng, nonzero=True), rng.randint(1, 8): rational(rng, nonzero=True)}
+        return Measure(OM, atoms, limit_atom=rational(rng) if rng.random() < 0.5 else 0)
+
+    def test_eventual_value_is_p_at_the_settled_member(self):
+        for i in range(24):
+            rng = rng_for("far-atoms", i)
+            family = TailFamily(element(rng, OM), element(rng, OM))
+            m = 2 + i % 3
+            phi, psi = Functional(self._far_measure(rng, 999)), Functional(self._far_measure(rng, 1000))
+            for poly in (to_polynomial(psi.measure, m), ProductFunctionalPolynomial(m, phi, psi)):
+                settle = _settling_index(poly, family)
+                assert settle == 1001
+                assert _eventual_value(poly, family, settle) == poly.evaluate(family.member(settle)), i
+
+    def test_probe_past_its_depth_reads_the_settled_value(self):
+        poly = to_polynomial(Measure(OM, {1000: 3, 2: 1}, limit_atom=Fraction(1, 2)), 2)
+        (probe,) = zero_order_continuity_probe(poly, [urysohn_witness_net(2)], probe_depth=5).probes
+        assert probe.eventual_value == poly.evaluate(TailFamily.indicator(2).member(1001)) == 2
+        assert probe.probed_values == (18, 18, 14, 14, 14)
+
+    @pytest.mark.parametrize("limit", [0, 1])
+    def test_an_atom_at_ten_to_the_eleven(self, limit):
+        poly = to_polynomial(Measure(OM, {10**11: 1}, limit_atom=limit), 3)
+        assert dichotomy_agrees(poly, probe_depth=5)
+
+    def test_cli_probe_of_a_far_atom(self, tmp_path):
+        path = tmp_path / "far.json"
+        path.write_text(dumps_canonical(to_obj(to_polynomial(Measure(OM, {10**11: 1}), 2))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "riesz_lab", "check", "order-continuity", "--poly", str(path)],
+            capture_output=True, text=True, env=dict(os.environ), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "PASS normality-dichotomy" in proc.stdout

@@ -1,5 +1,5 @@
-"""The rank-indexed index pools of `sampling.sym_tensor` draw what the
-listed candidates drew."""
+"""The rank draws of `sampling.sym_tensor`, unranked by `_unrank`, draw
+what the listed candidates drew."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from riesz_lab import Space, SymTensor
-from riesz_lab.sampling import _IndexPool, rational, rng_for, sym_tensor
+from riesz_lab.sampling import _unrank, rational, rng_for, sym_tensor
 from riesz_lab.tensors import nondecreasing_indices
 
 
@@ -39,24 +39,20 @@ FLAGS = [(False, False), (False, True), (True, False), (True, True)]
 
 
 class TestIndexPool:
+    """The candidate indices, ranked: `_unrank` lists them in order."""
+
     @pytest.mark.parametrize("mixed", [False, True])
     def test_matches_the_listed_indices(self, mixed):
         for n in range(1, 8):
             for m in range(1, 6):
                 listed = [idx for idx in nondecreasing_indices(n, m) if not mixed or len(set(idx)) > 1]
-                pool = _IndexPool(n, m, mixed)
-                assert len(pool) == len(listed)
-                assert list(pool) == listed
-                assert [pool[r] for r in range(len(listed))] == listed
-                assert [pool[-r] for r in range(1, len(listed) + 1)] == listed[::-1]
-                with pytest.raises(IndexError):
-                    pool[len(listed)]
+                assert [_unrank(n, m, r, mixed) for r in range(len(listed))] == listed
 
     def test_wide_pool_without_listing(self):
-        pool = _IndexPool(40, 6, mixed=True)
-        assert len(pool) == 8_145_060 - 40
-        assert pool[0] == (1, 1, 1, 1, 1, 2)
-        assert pool[-1] == (39, 40, 40, 40, 40, 40)
+        size = 8_145_060 - 40
+        assert _unrank(40, 6, 0, mixed=True) == (1, 1, 1, 1, 1, 2)
+        assert _unrank(40, 6, size - 1, mixed=True) == (39, 40, 40, 40, 40, 40)
+        assert _unrank(40, 6, size + 40 - 1) == (40,) * 6
 
 
 class TestSameDraws:
