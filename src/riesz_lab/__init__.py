@@ -79,10 +79,6 @@ from .polynomials import (
     Polynomial,
     norm_check,
     polarize,
-    poly_add,
-    poly_join,
-    poly_meet,
-    poly_modulus,
     polys_disjoint,
     to_measure,
     to_polynomial,

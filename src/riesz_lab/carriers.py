@@ -143,7 +143,7 @@ def local_carrier_check(poly: Polynomial, gen: Element) -> ConsistencyVerdict:
 def null_ideal_matches_modulus(poly: Polynomial, candidates: Iterable[Element]) -> bool:
     """Cross-check the descriptor against the defining evaluation rule."""
     desc = null_ideal(poly)
-    modulus = to_polynomial(abs(to_measure(poly)), poly.degree)
+    modulus = abs(poly)
     for x in candidates:
         by_eval = modulus.evaluate(abs(x)) == 0
         if desc.contains(x) != by_eval:

@@ -30,7 +30,7 @@ from .convergence import (
 from .errors import BoundViolationError, CertificateError, NoWitnessError, SpaceMismatchError
 from .lattice import Element, Space, q
 from .measures import Measure, is_normal_measure
-from .polynomials import MEASURE, Polynomial, to_measure
+from .polynomials import Polynomial, to_measure
 
 
 # -- linear functionals --------------------------------------------------------------
@@ -182,7 +182,7 @@ def discontinuity_witness(poly: ProductFunctionalPolynomial, probe_depth: int = 
 class NetProbe:
     eventual_value: Fraction
     probed_values: tuple[Fraction, ...]
-    bound_values: tuple[Fraction, ...] | None
+    bound_values: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -234,19 +234,18 @@ def _eventual_value(poly, family: ElementFamily, settle: int) -> Fraction:
     return integral(poly.phi.measure, 1) ** (poly.degree - 1) * integral(poly.psi.measure, 1)
 
 
-def _certified_bound(poly, x: Element) -> Fraction | None:
+def _certified_bound(poly, x: Element) -> Fraction:
+    """A bound on |P(x)|: |P|(|x|) for a (regular) polynomial, and the
+    functionals' variation norms times ||x||^m for a product polynomial."""
     if isinstance(poly, Polynomial):
-        if poly.kind == MEASURE:
-            return abs(poly.rep).integrate(abs(x), poly.degree)
-        return None
+        return abs(poly).evaluate(abs(x))
     m = poly.degree
     return poly.phi.measure.variation_norm() ** (m - 1) * poly.psi.measure.variation_norm() * x.sup_norm() ** m
 
 
 def _probe(poly, cert: ConvergenceCertificate, depth: int) -> NetProbe:
-    """Verify the certificate, then evaluate P and its certified bound (the
-    modulus integral for measure polynomials, the sup-norm power for
-    product polynomials) along its net up to ``depth``.
+    """Verify the certificate, then evaluate P and its certified bound
+    (`_certified_bound`) along its net up to ``depth``.
 
     Values and bounds are computed only up to the net's settling index
     (`_settling_index`) and repeated from there to ``depth``: past it they
@@ -261,18 +260,11 @@ def _probe(poly, cert: ConvergenceCertificate, depth: int) -> NetProbe:
     settle = _settling_index(poly, family)
     members = [family.member(n) for n in range(1, min(settle, depth) + 1)]
     values = [poly.evaluate(x) for x in members]
-    bounds = []
-    for x, v in zip(members, values):
-        bound = _certified_bound(poly, x)
-        if bound is None:
-            bounds = None
-            break
-        if abs(v) > bound:
-            raise CertificateError("probed value escapes its certified bound")
-        bounds.append(bound)
+    bounds = [_certified_bound(poly, x) for x in members]
+    if any(abs(v) > b for v, b in zip(values, bounds)):
+        raise CertificateError("probed value escapes its certified bound")
     eventual = values[-1] if settle <= depth else _eventual_value(poly, family, settle)
-    bound_values = _repeat_last(bounds, depth) if bounds is not None else None
-    return NetProbe(eventual, _repeat_last(values, depth), bound_values)
+    return NetProbe(eventual, _repeat_last(values, depth), _repeat_last(bounds, depth))
 
 
 def zero_order_continuity_probe(
@@ -282,10 +274,12 @@ def zero_order_continuity_probe(
 ) -> ProbeVerdict:
     """Evaluate a polynomial along verified nets decreasing to zero.
 
-    Passes when every net's exact eventual value is zero and, where a
-    certified bound exists, each probed value respects it; each net is
-    read by `_probe`.
+    Passes when every net's exact eventual value is zero; each net is read
+    by `_probe`, which refuses a value past its certified bound.  A probe
+    over no nets would pass with no evidence, so it is refused.
     """
+    if not nets:
+        raise ValueError("need at least one net")
     probes = []
     for cert in nets:
         if cert.limit.space != poly.space:

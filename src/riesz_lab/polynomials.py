@@ -5,8 +5,11 @@ P(x) is the integral of x^m against a discrete measure.  A tensor-represented
 polynomial is the diagonal restriction of a symmetric m-linear form and is
 orthogonally additive exactly when the form carries no off-diagonal mass.
 
-The correspondence measure <-> OA polynomial is a lattice isometry: lattice
-operations act atomwise and the regular norm equals the variation norm.
+A polynomial's `abs`, `join`, `meet` and `+` are its representation's at
+its degree: atomwise for measures, which makes measure <-> OA polynomial a
+lattice isometry (the regular norm equals the variation norm), and
+entrywise on the symmetric array for tensors.  P and Q are disjoint when
+|P| meet |Q| is zero.
 """
 
 from __future__ import annotations
@@ -75,6 +78,32 @@ class Polynomial:
             return self.rep.integrate(x, self.degree)
         return self.rep.evaluate_diagonal(x)
 
+    # -- lattice operations, each its representation's at this degree ------------
+
+    def _other_rep(self, other: "Polynomial") -> Measure | SymTensor:
+        """``other``'s representation once degree and representation type
+        match; the representation's own operation checks the space."""
+        if self.degree != other.degree:
+            raise DegreeMismatchError("polynomial degrees differ")
+        if self.kind != other.kind:
+            raise RepresentationError("lattice operations need a common representation")
+        return other.rep
+
+    def __abs__(self) -> "Polynomial":
+        return Polynomial(self.degree, abs(self.rep))
+
+    def join(self, other: "Polynomial") -> "Polynomial":
+        return Polynomial(self.degree, self.rep.join(self._other_rep(other)))
+
+    def meet(self, other: "Polynomial") -> "Polynomial":
+        return Polynomial(self.degree, self.rep.meet(self._other_rep(other)))
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return Polynomial(self.degree, self.rep + self._other_rep(other))
+
+    def is_zero(self) -> bool:
+        return self.rep.is_zero()
+
     def is_orthogonally_additive(self) -> bool:
         """Structural criterion: measures always; tensors iff diagonal."""
         return self.kind == MEASURE or self.rep.is_diagonal()
@@ -132,62 +161,19 @@ def polarize(poly: Polynomial) -> SymTensor:
     return SymTensor(poly.space, m, polarize_tensor_int(poly.rep))
 
 
-# -- lattice structure and norms -----------------------------------------------
-
-
-def _require_measure(poly: Polynomial, what: str) -> Measure:
-    if poly.kind != MEASURE:
-        raise RepresentationError(f"{what} needs measure-represented polynomials")
-    return poly.rep
-
-
-def poly_modulus(poly: Polynomial) -> Polynomial:
-    mu = _require_measure(poly, "polynomial modulus")
-    return to_polynomial(abs(mu), poly.degree)
-
-
-def poly_join(p: Polynomial, r: Polynomial) -> Polynomial:
-    _check_pair(p, r)
-    return to_polynomial(p.rep.join(r.rep), p.degree)
-
-
-def poly_meet(p: Polynomial, r: Polynomial) -> Polynomial:
-    _check_pair(p, r)
-    return to_polynomial(p.rep.meet(r.rep), p.degree)
-
-
-def poly_add(p: Polynomial, r: Polynomial) -> Polynomial:
-    _check_pair(p, r)
-    return to_polynomial(p.rep + r.rep, p.degree)
-
-
-def _check_pair(p: Polynomial, r: Polynomial) -> None:
-    _require_measure(p, "polynomial lattice operations")
-    _require_measure(r, "polynomial lattice operations")
-    if p.degree != r.degree:
-        raise DegreeMismatchError("polynomial degrees differ")
-    if p.space != r.space:
-        raise SpaceMismatchError("polynomials on different spaces")
+# -- norms and disjointness -----------------------------------------------------
 
 
 def norm_check(poly: Polynomial) -> tuple[Fraction, Fraction]:
     """(regular norm, variation norm), computed by different routes: the
     regular norm is |P| evaluated at the constant-one element, the variation
     norm is read off the measure.  The two agree; callers assert it."""
-    mu = _require_measure(poly, "norm comparison")
-    regular = poly_modulus(poly).evaluate(Element.constant(poly.space, 1))
-    return regular, mu.variation_norm()
+    if poly.kind != MEASURE:
+        raise RepresentationError("norm comparison needs a measure-represented polynomial")
+    regular = abs(poly).evaluate(Element.constant(poly.space, 1))
+    return regular, poly.rep.variation_norm()
 
 
 def polys_disjoint(p: Polynomial, r: Polynomial) -> bool:
-    """Disjointness in the regular-polynomial lattice: |P| and |Q| have zero
-    meet.  Measure pairs reduce atomwise; tensor pairs entrywise."""
-    if p.degree != r.degree:
-        raise DegreeMismatchError("polynomial degrees differ")
-    if p.space != r.space:
-        raise SpaceMismatchError("polynomials on different spaces")
-    if p.kind == MEASURE and r.kind == MEASURE:
-        return p.rep.is_disjoint(r.rep)
-    if p.kind == TENSOR and r.kind == TENSOR:
-        return all(k not in r.rep.entries for k in p.rep.entries)
-    raise RepresentationError("disjointness needs a matching representation pair")
+    """Disjointness in the regular-polynomial lattice: |P| meet |Q| is zero."""
+    return abs(p).meet(abs(r)).is_zero()

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DegreeMismatchError, RepresentationError, SpaceMismatchError
+from .errors import RepresentationError, SpaceMismatchError
 from .lattice import LIMIT, Element, PrincipalIdeal, Space
 from .measures import Measure
 from .polynomials import Polynomial, polys_disjoint
@@ -53,21 +53,14 @@ class ConsistencyVerdict:
 def local_lattice_consistency(first: Restrictable, second: Restrictable, gen: Element) -> ConsistencyVerdict:
     """Restriction commutes with modulus, join, and meet.
 
-    Both sides of each identity are computed exactly; the verdict names the
-    first identity that fails, if any.
+    Both sides of each identity are computed exactly by the objects' own
+    operations, which refuse a degree or representation mismatch; the
+    verdict names the first identity that fails, if any.
     """
-    if isinstance(first, Polynomial) and isinstance(second, Polynomial):
-        if first.degree != second.degree:
-            raise DegreeMismatchError("lattice identities need equal degrees")
-        if first.kind != second.kind:
-            raise RepresentationError("lattice identities need a common representation")
-        return local_lattice_consistency(first.rep, second.rep, gen)
     if type(first) is not type(second):
         raise RepresentationError("lattice identities need objects of the same type")
     if first.space != second.space:
         raise SpaceMismatchError("objects live on different spaces")
-    if isinstance(first, SymTensor) and first.degree != second.degree:
-        raise DegreeMismatchError("lattice identities need equal degrees")
 
     left_f, left_s = restrict(first, gen), restrict(second, gen)
     checks = (

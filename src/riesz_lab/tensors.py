@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import getitem
+from operator import add, getitem
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -202,14 +202,16 @@ class SymTensor(Form):
     def is_positive(self) -> bool:
         return all(v >= 0 for v in self.entries.values())
 
-    # -- lattice operations (entrywise on the symmetric array) ------------------
+    # -- lattice and linear operations (entrywise on the symmetric array) -------
 
     def __abs__(self) -> "SymTensor":
         return SymTensor(self.space, self.degree, {i: abs(v) for i, v in self.entries.items()})
 
     def _merge(self, other: "SymTensor", op) -> "SymTensor":
-        if self.space != other.space or self.degree != other.degree:
-            raise SpaceMismatchError("tensors not compatible")
+        if self.space != other.space:
+            raise SpaceMismatchError("tensors on different spaces")
+        if self.degree != other.degree:
+            raise DegreeMismatchError("tensor degrees differ")
         keys = set(self.entries) | set(other.entries)
         zero = Fraction(0)
         out = {k: op(self.entries.get(k, zero), other.entries.get(k, zero)) for k in keys}
@@ -220,6 +222,12 @@ class SymTensor(Form):
 
     def meet(self, other: "SymTensor") -> "SymTensor":
         return self._merge(other, min)
+
+    def __add__(self, other: "SymTensor") -> "SymTensor":
+        return self._merge(other, add)
+
+    def is_zero(self) -> bool:
+        return not self.entries
 
     def restrict_points(self, points: frozenset[int]) -> "SymTensor":
         """Drop entries touching any point outside the given set."""

@@ -3,10 +3,12 @@
 Each recomputes a quantity by a route the package does not take, and none
 is read by the package itself: a per-point recheck of a convergence
 certificate, the atomic partitions and the brute-force partition sum that
-the coefficientwise modulus of a form is compared with, an exact root of a
-rational that `RadicalElement.exact_root` is compared with, the least
-scale that puts an element in a principal ideal, and a form's value read
-from its JSON alone, summed over every ordered index tuple.
+the coefficientwise modulus of a form is compared with, the
+Riesz-Kantorovich partition sums that the join, meet and modulus of
+measure polynomials are compared with, an exact root of a rational that
+`RadicalElement.exact_root` is compared with, the least scale that puts an
+element in a principal ideal, and a form's value read from its JSON alone,
+summed over every ordered index tuple.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from riesz_lab import (
     ConvergenceCertificate,
     DegreeMismatchError,
     Element,
+    Polynomial,
     PositivityError,
     PrincipalIdeal,
     SpaceMismatchError,
@@ -91,6 +94,35 @@ def modulus_partition_oracle(
     for combo in product(*partitions):
         result += abs(form.evaluate(list(combo)))
     return result
+
+
+def polynomial_lattice_partition(p: Polynomial, q: Polynomial, x: Element) -> tuple[Fraction, Fraction, Fraction]:
+    """((P join Q)(x), (P meet Q)(x), |P|(x)) for measure polynomials P, Q of
+    one degree at a nonnegative x, by the Riesz-Kantorovich partition
+    formula: the sum over the pieces u of a partition of x of max(P(u), Q(u)),
+    of min(P(u), Q(u)) and of |P(u)|.
+
+    The pieces are x(t) * e_t for each isolated point t up to K, where K
+    covers every atom of P and Q and x's row, and on omega1 the tail piece
+    indicator({limit} | {isolated >= K + 1}) * x.  Each piece meets at most
+    one point where P or Q has mass, so no finer partition changes a sum and
+    these attain the supremum.  Beyond the atom points that fix K, only
+    `Polynomial.evaluate` and `Element` operations are read, never a
+    lattice operation of `Measure`."""
+    if not x.is_nonnegative():
+        raise PositivityError("the partition formula is read at nonnegative elements")
+    space = x.space
+    if space.is_finite:
+        pieces = [Element.basis(space, t) * x.value_at(t) for t in space.points()]
+    else:
+        last = max([*p.rep.atoms, *q.rep.atoms, len(x.prefix) + 1])
+        pieces = [Element.basis(space, t) * x.value_at(t) for t in range(1, last + 1)]
+        pieces.append(Element.tail_indicator(space, last + 1) * x)
+    values = [(p.evaluate(u), q.evaluate(u)) for u in pieces]
+    join = sum((max(a, b) for a, b in values), Fraction(0))
+    meet = sum((min(a, b) for a, b in values), Fraction(0))
+    modulus = sum((abs(a) for a, _ in values), Fraction(0))
+    return join, meet, modulus
 
 
 def exact_fraction_root(value: Fraction, degree: int) -> Fraction | None:

@@ -36,10 +36,6 @@ from riesz_lab import (
     oa_mode_agreement,
     orthosymmetry_check,
     polarize,
-    poly_add,
-    poly_join,
-    poly_meet,
-    poly_modulus,
     polys_disjoint,
     restrict,
     reverify_counterexample,
@@ -164,13 +160,13 @@ def test_criterion_4_measure_isometry():
         partner = previous.get(space.is_finite)
         if partner is not None and partner.space == space:
             p, q = to_polynomial(mu, degree), to_polynomial(partner, degree)
-            if to_measure(poly_join(p, q)) != mu.join(partner):
+            if to_measure(p.join(q)) != mu.join(partner):
                 ok = False
-            if to_measure(poly_meet(p, q)) != mu.meet(partner):
+            if to_measure(p.meet(q)) != mu.meet(partner):
                 ok = False
-            if to_measure(poly_add(p, q)) != mu + partner:
+            if to_measure(p + q) != mu + partner:
                 ok = False
-            if to_measure(poly_modulus(p)) != abs(mu):
+            if to_measure(abs(p)) != abs(mu):
                 ok = False
             if polys_disjoint(p, q) != mu.is_disjoint(partner):
                 ok = False

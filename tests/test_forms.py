@@ -24,10 +24,6 @@ from riesz_lab import (
     oa_mode_agreement,
     orthosymmetry_check,
     polarize,
-    poly_add,
-    poly_join,
-    poly_meet,
-    poly_modulus,
     polys_disjoint,
     structured_pair_count,
     to_measure,
@@ -40,9 +36,17 @@ from riesz_lab.jsonio import matrix_to_obj, parse_matrix, parse_polynomial, poly
 from riesz_lab.lattice import LIMIT
 from riesz_lab.polynomials import MEASURE, TENSOR
 from riesz_lab.tensors import _scaled_rows, arrangements, nondecreasing_indices
-from riesz_lab.sampling import element, measure, rng_for, sym_tensor
+from riesz_lab.sampling import (
+    element,
+    measure,
+    measure_polynomial,
+    nonzero_positive_element,
+    rng_for,
+    sym_tensor,
+    tensor_polynomial,
+)
 
-from oracles import atomic_partition, json_form_value, modulus_partition_oracle
+from oracles import atomic_partition, json_form_value, modulus_partition_oracle, polynomial_lattice_partition
 
 F1, F2, F3 = Space.finite(1), Space.finite(2), Space.finite(3)
 OM = Space.omega_plus_one()
@@ -588,12 +592,12 @@ class TestNorms:
 class TestPolyLattice:
     def test_modulus_atomwise(self):
         p = to_polynomial(Measure(F2, {1: -1}), 2)
-        assert to_measure(poly_modulus(p)) == Measure(F2, {1: 1})
+        assert to_measure(abs(p)) == Measure(F2, {1: 1})
 
     def test_meet_of_disjoint_supports_is_zero(self):
         p = to_polynomial(Measure(F3, {1: 2}), 2)
         q = to_polynomial(Measure(F3, {3: 5}), 2)
-        assert to_measure(poly_meet(p, q)).is_zero()
+        assert to_measure(p.meet(q)).is_zero()
         assert polys_disjoint(p, q)
 
     def test_join_plus_meet_is_sum(self):
@@ -602,13 +606,111 @@ class TestPolyLattice:
             space = F3 if i % 2 else OM
             p = to_polynomial(measure(rng, space), 2)
             q = to_polynomial(measure(rng, space), 2)
-            lhs = to_measure(poly_add(poly_join(p, q), poly_meet(p, q)))
-            assert lhs == to_measure(poly_add(p, q))
+            lhs = to_measure(p.join(q) + p.meet(q))
+            assert lhs == to_measure(p + q)
 
     def test_modulus_keeps_orthogonal_additivity(self):
         p = to_polynomial(Measure(OM, {2: -3}, limit_atom=Fraction(-1, 2)), 3)
-        assert poly_modulus(p).is_orthogonally_additive()
+        assert abs(p).is_orthogonally_additive()
 
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
-            poly_join(to_polynomial(Measure(F2, {1: 1}), 2), to_polynomial(Measure(F2, {1: 1}), 3))
+            to_polynomial(Measure(F2, {1: 1}), 2).join(to_polynomial(Measure(F2, {1: 1}), 3))
+
+
+class TestPolyLatticePartition:
+    """The polynomial lattice against the Riesz-Kantorovich partition sums,
+    which read P and Q only at the pieces of a partition of x."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_measure_polynomials(self, m):
+        for i in range(200):
+            rng = rng_for("poly-lattice-partition", m, i)
+            space = Space.finite(2 + i % 3) if i % 2 else OM
+            p, q = measure_polynomial(rng, space, m), measure_polynomial(rng, space, m)
+            x = element(rng, space, positive=True)
+            join, meet, modulus = polynomial_lattice_partition(p, q, x)
+            assert p.join(q).evaluate(x) == join, (p, q, x)
+            assert p.meet(q).evaluate(x) == meet, (p, q, x)
+            assert abs(p).evaluate(x) == modulus, (p, x)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_tensor_modulus(self, m):
+        for i in range(50):
+            rng = rng_for("poly-modulus-partition", m, i)
+            space = Space.finite(2 + i % 2)
+            p = tensor_polynomial(rng, space, m, ensure_off_diagonal=i % 2 == 0)
+            x = nonzero_positive_element(rng, space)
+            parts = atomic_partition(x)
+            assert abs(p).evaluate(x) == modulus_partition_oracle(p.rep, [x] * m, [parts] * m), (p, x)
+
+
+_MU, _NU = Measure(OM, {1: 1, 2: -2}, limit_atom=3), Measure(OM, {2: 3}, limit_atom=-1)
+_A, _B = SymTensor(F3, 2, {(1, 1): 1, (1, 2): -2}), SymTensor(F3, 2, {(1, 2): 3, (2, 3): -1})
+_LATTICE_PAIRS = {
+    "element": (Element.finite([1, -2, 0]), Element.finite([0, 3, -1])),
+    "measure": (_MU, _NU),
+    "tensor": (_A, _B),
+    "measure-polynomial": (to_polynomial(_MU, 3), to_polynomial(_NU, 3)),
+    "tensor-polynomial": (Polynomial.from_tensor(_A), Polynomial.from_tensor(_B)),
+}
+_MU2, _T2 = Measure(F3, {1: 1}), SymTensor.diagonal(F3, 2, {1: 1})
+_MISMATCHED_PAIRS = {
+    "measure-tensor": (RepresentationError, to_polynomial(_MU2, 2), Polynomial.from_tensor(_T2)),
+    "tensor-measure": (RepresentationError, Polynomial.from_tensor(_T2), to_polynomial(_MU2, 2)),
+    "measure-degrees": (DegreeMismatchError, to_polynomial(_MU2, 2), to_polynomial(_MU2, 3)),
+    "tensor-degrees": (
+        DegreeMismatchError,
+        Polynomial.from_tensor(_T2),
+        Polynomial.from_tensor(SymTensor.diagonal(F3, 3, {1: 1})),
+    ),
+    "bare-tensor-degrees": (DegreeMismatchError, _T2, SymTensor.diagonal(F3, 3, {1: 1})),
+    "measure-spaces": (SpaceMismatchError, to_polynomial(_MU2, 2), to_polynomial(Measure(OM, {1: 1}), 2)),
+    "tensor-spaces": (
+        SpaceMismatchError,
+        Polynomial.from_tensor(_T2),
+        Polynomial.from_tensor(SymTensor.diagonal(F2, 2, {1: 1})),
+    ),
+    "bare-measure-spaces": (SpaceMismatchError, _MU2, Measure(F2, {1: 1})),
+    "bare-tensor-spaces": (SpaceMismatchError, _T2, SymTensor.diagonal(F2, 2, {1: 1})),
+}
+
+
+class TestLatticeProtocol:
+    """Every lattice object answers abs, join, meet, + and is_zero."""
+
+    @pytest.mark.parametrize("first, second", _LATTICE_PAIRS.values(), ids=_LATTICE_PAIRS)
+    def test_operations_keep_the_type(self, first, second):
+        for result in (abs(first), first.join(second), first.meet(second), first + second):
+            assert type(result) is type(first)
+            assert getattr(result, "kind", None) == getattr(first, "kind", None)
+        assert first.is_zero() is False
+
+    def test_tensor_polynomials_are_entrywise(self):
+        for i in range(60):
+            rng = rng_for("tensor-poly-lattice", i)
+            space, m = Space.finite(2 + i % 3), 2 + i % 2
+            a, b = sym_tensor(rng, space, m), sym_tensor(rng, space, m)
+            if i % 3 == 0:  # force genuinely disjoint pairs into the mix
+                b = SymTensor(space, m, {k: v for k, v in b.entries.items() if k not in a.entries})
+            p, q = Polynomial.from_tensor(a), Polynomial.from_tensor(b)
+            pairs = {k: (a.entries.get(k, 0), b.entries.get(k, 0)) for k in {*a.entries, *b.entries}}
+
+            def entrywise(op):
+                return Polynomial.from_tensor(SymTensor(space, m, {k: op(u, v) for k, (u, v) in pairs.items()}))
+
+            assert abs(p) == Polynomial.from_tensor(SymTensor(space, m, {k: abs(v) for k, v in a.entries.items()}))
+            assert p.join(q) == entrywise(max)
+            assert p.meet(q) == entrywise(min)
+            assert p + q == entrywise(lambda u, v: u + v)
+            # the rule polys_disjoint replaced for tensor pairs: no common entry
+            assert polys_disjoint(p, q) == all(k not in b.entries for k in a.entries)
+
+    @pytest.mark.parametrize("error, first, second", _MISMATCHED_PAIRS.values(), ids=_MISMATCHED_PAIRS)
+    def test_mismatches_raise_library_errors(self, error, first, second):
+        for op in (first.join, first.meet, first.__add__):
+            with pytest.raises(error):
+                op(second)
+        if isinstance(first, Polynomial):
+            with pytest.raises(error):
+                polys_disjoint(first, second)

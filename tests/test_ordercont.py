@@ -239,18 +239,28 @@ class TestZeroProbe:
         (probe,) = verdict.probes
         assert probe.bound_values is not None
 
-    def test_tensor_polynomial_has_no_certified_bound(self):
+    def test_tensor_polynomial_bounded_by_its_modulus(self):
         f3 = Space.finite(3)
         poly = Polynomial.from_tensor(SymTensor(f3, 2, {(1, 1): 1, (1, 2): 1}))
-        x = Element.finite([1, 1, 0])
-        net = ConvergenceCertificate(
-            ExplicitFamily((x, Element.zero(f3))), Element.zero(f3), ExplicitFamily((x, Element.zero(f3)))
-        )
-        verdict = zero_order_continuity_probe(poly, [net], probe_depth=4)
+        zero = Element.zero(f3)
+        nets = [
+            ConvergenceCertificate(ExplicitFamily((x, zero)), zero, ExplicitFamily((abs(x), zero)))
+            for x in (Element.finite([1, 1, 0]), Element.finite([1, -1, 0]))
+        ]
+        verdict = zero_order_continuity_probe(poly, nets, probe_depth=4)
         assert verdict.passed
-        (probe,) = verdict.probes
-        assert probe.probed_values == (3, 0, 0, 0)
-        assert probe.bound_values is None
+        plain, signed = verdict.probes
+        assert plain.probed_values == (3, 0, 0, 0)
+        assert signed.probed_values == (-1, 0, 0, 0)
+        # |P|(|x|) = x1^2 + 2 x1 x2 at (1, 1, 0) for both nets
+        assert plain.bound_values == signed.bound_values == (3, 0, 0, 0)
+        for probe in verdict.probes:
+            assert all(abs(v) <= b for v, b in zip(probe.probed_values, probe.bound_values))
+
+    def test_no_nets_rejected(self):
+        poly = to_polynomial(Measure(OM, {1: 1}), 2)
+        with pytest.raises(ValueError, match="need at least one net"):
+            zero_order_continuity_probe(poly, [], 5)
 
     @pytest.mark.parametrize("psi", [Functional.coordinate(2), Functional.limit()])
     def test_net_on_another_space_rejected(self, psi):
