@@ -2,23 +2,21 @@
 
 Identities checked by the sampled suites are homogeneous, so every instance
 is scaled to integers by its common denominator and batch-evaluated with
-NumPy.  A form is evaluated from its arrangement rows
-(`Form._arrangement_rows`: a symmetric tensor's arrangements, or one row
-per nonzero entry of a matrix form) as the exact reference reads them,
-scaled to integers (`tensors._scaled_rows`, enumerated once per run of
-calls on one form), by gathering each row's points from the arguments and
-multiplying: O(S * rows * m) for a batch of S samples.  The polynomial
-kernels sum P over a stack of k rows per sample, so each side of an
-identity between sums of P-values is one call, and the kernel, not its
-caller, bounds that whole sum in exact Python integers: int64 when the
-bound stays below `INT64_LIMIT`, otherwise `dtype=object` arrays of Python
-ints, the same gather and product at any size.  Gathers run over chunks of
-samples that fit a byte budget.  The reference the checks compare against
-stays `Form.evaluate` (with `SymTensor.evaluate_diagonal`) and
-`Measure.integrate`, exact and independent of NumPy: each reads the
-arguments' integer rows as `Element` stores them, sums in Python integers
-(the form evaluators over the same scaled rows as the kernels) and returns
-one Fraction per value.
+NumPy.  A form is evaluated from its rows as the exact reference reads
+them, scaled to integers (`tensors._scaled_rows`), by gathering each row's
+points from the arguments and multiplying: O(S * rows * m) for a batch of
+S samples.  The multilinear kernel reads every arrangement row
+(`dense_core`), the polynomial kernels one weighted row per entry
+(`diagonal_core`).  These sum P over a stack of k rows per sample, so each
+side of an identity between sums of P-values is one call, and the kernel,
+not its caller, bounds that whole sum in exact Python integers: int64 when
+the bound stays below `INT64_LIMIT`, otherwise `dtype=object` arrays of
+Python ints, the same gather and product at any size.  Gathers run over
+chunks of samples that fit a byte budget.  The reference the checks
+compare against stays `Form.evaluate` (with `SymTensor.evaluate_diagonal`)
+and `Measure.integrate`, exact and independent of NumPy: each reads the
+arguments' integer rows, sums in Python integers (the form evaluators over
+the same scaled rows as the kernels) and returns one Fraction per value.
 """
 
 from __future__ import annotations
@@ -41,27 +39,34 @@ _CHUNK_WORK = 2**16
 
 
 def dense_core(tensor: Form) -> tuple[np.ndarray, int]:
-    """(table, scale): the arrangement table of any finite form times the
-    common denominator of its entries as one integer array (rows, m + 2),
-    each row its m points, scaled coefficient and weight, built from the
-    form's `_scaled_rows`, the rows its exact evaluator sums.  A symmetric
-    tensor lists every distinct arrangement of each stored entry; a matrix
-    form lists one row per nonzero entry, weight 1.  The table is int64 only
-    while the sum over rows of |coeff| * max(weight, 1) stays below
-    `INT64_LIMIT`, so no int64 sum over its coefficients, or coefficients
-    times weights, can wrap.  The array is read-only and kept in the rows'
-    slot, so every check on one form, and each mode of a check, reads the
-    one array.  The name is older than the table; callers and benchmark
-    traces know it."""
-    slot = _scaled_rows(tensor)
-    rows, _, scale, table = slot
+    """(table, scale): every arrangement row of a finite form, as its exact
+    evaluator sums them, in one integer array (rows, m + 2) (`_table`);
+    `form_eval_batch` reads it.  The name is older than the table; callers
+    and benchmark traces know it."""
+    return _table(_scaled_rows(tensor, arranged=True), 0, tensor.degree)
+
+
+def diagonal_core(tensor: Form) -> tuple[np.ndarray, int]:
+    """(table, scale) of the weighted rows alone, one per entry, laid out as
+    `dense_core`: the rows P(x) = A(x, .., x) reads (`poly_eval_batch`)."""
+    return _table(_scaled_rows(tensor), 1, tensor.degree)
+
+
+def _table(slot: list, which: int, degree: int) -> tuple[np.ndarray, int]:
+    """(table, scale) of the rows ``slot[which]`` of a `_scaled_rows` slot
+    (m points, scaled coefficient, weight), built once into ``slot[3 +
+    which]``, read-only; int64 only while the sum over rows of |coeff| *
+    max(weight, 1) stays below `INT64_LIMIT`, so no int64 sum over its
+    coefficients, or coefficients times weights, can wrap."""
+    table = slot[3 + which]
     if table is None:
+        rows = slot[which]
         mass = sum([abs(c) * (w or 1) for _, c, w in rows])  # weights are >= 0
         dtype = np.int64 if mass < INT64_LIMIT else object
-        table = np.array([(*p, c, w) for p, c, w in rows], dtype=dtype).reshape(len(rows), tensor.degree + 2)
+        table = np.array([(*p, c, w) for p, c, w in rows], dtype=dtype).reshape(len(rows), degree + 2)
         table.flags.writeable = False
-        slot[3] = table
-    return table, scale
+        slot[3 + which] = table
+    return table, slot[2]
 
 
 def measure_weights(mu: Measure) -> tuple[np.ndarray, int]:
@@ -114,17 +119,15 @@ def form_eval_batch(core: np.ndarray, args: np.ndarray) -> np.ndarray:
 
 
 def poly_eval_batch(core: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """sum_j P(x_j), P(x) = A(x,..,x), for a batch over the weighted rows of
-    the table: xs (S, k, n) -> (S,), with (S, n) read as k = 1.  The dtype
-    bounds the whole sum."""
+    """sum_j P(x_j), P(x) = A(x,..,x), for a batch over a table of weighted
+    rows (`diagonal_core`; a row of weight 0 adds nothing): xs (S, k, n) ->
+    (S,), with (S, n) read as k = 1.  The dtype bounds the whole sum."""
     size, k, n = xs.shape if xs.ndim == 3 else (len(xs), 1, xs.shape[1])
     flat = xs.reshape(size * k, n)
     m = core.shape[1] - 2
-    weighted = core[core[:, m + 1] > 0]
-    values = _gather_product(
-        weighted[:, :m], weighted[:, m] * weighted[:, m + 1], [flat] * m, int(np.abs(flat).max(initial=0)), k
-    )
-    return values.reshape(size, k).sum(axis=1)
+    return _gather_product(
+        core[:, :m], core[:, m] * core[:, m + 1], [flat] * m, int(np.abs(flat).max(initial=0)), k
+    ).reshape(size, k).sum(axis=1)
 
 
 def measure_poly_eval_batch(weights: np.ndarray, degree: int, xs: np.ndarray) -> np.ndarray:
@@ -142,7 +145,7 @@ def polarize_tensor_int(tensor: SymTensor) -> dict[tuple[int, ...], Fraction]:
     signs = np.array(list(product((1, -1), repeat=m)), dtype=np.int64)
     signs = signs[np.argsort(-signs.prod(axis=1), kind="stable")]  # even half first
     half = len(signs) // 2
-    core, scale = dense_core(tensor)
+    core, scale = diagonal_core(tensor)
     alphas = list(nondecreasing_indices(n, m))
     points = np.array(alphas, dtype=np.intp).reshape(-1, m) - 1
     totals = []

@@ -25,17 +25,18 @@ sample when the object sweep runs, which it does only for omega1 and under
 positive disjoint pairs, whose power-sum radical roots to x + y, and
 perfect-power tuples x_i = u g_i / g_{i+1}, whose product radical roots to
 u.  So every radical roots exactly, and the int path compares P at the
-root with the right side on the polynomial's one table.  An `Element`
+root, read from the polynomial's weighted rows, with the right side.  An `Element`
 stores its row as integers over one denominator, so a sample row enters it
 as drawn, with its block's denominator, and no Fraction is built per
 value; the object sweep converts each block to Python int rows with one
 ``tolist`` and builds every sample's Elements from those rows over the
 identity's own denominator (1 for the Krivine product, `SCALE` otherwise).
 Symmetric tensors and matrix forms are both `tensors.Form`s, with one row
-layout that the exact evaluator and the int table (`_intpath.dense_core`)
-read, so both run on the batch kernels.  omega1 samples come from the same
-arrays: each row, the values at points 1..6 and then the tail, is an
-`Element` row as it stands.
+layout that the exact evaluator and the int tables read: every arrangement
+for a multilinear value (`_intpath.dense_core`), the weighted rows alone
+for P (`_intpath.diagonal_core`), so both run on the batch kernels.  omega1
+samples come from the same arrays: each row, the values at points 1..6 and
+then the tail, is an `Element` row as it stands.
 
 One failing sample decides an identity, so the driver hands the kernels
 each block in chunks and stops at the first chunk with a mismatch.  The
@@ -69,7 +70,9 @@ import numpy as np
 
 from ._intpath import (
     _CHUNK_WORK,
+    INT64_LIMIT,
     dense_core,
+    diagonal_core,
     form_eval_batch,
     measure_poly_eval_batch,
     measure_weights,
@@ -203,10 +206,17 @@ def _values(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _masks(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """(count, n) support masks, none empty or full once n > 1: one int64
+    draw per row up to 63 points, past them a bit per point, bad rows redrawn."""
     if n == 1:
         bits = rng.integers(0, 2, size=count)
-    else:
+    elif n < 64:
         bits = rng.integers(1, 2**n - 1, size=count)
+    else:
+        masks = rng.integers(0, 2, size=(count, n)).astype(bool)
+        while (redraw := masks.all(axis=1) | ~masks.any(axis=1)).any():
+            masks[redraw] = rng.integers(0, 2, size=(int(redraw.sum()), n)).astype(bool)
+        return masks
     return ((bits[:, None] >> np.arange(n)) & 1).astype(bool)
 
 
@@ -513,24 +523,29 @@ class _PolyKernels:
     """The integer data of one polynomial, each piece built on first use.
 
     One object serves every mode of one check call and is dropped when the
-    call returns, so `oa_mode_agreement` builds the integer arrangement
-    table once.
+    call returns, so `oa_mode_agreement` builds each integer table once.
     """
 
     def __init__(self, poly: Polynomial) -> None:
         self.poly = poly
 
     @cached_property
-    def core(self) -> tuple[np.ndarray, int]:
-        """(table, scale) of the symmetric form whose diagonal is P: a
-        tensor's `dense_core`, or a measure's diagonal table, one row
+    def _core(self) -> tuple[np.ndarray, int]:
+        """(table, scale) of the weighted rows P reads: a tensor's
+        `diagonal_core`, or a measure's diagonal table, one row
         [c]*m + [w_c, 1] per atom c, read from its weights."""
         if self.poly.kind == TENSOR:
-            return dense_core(self.poly.rep)
+            return diagonal_core(self.poly.rep)
         weights, scale = self._weights
         m = self.poly.degree
         rows = [(*[c] * m, w, 1) for c, w in enumerate(weights.tolist()) if w]
         return np.array(rows, dtype=weights.dtype).reshape(len(rows), m + 2), scale
+
+    @cached_property
+    def arranged(self) -> tuple[np.ndarray, int]:
+        """(table, scale) of every arrangement row, for A(x_1, .., x_m): a
+        tensor's `dense_core`; a measure's diagonal table has no other."""
+        return dense_core(self.poly.rep) if self.poly.kind == TENSOR else self._core
 
     @cached_property
     def _weights(self) -> tuple[np.ndarray, int]:
@@ -539,22 +554,20 @@ class _PolyKernels:
 
     @property
     def rows(self) -> int:
-        """Rows of the table `evaluate` reads: the core's for a tensor, the
-        weights' for a measure."""
-        return len(self.core[0]) if self.poly.kind == TENSOR else len(self._weights[0])
+        """Rows of the arrangement table, which size the chunks: a tensor's
+        weights summed, unlisted, or a measure's weights."""
+        return int(self._core[0][:, -1].sum()) if self.poly.kind == TENSOR else len(self._weights[0])
 
-    @cached_property
+    @property
     def terms(self) -> int:
-        """Terms P sums per row, each a product of m values: the core's
-        weighted rows for a tensor, the weights for a measure."""
-        if self.poly.kind == TENSOR:
-            return int(np.count_nonzero(self.core[0][:, -1]))
-        return len(self._weights[0])
+        """Terms P sums per row, each a product of m values: the weighted
+        rows for a tensor, the weights for a measure."""
+        return len(self._core[0]) if self.poly.kind == TENSOR else len(self._weights[0])
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """sum_j P(x_j) on a batch of stacks (S, k, n), or P on rows (S, n)."""
         if self.poly.kind == TENSOR:
-            return poly_eval_batch(self.core[0], xs)
+            return poly_eval_batch(self._core[0], xs)
         return measure_poly_eval_batch(self._weights[0], self.poly.degree, xs)
 
 
@@ -608,8 +621,9 @@ def _oa_draw(mode: str, rng: np.random.Generator, samples: int, kernels: _PolyKe
         return [np.abs(_values(rng, (size, k, n))) for k, size in sizes.items()], SCALE
     if mode == OA_KRIVINE_PRODUCT:
         # factor a perfect m-th power pointwise: u = prod g_i, x_i = u g_i / g_{i+1},
-        # so the product radical roots to u
-        g = rng.integers(1, 4, size=(samples, m, n)).astype(np.int64)
+        # so the product radical roots to u; with g_i in {1, 2, 3} every x_i is at
+        # most 3 ** (m + 1), so g holds Python ints once that passes the int64 bound
+        g = rng.integers(1, 4, size=(samples, m, n)).astype(np.int64 if 3 ** (m + 1) < INT64_LIMIT else object)
         u = g.prod(axis=1)
         return [np.stack([(u // g[:, (i + 1) % m, :]) * g[:, i, :] for i in range(m)], axis=1)], 1
     # valuation: positive pairs
@@ -641,7 +655,7 @@ def _oa_int_sides(mode: str, kernels: _PolyKernels, block: np.ndarray) -> tuple[
 def _krivine_product_sides(kernels: _PolyKernels, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stack of roots (x_1 .. x_m)^(1/m), whose P-values are the left
     side, and the values A(x_1, .., x_m), A the polarisation."""
-    core, _ = kernels.core
+    core, _ = kernels.arranged
     rhs = form_eval_batch(core, block)
     # the dtype of rhs bounds every product of a row's m values; the rows
     # factor a perfect m-th power u**m, u a product of m values in {1, 2, 3}:

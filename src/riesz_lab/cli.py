@@ -10,8 +10,9 @@ every command takes ``--out``, and only ``check`` and ``demo`` take
 `SuiteConfig` holds their only defaults and checks; ``check --poly`` takes
 none of them, only ``--depth``, ``--format`` and ``--out``.  Exit codes: 0
 all checks passed, 1 a property failed, 2 usage error (an option the
-command does not take, or ``--depth`` below 1, included) or an input or
-output file that cannot be read or written.
+command does not take, or ``--depth`` below 1, included), an input or
+output file that cannot be read or written, or a request too large for
+memory.
 """
 
 from __future__ import annotations
@@ -233,6 +234,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (RieszLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; narrow the request (a smaller --n, --m, --trials or --depth)", file=sys.stderr)
         return 2
 
 

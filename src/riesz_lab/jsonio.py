@@ -141,9 +141,11 @@ def parse_tensor(obj: Any, path: str = "$") -> SymTensor:
 
 
 def matrix_to_obj(form: GeneralMatrixForm) -> dict:
+    """The dense ``rows`` spelling, zeros written out, rebuilt from the entries."""
+    points, zero = form.space.points(), Fraction(0)
     return {
         "space": space_to_obj(form.space),
-        "rows": [[rational_str(v) for v in row] for row in form.rows],
+        "rows": [[rational_str(form.entries.get((i, j), zero)) for j in points] for i in points],
     }
 
 
@@ -157,7 +159,13 @@ def parse_matrix(obj: Any, path: str = "$") -> GeneralMatrixForm:
         if not isinstance(row, list) or len(row) != space.n:
             raise MalformedInstanceError(f"{path}.rows[{i}]", f"expected {space.n} entries")
         rows.append([parse_rational(v, f"{path}.rows[{i}][{j}]") for j, v in enumerate(row)])
-    return GeneralMatrixForm(space, rows)
+    return matrix_from_rows(space, rows)
+
+
+def matrix_from_rows(space: Space, rows: list[list]) -> GeneralMatrixForm:
+    """The matrix form of the dense ``rows`` spelling: its (i, j) entry,
+    1-based, is rows[i - 1][j - 1]."""
+    return GeneralMatrixForm(space, 2, {(i, j): v for i, row in enumerate(rows, 1) for j, v in enumerate(row, 1)})
 
 
 # -- measures ----------------------------------------------------------------------

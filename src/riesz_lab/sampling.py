@@ -13,6 +13,7 @@ import math
 import random
 from fractions import Fraction
 
+from .jsonio import matrix_from_rows
 from .lattice import Element, Space
 from .measures import Measure
 from .polynomials import Polynomial, to_polynomial
@@ -132,7 +133,7 @@ def sym_tensor(
 
 def matrix_form(rng: random.Random, space: Space) -> GeneralMatrixForm:
     n = space.n
-    return GeneralMatrixForm(space, [[rational(rng) for _ in range(n)] for _ in range(n)])
+    return matrix_from_rows(space, [[rational(rng) for _ in range(n)] for _ in range(n)])
 
 
 def measure_polynomial(rng: random.Random, space: Space, degree: int, normal: bool = False) -> Polynomial:

@@ -1,29 +1,27 @@
 """Multilinear forms on finite spaces, stored sparsely.
 
 Every form here is a `Form`: its nonzero entries keyed by 1-based index
-tuples, and one exact evaluator over its arrangement rows.
-`_arrangement_rows` lists each stored entry's points 0-based with a
-coefficient and a weight, and the weighted rows alone give the diagonal:
-the one layout evaluators read.
+tuples, checked and stored by one constructor, and one exact evaluator.  A
+kind says how it keys an index (`_key`), the weight the diagonal gives the
+entry (`_weight`) and the further arrangements at which the full array
+repeats it (`_later`); evaluators read the rows (points 0-based,
+coefficient, weight) these give.
 
 A symmetric m-linear form (`SymTensor`) is determined by its values on
 nondecreasing multi-indices: the stored coefficient at alpha is the value
-of the full symmetric array at any arrangement of alpha.  Its rows are each
-stored entry's distinct arrangements, the first weighted m! / prod k_t!
-(k_t counts t in alpha) and the rest weighted 0.  An order-2 form with no
-symmetry assumption (`GeneralMatrixForm`) has no arrangements to fold: its
-rows are its entries, one each with weight 1.
+of the full symmetric array at any arrangement of alpha.  It keys an index
+sorted, weighs it m! / prod k_t! (k_t counts t in alpha), and repeats the
+entry at its other distinct arrangements, weighted 0.  An order-2 form with
+no symmetry assumption (`GeneralMatrixForm`) keys ordered pairs as given,
+weighs each 1 and repeats nothing.
 
-`_scaled_rows` enumerates a form's rows once, with the coefficients scaled
-to integers over their common denominator, and keeps them in one module
-slot keyed by the form object, so a run of calls on one form (the checks
-evaluate it again and again) walks its arrangements once; the slot also
-holds the int array `_intpath.dense_core` builds from those rows, so the
-array too is built once per run.  The reference here sums those rows in
-exact integers, reading each argument's integer row as it is stored, and
-builds one Fraction per value; the batch kernels in `_intpath` build their
-integer arrays from the same rows.  Entries are read-only views, so a form
-cannot change under its cached rows.
+`_scaled_rows` scales a form's coefficients to integers and lists one
+weighted row per entry, which the diagonal reads alone (`evaluate_diagonal`,
+`_intpath.diagonal_core`); the full arrangement rows wait for the first
+multilinear read (`Form.evaluate`, `_intpath.dense_core`).  Both stay, with
+their int arrays, in one slot keyed by the form, so a run of calls on one
+form arranges it once.  Entries are read-only views, so a form cannot change
+under its cached rows.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add, getitem
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DegreeMismatchError, SpaceMismatchError
 from .lattice import Element, Rational, Space, _integer_row, q
@@ -75,37 +73,48 @@ def _later_arrangements(points: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 class Form:
     """A multilinear form on a finite space: ``space``, ``degree`` and its
     nonzero ``entries``, an immutable mapping from 1-based index tuples to
-    Fractions.  A subclass lists the entries' rows (points, coeff, weight)
-    in `_arrangement_rows(coeffs)`, entry by entry, points 0-based, the
-    i-th entry's coefficient read from the i-th item of ``coeffs``;
-    evaluation reads those rows, and equality the entries."""
+    Fractions, sorted by index.  A kind gives `_key(idx)`, the index an
+    entry is stored at; `_weight(idx)`, the entry's weight on the diagonal;
+    and `_later(points)`, the further 0-based arrangements at which the full
+    array repeats the entry.  Evaluation reads the rows these give
+    (`_scaled_rows`), and equality the entries."""
 
-    __slots__ = ()
+    __slots__ = ("space", "degree", "entries")
+
+    def __init__(self, space: Space, degree: int, entries: Mapping[tuple[int, ...], Rational]) -> None:
+        if not space.is_finite:
+            raise SpaceMismatchError("tensors live on finite spaces")
+        if not isinstance(degree, int) or degree < 1:
+            raise DegreeMismatchError("tensor degree must be a positive integer")
+        clean: dict[tuple[int, ...], Fraction] = {}
+        for idx, value in entries.items():
+            key = self._key(idx)
+            if len(key) != degree:
+                raise DegreeMismatchError(f"index {idx} has length {len(idx)}, expected {degree}")
+            if any(not 1 <= t <= space.n for t in key):
+                raise ValueError(f"index {idx} outside 1..{space.n}")
+            if key in clean:
+                raise ValueError(f"duplicate index {key}")
+            val = q(value)
+            if val != 0:
+                clean[key] = val
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "entries", MappingProxyType(dict(sorted(clean.items()))))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def evaluate(self, args: Sequence[Element]) -> Fraction:
         """A(x_1, .., x_m): coeff * prod_i x_i(point_i) summed over every
-        arrangement row."""
+        arrangement row (`_scaled_rows`) in exact integers, each argument
+        read as stored, integers ``nums`` over ``den``, into one Fraction."""
         if len(args) != self.degree:
             raise DegreeMismatchError(f"expected {self.degree} arguments, got {len(args)}")
         for x in args:
             if x.space != self.space:
                 raise SpaceMismatchError("argument on the wrong space")
-        return self._contract(args, diagonal=False)
-
-    def _contract(self, args: Sequence[Element], diagonal: bool) -> Fraction:
-        """The sum over the scaled arrangement rows (`_scaled_rows`) in exact
-        integers: each argument is read as stored, integers ``nums`` over
-        ``den``, and one Fraction is built from the total.  ``diagonal``
-        takes one argument, reads it in every slot and sums the weighted
-        rows alone."""
-        rows, weighted, scale, _ = _scaled_rows(self)
-        if diagonal:
-            (x,) = args
-            total = sum(math.prod(map(x.nums.__getitem__, p), start=c * w) for p, c, w in weighted)
-            return Fraction(total, scale * x.den**self.degree)
+        rows, _, scale = _scaled_rows(self, arranged=True)[:3]
         xs = [x.nums for x in args]
         total = sum(math.prod(map(getitem, xs, p), start=c) for p, c, _ in rows)
         return Fraction(total, scale * math.prod(x.den for x in args))
@@ -113,6 +122,10 @@ class Form:
     def off_diagonal_entries(self) -> dict[tuple[int, ...], Fraction]:
         """The entries whose index names at least two distinct points."""
         return {idx: v for idx, v in self.entries.items() if len(set(idx)) > 1}
+
+    def __abs__(self) -> "Form":
+        """The coefficientwise modulus."""
+        return type(self)(self.space, self.degree, {i: abs(v) for i, v in self.entries.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Form):
@@ -127,54 +140,24 @@ class Form:
     def __hash__(self) -> int:
         return hash((type(self), self.space, self.degree, tuple(self.entries.items())))
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(m={self.degree}, {self.space!r}, {len(self.entries)} entries)"
+
 
 class SymTensor(Form):
     """A symmetric m-linear form on a finite space."""
 
-    __slots__ = ("space", "degree", "entries")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        space: Space,
-        degree: int,
-        entries: Mapping[tuple[int, ...], Rational],
-    ) -> None:
-        if not space.is_finite:
-            raise SpaceMismatchError("tensors live on finite spaces")
-        if not isinstance(degree, int) or degree < 1:
-            raise DegreeMismatchError("tensor degree must be a positive integer")
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for idx, value in entries.items():
-            key = tuple(sorted(idx))
-            if len(key) != degree:
-                raise DegreeMismatchError(f"index {idx} has length {len(idx)}, expected {degree}")
-            if any(not 1 <= t <= space.n for t in key):
-                raise ValueError(f"index {idx} outside 1..{space.n}")
-            if key in clean:
-                raise ValueError(f"duplicate index {key}")
-            val = q(value)
-            if val != 0:
-                clean[key] = val
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "entries", MappingProxyType(dict(sorted(clean.items()))))
+    _key = staticmethod(lambda idx: tuple(sorted(idx)))
+    _weight = staticmethod(arrangements)
+    _later = staticmethod(_later_arrangements)
 
     @staticmethod
     def diagonal(space: Space, degree: int, weights: Mapping[int, Rational]) -> "SymTensor":
         return SymTensor(space, degree, {(t,) * degree: w for t, w in weights.items()})
 
     # -- evaluation ---------------------------------------------------------
-
-    def _arrangement_rows(
-        self, coeffs: Iterable[Fraction | int]
-    ) -> Iterator[tuple[tuple[int, ...], Fraction | int, int]]:
-        """The sorted index with weight m!/prod k_t!, then its other
-        distinct arrangements with weight 0."""
-        for idx, coeff in zip(self.entries, coeffs):
-            points = tuple(t - 1 for t in idx)
-            yield points, coeff, arrangements(idx)
-            for p in _later_arrangements(points):
-                yield p, coeff, 0
 
     def evaluate(self, args: Sequence[Element]) -> Fraction:
         """`Form.evaluate`, defined in this class so that the benchmark's
@@ -184,10 +167,12 @@ class SymTensor(Form):
     def evaluate_diagonal(self, x: Element) -> Fraction:
         """A(x, .., x).  Every arrangement of an entry contributes the same
         product, so this is coeff * weight * prod_i x(point_i) summed over
-        the weighted rows alone."""
+        the weighted rows alone, one per entry, read as `evaluate` reads."""
         if x.space != self.space:
             raise SpaceMismatchError("argument on the wrong space")
-        return self._contract([x], diagonal=True)
+        _, weighted, scale = _scaled_rows(self)[:3]
+        total = sum(math.prod(map(x.nums.__getitem__, p), start=c * w) for p, c, w in weighted)
+        return Fraction(total, scale * x.den**self.degree)
 
     # -- structure ------------------------------------------------------------
 
@@ -203,9 +188,6 @@ class SymTensor(Form):
         return all(v >= 0 for v in self.entries.values())
 
     # -- lattice and linear operations (entrywise on the symmetric array) -------
-
-    def __abs__(self) -> "SymTensor":
-        return SymTensor(self.space, self.degree, {i: abs(v) for i, v in self.entries.items()})
 
     def _merge(self, other: "SymTensor", op) -> "SymTensor":
         if self.space != other.space:
@@ -234,70 +216,56 @@ class SymTensor(Form):
         kept = {i: v for i, v in self.entries.items() if set(i) <= points}
         return SymTensor(self.space, self.degree, kept)
 
-    def __repr__(self) -> str:
-        return f"SymTensor(m={self.degree}, {self.space!r}, {len(self.entries)} entries)"
-
 
 class GeneralMatrixForm(Form):
-    """A bilinear form on a finite space with no symmetry assumption.
+    """A bilinear form on a finite space with no symmetry assumption:
+    ``entries`` maps each nonzero ordered pair (i, j), 1-based, to its
+    coefficient."""
 
-    ``entries`` maps each nonzero (i, j), 1-based, to its coefficient in
-    row-major order; ``rows`` rebuilds the dense matrix from them.
-    """
+    __slots__ = ()
 
-    __slots__ = ("space", "entries")
+    _key = staticmethod(tuple)
+    _weight = staticmethod(lambda idx: 1)
+    _later = staticmethod(lambda points: ())
 
-    degree = 2
-
-    def __init__(self, space: Space, rows: Sequence[Sequence[Rational]]) -> None:
-        if not space.is_finite:
-            raise SpaceMismatchError("matrix forms live on finite spaces")
-        if len(rows) != space.n or any(len(row) != space.n for row in rows):
-            raise ValueError(f"need an {space.n} x {space.n} matrix")
-        values = ((i, j, q(v)) for i, row in enumerate(rows, 1) for j, v in enumerate(row, 1))
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "entries", MappingProxyType({(i, j): v for i, j, v in values if v != 0}))
-
-    @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        points, zero = self.space.points(), Fraction(0)
-        return tuple(tuple(self.entries.get((i, j), zero) for j in points) for i in points)
-
-    def _arrangement_rows(
-        self, coeffs: Iterable[Fraction | int]
-    ) -> Iterator[tuple[tuple[int, ...], Fraction | int, int]]:
-        """One row (points, coeff, 1) per entry: every row carries weight."""
-        for (i, j), coeff in zip(self.entries, coeffs):
-            yield (i - 1, j - 1), coeff, 1
-
-    def __abs__(self) -> "GeneralMatrixForm":
-        return GeneralMatrixForm(self.space, [[abs(v) for v in row] for row in self.rows])
-
-    def __repr__(self) -> str:
-        return f"GeneralMatrixForm({self.space!r})"
+    def __init__(self, space: Space, degree: int, entries: Mapping[tuple[int, ...], Rational]) -> None:
+        if degree != 2:
+            raise DegreeMismatchError(f"matrix forms have degree 2, got {degree}")
+        super().__init__(space, degree, entries)
 
 
-# (form, [rows, weighted rows, scale, table]) of the last form `_scaled_rows`
-# read, or None before the first.  The form is held, not its id, so the id
-# cannot be reused by another form while its rows are cached.  The slot is
-# read once and replaced whole, and the table is stored into the list read,
-# so two threads racing on it only enumerate, or build the table, twice.
+# (form, [rows, weighted rows, scale, table, weighted table]) of the last
+# form `_scaled_rows` read, or None.  The form is held, not its id, so no
+# other form can reuse the id while its rows are cached; the slot is read
+# once and replaced whole, so racing threads only enumerate twice.
 _last_rows: tuple[Form, list] | None = None
+_ROW_CAP = 2**21  # the most arrangement rows listed, about a gigabyte of tuples
 
 
-def _scaled_rows(form: Form) -> list:
-    """[rows, weighted rows, scale, table]: the form's arrangement rows
-    (points, coeff, weight) with every coefficient scaled to an integer by
-    the common denominator ``scale`` of the entries, and the rows of nonzero
-    weight among them.  ``table`` is None until `_intpath.dense_core`
-    stores the rows' int array there.  The list of the last form asked for
-    is kept, keyed by the object itself, so consecutive calls on one form
-    enumerate its arrangements, and build its table, once; another form
-    replaces it."""
+def _scaled_rows(form: Form, arranged: bool = False) -> list:
+    """[rows, weighted rows, scale, table, weighted table]: the form's rows
+    (points 0-based, coeff, weight), each coefficient scaled to an integer
+    by the entries' common denominator ``scale``.  ``weighted`` holds one
+    row per entry, weighted by `_weight`; ``rows`` follows each with its
+    `_later` arrangements, weighted 0, and is listed on the first call with
+    ``arranged``, or refused with `MemoryError` past `_ROW_CAP` rows.  The
+    tables wait for `_intpath.dense_core` and `_intpath.diagonal_core`.  The
+    last form's list is kept, so a run of calls on one form lists, arranges
+    and builds each table once."""
     global _last_rows
     slot = _last_rows
     if slot is None or slot[0] is not form:
         coeffs, scale = _integer_row(form.entries.values())
-        rows = list(form._arrangement_rows(coeffs))
-        slot = _last_rows = (form, [rows, [row for row in rows if row[2]], scale, None])
-    return slot[1]
+        weighted = [(tuple(t - 1 for t in idx), c, form._weight(idx)) for idx, c in zip(form.entries, coeffs)]
+        slot = _last_rows = (form, [None, weighted, scale, None, None])
+    rows = slot[1]
+    if arranged and rows[0] is None:
+        count = sum(w for _, _, w in rows[1])  # an entry's weight counts its arrangements
+        if count > _ROW_CAP:
+            raise MemoryError(f"{count} arrangement rows, more than {_ROW_CAP}")
+        full = []
+        for points, c, w in rows[1]:
+            full.append((points, c, w))
+            full.extend((p, c, 0) for p in form._later(points))
+        rows[0] = full
+    return rows

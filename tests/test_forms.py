@@ -32,10 +32,17 @@ from riesz_lab import (
 from riesz_lab._intpath import dense_core
 from riesz_lab.checks import OS_DISJOINT, OS_J_IDENTITY
 from riesz_lab.errors import DegreeMismatchError, MalformedInstanceError, RepresentationError, SpaceMismatchError
-from riesz_lab.jsonio import matrix_to_obj, parse_matrix, parse_polynomial, polynomial_to_obj, to_obj
+from riesz_lab.jsonio import (
+    matrix_from_rows,
+    matrix_to_obj,
+    parse_matrix,
+    parse_polynomial,
+    polynomial_to_obj,
+    to_obj,
+)
 from riesz_lab.lattice import LIMIT
 from riesz_lab.polynomials import MEASURE, TENSOR
-from riesz_lab.tensors import _scaled_rows, arrangements, nondecreasing_indices
+from riesz_lab.tensors import Form, _scaled_rows, arrangements, nondecreasing_indices
 from riesz_lab.sampling import (
     element,
     measure,
@@ -113,11 +120,13 @@ class TestFormEvaluation:
 
     def test_arrangement_table(self):
         a = SymTensor(F3, 3, {(1, 1, 2): 3, (3, 3, 3): Fraction(1, 2)})
-        assert list(a._arrangement_rows(a.entries.values())) == [
+        assert list(_arrangement_rows(a)) == [
             ((0, 0, 1), 3, 3), ((0, 1, 0), 3, 0), ((1, 0, 0), 3, 0), ((2, 2, 2), Fraction(1, 2), 1)
         ]
-        # scaled over the common denominator 2; the weighted rows are the diagonal ones
-        rows, weighted, scale, _ = _scaled_rows(a)
+        # scaled over the common denominator 2; the weighted rows are the diagonal
+        # ones, listed at once, and the rest wait for a multilinear read
+        assert _scaled_rows(a)[0] is None
+        rows, weighted, scale, _, _ = _scaled_rows(a, arranged=True)
         assert scale == 2
         assert rows == [((0, 0, 1), 6, 3), ((0, 1, 0), 6, 0), ((1, 0, 0), 6, 0), ((2, 2, 2), 1, 1)]
         assert weighted == [((0, 0, 1), 6, 3), ((2, 2, 2), 1, 1)]
@@ -126,7 +135,7 @@ class TestFormEvaluation:
         for m in range(1, 7):
             for n in range(1, 5):
                 for idx in nondecreasing_indices(n, m):
-                    rows = list(SymTensor(Space.finite(n), m, {idx: 1})._arrangement_rows([1]))
+                    rows = list(_arrangement_rows(SymTensor(Space.finite(n), m, {idx: 1})))
                     points = tuple(t - 1 for t in idx)
                     assert [p for p, _, _ in rows] == [points] + sorted(set(permutations(points)) - {points})
                     assert [w for _, _, w in rows] == [arrangements(idx)] + [0] * (len(rows) - 1)
@@ -176,11 +185,21 @@ def _measure_cases(draw):
     return mu, Element(space, draw(row))
 
 
+def _arrangement_rows(form):
+    """Each entry's row (points 0-based, Fraction coefficient, weight), then
+    its later arrangements weighted 0, read from the kind's hooks alone."""
+    for idx, coeff in form.entries.items():
+        points = tuple(t - 1 for t in idx)
+        yield points, coeff, form._weight(idx)
+        for p in form._later(points):
+            yield p, coeff, 0
+
+
 def _fraction_contract(tensor, rows, diagonal):
     """The arrangement-row sum one Fraction product at a time; ``diagonal``
     weights each row, so only the weighted rows count."""
     total = Fraction(0)
-    for points, coeff, weight in tensor._arrangement_rows(tensor.entries.values()):
+    for points, coeff, weight in _arrangement_rows(tensor):
         term = coeff * weight if diagonal else coeff
         for row, point in zip(rows, points):
             term *= row[point]
@@ -250,7 +269,7 @@ class TestIntegerReference:
     def test_only_measure_weights_are_cached_and_lazily(self):
         # a tensor keeps nothing between calls; a measure keeps its integer
         # weights, built by the first integral and not at construction
-        assert SymTensor.__slots__ == ("space", "degree", "entries")
+        assert Form.__slots__ == ("space", "degree", "entries") and SymTensor.__slots__ == ()
         assert Measure.__slots__ == ("space", "atoms", "limit_atom", "_scaled")
         mu = Measure(OM, {2: Fraction(1, 3), 9: -2}, limit_atom=Fraction(1, 2))
         assert mu._scaled is None
@@ -271,13 +290,13 @@ class TestScaledRows:
         tensor = sym_tensor(rng_for("one-table", diagonal), Space.finite(n), m,
                             diagonal=diagonal, ensure_off_diagonal=not diagonal)
         enumerations = []
-        rows = SymTensor._arrangement_rows
+        later = SymTensor._later
 
-        def counted(self, coeffs):
-            enumerations.append(self)
-            return rows(self, coeffs)
+        def counted(points):
+            enumerations.append(points)
+            return later(points)
 
-        monkeypatch.setattr(SymTensor, "_arrangement_rows", counted)
+        monkeypatch.setattr(SymTensor, "_later", staticmethod(counted))
         samples = structured_pair_count(n, m) + 26
         verdicts = [
             orthosymmetry_check(tensor, OS_J_IDENTITY, 200, 7),
@@ -285,7 +304,8 @@ class TestScaledRows:
             *oa_mode_agreement(Polynomial.from_tensor(tensor), samples, 7).values(),
         ]
         assert all(v.passed for v in verdicts) == diagonal
-        assert enumerations == [tensor]
+        # every entry's arrangements are listed once, in one pass
+        assert enumerations == [tuple(t - 1 for t in idx) for idx in tensor.entries]
 
     def test_interleaved_and_equal_forms_read_their_own_rows(self):
         a = SymTensor(F3, 3, {(1, 1, 2): 3, (3, 3, 3): Fraction(1, 2), (1, 2, 3): Fraction(-2, 5)})
@@ -312,6 +332,39 @@ class TestScaledRows:
         again, again_scale = dense_core(a)
         assert again is not table and again.tolist() == table.tolist() and again_scale == scale
 
+    def test_the_diagonal_lists_no_arrangement(self, monkeypatch):
+        calls = []
+        later = SymTensor._later
+        monkeypatch.setattr(SymTensor, "_later", staticmethod(lambda points: calls.append(points) or later(points)))
+        for i in range(20):
+            rng = rng_for("diagonal-rows", i)
+            tensor_polynomial(rng, F3, 4, ensure_off_diagonal=True).evaluate(element(rng, F3))
+        assert calls == []
+
+    def test_a_degree_24_diagonal_reads_one_row_per_entry(self, monkeypatch):
+        def refuse(points):
+            raise AssertionError("the diagonal listed an arrangement")
+
+        # 24! / (8!)**3 arrangements of the one entry, none of them listed
+        c, idx = Fraction(-3, 7), (1,) * 8 + (2,) * 8 + (3,) * 8
+        poly = Polynomial.from_tensor(SymTensor(F3, 24, {idx: c}))
+        monkeypatch.setattr(SymTensor, "_later", staticmethod(refuse))
+        assert poly.evaluate(fin(1, 1, 1)) == 9_465_511_770 * c
+        assert poly.evaluate(fin(1, 2, Fraction(-1, 3))) == 9_465_511_770 * c * Fraction(2, 3) ** 8
+
+    def test_a_table_past_the_row_cap_is_refused_unlisted(self, monkeypatch):
+        def refuse(points):
+            raise AssertionError("an arrangement was listed")
+
+        # 60! / (20!)**3 arrangements: the multilinear reads refuse before
+        # listing one, and the diagonal still reads its one row
+        tensor = SymTensor(F3, 60, {(1,) * 20 + (2,) * 20 + (3,) * 20: 1})
+        monkeypatch.setattr(SymTensor, "_later", staticmethod(refuse))
+        for read in (lambda: dense_core(tensor), lambda: tensor.evaluate([fin(1, 1, 1)] * 60)):
+            with pytest.raises(MemoryError, match="arrangement rows"):
+                read()
+        assert tensor.evaluate_diagonal(fin(1, 1, 1)) == math.factorial(60) // math.factorial(20) ** 3
+
     def test_importing_fills_nothing(self):
         code = "import riesz_lab, riesz_lab.tensors as t; print(t._last_rows)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -319,7 +372,7 @@ class TestScaledRows:
 
     def test_entries_are_read_only(self):
         tensor = SymTensor(F2, 2, {(1, 1): 1})
-        matrix = GeneralMatrixForm(F2, [[1, 2], [0, 1]])
+        matrix = matrix_from_rows(F2, [[1, 2], [0, 1]])
         assert tensor.evaluate_diagonal(fin(1, 1)) == 1
         for form, key in ((tensor, (1, 2)), (matrix, (2, 1))):
             with pytest.raises(TypeError):
@@ -346,8 +399,9 @@ class TestJsonOracle:
     every ordered index tuple; denominators up to 12."""
 
     def test_tensor_evaluators(self):
-        for m in range(1, 6):
-            for n in range(1, 7):
+        # degrees 6 and 7 on up to three points: the diagonal at 3**7 tuples
+        for m in range(1, 8):
+            for n in range(1, 7 if m <= 5 else 4):
                 space = Space.finite(n)
                 for i in range(3):
                     rng = rng_for("json-oracle", m, n, i)
@@ -363,32 +417,38 @@ class TestJsonOracle:
             space = Space.finite(n)
             for i in range(6):
                 rng = rng_for("json-oracle-matrix", n, i)
-                matrix = GeneralMatrixForm(space, [_seeded_row(rng, n) for _ in range(n)])
+                matrix = matrix_from_rows(space, [_seeded_row(rng, n) for _ in range(n)])
                 args = [Element(space, _seeded_row(rng, n)) for _ in range(2)]
                 assert matrix.evaluate(args) == _oracle_value(matrix, args), (n, i)
 
     def test_hand_values(self):
         assert json_form_value(to_obj(SymTensor(F2, 2, {(1, 2): 1})), [to_obj(fin(1, 2)), to_obj(fin(3, 4))]) == 10
-        matrix = GeneralMatrixForm(F2, [[0, 1], [0, 0]])
+        matrix = matrix_from_rows(F2, [[0, 1], [0, 0]])
         assert json_form_value(to_obj(matrix), [to_obj(fin(1, 2)), to_obj(fin(3, 4))]) == 4
 
 
 class TestMatrixStorage:
-    """A matrix form keeps its nonzero entries only; ``rows`` rebuilds the
-    dense matrix from them."""
+    """A matrix form keeps its nonzero entries only; the JSON ``rows``
+    spelling rebuilds the dense matrix from them."""
 
     def test_rows_return_the_input_matrix(self):
         rows = [[1, Fraction(-2, 3), 0], [0, 0, 0], [Fraction(5, 12), 0, 7]]
-        matrix = GeneralMatrixForm(F3, rows)
-        assert matrix.rows == tuple(tuple(Fraction(v) for v in row) for row in rows)
-        assert all(type(v) is Fraction for row in matrix.rows for v in row)
-        assert GeneralMatrixForm.__slots__ == ("space", "entries")
+        matrix = matrix_from_rows(F3, rows)
+        assert matrix_to_obj(matrix)["rows"] == [[str(Fraction(v)) for v in row] for row in rows]
+        assert all(type(v) is Fraction for v in matrix.entries.values())
+        assert GeneralMatrixForm.__slots__ == ()
+
+    def test_a_matrix_form_has_degree_two_and_ordered_keys(self):
+        matrix = GeneralMatrixForm(F2, 2, {(2, 1): 3, (1, 2): Fraction(1, 2)})
+        assert list(matrix.entries) == [(1, 2), (2, 1)]
+        with pytest.raises(DegreeMismatchError, match="degree 2"):
+            GeneralMatrixForm(F2, 3, {(1, 2, 1): 1})
 
     def test_explicit_zeros_compare_and_hash_alike(self):
-        dense = GeneralMatrixForm(F2, [[1, Fraction(0)], ["0", Fraction(3, 2)]])
-        other = abs(GeneralMatrixForm(F2, [[-1, 0], [0, Fraction(-3, 2)]]))
+        dense = matrix_from_rows(F2, [[1, Fraction(0)], ["0", Fraction(3, 2)]])
+        other = abs(matrix_from_rows(F2, [[-1, 0], [0, Fraction(-3, 2)]]))
         assert dense == other and hash(dense) == hash(other)
-        assert dense != GeneralMatrixForm(F2, [[1, 0], [1, Fraction(3, 2)]])
+        assert dense != matrix_from_rows(F2, [[1, 0], [1, Fraction(3, 2)]])
         assert dense != SymTensor(F2, 2, {(1, 1): 1, (2, 2): Fraction(3, 2)})
 
     def test_json_round_trip(self):
@@ -396,7 +456,7 @@ class TestMatrixStorage:
             rng = rng_for("matrix-json", i)
             n = rng.randint(1, 5)
             rows = [[rng.choice([0, _seeded_value(rng)]) for _ in range(n)] for _ in range(n)]
-            matrix = GeneralMatrixForm(Space.finite(n), rows)
+            matrix = matrix_from_rows(Space.finite(n), rows)
             assert parse_matrix(matrix_to_obj(matrix)) == matrix
 
 
@@ -410,7 +470,7 @@ class TestPolynomialConstruction:
         assert Polynomial.from_tensor(tensor) == Polynomial(3, tensor)
         assert to_polynomial(mu, 2) == Polynomial(2, mu) != Polynomial(3, mu)
 
-    @pytest.mark.parametrize("rep", [None, fin(1, 2), GeneralMatrixForm(F2, [[1, 0], [0, 1]]), MEASURE])
+    @pytest.mark.parametrize("rep", [None, fin(1, 2), matrix_from_rows(F2, [[1, 0], [0, 1]]), MEASURE])
     def test_a_non_representation_is_refused(self, rep):
         with pytest.raises(RepresentationError):
             Polynomial(2, rep)
@@ -503,8 +563,8 @@ class TestPolarisation:
 
 class TestModulus:
     def test_matrix_coefficientwise(self):
-        form = GeneralMatrixForm(F2, [[1, -2], [-2, 3]])
-        assert abs(form) == GeneralMatrixForm(F2, [[1, 2], [2, 3]])
+        form = matrix_from_rows(F2, [[1, -2], [-2, 3]])
+        assert abs(form) == matrix_from_rows(F2, [[1, 2], [2, 3]])
 
     def test_fixed_point_when_nonnegative(self):
         a = SymTensor(F2, 2, {(1, 1): 2, (1, 2): Fraction(1, 3)})

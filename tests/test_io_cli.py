@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from riesz_lab import (
     Element,
     Functional,
-    GeneralMatrixForm,
     Measure,
     Polynomial,
     ProductFunctionalPolynomial,
@@ -53,10 +52,10 @@ from riesz_lab.checks import (
     OS_MODES,
     orthosymmetry_check,
 )
-from riesz_lab import cli
+from riesz_lab import cli, tensors
 from riesz_lab.cli import main
 from riesz_lab.errors import DegreeMismatchError, MalformedInstanceError, RieszLabError
-from riesz_lab.jsonio import parse_rational
+from riesz_lab.jsonio import matrix_from_rows, parse_rational
 from riesz_lab.report import PropertyResult, Report
 from riesz_lab.sampling import element, matrix_form, measure, rng_for, sym_tensor
 from riesz_lab.suites import SUITES
@@ -381,7 +380,7 @@ class TestReverify:
             (OS_J_IDENTITY, to_polynomial(Measure(F3, {1: 1}), 2)),
             (OS_DIAGONAL, Polynomial.from_tensor(SymTensor(F3, 2, {(1, 2): 1}))),
             (OA_DISJOINT_ADD, SymTensor(F3, 2, {(1, 2): 1})),
-            (OA_VALUATION, GeneralMatrixForm(F3, [[1, 1, 0], [0, 0, 0], [0, 0, 0]])),
+            (OA_VALUATION, matrix_from_rows(F3, [[1, 1, 0], [0, 0, 0], [0, 0, 0]])),
             (OA_KRIVINE_PRODUCT, _PRODUCT_POLY),
             (OA_POS_NEG, Measure(F3, {1: 1})),
         ],
@@ -416,7 +415,7 @@ def _replayable_payloads():
     polynomial and on a measure polynomial, OS on a tensor and on a matrix
     form, and the Krivine product radical."""
     tensor = SymTensor(F3, 2, {(1, 2): 1, (3, 3): 2})
-    matrix = GeneralMatrixForm(F3, [[1, 0, 2], [0, 1, 0], [0, 0, 3]])
+    matrix = matrix_from_rows(F3, [[1, 0, 2], [0, 1, 0], [0, 0, 3]])
     poly = Polynomial.from_tensor(tensor)
     verdicts = [
         (poly, orthogonal_additivity_check(poly, OA_DISJOINT_ADD, structured_pair_count(3, 2), 0)),
@@ -692,6 +691,41 @@ class TestCliInProcess:
         monkeypatch.setattr("riesz_lab.cli.nakano_verify", fake)
         assert main(["nakano", "--p", str(path), "--q", str(path)]) == 1
         assert "carrier criterion violated: disagreement" in capsys.readouterr().err
+
+    def test_running_out_of_memory_exits_two(self, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr("riesz_lab.cli._cmd_check", exhausted)
+        assert main(["check", "isometry"]) == 2
+        assert capsys.readouterr().err.startswith("error: out of memory; narrow the request")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "localisation", "--m", "18", "--trials", "3"],
+            ["check", "oa-characterisations", "--n", "64", "--m", "2", "--trials", "2"],
+            ["check", "oa-characterisations", "--space", "omega1", "--m", "60", "--trials", "3"],
+        ],
+        ids=["localisation-m18", "oa-n64", "oa-omega1-m60"],
+    )
+    def test_large_requests_end_in_a_verdict(self, capsys, argv):
+        assert main(argv) == 0
+
+    def test_an_unlistable_arrangement_table_exits_two(self, monkeypatch, capsys):
+        # the Krivine product reads every arrangement of a degree-60 tensor;
+        # a table past the cap is refused before one of its rows is listed
+        later, listed = SymTensor._later, []
+
+        def bounded(points):
+            for p in later(points):
+                listed.append(p)
+                assert len(listed) <= tensors._ROW_CAP, "an arrangement past the cap was listed"
+                yield p
+
+        monkeypatch.setattr(SymTensor, "_later", staticmethod(bounded))
+        assert main(["check", "oa-characterisations", "--n", "3", "--m", "60", "--trials", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: out of memory; narrow the request")
 
     def test_suite_listing_in_error(self, capsys):
         assert main(["check"]) == 2

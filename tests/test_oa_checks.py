@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -22,7 +23,6 @@ import riesz_lab.checks as checks
 
 from riesz_lab import (
     Element,
-    GeneralMatrixForm,
     Measure,
     Polynomial,
     RadicalElement,
@@ -63,6 +63,7 @@ from riesz_lab.checks import (
     OS_MODES,
 )
 from riesz_lab.errors import DegreeMismatchError, InvariantViolation, RepresentationError
+from riesz_lab.jsonio import matrix_from_rows
 from riesz_lab.polynomials import TENSOR, polarize
 from riesz_lab.sampling import matrix_form, measure, rational, rng_for, sym_tensor
 from riesz_lab.tensors import nondecreasing_indices
@@ -129,13 +130,13 @@ class TestOrthosymmetry:
             orthosymmetry_check(SymTensor(F2, 1, {(1,): 3}), OS_DISJOINT, samples=8, force_object=force_object)
 
     def test_matrix_disjoint_pairs_are_decisive(self):
-        form = GeneralMatrixForm(F3, [[1, 0, 0], [0, 2, 1], [0, 0, 3]])
+        form = matrix_from_rows(F3, [[1, 0, 0], [0, 2, 1], [0, 0, 3]])
         verdict = orthosymmetry_check(form, OS_DISJOINT, samples=4, seed=9)
         assert not verdict.passed
         payload = attach_instance(verdict.counterexample, to_obj(form))
         assert reverify_counterexample(payload)
 
-        diag = GeneralMatrixForm(F3, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+        diag = matrix_from_rows(F3, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
         assert orthosymmetry_check(diag, OS_DISJOINT, samples=50, seed=9).passed
 
     def test_force_object_parity(self):
@@ -149,11 +150,11 @@ class TestOrthosymmetry:
                     continue
                 fast = orthosymmetry_check(form, mode, samples=samples, seed=11)
                 slow = orthosymmetry_check(form, mode, samples=samples, seed=11, force_object=True)
-                assert fast == slow, (form.rows if isinstance(form, GeneralMatrixForm) else form, mode, samples)
+                assert fast == slow, (dict(form.entries), mode, samples)
 
     def test_passing_check_runs_no_object_identity(self, monkeypatch):
         sides = _counting(monkeypatch, "os_identity_sides")
-        forms = [GeneralMatrixForm(F3, [[2, 0, 0], [0, -1, 0], [0, 0, Fraction(1, 3)]]),
+        forms = [matrix_from_rows(F3, [[2, 0, 0], [0, -1, 0], [0, 0, Fraction(1, 3)]]),
                  SymTensor.diagonal(F3, 2, {1: 2, 3: -1}), SymTensor.diagonal(F4, 3, {2: 5})]
         for form in forms:
             for mode in OS_MODES:
@@ -163,7 +164,7 @@ class TestOrthosymmetry:
 
     def test_matrix_diagonal_names_first_off_diagonal_entry(self):
         # row-major: the (2, 3) entry comes before the (3, 1) entry
-        form = GeneralMatrixForm(F3, [[1, 0, 0], [0, 1, 6], [4, 0, 1]])
+        form = matrix_from_rows(F3, [[1, 0, 0], [0, 1, 6], [4, 0, 1]])
         verdict = orthosymmetry_check(form, OS_DIAGONAL)
         assert not verdict.passed and verdict.decisive and verdict.samples_checked == 0
         assert verdict.counterexample == {
@@ -174,7 +175,7 @@ class TestOrthosymmetry:
     def test_lower_triangle_fails_inside_the_basis_pairs(self):
         # the structured disjoint-pair sweep reads x = e_s, y = e_t with
         # s < t, the upper triangle; only the basis pairs see M[3][1]
-        form = GeneralMatrixForm(F3, [[0, 0, 0], [0, 0, 0], [5, 0, 0]])
+        form = matrix_from_rows(F3, [[0, 0, 0], [0, 0, 0], [5, 0, 0]])
         verdict = orthosymmetry_check(form, OS_DISJOINT, samples=structured_pair_count(3, 2), seed=3)
         assert not verdict.passed
         # the six ordered pairs (i, j), i != j, come first in row-major
@@ -191,7 +192,7 @@ class TestOrthosymmetry:
     @pytest.mark.parametrize("samples", [0, -3])
     def test_sample_floor(self, samples, force_object):
         tensor = SymTensor(F2, 2, {(1, 2): 1})  # off-diagonal: zero samples must not pass it
-        matrix = GeneralMatrixForm(F2, [[1, 1], [0, 1]])
+        matrix = matrix_from_rows(F2, [[1, 1], [0, 1]])
         for form in (tensor, matrix):
             for mode in (OS_J_IDENTITY, OS_BILINEAR, OS_DISJOINT):
                 with pytest.raises(ValueError, match="need at least one sample"):
@@ -388,7 +389,7 @@ def _parity_matrices(n):
         lambda i, j: a[i][j] * (i <= j),
         lambda i, j: a[i][j] * (i >= j),
     ]
-    return [GeneralMatrixForm(space, [[shape(i, j) for j in range(n)] for i in range(n)]) for shape in shapes]
+    return [matrix_from_rows(space, [[shape(i, j) for j in range(n)] for i in range(n)]) for shape in shapes]
 
 
 def _counting(monkeypatch, name):
@@ -518,6 +519,23 @@ class TestIntGuard:
         fast = orthogonal_additivity_check(poly, mode, samples=40, seed=3)
         assert fast == orthogonal_additivity_check(poly, mode, samples=40, seed=3, force_object=True)
 
+    @pytest.mark.parametrize("m", [38, 39, 70])
+    def test_krivine_product_draw_keeps_its_values(self, m):
+        # every x_i is at most 3 ** (m + 1); past the int64 bound the same draw comes as Python ints
+        kernels = checks._PolyKernels(to_polynomial(Measure(F3, {1: 1}), m))
+        (block,), _ = checks._oa_draw(OA_KRIVINE_PRODUCT, np.random.default_rng(m), 4, kernels)
+        g = np.random.default_rng(m).integers(1, 4, size=(4, m, 3)).tolist()
+        u = [[math.prod(gs[i][t] for i in range(m)) for t in range(3)] for gs in g]
+        expected = [[[us[t] // gs[(i + 1) % m][t] * gs[i][t] for t in range(3)] for i in range(m)] for gs, us in zip(g, u)]
+        assert block.tolist() == expected
+        assert block.dtype == (np.int64 if m <= 38 else object)
+
+    @pytest.mark.parametrize("space", [F3, OM], ids=["finite", "omega1"])
+    def test_degree_seventy_krivine_product_passes_on_a_measure(self, space):
+        poly = to_polynomial(Measure(space, {1: 1, 2: -2}), 70)
+        fast = orthogonal_additivity_check(poly, OA_KRIVINE_PRODUCT)
+        assert fast.passed and fast == orthogonal_additivity_check(poly, OA_KRIVINE_PRODUCT, force_object=True)
+
     @pytest.mark.parametrize(
         "block",
         [np.array([[[1, 1], [2, 1]]]), np.array([[[1, 1], [2**41, 1]]], dtype=object)],
@@ -526,7 +544,7 @@ class TestIntGuard:
     def test_krivine_product_root_miss_is_an_invariant_violation(self, block):
         # the first point's row product, 2 or 2**41, is not a square
         kernels = checks._PolyKernels(Polynomial.from_tensor(SymTensor(F2, 2, {(1, 2): 1})))
-        assert form_eval_batch(kernels.core[0], block).dtype == block.dtype
+        assert form_eval_batch(kernels.arranged[0], block).dtype == block.dtype
         with pytest.raises(InvariantViolation, match="not an exact m-th power"):
             checks._krivine_product_sides(kernels, block)
 
@@ -635,6 +653,22 @@ class TestBenchmarkTargets:
 
 class TestSharedKernels:
     @pytest.mark.parametrize("diagonal", [True, False])
+    def test_p_values_list_no_arrangement(self, monkeypatch, diagonal):
+        # every mode but the Krivine product, and the polarisation, read P
+        # alone, so they read one weighted row per entry
+        def refuse(points):
+            raise AssertionError("an arrangement was listed")
+
+        tensor = sym_tensor(rng_for("weighted-only", diagonal), F4, 5, diagonal=diagonal,
+                            ensure_off_diagonal=not diagonal)
+        monkeypatch.setattr(SymTensor, "_later", staticmethod(refuse))
+        poly = Polynomial.from_tensor(tensor)
+        for mode in OA_MODES:
+            if mode != OA_KRIVINE_PRODUCT:
+                assert orthogonal_additivity_check(poly, mode, samples=40, seed=2).passed == diagonal, mode
+        assert polarize_tensor_int(tensor) == tensor.entries
+
+    @pytest.mark.parametrize("diagonal", [True, False])
     def test_agreement_builds_the_dense_core_once(self, monkeypatch, diagonal):
         tensor = sym_tensor(rng_for("kernels", diagonal), F4, 3, diagonal=diagonal, ensure_off_diagonal=not diagonal)
         built = _counting(monkeypatch, "dense_core")
@@ -655,7 +689,7 @@ class TestSharedKernels:
     def test_measure_table_matches_the_polarised_table(self, mu, m):
         # the diagonal table read from the weights is the table of the
         # polarisation, the route it replaced
-        table, scale = checks._PolyKernels(to_polynomial(mu, m)).core
+        table, scale = checks._PolyKernels(to_polynomial(mu, m))._core
         old_table, old_scale = dense_core(polarize(to_polynomial(mu, m)))
         assert table.dtype == old_table.dtype and table.shape == old_table.shape
         assert np.array_equal(table, old_table) and scale == old_scale
@@ -943,6 +977,31 @@ class TestDisjointPairs:
                     fast = checks._disjoint_pairs(np.random.default_rng(seed), samples, n, m, positive)
                     slow = _loop_disjoint_pairs(np.random.default_rng(seed), samples, n, m, positive)
                     assert fast.dtype == slow.dtype and np.array_equal(fast, slow), seed
+
+    @pytest.mark.parametrize("n", [63, 64, 70])
+    def test_masks_split_the_points_at_every_size(self, n):
+        masks = checks._masks(np.random.default_rng(n), 50, n)
+        assert masks.shape == (50, n) and masks.any(axis=1).all() and not masks.all(axis=1).any()
+        poly = to_polynomial(Measure(Space.finite(n), {1: 1, n: -2}), 2)
+        assert orthogonal_additivity_check(poly, OA_DISJOINT_ADD, structured_pair_count(n, 2) + 20, seed=n).passed
+
+    def test_empty_and_full_masks_are_redrawn_past_63_points(self):
+        class Scripted:
+            """Hands out the given draws in turn."""
+
+            def __init__(self, *draws):
+                self.draws = list(draws)
+
+            def integers(self, low, high, size):
+                assert (low, high) == (0, 2) and self.draws[0].shape == size
+                return self.draws.pop(0)
+
+        n = 64
+        first = np.array([[1] * n, [0] * n, [1, 0] * (n // 2)])
+        second = np.array([[0] * n, [0, 1] * (n // 2)])  # the full row redrawn empty, the empty one split
+        third = np.array([[1, 1] + [0] * (n - 2)])
+        masks = checks._masks(Scripted(first, second, third), 3, n)
+        assert masks.tolist() == np.array([third[0], second[1], first[2]], dtype=bool).tolist()
 
     def test_sweep_is_cached_read_only(self):
         sweep = checks._sweep(5, 3)
