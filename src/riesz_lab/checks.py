@@ -79,6 +79,7 @@ from ._intpath import (
     poly_eval_batch,
 )
 from .errors import DegreeMismatchError, InvariantViolation
+from .jsonio import element_to_obj
 from .lattice import (
     Element,
     Space,
@@ -284,8 +285,6 @@ def _first_diff(lhs: np.ndarray, rhs: np.ndarray) -> int | None:
 
 
 def _payload(mode: str, index: int, args: Sequence[Element], lhs: Fraction, rhs: Fraction) -> dict:
-    from .jsonio import element_to_obj
-
     return {
         "mode": mode,
         "sampleIndex": index,

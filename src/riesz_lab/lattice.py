@@ -34,6 +34,7 @@ from .errors import (
     DegreeMismatchError,
     InvalidGeneratorError,
     PositivityError,
+    RepresentationError,
     SpaceMismatchError,
 )
 
@@ -323,6 +324,62 @@ class Element:
             return f"Element([{', '.join(str(v) for v in self.values)}])"
         pre = ", ".join(str(v) for v in self.prefix)
         return f"Element(prefix=[{pre}], tail={self.tail})"
+
+
+class Coefficients:
+    """Finitely many rational coefficients, combined coefficientwise: a
+    measure's atoms, a form's entries, a polynomial's representation's.  A
+    kind gives `_items()`, its nonzero coefficients by atom or index, and
+    `_with(items)`, the object of its kind, space and degree with those.
+    Immutability, equality and hashing over (type, kind, degree, space,
+    coefficients), the modulus, join, meet and sum are written here once;
+    `_combine` refuses another type or kind (`RepresentationError`), degree
+    (`DegreeMismatchError`) or space (`SpaceMismatchError`), in that order."""
+
+    __slots__ = ()
+
+    # a polynomial's kind, a form's or polynomial's degree; None where a kind has none
+    kind: str | None = None
+    degree: int | None = None
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _signature(self) -> tuple:
+        return type(self), self.kind, self.degree, self.space
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Coefficients):
+            return NotImplemented
+        return self._signature() == other._signature() and self._items() == other._items()
+
+    def __hash__(self) -> int:
+        return hash((*self._signature(), tuple(self._items().items())))
+
+    def __abs__(self) -> "Coefficients":
+        return self._with({k: abs(v) for k, v in self._items().items()})
+
+    def is_zero(self) -> bool:
+        return not self._items()
+
+    def _combine(self, other: "Coefficients", op: Callable[[Fraction, Fraction], Fraction]) -> "Coefficients":
+        if type(other) is not type(self) or other.kind != self.kind:
+            raise RepresentationError(f"lattice operations need a common representation: {self!r}, {other!r}")
+        if other.degree != self.degree:
+            raise DegreeMismatchError(f"degrees differ: {self.degree} vs {other.degree}")
+        if other.space != self.space:
+            raise SpaceMismatchError(f"{self.space!r} vs {other.space!r}")
+        a, b = self._items(), other._items()
+        return self._with({k: op(a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys()})
+
+    def join(self, other: "Coefficients") -> "Coefficients":
+        return self._combine(other, max)
+
+    def meet(self, other: "Coefficients") -> "Coefficients":
+        return self._combine(other, min)
+
+    def __add__(self, other: "Coefficients") -> "Coefficients":
+        return self._combine(other, operator.add)
 
 
 def decreasing_rearrangements(xs: Sequence[Element]) -> list[Element]:

@@ -4,14 +4,18 @@ an optional atom at the limit point on the sequence backend."""
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import SpaceMismatchError
-from .lattice import LIMIT, Element, Rational, Space, _integer_row, q
+from .lattice import LIMIT, Coefficients, Element, Rational, Space, _integer_row, q
 
 
-class Measure:
-    """A discrete signed measure.  Atoms with zero weight are dropped."""
+class Measure(Coefficients):
+    """A discrete signed measure: ``atoms``, a read-only mapping from
+    isolated points to nonzero weights, sorted by point, and ``limit_atom``.
+    Its coefficients (`_items`) are the atoms, followed by `LIMIT` when the
+    limit atom is nonzero, and its lattice operations are atomwise."""
 
     __slots__ = ("space", "atoms", "limit_atom", "_scaled")
 
@@ -34,12 +38,16 @@ class Measure:
         if space.is_finite and la != 0:
             raise SpaceMismatchError("finite spaces have no limit point")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "atoms", dict(sorted(clean.items())))
+        object.__setattr__(self, "atoms", MappingProxyType(dict(sorted(clean.items()))))
         object.__setattr__(self, "limit_atom", la)
         object.__setattr__(self, "_scaled", None)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Measure is immutable")
+    def _items(self) -> Mapping:
+        return self.atoms if self.limit_atom == 0 else {**self.atoms, LIMIT: self.limit_atom}
+
+    def _with(self, items: Mapping) -> "Measure":
+        atoms = {t: w for t, w in items.items() if t is not LIMIT}
+        return Measure(self.space, atoms, items.get(LIMIT, 0))
 
     # -- integration -----------------------------------------------------
 
@@ -67,73 +75,31 @@ class Measure:
         return Fraction(total, scale * x.den**power)
 
     def _integer_weights(self) -> tuple[list, list[int], int]:
-        """(points, weights, scale): the atom points, LIMIT last when the
-        limit atom is nonzero, and their weights as integers over ``scale``;
-        built on the first call and kept."""
+        """(points, weights, scale): the coefficients' points (`_items`,
+        LIMIT last) and their weights as integers over ``scale``; built on
+        the first call and kept.  The atoms are read-only, so the weights
+        cannot go stale."""
         if self._scaled is None:
-            atoms = list(self.atoms.items())
-            if self.limit_atom != 0:
-                atoms.append((LIMIT, self.limit_atom))
-            weights, scale = _integer_row(w for _, w in atoms)
-            object.__setattr__(self, "_scaled", ([t for t, _ in atoms], weights, scale))
+            items = self._items()
+            weights, scale = _integer_row(items.values())
+            object.__setattr__(self, "_scaled", (list(items), weights, scale))
         return self._scaled
 
     # -- norms --------------------------------------------------------------
 
     def variation_norm(self) -> Fraction:
-        return sum((abs(w) for w in self.atoms.values()), abs(self.limit_atom))
-
-    def is_zero(self) -> bool:
-        return not self.atoms and self.limit_atom == 0
-
-    # -- atomwise lattice and linear structure ----------------------------------
-
-    def _merge(self, other: "Measure", op) -> "Measure":
-        if self.space != other.space:
-            raise SpaceMismatchError("measures on different spaces")
-        zero = Fraction(0)
-        points = set(self.atoms) | set(other.atoms)
-        atoms = {t: op(self.atoms.get(t, zero), other.atoms.get(t, zero)) for t in points}
-        return Measure(self.space, atoms, op(self.limit_atom, other.limit_atom))
-
-    def join(self, other: "Measure") -> "Measure":
-        return self._merge(other, max)
-
-    def meet(self, other: "Measure") -> "Measure":
-        return self._merge(other, min)
-
-    def __add__(self, other: "Measure") -> "Measure":
-        return self._merge(other, lambda a, b: a + b)
-
-    def __abs__(self) -> "Measure":
-        return Measure(self.space, {t: abs(w) for t, w in self.atoms.items()}, abs(self.limit_atom))
+        return sum(map(abs, self._items().values()), Fraction(0))
 
     def is_disjoint(self, other: "Measure") -> bool:
         """No point, isolated or limit, carries mass in both."""
-        if set(self.atoms) & set(other.atoms):
-            return False
-        return self.limit_atom == 0 or other.limit_atom == 0
+        return self._items().keys().isdisjoint(other._items())
 
     def restrict(self, keep_points: frozenset[int], keep_limit: bool) -> "Measure":
         atoms = {t: w for t, w in self.atoms.items() if t in keep_points}
         return Measure(self.space, atoms, self.limit_atom if keep_limit else 0)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Measure):
-            return NotImplemented
-        return (
-            self.space == other.space
-            and self.atoms == other.atoms
-            and self.limit_atom == other.limit_atom
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space, tuple(self.atoms.items()), self.limit_atom))
-
     def __repr__(self) -> str:
-        parts = [f"{t}: {w}" for t, w in self.atoms.items()]
-        if self.limit_atom != 0:
-            parts.append(f"limit: {self.limit_atom}")
+        parts = [f"{'limit' if t is LIMIT else t}: {w}" for t, w in self._items().items()]
         return f"Measure({self.space!r}, {{{', '.join(parts)}}})"
 
 

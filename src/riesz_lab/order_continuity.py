@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .convergence import (
     ConvergenceCertificate,
@@ -234,13 +234,16 @@ def _eventual_value(poly, family: ElementFamily, settle: int) -> Fraction:
     return integral(poly.phi.measure, 1) ** (poly.degree - 1) * integral(poly.psi.measure, 1)
 
 
-def _certified_bound(poly, x: Element) -> Fraction:
-    """A bound on |P(x)|: |P|(|x|) for a (regular) polynomial, and the
-    functionals' variation norms times ||x||^m for a product polynomial."""
+def _certified_bound(poly) -> Callable[[Element], Fraction]:
+    """x -> a bound on |P(x)|: |P|(|x|) for a (regular) polynomial, and the
+    functionals' variation norms times ||x||^m for a product polynomial.
+    |P|, or the product of the norms, is built once, here."""
     if isinstance(poly, Polynomial):
-        return abs(poly).evaluate(abs(x))
+        modulus = abs(poly)
+        return lambda x: modulus.evaluate(abs(x))
     m = poly.degree
-    return poly.phi.measure.variation_norm() ** (m - 1) * poly.psi.measure.variation_norm() * x.sup_norm() ** m
+    norms = poly.phi.measure.variation_norm() ** (m - 1) * poly.psi.measure.variation_norm()
+    return lambda x: norms * x.sup_norm() ** m
 
 
 def _probe(poly, cert: ConvergenceCertificate, depth: int) -> NetProbe:
@@ -260,7 +263,7 @@ def _probe(poly, cert: ConvergenceCertificate, depth: int) -> NetProbe:
     settle = _settling_index(poly, family)
     members = [family.member(n) for n in range(1, min(settle, depth) + 1)]
     values = [poly.evaluate(x) for x in members]
-    bounds = [_certified_bound(poly, x) for x in members]
+    bounds = list(map(_certified_bound(poly), members))
     if any(abs(v) > b for v, b in zip(values, bounds)):
         raise CertificateError("probed value escapes its certified bound")
     eventual = values[-1] if settle <= depth else _eventual_value(poly, family, settle)

@@ -5,20 +5,22 @@ P(x) is the integral of x^m against a discrete measure.  A tensor-represented
 polynomial is the diagonal restriction of a symmetric m-linear form and is
 orthogonally additive exactly when the form carries no off-diagonal mass.
 
-A polynomial's `abs`, `join`, `meet` and `+` are its representation's at
-its degree: atomwise for measures, which makes measure <-> OA polynomial a
-lattice isometry (the regular norm equals the variation norm), and
-entrywise on the symmetric array for tensors.  P and Q are disjoint when
-|P| meet |Q| is zero.
+A polynomial's coefficients are its representation's (`lattice.Coefficients`),
+so its `abs`, `join`, `meet` and `+` are taken on them at its degree:
+atomwise for measures, which makes measure <-> OA polynomial a lattice
+isometry (the regular norm equals the variation norm), and entrywise on the
+symmetric array for tensors.  Two polynomials combine only at one kind,
+degree and space.  P and Q are disjoint when |P| meet |Q| is zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Mapping
 
 from ._intpath import polarize_tensor_int
 from .errors import DegreeMismatchError, RepresentationError, SpaceMismatchError
-from .lattice import Element, RadicalElement, Space
+from .lattice import Coefficients, Element, RadicalElement, Space
 from .measures import Measure
 from .tensors import SymTensor
 
@@ -26,7 +28,7 @@ MEASURE = "measure"
 TENSOR = "tensor"
 
 
-class Polynomial:
+class Polynomial(Coefficients):
     """A degree-m homogeneous polynomial represented exactly by a `Measure`
     or a `SymTensor`; ``kind``, `MEASURE` or `TENSOR`, names which."""
 
@@ -47,9 +49,6 @@ class Polynomial:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "rep", rep)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Polynomial is immutable")
-
     @staticmethod
     def from_tensor(tensor: SymTensor) -> "Polynomial":
         return Polynomial(tensor.degree, tensor)
@@ -57,6 +56,12 @@ class Polynomial:
     @property
     def space(self) -> Space:
         return self.rep.space
+
+    def _items(self) -> Mapping:
+        return self.rep._items()
+
+    def _with(self, items: Mapping) -> "Polynomial":
+        return Polynomial(self.degree, self.rep._with(items))
 
     def evaluate(self, x: Element | RadicalElement) -> Fraction:
         """P(x).  A radical that roots exactly is evaluated at its root.  An
@@ -78,43 +83,9 @@ class Polynomial:
             return self.rep.integrate(x, self.degree)
         return self.rep.evaluate_diagonal(x)
 
-    # -- lattice operations, each its representation's at this degree ------------
-
-    def _other_rep(self, other: "Polynomial") -> Measure | SymTensor:
-        """``other``'s representation once degree and representation type
-        match; the representation's own operation checks the space."""
-        if self.degree != other.degree:
-            raise DegreeMismatchError("polynomial degrees differ")
-        if self.kind != other.kind:
-            raise RepresentationError("lattice operations need a common representation")
-        return other.rep
-
-    def __abs__(self) -> "Polynomial":
-        return Polynomial(self.degree, abs(self.rep))
-
-    def join(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(self.degree, self.rep.join(self._other_rep(other)))
-
-    def meet(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(self.degree, self.rep.meet(self._other_rep(other)))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(self.degree, self.rep + self._other_rep(other))
-
-    def is_zero(self) -> bool:
-        return self.rep.is_zero()
-
     def is_orthogonally_additive(self) -> bool:
         """Structural criterion: measures always; tensors iff diagonal."""
         return self.kind == MEASURE or self.rep.is_diagonal()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.degree == other.degree and self.rep == other.rep
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.rep))
 
     def __repr__(self) -> str:
         return f"Polynomial(m={self.degree}, {self.kind}, {self.rep!r})"

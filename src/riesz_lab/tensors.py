@@ -21,7 +21,9 @@ weighted row per entry, which the diagonal reads alone (`evaluate_diagonal`,
 multilinear read (`Form.evaluate`, `_intpath.dense_core`).  Both stay, with
 their int arrays, in one slot keyed by the form, so a run of calls on one
 form arranges it once.  Entries are read-only views, so a form cannot change
-under its cached rows.
+under its cached rows.  They are its coefficients (`lattice.Coefficients`):
+modulus, join, meet and sum are entrywise, on the symmetric array of a
+tensor and on the matrix of a matrix form.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import add, getitem
+from operator import getitem
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DegreeMismatchError, SpaceMismatchError
-from .lattice import Element, Rational, Space, _integer_row, q
+from .lattice import Coefficients, Element, Rational, Space, _integer_row, q
 
 
 def nondecreasing_indices(n: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -70,14 +72,15 @@ def _later_arrangements(points: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         yield tuple(a)
 
 
-class Form:
+class Form(Coefficients):
     """A multilinear form on a finite space: ``space``, ``degree`` and its
     nonzero ``entries``, an immutable mapping from 1-based index tuples to
     Fractions, sorted by index.  A kind gives `_key(idx)`, the index an
     entry is stored at; `_weight(idx)`, the entry's weight on the diagonal;
     and `_later(points)`, the further 0-based arrangements at which the full
     array repeats the entry.  Evaluation reads the rows these give
-    (`_scaled_rows`), and equality the entries."""
+    (`_scaled_rows`); equality, hashing and the entrywise lattice
+    operations read the entries (`_items`)."""
 
     __slots__ = ("space", "degree", "entries")
 
@@ -102,8 +105,11 @@ class Form:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "entries", MappingProxyType(dict(sorted(clean.items()))))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def _items(self) -> Mapping[tuple[int, ...], Fraction]:
+        return self.entries
+
+    def _with(self, items: Mapping[tuple[int, ...], Rational]) -> "Form":
+        return type(self)(self.space, self.degree, items)
 
     def evaluate(self, args: Sequence[Element]) -> Fraction:
         """A(x_1, .., x_m): coeff * prod_i x_i(point_i) summed over every
@@ -122,23 +128,6 @@ class Form:
     def off_diagonal_entries(self) -> dict[tuple[int, ...], Fraction]:
         """The entries whose index names at least two distinct points."""
         return {idx: v for idx, v in self.entries.items() if len(set(idx)) > 1}
-
-    def __abs__(self) -> "Form":
-        """The coefficientwise modulus."""
-        return type(self)(self.space, self.degree, {i: abs(v) for i, v in self.entries.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Form):
-            return NotImplemented
-        return (
-            type(self) is type(other)
-            and self.space == other.space
-            and self.degree == other.degree
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.space, self.degree, tuple(self.entries.items())))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(m={self.degree}, {self.space!r}, {len(self.entries)} entries)"
@@ -186,30 +175,6 @@ class SymTensor(Form):
 
     def is_positive(self) -> bool:
         return all(v >= 0 for v in self.entries.values())
-
-    # -- lattice and linear operations (entrywise on the symmetric array) -------
-
-    def _merge(self, other: "SymTensor", op) -> "SymTensor":
-        if self.space != other.space:
-            raise SpaceMismatchError("tensors on different spaces")
-        if self.degree != other.degree:
-            raise DegreeMismatchError("tensor degrees differ")
-        keys = set(self.entries) | set(other.entries)
-        zero = Fraction(0)
-        out = {k: op(self.entries.get(k, zero), other.entries.get(k, zero)) for k in keys}
-        return SymTensor(self.space, self.degree, out)
-
-    def join(self, other: "SymTensor") -> "SymTensor":
-        return self._merge(other, max)
-
-    def meet(self, other: "SymTensor") -> "SymTensor":
-        return self._merge(other, min)
-
-    def __add__(self, other: "SymTensor") -> "SymTensor":
-        return self._merge(other, add)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def restrict_points(self, points: frozenset[int]) -> "SymTensor":
         """Drop entries touching any point outside the given set."""

@@ -7,12 +7,15 @@ the coefficientwise modulus of a form is compared with, the
 Riesz-Kantorovich partition sums that the join, meet and modulus of
 measure polynomials are compared with, an exact root of a rational that
 `RadicalElement.exact_root` is compared with, the least scale that puts an
-element in a principal ideal, and a form's value read from its JSON alone,
-summed over every ordered index tuple.
+element in a principal ideal, a form's value read from its JSON alone,
+summed over every ordered index tuple, and the coefficientwise modulus,
+join, meet and sum of measures, forms and polynomials read from their JSON
+alone.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import permutations, product
 from math import prod
@@ -172,3 +175,43 @@ def json_form_value(form: dict, args: Sequence[dict]) -> Fraction:
         if array.get(idx):
             total += array[idx] * prod(row[i - 1] for row, i in zip(values, idx))
     return total
+
+
+def json_coefficients(obj: dict) -> tuple[tuple, dict]:
+    """(shape, coefficients) of a measure, form or polynomial read from its
+    `jsonio.to_obj` output alone.  The coefficients are the nonzero ones: a
+    measure's atoms by point and its ``limit_atom`` under "limit", a
+    tensor's entries by sorted ``idx``, a matrix's ``rows`` by 1-based (i,
+    j).  The shape names the kind, space and degree; a polynomial's wraps
+    its representation's with its own kind and degree."""
+    if "degree" in obj:
+        shape, coefficients = json_coefficients(obj[obj["kind"]])
+        return (obj["kind"], obj["degree"], shape), coefficients
+    space = tuple(sorted(obj["space"].items()))
+    if "atoms" in obj:
+        shape = ("measure", space)
+        coefficients = {a["point"]: Fraction(a["weight"]) for a in obj["atoms"]}
+        coefficients["limit"] = Fraction(obj["limit_atom"])
+    elif "entries" in obj:
+        shape = ("tensor", obj["m"], space)
+        coefficients = {tuple(sorted(e["idx"])): Fraction(e["val"]) for e in obj["entries"]}
+    else:
+        shape = ("matrix", space)
+        coefficients = {(i, j): Fraction(v) for i, row in enumerate(obj["rows"], 1) for j, v in enumerate(row, 1)}
+    return shape, {k: v for k, v in coefficients.items() if v}
+
+
+def json_lattice(operation: str, first: dict, second: dict | None = None) -> tuple[tuple, dict]:
+    """The shape and coefficients of |first| (``abs``) or of first join,
+    meet or + second, read from `jsonio.to_obj` output alone: the
+    coefficient at each key of either, absent keys reading 0, zeros dropped.
+    Objects of different shapes are refused with `ValueError`."""
+    shape, a = json_coefficients(first)
+    if operation == "abs":
+        return shape, {k: abs(v) for k, v in a.items()}
+    other, b = json_coefficients(second)
+    if other != shape:
+        raise ValueError(f"no coefficientwise {operation} of {shape} and {other}")
+    op = {"join": max, "meet": min, "add": operator.add}[operation]
+    merged = {k: op(a.get(k, Fraction(0)), b.get(k, Fraction(0))) for k in a.keys() | b.keys()}
+    return shape, {k: v for k, v in merged.items() if v}

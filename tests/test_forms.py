@@ -45,6 +45,7 @@ from riesz_lab.polynomials import MEASURE, TENSOR
 from riesz_lab.tensors import Form, _scaled_rows, arrangements, nondecreasing_indices
 from riesz_lab.sampling import (
     element,
+    matrix_form,
     measure,
     measure_polynomial,
     nonzero_positive_element,
@@ -53,7 +54,14 @@ from riesz_lab.sampling import (
     tensor_polynomial,
 )
 
-from oracles import atomic_partition, json_form_value, modulus_partition_oracle, polynomial_lattice_partition
+from oracles import (
+    atomic_partition,
+    json_coefficients,
+    json_form_value,
+    json_lattice,
+    modulus_partition_oracle,
+    polynomial_lattice_partition,
+)
 
 F1, F2, F3 = Space.finite(1), Space.finite(2), Space.finite(3)
 OM = Space.omega_plus_one()
@@ -623,6 +631,18 @@ class TestMeasureIso:
         with pytest.raises(RepresentationError):
             to_measure(p)
 
+    def test_atoms_are_read_only(self):
+        # P = delta_1 at degree 2 reads its integer weights once; an atom
+        # written afterwards would change the measure under them
+        mu = Measure(F2, {1: 1})
+        p, x = to_polynomial(mu, 2), fin(2, 3)
+        assert p.evaluate(x) == 4
+        before = (repr(mu), hash(mu), hash(p))
+        with pytest.raises(TypeError):
+            mu.atoms[2] = 1
+        assert p.evaluate(x) == 4 and (repr(mu), hash(mu), hash(p)) == before
+        assert dict(mu.atoms) == {1: 1}
+
     def test_repr_lists_atoms_then_limit(self):
         assert repr(Measure(OM, {}, limit_atom=1)) == "Measure(omega1, {limit: 1})"
         assert repr(Measure(OM, {2: Fraction(1, 2), 1: -3}, limit_atom=1)) == "Measure(omega1, {1: -3, 2: 1/2, limit: 1})"
@@ -713,8 +733,18 @@ _LATTICE_PAIRS = {
     "tensor": (_A, _B),
     "measure-polynomial": (to_polynomial(_MU, 3), to_polynomial(_NU, 3)),
     "tensor-polynomial": (Polynomial.from_tensor(_A), Polynomial.from_tensor(_B)),
+    "matrix": (GeneralMatrixForm(F3, 2, {(1, 2): 1, (2, 1): -2}), GeneralMatrixForm(F3, 2, {(1, 2): 3, (3, 1): -1})),
 }
 _MU2, _T2 = Measure(F3, {1: 1}), SymTensor.diagonal(F3, 2, {1: 1})
+# one object of each kind on finite(2) at degree 2: the tensor holds (1, 2),
+# the matrix the same entry unsymmetrised, rows [[0, 1], [0, 0]]
+_KINDS = {
+    "measure": Measure(F2, {1: 1}),
+    "tensor": SymTensor(F2, 2, {(1, 2): 1}),
+    "matrix": matrix_from_rows(F2, [[0, 1], [0, 0]]),
+    "measure-polynomial": to_polynomial(Measure(F2, {1: 1}), 2),
+    "tensor-polynomial": Polynomial.from_tensor(SymTensor(F2, 2, {(1, 2): 1})),
+}
 _MISMATCHED_PAIRS = {
     "measure-tensor": (RepresentationError, to_polynomial(_MU2, 2), Polynomial.from_tensor(_T2)),
     "tensor-measure": (RepresentationError, Polynomial.from_tensor(_T2), to_polynomial(_MU2, 2)),
@@ -733,6 +763,15 @@ _MISMATCHED_PAIRS = {
     ),
     "bare-measure-spaces": (SpaceMismatchError, _MU2, Measure(F2, {1: 1})),
     "bare-tensor-spaces": (SpaceMismatchError, _T2, SymTensor.diagonal(F2, 2, {1: 1})),
+    "bare-matrix-spaces": (SpaceMismatchError, _KINDS["matrix"], matrix_from_rows(F3, [[0, 1, 0]] * 3)),
+    "tensor-symmetric-matrix": (RepresentationError, _KINDS["tensor"], matrix_from_rows(F2, [[0, 1], [1, 0]])),
+    "symmetric-matrix-tensor": (RepresentationError, matrix_from_rows(F2, [[0, 1], [1, 0]]), _KINDS["tensor"]),
+    **{
+        f"{a}-vs-{b}": (RepresentationError, first, second)
+        for a, first in _KINDS.items()
+        for b, second in _KINDS.items()
+        if a != b
+    },
 }
 
 
@@ -766,6 +805,13 @@ class TestLatticeProtocol:
             # the rule polys_disjoint replaced for tensor pairs: no common entry
             assert polys_disjoint(p, q) == all(k not in b.entries for k in a.entries)
 
+    def test_one_implementation(self):
+        # the coefficientwise operations, equality and immutability live in
+        # lattice.Coefficients alone
+        shared = {"join", "meet", "__add__", "__abs__", "is_zero", "__eq__", "__hash__", "__setattr__"}
+        for cls in (Measure, Form, SymTensor, GeneralMatrixForm, Polynomial):
+            assert not shared & set(vars(cls)), cls
+
     @pytest.mark.parametrize("error, first, second", _MISMATCHED_PAIRS.values(), ids=_MISMATCHED_PAIRS)
     def test_mismatches_raise_library_errors(self, error, first, second):
         for op in (first.join, first.meet, first.__add__):
@@ -774,3 +820,47 @@ class TestLatticeProtocol:
         if isinstance(first, Polynomial):
             with pytest.raises(error):
                 polys_disjoint(first, second)
+
+
+def _reordered(obj):
+    """obj rebuilt from its coefficients given in reverse order, each tensor
+    index reversed too."""
+    if isinstance(obj, Polynomial):
+        return Polynomial(obj.degree, _reordered(obj.rep))
+    if isinstance(obj, Measure):
+        return Measure(obj.space, dict(reversed(obj.atoms.items())), obj.limit_atom)
+    flip = (lambda idx: idx[::-1]) if isinstance(obj, SymTensor) else tuple
+    return type(obj)(obj.space, obj.degree, {flip(idx): v for idx, v in reversed(obj.entries.items())})
+
+
+def _seeded_pairs():
+    """(kind, first, second): seeded pairs of each coefficient kind on one
+    space, measures on both backends, tensors of degree 2 to 4."""
+    for i in range(40):
+        rng = rng_for("json-lattice", i)
+        space, m = Space.finite(1 + i % 4), 2 + i % 3
+        on = OM if i % 2 else space
+        yield "measure-finite", measure(rng, space), measure(rng, space)
+        yield "measure-omega1", measure(rng, OM), measure(rng, OM)
+        yield "tensor", sym_tensor(rng, space, m), sym_tensor(rng, space, m)
+        yield "matrix", matrix_form(rng, space), matrix_form(rng, space)
+        yield "measure-polynomial", measure_polynomial(rng, on, m), measure_polynomial(rng, on, m)
+        yield "tensor-polynomial", tensor_polynomial(rng, space, m), tensor_polynomial(rng, space, m)
+
+
+class TestJsonLatticeOracle:
+    """abs, join, meet and + of every coefficient kind against
+    `json_lattice`, which reads the operands' JSON alone; and equality and
+    hashing of each operand against its copy built from reordered input."""
+
+    def test_operations_match_the_json_oracle(self):
+        limits = 0
+        for kind, a, b in _seeded_pairs():
+            first, second = to_obj(a), to_obj(b)
+            for op, result in (("abs", abs(a)), ("join", a.join(b)), ("meet", a.meet(b)), ("add", a + b)):
+                assert json_coefficients(to_obj(result)) == json_lattice(op, first, second), (kind, op, a, b)
+            for obj in (a, b):
+                again = _reordered(obj)
+                assert again is not obj and again == obj and hash(again) == hash(obj), (kind, obj)
+            limits += kind == "measure-omega1" and a.limit_atom != 0 and b.limit_atom != 0
+        assert limits >= 5  # omega1 pairs whose limit atoms meet

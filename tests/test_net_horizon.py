@@ -56,7 +56,7 @@ def per_index_probe(poly, cert: ConvergenceCertificate, probe_depth: int):
     values = tuple(poly.evaluate(cert.sequence.member(n)) for n in range(1, probe_depth + 1))
     bounds = []
     for n, v in enumerate(values, start=1):
-        bound = _certified_bound(poly, cert.sequence.member(n))
+        bound = _certified_bound(poly)(cert.sequence.member(n))
         if abs(v) > bound:
             raise CertificateError("probed value escapes its certified bound")
         bounds.append(bound)
