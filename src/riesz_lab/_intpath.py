@@ -2,21 +2,21 @@
 
 Identities checked by the sampled suites are homogeneous, so every instance
 is scaled to integers by its common denominator and batch-evaluated with
-NumPy.  A form is evaluated from its rows as the exact reference reads
-them, scaled to integers (`tensors._scaled_rows`), by gathering each row's
-points from the arguments and multiplying: O(S * rows * m) for a batch of
-S samples.  The multilinear kernel reads every arrangement row
-(`dense_core`), the polynomial kernels one weighted row per entry
-(`diagonal_core`).  These sum P over a stack of k rows per sample, so each
-side of an identity between sums of P-values is one call, and the kernel,
-not its caller, bounds that whole sum in exact Python integers: int64 when
-the bound stays below `INT64_LIMIT`, otherwise `dtype=object` arrays of
-Python ints, the same gather and product at any size.  Gathers run over
-chunks of samples that fit a byte budget.  The reference the checks
-compare against stays `Form.evaluate` (with `SymTensor.evaluate_diagonal`)
-and `Measure.integrate`, exact and independent of NumPy: each reads the
-arguments' integer rows, sums in Python integers (the form evaluators over
-the same scaled rows as the kernels) and returns one Fraction per value.
+NumPy over one table layout, a row of m points, a scaled coefficient and a
+weight per term.  A form's rows are those its exact reference reads
+(`tensors._scaled_rows`): every arrangement for the multilinear kernel
+(`dense_core`), one weighted row per entry for P (`diagonal_core`).  A
+measure's table, one diagonal row per atom, is that of its polarisation, so
+P runs on one kernel (`poly_eval_batch`) for both kinds, and only the table
+builders tell them apart.  A kernel gathers each row's points from the
+arguments and multiplies, O(S * rows * m) for S samples; the P kernel sums
+over a stack of k rows per sample, so each side of an identity between sums
+of P-values is one call.  The kernel, not its caller, bounds that sum in
+exact Python integers: int64 below `INT64_LIMIT`, otherwise `dtype=object`
+arrays of Python ints, the same gather at any size, over chunks of samples
+that fit a byte budget.  The reference the checks compare against stays
+`Form.evaluate` (with `SymTensor.evaluate_diagonal`) and
+`Measure.integrate`, exact and independent of NumPy.
 """
 
 from __future__ import annotations
@@ -38,18 +38,27 @@ _BYTE_CAP = 2**27  # largest array one gather may allocate (128 MiB)
 _CHUNK_WORK = 2**16
 
 
-def dense_core(tensor: Form) -> tuple[np.ndarray, int]:
+def dense_core(rep: Form | Measure, degree: int | None = None) -> tuple[np.ndarray, int]:
     """(table, scale): every arrangement row of a finite form, as its exact
     evaluator sums them, in one integer array (rows, m + 2) (`_table`);
-    `form_eval_batch` reads it.  The name is older than the table; callers
-    and benchmark traces know it."""
-    return _table(_scaled_rows(tensor, arranged=True), 0, tensor.degree)
+    `form_eval_batch` reads it; a measure's rows have no other arrangement
+    (`diagonal_core`).  The name is older than the table; callers and
+    benchmark traces know it."""
+    if isinstance(rep, Measure):
+        return diagonal_core(rep, degree)
+    return _table(_scaled_rows(rep, arranged=True), 0, rep.degree)
 
 
-def diagonal_core(tensor: Form) -> tuple[np.ndarray, int]:
+def diagonal_core(rep: Form | Measure, degree: int | None = None) -> tuple[np.ndarray, int]:
     """(table, scale) of the weighted rows alone, one per entry, laid out as
-    `dense_core`: the rows P(x) = A(x, .., x) reads (`poly_eval_batch`)."""
-    return _table(_scaled_rows(tensor), 1, tensor.degree)
+    `dense_core`: the rows P(x) = A(x, .., x) reads (`poly_eval_batch`).  A
+    measure, which has no degree, takes P's ``degree`` and gives one row
+    [t - 1]*m + [w_t, 1] per atom t, in the dtype of `measure_weights`."""
+    if isinstance(rep, Measure):
+        weights, scale = measure_weights(rep)
+        rows = [(*[column] * degree, w, 1) for column, w in enumerate(weights.tolist()) if w]
+        return np.array(rows, dtype=weights.dtype).reshape(len(rows), degree + 2), scale
+    return _table(_scaled_rows(rep), 1, rep.degree)
 
 
 def _table(slot: list, which: int, degree: int) -> tuple[np.ndarray, int]:
@@ -132,7 +141,9 @@ def poly_eval_batch(core: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def measure_poly_eval_batch(weights: np.ndarray, degree: int, xs: np.ndarray) -> np.ndarray:
     """sum_j P(x_j), P(x) = sum_t w_t x(t)^m, for a batch: xs (S, k, n) ->
-    (S,), with (S, n) read as k = 1; the dtype bounds the whole sum."""
+    (S,), with (S, n) read as k = 1; the dtype bounds the whole sum.
+    Unused: P of a measure runs on `poly_eval_batch(diagonal_core(...))`.
+    It stays only while perfbench/worker.py traces it by name."""
     stack = xs if xs.ndim == 3 else xs[:, None, :]
     # the stack is powered and summed before the dot; the weights' dtype bounds their sum
     dtype, _ = _guard(int(np.abs(weights).sum()), int(np.abs(stack).max(initial=0)), degree, stack.shape[1])

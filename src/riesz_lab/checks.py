@@ -34,7 +34,8 @@ identity's own denominator (1 for the Krivine product, `SCALE` otherwise).
 Symmetric tensors and matrix forms are both `tensors.Form`s, with one row
 layout that the exact evaluator and the int tables read: every arrangement
 for a multilinear value (`_intpath.dense_core`), the weighted rows alone
-for P (`_intpath.diagonal_core`), so both run on the batch kernels.  omega1
+for P (`_intpath.diagonal_core`).  A measure's table, one diagonal row per
+atom, has the same layout, so P runs on one kernel for either kind.  omega1
 samples come from the same arrays: each row, the values at points 1..6 and
 then the tail, is an `Element` row as it stands.
 
@@ -52,10 +53,10 @@ gathered (stack rows x products P sums per row x m); a stack already past
 the budget runs alone.  So `oa_mode_agreement` evaluates its seven modes
 in about five kernel calls on a small polynomial, and every mode still
 reads the samples, the first failure and the verdict its own check gives.
-Every check builds its int table once and reads it in every chunk.  The
-table is built from the form's scaled arrangement rows, which `tensors`
-keeps for the last form read, so the checks that follow on the same form,
-and its exact re-verifications, enumerate its arrangements no more.
+Every check builds its int tables once and reads them in every chunk.  A
+form's tables are built from its scaled rows, which `tensors` keeps for the
+last form read, so the checks that follow on the same form, and its exact
+re-verifications, list its rows no more; a measure's from its weights.
 """
 
 from __future__ import annotations
@@ -74,8 +75,6 @@ from ._intpath import (
     dense_core,
     diagonal_core,
     form_eval_batch,
-    measure_poly_eval_batch,
-    measure_weights,
     poly_eval_batch,
 )
 from .errors import DegreeMismatchError, InvariantViolation
@@ -315,9 +314,8 @@ class _Identity:
     are the identity's arguments.  ``sides(chunk)`` gives both sides of the
     identity for consecutive samples of one block, each either exact values
     (S,) or a stack (S, k, n) whose P-values the driver sums per sample;
-    ``rows`` is the size of the table the sides read (tensor table rows or
-    measure weights) and sizes the chunks.  ``sides=None`` runs the object
-    sweep.
+    ``rows`` is the size of the table the sides read and sizes the chunks.
+    ``sides=None`` runs the object sweep.
     """
 
     mode: str
@@ -519,7 +517,9 @@ def _os_int_sides(core: np.ndarray, mode: str, block: np.ndarray) -> tuple[np.nd
 
 
 class _PolyKernels:
-    """The integer data of one polynomial, each piece built on first use.
+    """The integer tables of one polynomial, measure or tensor, each built
+    on first use: the weighted rows P reads (`diagonal_core`) and every
+    arrangement row, for A(x_1, .., x_m) (`dense_core`).
 
     One object serves every mode of one check call and is dropped when the
     call returns, so `oa_mode_agreement` builds each integer table once.
@@ -530,44 +530,26 @@ class _PolyKernels:
 
     @cached_property
     def _core(self) -> tuple[np.ndarray, int]:
-        """(table, scale) of the weighted rows P reads: a tensor's
-        `diagonal_core`, or a measure's diagonal table, one row
-        [c]*m + [w_c, 1] per atom c, read from its weights."""
-        if self.poly.kind == TENSOR:
-            return diagonal_core(self.poly.rep)
-        weights, scale = self._weights
-        m = self.poly.degree
-        rows = [(*[c] * m, w, 1) for c, w in enumerate(weights.tolist()) if w]
-        return np.array(rows, dtype=weights.dtype).reshape(len(rows), m + 2), scale
+        return diagonal_core(self.poly.rep, self.poly.degree)
 
     @cached_property
     def arranged(self) -> tuple[np.ndarray, int]:
-        """(table, scale) of every arrangement row, for A(x_1, .., x_m): a
-        tensor's `dense_core`; a measure's diagonal table has no other."""
-        return dense_core(self.poly.rep) if self.poly.kind == TENSOR else self._core
-
-    @cached_property
-    def _weights(self) -> tuple[np.ndarray, int]:
-        """(weights, scale) of a measure polynomial's measure."""
-        return measure_weights(self.poly.rep)
+        return dense_core(self.poly.rep, self.poly.degree)
 
     @property
     def rows(self) -> int:
-        """Rows of the arrangement table, which size the chunks: a tensor's
-        weights summed, unlisted, or a measure's weights."""
-        return int(self._core[0][:, -1].sum()) if self.poly.kind == TENSOR else len(self._weights[0])
+        """Rows of the arrangement table, which size the chunks: the weights
+        of the weighted rows summed, unlisted."""
+        return int(self._core[0][:, -1].sum())
 
     @property
     def terms(self) -> int:
-        """Terms P sums per row, each a product of m values: the weighted
-        rows for a tensor, the weights for a measure."""
-        return len(self._core[0]) if self.poly.kind == TENSOR else len(self._weights[0])
+        """Terms P sums per row, each a product of m values: the weighted rows."""
+        return len(self._core[0])
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """sum_j P(x_j) on a batch of stacks (S, k, n), or P on rows (S, n)."""
-        if self.poly.kind == TENSOR:
-            return poly_eval_batch(self._core[0], xs)
-        return measure_poly_eval_batch(self._weights[0], self.poly.degree, xs)
+        return poly_eval_batch(self._core[0], xs)
 
 
 def orthogonal_additivity_check(

@@ -157,10 +157,10 @@ def discontinuity_witness(poly: ProductFunctionalPolynomial, probe_depth: int = 
     The net x_n = 1 - indicator(>= n) order converges to the base point.  An
     order continuous phi follows it; a psi that is not order continuous
     need not, since the limit atom reads the tail, which is zero along the
-    net.  The net is read by `_probe`, like the zero probes.  The gap is
-    the least distance of the probed values from the base value (one for
-    phi a coordinate and psi the limit evaluation), and a zero gap is
-    refused.
+    net.  The net is read by `_probe`, like the zero probes, and its
+    settled value repeated to ``probe_depth`` values.  The gap is the least
+    distance of these from the base value (one for phi a coordinate and psi
+    the limit evaluation), and a zero gap is refused.
     """
     if not poly.phi.is_order_continuous() or poly.psi.is_order_continuous():
         raise NoWitnessError(
@@ -170,7 +170,8 @@ def discontinuity_witness(poly: ProductFunctionalPolynomial, probe_depth: int = 
     space = Space.omega_plus_one()
     one = Element.constant(space, 1)
     cert = ConvergenceCertificate(TailFamily(one, Element.constant(space, -1)), one, TailFamily.indicator(1))
-    values = _probe(poly, cert, probe_depth).probed_values
+    probed = _probe(poly, cert, probe_depth).probed_values
+    values = probed + probed[-1:] * (probe_depth - len(probed))
     base_value = poly.evaluate(one)
     gap = min(abs(v - base_value) for v in values)
     if gap <= 0:
@@ -180,6 +181,9 @@ def discontinuity_witness(poly: ProductFunctionalPolynomial, probe_depth: int = 
 
 @dataclass(frozen=True)
 class NetProbe:
+    """P's eventual value along a net, and P and its certified bound at
+    n = 1 .. min(settling index, depth), constant in n from there on."""
+
     eventual_value: Fraction
     probed_values: tuple[Fraction, ...]
     bound_values: tuple[Fraction, ...]
@@ -208,10 +212,6 @@ def _settling_index(poly, family: ElementFamily) -> int:
             points = [*poly.phi.measure.atoms, *poly.psi.measure.atoms]
         settle = max(settle, max(points, default=0) + 1)
     return settle
-
-
-def _repeat_last(items: list, length: int) -> tuple:
-    return tuple(items) + tuple(items[-1:]) * (length - len(items))
 
 
 def _eventual_value(poly, family: ElementFamily, settle: int) -> Fraction:
@@ -250,9 +250,10 @@ def _probe(poly, cert: ConvergenceCertificate, depth: int) -> NetProbe:
     """Verify the certificate, then evaluate P and its certified bound
     (`_certified_bound`) along its net up to ``depth``.
 
-    Values and bounds are computed only up to the net's settling index
-    (`_settling_index`) and repeated from there to ``depth``: past it they
-    are constant in n, and the eventual value is P at that index, read by
+    Values and bounds are computed, and kept, only up to the net's settling
+    index (`_settling_index`) or ``depth``, whichever comes first: past the
+    index they are constant in n, so a probe of any depth holds at most
+    that many, and the eventual value is P at that index, read by
     `_eventual_value` when the index lies past ``depth``.  A value that
     escapes its bound raises `CertificateError`.
     """
@@ -267,7 +268,7 @@ def _probe(poly, cert: ConvergenceCertificate, depth: int) -> NetProbe:
     if any(abs(v) > b for v, b in zip(values, bounds)):
         raise CertificateError("probed value escapes its certified bound")
     eventual = values[-1] if settle <= depth else _eventual_value(poly, family, settle)
-    return NetProbe(eventual, _repeat_last(values, depth), _repeat_last(bounds, depth))
+    return NetProbe(eventual, tuple(values), tuple(bounds))
 
 
 def zero_order_continuity_probe(

@@ -9,7 +9,8 @@ read somewhere in the package beyond its own definition, so a dead helper,
 or a dead private method, fails here.  Likewise a public name that
 ``__init__.py`` exports must be read by the package beyond its own
 definition, or be named by the benchmark (``perfbench/``) or the scripts
-(``scripts/``), so a dead entry point fails here too, and a public method
+(``scripts/``), so a dead entry point fails here too; so must a public
+top-level function that it does not export; and a public method
 or property must be read as an attribute there outside its own class, so a
 dead method fails.
 """
@@ -176,15 +177,19 @@ def test_no_dead_public_methods():
     assert not dead, f"public methods nothing in the package, perfbench or scripts reads: {', '.join(dead)}"
 
 
-def test_no_dead_public_entry_points():
-    init = Path(riesz_lab.__file__)
-    exported = {
-        alias.asname or alias.name
-        for node in ast.parse(init.read_text()).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    trees = [ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE if path != init]
+INIT = Path(riesz_lab.__file__)
+EXPORTED = {
+    alias.asname or alias.name
+    for node in ast.parse(INIT.read_text()).body
+    if isinstance(node, ast.ImportFrom)
+    for alias in node.names
+}
+
+
+def _unread(names) -> list[str]:
+    """Those of ``names`` that the package reads nowhere beyond their own
+    top-level definitions and that the benchmark and the scripts never name."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE if path != INIT]
     total = sum((_references(tree) for tree in trees), Counter())
     own = Counter()  # reads inside each name's own top-level definition
     for tree in trees:
@@ -192,12 +197,27 @@ def test_no_dead_public_entry_points():
             for name in _bound_names(node):
                 own[name] += _references(node)[name]
     outside = " ".join(path.read_text() for folder in ("perfbench", "scripts") for path in (REPO / folder).glob("*.py"))
-    dead = sorted(
-        name
-        for name in exported
-        if total[name] == own[name] and not re.search(rf"\b{name}\b", outside)
-    )
+    return sorted(name for name in names if total[name] == own[name] and not re.search(rf"\b{name}\b", outside))
+
+
+def test_no_dead_public_entry_points():
+    dead = _unread(EXPORTED)
     assert not dead, f"exported names nothing in the package, perfbench or scripts reads: {', '.join(dead)}"
+
+
+def test_no_dead_public_functions():
+    """A public top-level function that ``__init__.py`` does not export is
+    read by the package beyond its own definition, or named by the
+    benchmark or the scripts, as an exported name is."""
+    functions = {
+        node.name
+        for path in PACKAGE
+        if path != INIT
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    }
+    dead = _unread(functions - EXPORTED)
+    assert not dead, f"unexported public functions nothing in the package, perfbench or scripts reads: {', '.join(dead)}"
 
 
 # the modules that evaluate identities; sampling, suites and report may use

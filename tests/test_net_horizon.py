@@ -30,7 +30,7 @@ from riesz_lab import (
 )
 from riesz_lab.convergence import CertificateVerdict, family_horizon
 from riesz_lab.errors import CertificateError, NoWitnessError
-from riesz_lab.order_continuity import _certified_bound
+from riesz_lab.order_continuity import _certified_bound, _settling_index
 
 OM = Space.omega_plus_one()
 F3 = Space.finite(3)
@@ -50,6 +50,15 @@ def per_index_verdict(cert: ConvergenceCertificate, probe_depth: int) -> Certifi
     if not cert.dominator.infimum_is_zero():
         return CertificateVerdict(False, "infimum", None)
     return CertificateVerdict(True)
+
+
+def assert_settled_prefix(probe, poly, cert: ConvergenceCertificate, depth: int, expected) -> None:
+    """The probe keeps the per-index values and bounds ``expected`` up to
+    min(settling index, depth), and the per-index loop is constant past that."""
+    kept = min(_settling_index(poly, cert.sequence), depth)
+    for got, full in ((probe.probed_values, expected[0]), (probe.bound_values, expected[1])):
+        assert got == full[:kept]
+        assert set(full[kept - 1 :]) == {got[-1]}
 
 
 def per_index_probe(poly, cert: ConvergenceCertificate, probe_depth: int):
@@ -214,7 +223,7 @@ class TestProbesAtHorizon:
         expected = _outcome(lambda: per_index_probe(poly, cert, depth))
         got = _outcome(lambda: zero_order_continuity_probe(poly, [cert], depth).probes[0])
         if isinstance(expected, tuple):
-            assert (got.probed_values, got.bound_values) == expected
+            assert_settled_prefix(got, poly, cert, depth, expected)
         else:
             assert got is expected
 
@@ -234,8 +243,11 @@ class TestProbesAtHorizon:
     def test_atoms_beyond_the_sampled_prefix(self):
         poly = to_polynomial(Measure(OM, {2: 1, 9: Fraction(-3, 2)}, limit_atom=2), 3)
         probe = zero_order_continuity_probe(poly, [urysohn_witness_net(1)], 20).probes[0]
-        assert (probe.probed_values, probe.bound_values) == per_index_probe(poly, urysohn_witness_net(1), 20)
-        assert probe.probed_values[8] != probe.probed_values[9] == probe.probed_values[19]
+        expected = per_index_probe(poly, urysohn_witness_net(1), 20)
+        assert_settled_prefix(probe, poly, urysohn_witness_net(1), 20, expected)
+        # the atom at 9 leaves the net at n = 10, the settling index
+        assert len(probe.probed_values) == 10
+        assert probe.probed_values[8] != probe.probed_values[9] == expected[0][19]
 
 
 class TestProbeCost:

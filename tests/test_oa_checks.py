@@ -44,6 +44,7 @@ import riesz_lab._intpath as intpath
 from riesz_lab._intpath import (
     INT64_LIMIT,
     dense_core,
+    diagonal_core,
     form_eval_batch,
     measure_poly_eval_batch,
     poly_eval_batch,
@@ -449,12 +450,18 @@ class TestIntGuard:
     HEAVY = SymTensor(Space.finite(7), 4, {idx: 10**7 for idx in nondecreasing_indices(7, 4)})
 
     def test_guard_counts_summed_terms(self):
-        # a measure with the same mass on the diagonal gives the same values
+        # a measure with the same mass on the diagonal gives the same values,
+        # from its weights and from its diagonal table
         weights = np.full(7, 343 * 10**7, dtype=np.int64)
+        mu = Measure(Space.finite(7), {t: 343 * 10**7 for t in range(1, 8)})
         row = np.full((2, 7), 108, dtype=np.int64)
         value = 2401 * 10**7 * 108**4
         core, _ = dense_core(self.HEAVY)
-        for kernel in (partial(poly_eval_batch, core), partial(measure_poly_eval_batch, weights, 4)):
+        measure_core, _ = diagonal_core(mu, 4)
+        assert measure_core.dtype == np.int64
+        kernels = (partial(poly_eval_batch, core), partial(measure_poly_eval_batch, weights, 4),
+                   partial(poly_eval_batch, measure_core))
+        for kernel in kernels:
             one = kernel(row)
             assert one.dtype == np.int64 and list(one) == [value] * 2
             four = kernel(np.stack([row] * 4, axis=1))
@@ -581,6 +588,17 @@ def _tensor_batches(draw):
     return tensor, args, xs, stack, draw(arrays(np.int64, (n,), elements=values))
 
 
+@st.composite
+def _measure_stacks(draw):
+    """A measure on finite(n) with weights over mixed denominators, some
+    past int64, a degree m, and stacks (S, k, n) of int rows, k in 1..4."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    value = st.builds(Fraction, st.integers(-(2**64), 2**64) | st.integers(-20, 20), st.integers(1, 12))
+    mu = Measure(Space.finite(n), draw(st.dictionaries(st.integers(1, n), value, max_size=n)))
+    shape = (draw(st.integers(0, 4)), draw(st.integers(1, 4)), n)
+    return mu, m, draw(arrays(np.int64, shape, elements=st.integers(-120, 120)))
+
+
 _PRIMES = [1, 2, 3, 7919, 104729, 1000003, 998244353, 999999937]  # denominators up to 10**9
 
 
@@ -630,6 +648,16 @@ class TestIntKernel:
             rows = [kernel(stack[:, j]) for j in range(stack.shape[1])]
             assert list(kernel(stack)) == [sum(map(int, values)) for values in zip(*rows)]
         assert polarize_tensor_int(tensor) == tensor.entries
+
+    @settings(max_examples=80, deadline=None)
+    @given(_measure_stacks())
+    def test_measure_table_matches_integrate(self, case):
+        # P of a measure through its diagonal table is sum_t w_t x(t)^m
+        mu, m, stack = case
+        core, scale = diagonal_core(mu, m)
+        for sample, value in zip(stack, poly_eval_batch(core, stack)):
+            expected = sum((mu.integrate(Element.finite(x.tolist()), m) for x in sample), Fraction(0))
+            assert Fraction(int(value), scale) == expected
 
 
 class TestBenchmarkTargets:
@@ -687,13 +715,14 @@ class TestSharedKernels:
     )
     @pytest.mark.parametrize("m", [1, 3])
     def test_measure_table_matches_the_polarised_table(self, mu, m):
-        # the diagonal table read from the weights is the table of the
-        # polarisation, the route it replaced
-        table, scale = checks._PolyKernels(to_polynomial(mu, m))._core
+        # a measure's tables, read from its weights, directly and through
+        # the polynomial's kernels, are the table of its polarisation
         old_table, old_scale = dense_core(polarize(to_polynomial(mu, m)))
-        assert table.dtype == old_table.dtype and table.shape == old_table.shape
-        assert np.array_equal(table, old_table) and scale == old_scale
-        assert (table.dtype == object) == (mu.atoms.get(1) == 2**62)
+        kernels = checks._PolyKernels(to_polynomial(mu, m))
+        for table, scale in (kernels._core, kernels.arranged, diagonal_core(mu, m), dense_core(mu, m)):
+            assert table.dtype == old_table.dtype and table.shape == old_table.shape
+            assert np.array_equal(table, old_table) and scale == old_scale
+            assert (table.dtype == object) == (mu.atoms.get(1) == 2**62)
 
 
 def _whole_block_check(mode, thing, blocks, denom, int_sides, evaluate=lambda side: side):
@@ -902,8 +931,7 @@ class TestMultiIdentityDriver:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_measure_polynomial_kernel_calls(self, monkeypatch, seed):
         # one call per stack depth 1..4 and one for the Krivine product's form side
-        calls = [_counting(monkeypatch, name) for name in ("poly_eval_batch", "measure_poly_eval_batch",
-                                                           "form_eval_batch")]
+        calls = [_counting(monkeypatch, name) for name in ("poly_eval_batch", "form_eval_batch")]
         poly = to_polynomial(measure(rng_for("kernel-calls", seed), Space.finite(5)), 4)
         verdicts = oa_mode_agreement(poly, structured_pair_count(5, 4) + 26, seed)
         assert all(v.passed and v.samples_checked == 96 for v in verdicts.values())

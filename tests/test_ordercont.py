@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -213,6 +214,11 @@ class TestDiscontinuityWitness:
             discontinuity_witness(poly)
 
 
+def _members_read(poly, cert, first, last):
+    """P at the net's members first .. last, built one by one."""
+    return {poly.evaluate(cert.sequence.member(n)) for n in range(first, last + 1)}
+
+
 class TestZeroProbe:
     def test_normal_measure_passes_with_bounds(self):
         poly = to_polynomial(Measure(OM, {1: 1}), 2)
@@ -220,10 +226,18 @@ class TestZeroProbe:
         assert verdict.passed
         (probe,) = verdict.probes
         assert probe.eventual_value == 0
-        assert probe.probed_values[0] == 1
-        assert set(probe.probed_values[1:]) == {0}
-        assert probe.bound_values is not None
-        assert all(abs(v) <= b for v, b in zip(probe.probed_values, probe.bound_values))
+        # the probe keeps its prefix up to the settling index, n = 2; member
+        # by member P stays at its last value to the depth
+        assert _settling_index(poly, urysohn_witness_net().sequence) == 2
+        assert probe.probed_values == probe.bound_values == (1, 0)
+        assert _members_read(poly, urysohn_witness_net(), 2, 12) == {0}
+
+    def test_probe_holds_only_its_settled_prefix(self):
+        # a depth of 10**6 keeps the two values up to the settling index
+        poly = to_polynomial(Measure(OM, {1: 1}, limit_atom=2), 2)
+        (probe,) = zero_order_continuity_probe(poly, [urysohn_witness_net()], probe_depth=10**6).probes
+        assert probe.probed_values == (3, 2) and probe.bound_values == (3, 2)
+        assert probe.eventual_value == 2
 
     def test_limit_mass_fails(self):
         poly = to_polynomial(Measure(OM, {3: 1}, limit_atom=2), 2)
@@ -237,7 +251,9 @@ class TestZeroProbe:
         verdict = zero_order_continuity_probe(poly, [urysohn_witness_net()], probe_depth=10)
         assert verdict.passed
         (probe,) = verdict.probes
-        assert probe.bound_values is not None
+        # phi(x_n)^(m-1) psi(x_n) within ||phi|| ||psi|| ||x_n||^m, settled at n = 2
+        assert probe.probed_values == (1, 0) and probe.bound_values == (1, 1)
+        assert _members_read(poly, urysohn_witness_net(), 2, 10) == {0}
 
     def test_tensor_polynomial_bounded_by_its_modulus(self):
         f3 = Space.finite(3)
@@ -250,12 +266,13 @@ class TestZeroProbe:
         verdict = zero_order_continuity_probe(poly, nets, probe_depth=4)
         assert verdict.passed
         plain, signed = verdict.probes
-        assert plain.probed_values == (3, 0, 0, 0)
-        assert signed.probed_values == (-1, 0, 0, 0)
+        # each net settles at its last member, n = 2, and reads 0 from there on
+        assert plain.probed_values == (3, 0)
+        assert signed.probed_values == (-1, 0)
         # |P|(|x|) = x1^2 + 2 x1 x2 at (1, 1, 0) for both nets
-        assert plain.bound_values == signed.bound_values == (3, 0, 0, 0)
-        for probe in verdict.probes:
-            assert all(abs(v) <= b for v, b in zip(probe.probed_values, probe.bound_values))
+        assert plain.bound_values == signed.bound_values == (3, 0)
+        for cert in nets:
+            assert _members_read(poly, cert, 2, 4) == {0}
 
     def test_no_nets_rejected(self):
         poly = to_polynomial(Measure(OM, {1: 1}), 2)
@@ -351,3 +368,16 @@ class TestFarAtoms:
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "PASS normality-dichotomy" in proc.stdout
+
+    def test_cli_probe_a_billion_deep_in_two_gigabytes(self):
+        # a probe keeps its settled prefix, so a depth of 10**9 ends in a
+        # verdict; the child's address-space limit keeps a regression from
+        # exhausting the host
+        limit = 2 * 10**9
+        proc = subprocess.run(
+            [sys.executable, "-m", "riesz_lab", "check", "order-continuity", "--trials", "1", "--depth", str(10**9)],
+            capture_output=True, text=True, env=dict(os.environ), timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "result: PASS" in proc.stdout
