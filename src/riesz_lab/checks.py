@@ -20,11 +20,11 @@ driver, `_sampled_check`.  `Element`s are built from those arrays only
 where the object path reads them: the first failing sample, which
 `_failure` re-verifies; the first three samples of a passing Krivine
 check, which are spot-checked through genuine radical elements; and every
-sample when the object sweep runs, which it does only for omega1 and under
-``force_object``.  The Krivine modes draw alike for every polynomial:
-positive disjoint pairs, whose power-sum radical roots to x + y, and
-perfect-power tuples x_i = u g_i / g_{i+1}, whose product radical roots to
-u.  So every radical roots exactly, and the int path compares P at the
+sample when the object sweep runs, which it does only for omega1, under
+``force_object`` and for multilinear values left to the DP.  The Krivine modes draw
+alike for every polynomial: positive disjoint pairs, whose power-sum
+radical roots to x + y, and perfect-power tuples x_i = u g_i / g_{i+1},
+whose product radical roots to u.  So every radical roots exactly, and the int path compares P at the
 root, read from the polynomial's weighted rows, with the right side.  An `Element`
 stores its row as integers over one denominator, so a sample row enters it
 as drawn, with its block's denominator, and no Fraction is built per
@@ -32,19 +32,22 @@ value; the object sweep converts each block to Python int rows with one
 ``tolist`` and builds every sample's Elements from those rows over the
 identity's own denominator (1 for the Krivine product, `SCALE` otherwise).
 Symmetric tensors and matrix forms are both `tensors.Form`s, with one row
-layout that the exact evaluator and the int tables read: every arrangement
-for a multilinear value (`_intpath.dense_core`), the weighted rows alone
-for P (`_intpath.diagonal_core`).  A measure's table, one diagonal row per
-atom, has the same layout, so P runs on one kernel for either kind.  omega1
-samples come from the same arrays: each row, the values at points 1..6 and
-then the tail, is an `Element` row as it stands.
+per entry that the exact evaluator and the int table
+(`_intpath.diagonal_core`) read alike, for P and for a multilinear value.
+A measure's table, one diagonal row per atom, has the same layout, so P
+runs on one kernel for either kind.  A multilinear value reads a tensor's
+rows of weight > 1 by polarisation, 2^(m-1) signed rows per sample; an
+identity for which that is slower than the exact reference's DP
+(`_polarises`) runs the object sweep, as omega1 and ``force_object`` do.
+omega1 samples come from the same arrays: each row, the values at points
+1..6 and then the tail, is an `Element` row as it stands.
 
 One failing sample decides an identity, so the driver hands the kernels
 each block in chunks and stops at the first chunk with a mismatch.  The
 first chunk is sized by kernel work against the fixed budget
-`_intpath._CHUNK_WORK` (samples x table rows x argument slots) and each
-later chunk is 4x the one before; a block inside the budget runs in one
-chunk.  The driver takes a list of identities and works in rounds: each
+`_intpath._CHUNK_WORK` (samples x the table's weight sum x argument slots)
+and each later chunk is 4x the one before; a block inside the budget runs
+in one chunk.  The driver takes a list of identities and works in rounds: each
 identity still open hands in its next chunk, and an OA identity's sides
 are stacks (S, k, n) of rows whose P-values are summed per sample.  The
 round's stacks are grouped by depth k and each depth is evaluated in one
@@ -53,8 +56,8 @@ gathered (stack rows x products P sums per row x m); a stack already past
 the budget runs alone.  So `oa_mode_agreement` evaluates its seven modes
 in about five kernel calls on a small polynomial, and every mode still
 reads the samples, the first failure and the verdict its own check gives.
-Every check builds its int tables once and reads them in every chunk.  A
-form's tables are built from its scaled rows, which `tensors` keeps for the
+Every check builds its int table once and reads it in every chunk.  A
+form's table is built from its scaled rows, which `tensors` keeps for the
 last form read, so the checks that follow on the same form, and its exact
 re-verifications, list its rows no more; a measure's from its weights.
 """
@@ -70,11 +73,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._intpath import (
+    _BYTE_CAP,
     _CHUNK_WORK,
     INT64_LIMIT,
-    dense_core,
     diagonal_core,
     form_eval_batch,
+    polarised_work,
     poly_eval_batch,
 )
 from .errors import DegreeMismatchError, InvariantViolation
@@ -88,7 +92,7 @@ from .lattice import (
 )
 from .polynomials import TENSOR, Polynomial
 from .sampling import DENOMINATORS, NUMERATOR_BOUND
-from .tensors import Form, GeneralMatrixForm
+from .tensors import Form, GeneralMatrixForm, dp_steps
 
 SCALE = math.lcm(*DENOMINATORS)  # 12, every sample value is a multiple of 1/SCALE
 
@@ -314,8 +318,8 @@ class _Identity:
     are the identity's arguments.  ``sides(chunk)`` gives both sides of the
     identity for consecutive samples of one block, each either exact values
     (S,) or a stack (S, k, n) whose P-values the driver sums per sample;
-    ``rows`` is the size of the table the sides read and sizes the chunks.
-    ``sides=None`` runs the object sweep.
+    ``rows`` is the weight sum of the table the sides read and sizes the
+    chunks.  ``sides=None`` runs the object sweep.
     """
 
     mode: str
@@ -354,7 +358,8 @@ def _sampled_check(identities: Sequence[_Identity], kernels: _PolyKernels | None
     run out it passes, the Krivine modes after three radical spot checks.
     The values are exact in either dtype, so the verdict depends neither on
     the chunks nor on what shares a call.  Identities without ``sides``
-    (omega1 instances, ``force_object``) run the object sweep, each sample
+    (omega1 instances, ``force_object``, multilinear values `_polarises`
+    leaves to the DP) run the object sweep, each sample
     built as Elements and compared through `identity_sides`.
     """
     verdicts = {i: _object_sweep(identity) for i, identity in enumerate(identities) if identity.sides is None}
@@ -469,11 +474,11 @@ def orthosymmetry_check(
     if isinstance(form, GeneralMatrixForm) and mode == OS_DISJOINT:
         # basis pairs are decisive for a matrix; keep the sampled tail anyway
         blocks.insert(0, _basis_pairs(form.space.n))
-    if force_object:
+    core = None if force_object else diagonal_core(form)[0]
+    if core is None or not _polarises(core, form.space.n):
         identity = _Identity(mode, form, blocks, SCALE)
     else:
-        core, _ = dense_core(form)
-        identity = _Identity(mode, form, blocks, SCALE, partial(_os_int_sides, core, mode), len(core))
+        identity = _Identity(mode, form, blocks, SCALE, partial(_os_int_sides, core, mode), _weight_sum(core))
     (verdict,) = _sampled_check([identity])
     return verdict
 
@@ -516,13 +521,46 @@ def _os_int_sides(core: np.ndarray, mode: str, block: np.ndarray) -> tuple[np.nd
 # -- orthogonal additivity ----------------------------------------------------------
 
 
+def _weight_sum(core: np.ndarray) -> int:
+    """The weights of a table's rows summed: the arrangements its entries
+    stand for, which size a check's chunks."""
+    return int(core[:, -1].sum())
+
+
+# A sampled check reads a table's multilinear values on the polarised
+# kernel within 16 signed rows per sample (m <= 5, which covers every tensor
+# the benchmark's workloads read).  Past them it reads a
+# table while the entries the kernel gathers per sample stay within 6 times
+# the steps the object sweep takes per sample: the exact reference's DP
+# steps (`tensors.dp_steps`) for the rows of weight > 1, and 16 steps for
+# each of the m * n argument values it builds, rearranges and reads.  Fitted
+# on the 144 tensors of `check orthosymmetry` at n 4 to 40, m 6 to 12 (2-CPU
+# VM): 1.93 s on the paths this picks, 1.65 s on the faster path of each
+# tensor, 3.0 s all on the object sweep, 3.5 s all on the kernel.
+_SIGNED_ROWS = 16
+_DP_RATIO = 6
+_VALUE_STEPS = 16
+
+
+def _polarises(core: np.ndarray, n: int) -> bool:
+    """Whether a sampled check reads the multilinear values of this table,
+    on n points, on the kernel (`polarised_work`) rather than on the object
+    sweep; a table without rows of weight > 1 always."""
+    m = core.shape[1] - 2
+    work = polarised_work(core, n)
+    if work == 0 or 2 ** (m - 1) <= _SIGNED_ROWS:
+        return work <= _BYTE_CAP
+    steps = sum(dp_steps(tuple(row[:m])) for row in core.tolist() if row[m + 1] > 1)
+    return work <= min(_BYTE_CAP, _DP_RATIO * (steps + _VALUE_STEPS * m * n))
+
+
 class _PolyKernels:
-    """The integer tables of one polynomial, measure or tensor, each built
-    on first use: the weighted rows P reads (`diagonal_core`) and every
-    arrangement row, for A(x_1, .., x_m) (`dense_core`).
+    """The integer table of one polynomial, measure or tensor, built on
+    first use (`diagonal_core`): P reads its rows (`poly_eval_batch`), and
+    so does A(x_1, .., x_m) for the Krivine product (`form_eval_batch`).
 
     One object serves every mode of one check call and is dropped when the
-    call returns, so `oa_mode_agreement` builds each integer table once.
+    call returns, so `oa_mode_agreement` builds the integer table once.
     """
 
     def __init__(self, poly: Polynomial) -> None:
@@ -532,19 +570,14 @@ class _PolyKernels:
     def _core(self) -> tuple[np.ndarray, int]:
         return diagonal_core(self.poly.rep, self.poly.degree)
 
-    @cached_property
-    def arranged(self) -> tuple[np.ndarray, int]:
-        return dense_core(self.poly.rep, self.poly.degree)
-
     @property
     def rows(self) -> int:
-        """Rows of the arrangement table, which size the chunks: the weights
-        of the weighted rows summed, unlisted."""
-        return int(self._core[0][:, -1].sum())
+        """The table's weight sum, which sizes the chunks."""
+        return _weight_sum(self._core[0])
 
     @property
     def terms(self) -> int:
-        """Terms P sums per row, each a product of m values: the weighted rows."""
+        """Terms P sums per row, each a product of m values: the table's rows."""
         return len(self._core[0])
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
@@ -583,7 +616,7 @@ def _oa_identity(mode: str, samples: int, seed, force_object: bool, kernels: _Po
     poly = kernels.poly
     rng = np.random.default_rng(_seedseq(seed))
     blocks, denom = _oa_draw(mode, rng, samples, kernels)
-    if force_object or not poly.space.is_finite:
+    if force_object or not poly.space.is_finite or (mode == OA_KRIVINE_PRODUCT and not _polarises(kernels._core[0], poly.space.n)):
         return _Identity(mode, poly, blocks, denom)
     return _Identity(mode, poly, blocks, denom, partial(_oa_int_sides, mode, kernels), kernels.rows)
 
@@ -636,8 +669,7 @@ def _oa_int_sides(mode: str, kernels: _PolyKernels, block: np.ndarray) -> tuple[
 def _krivine_product_sides(kernels: _PolyKernels, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stack of roots (x_1 .. x_m)^(1/m), whose P-values are the left
     side, and the values A(x_1, .., x_m), A the polarisation."""
-    core, _ = kernels.arranged
-    rhs = form_eval_batch(core, block)
+    rhs = form_eval_batch(kernels._core[0], block)
     # the dtype of rhs bounds every product of a row's m values; the rows
     # factor a perfect m-th power u**m, u a product of m values in {1, 2, 3}:
     # few distinct products, each rooted exactly once

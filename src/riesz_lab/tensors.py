@@ -2,26 +2,32 @@
 
 Every form here is a `Form`: its nonzero entries keyed by 1-based index
 tuples, checked and stored by one constructor, and one exact evaluator.  A
-kind says how it keys an index (`_key`), the weight the diagonal gives the
-entry (`_weight`) and the further arrangements at which the full array
-repeats it (`_later`); evaluators read the rows (points 0-based,
-coefficient, weight) these give.
+kind says how it keys an index (`_key`) and the weight the entry has: the
+number of distinct arrangements of its index at which the full array holds
+it (`_weight`).  Every evaluator reads one row per entry (points 0-based,
+coefficient, weight).
 
 A symmetric m-linear form (`SymTensor`) is determined by its values on
 nondecreasing multi-indices: the stored coefficient at alpha is the value
 of the full symmetric array at any arrangement of alpha.  It keys an index
-sorted, weighs it m! / prod k_t! (k_t counts t in alpha), and repeats the
-entry at its other distinct arrangements, weighted 0.  An order-2 form with
-no symmetry assumption (`GeneralMatrixForm`) keys ordered pairs as given,
-weighs each 1 and repeats nothing.
+sorted and weighs it m! / prod k_t! (k_t counts t in alpha).  An order-2
+form with no symmetry assumption (`GeneralMatrixForm`) keys ordered pairs
+as given and weighs each 1.
 
-`_scaled_rows` scales a form's coefficients to integers and lists one
-weighted row per entry, which the diagonal reads alone (`evaluate_diagonal`,
-`_intpath.diagonal_core`); the full arrangement rows wait for the first
-multilinear read (`Form.evaluate`, `_intpath.dense_core`).  Both stay, with
-their int arrays, in one slot keyed by the form, so a run of calls on one
-form arranges it once.  Entries are read-only views, so a form cannot change
-under its cached rows.  They are its coefficients (`lattice.Coefficients`):
+A row of weight 1 is one ordered product c * prod_i x_i(p_i).  A row of
+greater weight sums that product over the distinct arrangements of its
+points, which a dynamic programme over the arguments reads without listing
+them (`_arranged`): its state counts how often each distinct point has been
+used, so an entry with multiplicities k_t has prod (k_t + 1) states, not
+m! / prod k_t! arrangements; an entry past `_DP_STEPS` is refused with
+`MemoryError`.  The diagonal A(x, .., x) is c * w * prod x(p_i) for every
+row (`evaluate_diagonal`).
+
+`_scaled_rows` scales a form's coefficients to integers and lists its rows
+once; they stay, with the int table `_intpath.diagonal_core` builds from
+them, in one slot keyed by the form, so a run of calls on one form lists
+its rows once.  Entries are read-only views, so a form cannot change under
+its cached rows.  They are its coefficients (`lattice.Coefficients`):
 modulus, join, meet and sum are entrywise, on the symmetric array of a
 tensor and on the matrix of a matrix form.
 """
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import getitem
 from types import MappingProxyType
@@ -53,34 +60,76 @@ def arrangements(idx: tuple[int, ...]) -> int:
     return weight
 
 
-def _later_arrangements(points: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The distinct arrangements after a sorted tuple, in lexicographic
-    order: each is the next lexicographic permutation of the one before
-    (Knuth, TAOCP 4A, Algorithm 7.2.1.2L), so no arrangement repeats."""
-    a = list(points)
-    while True:
-        j = len(a) - 2
-        while j >= 0 and a[j] >= a[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        k = len(a) - 1
-        while a[j] >= a[k]:
-            k -= 1
-        a[j], a[k] = a[k], a[j]
-        a[j + 1 :] = a[:j:-1]
-        yield tuple(a)
+# DP steps (state, point used next) one entry's plan may hold, as many
+# entries as a sampled check's first chunk gathers (`_intpath._CHUNK_WORK`);
+# a plan of that size is about 5 MB of tuples
+_DP_STEPS = 2**16
+
+
+def _steps(counts: tuple[int, ...]) -> int:
+    """The steps of a multiplicity DP at most: prod (k_t + 1) states, each
+    reached from at most one state per distinct point."""
+    return math.prod(k + 1 for k in counts) * len(counts)
+
+
+def dp_steps(points: tuple[int, ...]) -> int:
+    """`_steps` of the entry at ``points``."""
+    return _steps(_distinct(points)[1])
+
+
+@lru_cache(maxsize=2**5)
+def _multiplicity_plan(counts: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """The multiplicity DP for an entry whose distinct points occur
+    ``counts`` times: a state after i arguments counts the uses of each
+    point, none past its count, and layer i lists, for each state after
+    i + 1 arguments, its sources (state after i, point used next).  Layer 0
+    holds the states (1 at j) in the order of j; the last holds one state,
+    every point used up.  Refused, unbuilt, past `_DP_STEPS`; the cache
+    keeps 32 plans, at most about 160 MB."""
+    if _steps(counts) > _DP_STEPS:
+        raise MemoryError(f"a multiplicity DP over counts {counts}, past {_DP_STEPS} steps")
+    states, plan = [(0,) * len(counts)], []
+    for _ in range(sum(counts)):
+        sources: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for s, state in enumerate(states):
+            for j, used in enumerate(state):
+                if used < counts[j]:
+                    sources.setdefault(state[:j] + (used + 1,) + state[j + 1 :], []).append((s, j))
+        states = list(sources)
+        plan.append(tuple(map(tuple, sources.values())))
+    return tuple(plan)
+
+
+@lru_cache(maxsize=2**12)
+def _distinct(points: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(distinct points in order, the count of each)."""
+    distinct = tuple(sorted(set(points)))
+    return distinct, tuple(map(points.count, distinct))
+
+
+def _arranged(points: tuple[int, ...], xs: Sequence[Sequence[int]]) -> int:
+    """sum over the distinct arrangements s of ``points`` of prod_i
+    xs[i][s_i], by `_multiplicity_plan`: argument i moves every state one
+    point on, each state summing the ways to reach it."""
+    distinct, counts = _distinct(points)
+    plan = _multiplicity_plan(counts)
+    x = xs[0]
+    acc = [x[t] for t in distinct]  # layer 0
+    for i in range(1, len(xs)):
+        x = xs[i]
+        values = [x[t] for t in distinct]
+        acc = [sum([acc[s] * values[j] for s, j in sources]) for sources in plan[i]]
+    return acc[0]
 
 
 class Form(Coefficients):
     """A multilinear form on a finite space: ``space``, ``degree`` and its
     nonzero ``entries``, an immutable mapping from 1-based index tuples to
     Fractions, sorted by index.  A kind gives `_key(idx)`, the index an
-    entry is stored at; `_weight(idx)`, the entry's weight on the diagonal;
-    and `_later(points)`, the further 0-based arrangements at which the full
-    array repeats the entry.  Evaluation reads the rows these give
-    (`_scaled_rows`); equality, hashing and the entrywise lattice
-    operations read the entries (`_items`)."""
+    entry is stored at, and `_weight(idx)`, the number of distinct
+    arrangements at which the full array holds the entry.  Evaluation reads
+    the rows these give (`_scaled_rows`); equality, hashing and the
+    entrywise lattice operations read the entries (`_items`)."""
 
     __slots__ = ("space", "degree", "entries")
 
@@ -112,17 +161,19 @@ class Form(Coefficients):
         return type(self)(self.space, self.degree, items)
 
     def evaluate(self, args: Sequence[Element]) -> Fraction:
-        """A(x_1, .., x_m): coeff * prod_i x_i(point_i) summed over every
-        arrangement row (`_scaled_rows`) in exact integers, each argument
-        read as stored, integers ``nums`` over ``den``, into one Fraction."""
+        """A(x_1, .., x_m) in exact integers, one row per entry
+        (`_scaled_rows`): coeff * prod_i x_i(point_i) for a row of weight 1,
+        coeff times that product summed over the distinct arrangements
+        (`_arranged`) otherwise; each argument is read as stored, integers
+        ``nums`` over ``den``, into one Fraction."""
         if len(args) != self.degree:
             raise DegreeMismatchError(f"expected {self.degree} arguments, got {len(args)}")
         for x in args:
             if x.space != self.space:
                 raise SpaceMismatchError("argument on the wrong space")
-        rows, _, scale = _scaled_rows(self, arranged=True)[:3]
+        rows, scale = _scaled_rows(self)[:2]
         xs = [x.nums for x in args]
-        total = sum(math.prod(map(getitem, xs, p), start=c) for p, c, _ in rows)
+        total = sum(math.prod(map(getitem, xs, p), start=c) if w == 1 else c * _arranged(p, xs) for p, c, w in rows)
         return Fraction(total, scale * math.prod(x.den for x in args))
 
     def off_diagonal_entries(self) -> dict[tuple[int, ...], Fraction]:
@@ -140,7 +191,6 @@ class SymTensor(Form):
 
     _key = staticmethod(lambda idx: tuple(sorted(idx)))
     _weight = staticmethod(arrangements)
-    _later = staticmethod(_later_arrangements)
 
     @staticmethod
     def diagonal(space: Space, degree: int, weights: Mapping[int, Rational]) -> "SymTensor":
@@ -156,11 +206,11 @@ class SymTensor(Form):
     def evaluate_diagonal(self, x: Element) -> Fraction:
         """A(x, .., x).  Every arrangement of an entry contributes the same
         product, so this is coeff * weight * prod_i x(point_i) summed over
-        the weighted rows alone, one per entry, read as `evaluate` reads."""
+        the rows, read as `evaluate` reads."""
         if x.space != self.space:
             raise SpaceMismatchError("argument on the wrong space")
-        _, weighted, scale = _scaled_rows(self)[:3]
-        total = sum(math.prod(map(x.nums.__getitem__, p), start=c * w) for p, c, w in weighted)
+        rows, scale = _scaled_rows(self)[:2]
+        total = sum(math.prod(map(x.nums.__getitem__, p), start=c * w) for p, c, w in rows)
         return Fraction(total, scale * x.den**self.degree)
 
     # -- structure ------------------------------------------------------------
@@ -191,7 +241,6 @@ class GeneralMatrixForm(Form):
 
     _key = staticmethod(tuple)
     _weight = staticmethod(lambda idx: 1)
-    _later = staticmethod(lambda points: ())
 
     def __init__(self, space: Space, degree: int, entries: Mapping[tuple[int, ...], Rational]) -> None:
         if degree != 2:
@@ -199,38 +248,23 @@ class GeneralMatrixForm(Form):
         super().__init__(space, degree, entries)
 
 
-# (form, [rows, weighted rows, scale, table, weighted table]) of the last
-# form `_scaled_rows` read, or None.  The form is held, not its id, so no
-# other form can reuse the id while its rows are cached; the slot is read
-# once and replaced whole, so racing threads only enumerate twice.
+# (form, [rows, scale, table]) of the last form `_scaled_rows` read, or
+# None.  The form is held, not its id, so no other form can reuse the id
+# while its rows are cached; the slot is read once and replaced whole, so
+# racing threads only list the rows twice.
 _last_rows: tuple[Form, list] | None = None
-_ROW_CAP = 2**21  # the most arrangement rows listed, about a gigabyte of tuples
 
 
-def _scaled_rows(form: Form, arranged: bool = False) -> list:
-    """[rows, weighted rows, scale, table, weighted table]: the form's rows
-    (points 0-based, coeff, weight), each coefficient scaled to an integer
-    by the entries' common denominator ``scale``.  ``weighted`` holds one
-    row per entry, weighted by `_weight`; ``rows`` follows each with its
-    `_later` arrangements, weighted 0, and is listed on the first call with
-    ``arranged``, or refused with `MemoryError` past `_ROW_CAP` rows.  The
-    tables wait for `_intpath.dense_core` and `_intpath.diagonal_core`.  The
-    last form's list is kept, so a run of calls on one form lists, arranges
-    and builds each table once."""
+def _scaled_rows(form: Form) -> list:
+    """[rows, scale, table]: one row per entry (points 0-based, coeff,
+    weight `_weight`), each coefficient scaled to an integer by the
+    entries' common denominator ``scale``; the int table waits for
+    `_intpath.diagonal_core`.  The last form's list is kept, so a run of
+    calls on one form lists its rows and builds its table once."""
     global _last_rows
     slot = _last_rows
     if slot is None or slot[0] is not form:
         coeffs, scale = _integer_row(form.entries.values())
-        weighted = [(tuple(t - 1 for t in idx), c, form._weight(idx)) for idx, c in zip(form.entries, coeffs)]
-        slot = _last_rows = (form, [None, weighted, scale, None, None])
-    rows = slot[1]
-    if arranged and rows[0] is None:
-        count = sum(w for _, _, w in rows[1])  # an entry's weight counts its arrangements
-        if count > _ROW_CAP:
-            raise MemoryError(f"{count} arrangement rows, more than {_ROW_CAP}")
-        full = []
-        for points, c, w in rows[1]:
-            full.append((points, c, w))
-            full.extend((p, c, 0) for p in form._later(points))
-        rows[0] = full
-    return rows
+        rows = [(tuple(t - 1 for t in idx), c, form._weight(idx)) for idx, c in zip(form.entries, coeffs)]
+        slot = _last_rows = (form, [rows, scale, None])
+    return slot[1]

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,7 @@ from riesz_lab import (
     to_measure,
     to_polynomial,
 )
-from riesz_lab._intpath import dense_core
+from riesz_lab._intpath import dense_core, form_eval_batch, polarize_tensor_int
 from riesz_lab.checks import OS_DISJOINT, OS_J_IDENTITY
 from riesz_lab.errors import DegreeMismatchError, MalformedInstanceError, RepresentationError, SpaceMismatchError
 from riesz_lab.jsonio import (
@@ -42,7 +43,8 @@ from riesz_lab.jsonio import (
 )
 from riesz_lab.lattice import LIMIT
 from riesz_lab.polynomials import MEASURE, TENSOR
-from riesz_lab.tensors import Form, _scaled_rows, arrangements, nondecreasing_indices
+from riesz_lab import _intpath as intpath, tensors
+from riesz_lab.tensors import Form, _arranged, _scaled_rows, arrangements, nondecreasing_indices
 from riesz_lab.sampling import (
     element,
     matrix_form,
@@ -131,22 +133,24 @@ class TestFormEvaluation:
         assert list(_arrangement_rows(a)) == [
             ((0, 0, 1), 3, 3), ((0, 1, 0), 3, 0), ((1, 0, 0), 3, 0), ((2, 2, 2), Fraction(1, 2), 1)
         ]
-        # scaled over the common denominator 2; the weighted rows are the diagonal
-        # ones, listed at once, and the rest wait for a multilinear read
-        assert _scaled_rows(a)[0] is None
-        rows, weighted, scale, _, _ = _scaled_rows(a, arranged=True)
-        assert scale == 2
-        assert rows == [((0, 0, 1), 6, 3), ((0, 1, 0), 6, 0), ((1, 0, 0), 6, 0), ((2, 2, 2), 1, 1)]
-        assert weighted == [((0, 0, 1), 6, 3), ((2, 2, 2), 1, 1)]
+        # scaled over the common denominator 2, one weighted row per entry,
+        # which every reader reads; the int table waits for its first use
+        rows, scale, table = _scaled_rows(a)
+        assert scale == 2 and table is None
+        assert rows == [((0, 0, 1), 6, 3), ((2, 2, 2), 1, 1)]
 
     def test_arrangements_follow_the_permutation_set(self):
+        # the multiplicity DP sums one product per distinct arrangement: at
+        # arguments of distinct primes every product is its own integer
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89]
         for m in range(1, 7):
             for n in range(1, 5):
+                xs = [primes[i * n : (i + 1) * n] for i in range(m)]
                 for idx in nondecreasing_indices(n, m):
-                    rows = list(_arrangement_rows(SymTensor(Space.finite(n), m, {idx: 1})))
                     points = tuple(t - 1 for t in idx)
-                    assert [p for p, _, _ in rows] == [points] + sorted(set(permutations(points)) - {points})
-                    assert [w for _, _, w in rows] == [arrangements(idx)] + [0] * (len(rows) - 1)
+                    expected = sum(math.prod(x[t] for x, t in zip(xs, p)) for p in set(permutations(points)))
+                    assert _arranged(points, xs) == expected, idx
+                    assert _arranged(points, [[1] * n] * m) == arrangements(idx)
 
     def test_diagonal_space_mismatch(self):
         with pytest.raises(SpaceMismatchError):
@@ -195,11 +199,12 @@ def _measure_cases(draw):
 
 def _arrangement_rows(form):
     """Each entry's row (points 0-based, Fraction coefficient, weight), then
-    its later arrangements weighted 0, read from the kind's hooks alone."""
+    its other distinct arrangements weighted 0, listed from the permutation
+    set."""
     for idx, coeff in form.entries.items():
         points = tuple(t - 1 for t in idx)
         yield points, coeff, form._weight(idx)
-        for p in form._later(points):
+        for p in sorted(set(permutations(points)) - {points}):
             yield p, coeff, 0
 
 
@@ -287,8 +292,8 @@ class TestIntegerReference:
 
 
 class TestScaledRows:
-    """The one slot of scaled arrangement rows that the exact evaluators and
-    the int table share: keyed by the form object, empty until first use."""
+    """The one slot of scaled rows, one per entry, that the exact evaluators
+    and the int table share: keyed by the form object, empty until first use."""
 
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_a_checked_tensor_is_enumerated_once(self, diagonal, monkeypatch):
@@ -298,13 +303,13 @@ class TestScaledRows:
         tensor = sym_tensor(rng_for("one-table", diagonal), Space.finite(n), m,
                             diagonal=diagonal, ensure_off_diagonal=not diagonal)
         enumerations = []
-        later = SymTensor._later
+        weight = SymTensor._weight
 
-        def counted(points):
-            enumerations.append(points)
-            return later(points)
+        def counted(idx):
+            enumerations.append(idx)
+            return weight(idx)
 
-        monkeypatch.setattr(SymTensor, "_later", staticmethod(counted))
+        monkeypatch.setattr(SymTensor, "_weight", staticmethod(counted))
         samples = structured_pair_count(n, m) + 26
         verdicts = [
             orthosymmetry_check(tensor, OS_J_IDENTITY, 200, 7),
@@ -312,8 +317,8 @@ class TestScaledRows:
             *oa_mode_agreement(Polynomial.from_tensor(tensor), samples, 7).values(),
         ]
         assert all(v.passed for v in verdicts) == diagonal
-        # every entry's arrangements are listed once, in one pass
-        assert enumerations == [tuple(t - 1 for t in idx) for idx in tensor.entries]
+        # every entry's row is listed once, in one pass
+        assert enumerations == list(tensor.entries)
 
     def test_interleaved_and_equal_forms_read_their_own_rows(self):
         a = SymTensor(F3, 3, {(1, 1, 2): 3, (3, 3, 3): Fraction(1, 2), (1, 2, 3): Fraction(-2, 5)})
@@ -341,37 +346,54 @@ class TestScaledRows:
         assert again is not table and again.tolist() == table.tolist() and again_scale == scale
 
     def test_the_diagonal_lists_no_arrangement(self, monkeypatch):
+        # P reads each row as coeff * weight * product; the multiplicity DP
+        # is for multilinear values alone
         calls = []
-        later = SymTensor._later
-        monkeypatch.setattr(SymTensor, "_later", staticmethod(lambda points: calls.append(points) or later(points)))
+        arranged = tensors._arranged
+        monkeypatch.setattr(tensors, "_arranged", lambda points, xs: calls.append(points) or arranged(points, xs))
         for i in range(20):
             rng = rng_for("diagonal-rows", i)
             tensor_polynomial(rng, F3, 4, ensure_off_diagonal=True).evaluate(element(rng, F3))
         assert calls == []
 
     def test_a_degree_24_diagonal_reads_one_row_per_entry(self, monkeypatch):
-        def refuse(points):
-            raise AssertionError("the diagonal listed an arrangement")
+        def refuse(points, xs):
+            raise AssertionError("the diagonal read an arrangement")
 
         # 24! / (8!)**3 arrangements of the one entry, none of them listed
         c, idx = Fraction(-3, 7), (1,) * 8 + (2,) * 8 + (3,) * 8
         poly = Polynomial.from_tensor(SymTensor(F3, 24, {idx: c}))
-        monkeypatch.setattr(SymTensor, "_later", staticmethod(refuse))
+        monkeypatch.setattr(tensors, "_arranged", refuse)
         assert poly.evaluate(fin(1, 1, 1)) == 9_465_511_770 * c
         assert poly.evaluate(fin(1, 2, Fraction(-1, 3))) == 9_465_511_770 * c * Fraction(2, 3) ** 8
 
-    def test_a_table_past_the_row_cap_is_refused_unlisted(self, monkeypatch):
-        def refuse(points):
-            raise AssertionError("an arrangement was listed")
-
-        # 60! / (20!)**3 arrangements: the multilinear reads refuse before
-        # listing one, and the diagonal still reads its one row
+    def test_a_degree_60_entry_is_read_by_the_multiplicity_dp(self):
+        # 60! / (20!)**3 arrangements in 21**3 DP states: the table holds the
+        # one row with that weight, the exact reference reads A in full, and
+        # the kernel refuses its 2**59 signed rows per sample unbuilt
+        weight = math.factorial(60) // math.factorial(20) ** 3
         tensor = SymTensor(F3, 60, {(1,) * 20 + (2,) * 20 + (3,) * 20: 1})
-        monkeypatch.setattr(SymTensor, "_later", staticmethod(refuse))
-        for read in (lambda: dense_core(tensor), lambda: tensor.evaluate([fin(1, 1, 1)] * 60)):
-            with pytest.raises(MemoryError, match="arrangement rows"):
-                read()
-        assert tensor.evaluate_diagonal(fin(1, 1, 1)) == math.factorial(60) // math.factorial(20) ** 3
+        table, scale = dense_core(tensor)
+        assert table.dtype == object and table.tolist() == [[0] * 20 + [1] * 20 + [2] * 20 + [1, weight]]
+        assert tensor.evaluate([fin(1, 1, 1)] * 60) == tensor.evaluate_diagonal(fin(1, 1, 1)) == weight
+        # A at the basis: only the arrangements with e_1 in the first 20
+        # slots, e_2 in the next 20 and e_3 in the last count, one of them
+        basis = [fin(1, 0, 0)] * 20 + [fin(0, 1, 0)] * 20 + [fin(0, 0, 1)] * 20
+        assert tensor.evaluate(basis) == 1
+        assert tensor.evaluate([fin(1, 0, 0)] * 21 + basis[21:]) == 0
+        with pytest.raises(MemoryError, match="signed rows"):
+            form_eval_batch(table, np.ones((1, 60, 3), dtype=np.int64))
+
+    def test_an_entry_past_the_dp_steps_is_refused_unbuilt(self):
+        # ten points twice each: 3**10 states, each reached from ten points
+        idx = tuple(sorted(2 * list(range(1, 11))))
+        tensor = SymTensor(Space.finite(10), 20, {idx: 1})
+        assert tensors.dp_steps(idx) == 3**10 * 10 > tensors._DP_STEPS
+        x = Element.finite([1] * 10)
+        assert tensor.evaluate_diagonal(x) == arrangements(idx)
+        with pytest.raises(MemoryError, match="multiplicity DP"):
+            tensor.evaluate([x] * 20)
+        assert tensors._multiplicity_plan.cache_info().maxsize == 2**5
 
     def test_importing_fills_nothing(self):
         code = "import riesz_lab, riesz_lab.tensors as t; print(t._last_rows)"
@@ -567,6 +589,14 @@ class TestPolarisation:
         p = to_polynomial(Measure(OM, {1: 1}), 2)
         with pytest.raises(SpaceMismatchError):
             polarize(p)
+
+    def test_sign_vectors_past_one_table_run_in_blocks(self, monkeypatch):
+        # a table of 2**3 sign vectors: the rest of the 2**(m-1) come in
+        # blocks, one per setting of the signs of x_5 .. x_m
+        monkeypatch.setattr(intpath, "_SIGN_BITS", 3)
+        for n, m in ((1, 9), (2, 7), (3, 6), (3, 4)):
+            a = sym_tensor(rng_for("sign-blocks", n, m), Space.finite(n), m)
+            assert polarize_tensor_int(a) == a.entries, (n, m)
 
 
 class TestModulus:

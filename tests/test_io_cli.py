@@ -10,6 +10,7 @@ import inspect
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -52,7 +53,7 @@ from riesz_lab.checks import (
     OS_MODES,
     orthosymmetry_check,
 )
-from riesz_lab import cli, tensors
+from riesz_lab import cli
 from riesz_lab.cli import main
 from riesz_lab.errors import DegreeMismatchError, MalformedInstanceError, RieszLabError
 from riesz_lab.jsonio import matrix_from_rows, parse_rational
@@ -484,6 +485,22 @@ class TestCliSubprocess:
         assert report["suite"] == "orthosymmetry"
         assert all(p["passed"] for p in report["properties"])
 
+    def test_degree_sixty_tensors_in_two_gigabytes(self):
+        # the Krivine product of a degree-60 tensor on three points reads
+        # A(x_1, .., x_60); polarisation would need 2**59 signed rows per
+        # sample, so the check takes the multiplicity DP before any sign
+        # table is built; the child's address-space limit keeps a regression
+        # from exhausting the host
+        limit = 2 * 10**9
+        proc = subprocess.run(
+            [sys.executable, "-m", "riesz_lab", "check", "oa-characterisations", "--n", "3", "--m", "60",
+             "--trials", "3"],
+            capture_output=True, text=True, env=dict(os.environ), timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "result: PASS" in proc.stdout
+
     def test_wide_orthosymmetry_report_pinned(self):
         # n = 40, m = 6: sparse tensors whose tables reach tens of thousands
         # of rows; a failing sampled mode stops at its first failing chunk
@@ -700,32 +717,27 @@ class TestCliInProcess:
         assert main(["check", "isometry"]) == 2
         assert capsys.readouterr().err.startswith("error: out of memory; narrow the request")
 
+    def test_a_wide_high_degree_tensor_exits_two(self, capsys):
+        # entries on about ten points each, some twice: 3**10 and more DP
+        # states per entry, and 2**19 signed rows per sample for the kernel
+        assert main(["check", "orthosymmetry", "--n", "20", "--m", "20", "--trials", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: out of memory; narrow the request")
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["check", "localisation", "--m", "18", "--trials", "3"],
             ["check", "oa-characterisations", "--n", "64", "--m", "2", "--trials", "2"],
             ["check", "oa-characterisations", "--space", "omega1", "--m", "60", "--trials", "3"],
+            # a degree-60 entry on three points stands for 60! / (20!)**3
+            # arrangements; its multilinear values run on the multiplicity DP
+            ["check", "oa-characterisations", "--n", "3", "--m", "60", "--trials", "3"],
+            ["check", "orthosymmetry", "--n", "3", "--m", "30", "--trials", "2"],
         ],
-        ids=["localisation-m18", "oa-n64", "oa-omega1-m60"],
+        ids=["localisation-m18", "oa-n64", "oa-omega1-m60", "oa-n3-m60", "os-n3-m30"],
     )
     def test_large_requests_end_in_a_verdict(self, capsys, argv):
         assert main(argv) == 0
-
-    def test_an_unlistable_arrangement_table_exits_two(self, monkeypatch, capsys):
-        # the Krivine product reads every arrangement of a degree-60 tensor;
-        # a table past the cap is refused before one of its rows is listed
-        later, listed = SymTensor._later, []
-
-        def bounded(points):
-            for p in later(points):
-                listed.append(p)
-                assert len(listed) <= tensors._ROW_CAP, "an arrangement past the cap was listed"
-                yield p
-
-        monkeypatch.setattr(SymTensor, "_later", staticmethod(bounded))
-        assert main(["check", "oa-characterisations", "--n", "3", "--m", "60", "--trials", "3"]) == 2
-        assert capsys.readouterr().err.startswith("error: out of memory; narrow the request")
 
     def test_suite_listing_in_error(self, capsys):
         assert main(["check"]) == 2

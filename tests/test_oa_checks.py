@@ -41,6 +41,7 @@ from riesz_lab import (
     to_polynomial,
 )
 import riesz_lab._intpath as intpath
+import riesz_lab.tensors as tensors
 from riesz_lab._intpath import (
     INT64_LIMIT,
     dense_core,
@@ -476,15 +477,16 @@ class TestIntGuard:
         assert (fast.samples_checked, fast.counterexample) == (slow.samples_checked, slow.counterexample)
 
     # a dense n**m array of this tensor would be 40**6 int64 entries,
-    # 30.5 GiB; its arrangement table has one row
+    # 30.5 GiB; its table has one row
     WIDE = SymTensor(Space.finite(40), 6, {(1,) * 6: 1})
 
     def test_gather_runs_in_chunks_within_the_byte_budget(self, monkeypatch):
-        # every set of six distinct points out of eight: 28 * 6! table rows
-        tensor = SymTensor(Space.finite(8), 6, {idx: 1 for idx in combinations(range(1, 9), 6)})
+        # every set of five distinct points out of eight: 56 rows of weight
+        # 5!, each read through 16 signed rows per sample
+        tensor = SymTensor(Space.finite(8), 5, {idx: 1 for idx in combinations(range(1, 9), 5)})
         core, _ = dense_core(tensor)
-        assert core.shape == (20160, 8)
-        args = np.ones((900, 6, 8), dtype=np.int64)  # 900 * 20160 gathered entries, 145 MB at once
+        assert core.shape == (56, 7) and checks._weight_sum(core) == 6720
+        args = np.ones((900, 5, 8), dtype=np.int64)  # 900 * 16 * 56 * 8 bytes gathered, 6.5 MB at once
         cap = 2**22
         monkeypatch.setattr(intpath, "_BYTE_CAP", cap)
         tracemalloc.start()
@@ -493,8 +495,8 @@ class TestIntGuard:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * cap  # one chunk's product and the factor gathered into it
-        assert list(values) == [20160] * 900
+        assert peak < 3 * cap  # one chunk's signed stack, product and the factor gathered into it
+        assert list(values) == [6720] * 900
 
     @pytest.mark.parametrize("entry", [2**61 - 1, 2**57, -(2**60) + 3])
     @pytest.mark.parametrize("idx", [(1, 1, 2, 3), (1, 2, 3, 4)], ids=["weight-12", "weight-24"])
@@ -551,7 +553,7 @@ class TestIntGuard:
     def test_krivine_product_root_miss_is_an_invariant_violation(self, block):
         # the first point's row product, 2 or 2**41, is not a square
         kernels = checks._PolyKernels(Polynomial.from_tensor(SymTensor(F2, 2, {(1, 2): 1})))
-        assert form_eval_batch(kernels.arranged[0], block).dtype == block.dtype
+        assert form_eval_batch(kernels._core[0], block).dtype == block.dtype
         with pytest.raises(InvariantViolation, match="not an exact m-th power"):
             checks._krivine_product_sides(kernels, block)
 
@@ -683,13 +685,14 @@ class TestSharedKernels:
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_p_values_list_no_arrangement(self, monkeypatch, diagonal):
         # every mode but the Krivine product, and the polarisation, read P
-        # alone, so they read one weighted row per entry
-        def refuse(points):
-            raise AssertionError("an arrangement was listed")
+        # alone: neither the multilinear kernel nor the multiplicity DP runs
+        def refuse(*args):
+            raise AssertionError("a multilinear value was read")
 
         tensor = sym_tensor(rng_for("weighted-only", diagonal), F4, 5, diagonal=diagonal,
                             ensure_off_diagonal=not diagonal)
-        monkeypatch.setattr(SymTensor, "_later", staticmethod(refuse))
+        monkeypatch.setattr(checks, "form_eval_batch", refuse)
+        monkeypatch.setattr(tensors, "_arranged", refuse)
         poly = Polynomial.from_tensor(tensor)
         for mode in OA_MODES:
             if mode != OA_KRIVINE_PRODUCT:
@@ -699,9 +702,17 @@ class TestSharedKernels:
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_agreement_builds_the_dense_core_once(self, monkeypatch, diagonal):
         tensor = sym_tensor(rng_for("kernels", diagonal), F4, 3, diagonal=diagonal, ensure_off_diagonal=not diagonal)
-        built = _counting(monkeypatch, "dense_core")
+        built = _counting(monkeypatch, "diagonal_core")
         oa_mode_agreement(Polynomial.from_tensor(tensor), samples=structured_pair_count(4, 3) + 10, seed=3)
         assert len(built) <= 1
+
+    def test_agreement_builds_a_measure_table_once(self, monkeypatch):
+        # P and the Krivine product's form side read one table
+        original, calls = intpath.measure_weights, []
+        monkeypatch.setattr(intpath, "measure_weights", lambda mu: calls.append(mu) or original(mu))
+        poly = to_polynomial(Measure(Space.finite(5), {1: 2, 3: Fraction(-1, 3), 5: 4}), 3)
+        verdicts = oa_mode_agreement(poly, structured_pair_count(5, 3) + 26, 4)
+        assert all(v.passed for v in verdicts.values()) and len(calls) == 1
 
     @pytest.mark.parametrize(
         "mu",
@@ -719,7 +730,7 @@ class TestSharedKernels:
         # the polynomial's kernels, are the table of its polarisation
         old_table, old_scale = dense_core(polarize(to_polynomial(mu, m)))
         kernels = checks._PolyKernels(to_polynomial(mu, m))
-        for table, scale in (kernels._core, kernels.arranged, diagonal_core(mu, m), dense_core(mu, m)):
+        for table, scale in (kernels._core, diagonal_core(mu, m), dense_core(mu, m)):
             assert table.dtype == old_table.dtype and table.shape == old_table.shape
             assert np.array_equal(table, old_table) and scale == old_scale
             assert (table.dtype == object) == (mu.atoms.get(1) == 2**62)
@@ -751,9 +762,9 @@ def _recording(int_sides):
 
 
 class TestChunkedDriver:
-    # x1 y2 + x2 y1 has a table of two rows; two argument slots and a budget
-    # of 12 make chunks of 3, 12, 48 samples, so a block of 70 ends its
-    # chunks at 3, 15, 63 and 70
+    # x1 y2 + x2 y1 has a table of one row of weight two; two argument slots
+    # and a budget of 12 make chunks of 3, 12, 48 samples, so a block of 70
+    # ends its chunks at 3, 15, 63 and 70
     FORM = SymTensor(F3, 2, {(1, 2): 1})
     WORK = 12
 
@@ -782,11 +793,11 @@ class TestChunkedDriver:
     def test_one_block_matches_whole_block(self, monkeypatch, failing, lengths):
         monkeypatch.setattr(checks, "_CHUNK_WORK", self.WORK)
         core, _ = dense_core(self.FORM)
-        assert len(core) == 2
+        assert checks._weight_sum(core) == 2
         int_sides = partial(checks._os_int_sides, core, OS_DISJOINT)
         blocks = [self._plant(np.zeros((70, 2, 3), dtype=np.int64), failing)]
         recorded, seen = _recording(int_sides)
-        identity = checks._Identity(OS_DISJOINT, self.FORM, blocks, checks.SCALE, recorded, len(core))
+        identity = checks._Identity(OS_DISJOINT, self.FORM, blocks, checks.SCALE, recorded, checks._weight_sum(core))
         (chunked,) = checks._sampled_check([identity])
         assert chunked == _whole_block_check(OS_DISJOINT, self.FORM, blocks, checks.SCALE, int_sides)
         assert chunked.passed == (not failing)
@@ -905,7 +916,7 @@ class TestMultiIdentityDriver:
         tensor = sym_tensor(rng_for("budget", diagonal), Space.finite(n), m, diagonal=diagonal,
                             ensure_off_diagonal=not diagonal)
         core, _ = dense_core(tensor)
-        terms = int(np.count_nonzero(core[:, -1]))  # the rows P sums
+        terms = len(core)  # the rows P sums
         gathered, chunks = [], []
         original_gather, original_sides = intpath._gather_product, checks._oa_int_sides
 
@@ -915,9 +926,10 @@ class TestMultiIdentityDriver:
 
         def sides(mode, kernels, block):
             out = original_sides(mode, kernels, block)
-            # what each side of this chunk gathers alone
+            # what each side of this chunk gathers alone, the form side at
+            # most 2**(m-1) signed rows per sample
             chunks.extend(
-                len(side) * side.shape[1] * terms * m if side.ndim == 3 else len(block) * len(core) * m
+                len(side) * side.shape[1] * terms * m if side.ndim == 3 else len(block) * 2 ** (m - 1) * terms * m
                 for side in out
             )
             return out
