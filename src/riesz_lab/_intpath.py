@@ -41,8 +41,14 @@ from .tensors import Form, SymTensor, _scaled_rows, nondecreasing_indices
 INT64_LIMIT = 2**62
 _BYTE_CAP = 2**27  # largest array one gather may allocate (128 MiB)
 # gathered entries (samples x table rows x argument slots) in the first
-# chunk of a sampled check's block; later chunks grow 4x
-_CHUNK_WORK = 2**16
+# chunk of a sampled check's block, later chunks growing 4x: about as many
+# as one kernel call's fixed cost would gather (20-30 us per call against
+# about 2 ns per entry on a 2-CPU Xeon VM), so a check that fails in its
+# first samples pays for little more than one call
+_CHUNK_WORK = 2**13
+# gathered entries one kernel call may fuse from a round's chunks of one
+# stack depth; a single chunk past it runs alone
+_CALL_WORK = 2**16
 # the polarised kernel's cached sign table holds 2**_SIGN_BITS vectors
 _SIGN_BITS = 10
 

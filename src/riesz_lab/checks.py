@@ -45,17 +45,20 @@ omega1 samples come from the same arrays: each row, the values at points
 One failing sample decides an identity, so the driver hands the kernels
 each block in chunks and stops at the first chunk with a mismatch.  The
 first chunk is sized by kernel work against the fixed budget
-`_intpath._CHUNK_WORK` (samples x the table's weight sum x argument slots)
-and each later chunk is 4x the one before; a block inside the budget runs
-in one chunk.  The driver takes a list of identities and works in rounds: each
-identity still open hands in its next chunk, and an OA identity's sides
-are stacks (S, k, n) of rows whose P-values are summed per sample.  The
-round's stacks are grouped by depth k and each depth is evaluated in one
-kernel call, or in as few as keep every call within `_CHUNK_WORK` entries
-gathered (stack rows x products P sums per row x m); a stack already past
-the budget runs alone.  So `oa_mode_agreement` evaluates its seven modes
-in about five kernel calls on a small polynomial, and every mode still
-reads the samples, the first failure and the verdict its own check gives.
+`_intpath._CHUNK_WORK` = 2**13 entries (samples x the table's weight sum x
+argument slots), about what one kernel call's fixed cost would gather, so
+an identity that fails in its first samples pays for little more than one
+call; each later chunk is 4x the one before, and a block inside the budget
+runs in one chunk.  The driver takes a list of identities and works in
+rounds: each identity still open hands in its next chunk, and an OA
+identity's sides are stacks (S, k, n) of rows whose P-values are summed per
+sample.  The round's stacks are grouped by depth k and each depth is
+evaluated in one kernel call, or in as few as keep every call within its
+own budget, `_intpath._CALL_WORK` = 2**16 entries gathered (stack rows x
+products P sums per row x m); a stack already past that budget runs alone.
+So `oa_mode_agreement` evaluates its seven modes in about five kernel calls
+on a small polynomial, and every mode still reads the samples, the first
+failure and the verdict its own check gives.
 Every check builds its int table once and reads it in every chunk.  A
 form's table is built from its scaled rows, which `tensors` keeps for the
 last form read, so the checks that follow on the same form, and its exact
@@ -74,6 +77,7 @@ import numpy as np
 
 from ._intpath import (
     _BYTE_CAP,
+    _CALL_WORK,
     _CHUNK_WORK,
     INT64_LIMIT,
     diagonal_core,
@@ -335,8 +339,9 @@ class _Identity:
 
 def _chunks(identity: _Identity):
     """(index of its first sample, chunk) over the blocks in order: the first
-    chunk of a block holds ``_CHUNK_WORK // (rows * slots)`` samples, at
-    least one, and each later chunk 4x the one before."""
+    chunk of a block holds ``_CHUNK_WORK // (rows * slots)`` samples (2**13
+    entries gathered), at least one, and each later chunk 4x the one
+    before."""
     offset = 0
     for block in identity.blocks:
         start, step = 0, max(_CHUNK_WORK // max(identity.rows * block.shape[1], 1), 1)
@@ -352,7 +357,7 @@ def _sampled_check(identities: Sequence[_Identity], kernels: _PolyKernels | None
     The driver works in rounds: every identity still open hands in the
     sides of its next chunk (`_chunks`), the round's stacks are evaluated by
     depth k, one ``kernels.evaluate`` call per depth unless `_kernel_calls`
-    splits it to keep each call within ``_CHUNK_WORK`` entries gathered,
+    splits it to keep each call within ``_CALL_WORK`` entries gathered,
     and each identity reads its own slice.  At its first mismatch
     `_failure` re-verifies the sample on the object path; when its blocks
     run out it passes, the Krivine modes after three radical spot checks.
@@ -387,7 +392,8 @@ def _sampled_check(identities: Sequence[_Identity], kernels: _PolyKernels | None
 def _evaluated(kernels: _PolyKernels | None, sides: list[np.ndarray]) -> list[np.ndarray]:
     """Every side as values (S,): a stack (S, k, n) becomes sum_j P(x_j) per
     sample, stacks of one depth concatenated into the calls that
-    `_kernel_calls` packs."""
+    `_kernel_calls` packs within ``_CALL_WORK`` entries gathered each, a
+    budget larger than a first chunk's so that a round's chunks still fuse."""
     out = list(sides)
     stacks = sorted((side.shape[1], i) for i, side in enumerate(sides) if side.ndim == 3)
     if not stacks:
@@ -404,11 +410,11 @@ def _evaluated(kernels: _PolyKernels | None, sides: list[np.ndarray]) -> list[np
 
 def _kernel_calls(stacks: list[tuple[int, int, int]]):
     """Runs of consecutive (index, depth, work) stacks of one depth whose
-    summed work (entries gathered) stays within ``_CHUNK_WORK``; a stack
+    summed work (entries gathered) stays within ``_CALL_WORK``; a stack
     past that budget alone is a run of its own."""
     call, depth, total = [], None, 0
     for i, k, work in stacks:
-        if call and (k != depth or total + work > _CHUNK_WORK):
+        if call and (k != depth or total + work > _CALL_WORK):
             yield call
             call, total = [], 0
         call.append(i)

@@ -9,6 +9,7 @@ produce byte-identical documents.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import IO, Any
 
@@ -24,7 +25,14 @@ PRODUCT = "product"
 
 
 def rational_str(value: Fraction) -> str:
-    return str(value)
+    return _ratio_str(value.numerator, value.denominator)
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num / den (den > 0) in lowest terms, "n" or "n/d" as ``str`` writes a
+    Fraction, by one gcd."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def parse_rational(raw: Any, path: str) -> Fraction:
@@ -77,13 +85,12 @@ def parse_space(obj: Any, path: str = "space") -> Space:
 
 
 def element_to_obj(x: Element) -> dict:
+    """The element's row as rational strings, written from its integers
+    (``nums`` over ``den``) without building a Fraction per value."""
+    values = [_ratio_str(v, x.den) for v in x.nums]
     if x.space.is_finite:
-        return {"space": space_to_obj(x.space), "values": [rational_str(v) for v in x.values]}
-    return {
-        "space": space_to_obj(x.space),
-        "prefix": [rational_str(v) for v in x.prefix],
-        "tail": rational_str(x.tail),
-    }
+        return {"space": space_to_obj(x.space), "values": values}
+    return {"space": space_to_obj(x.space), "prefix": values[:-1], "tail": values[-1]}
 
 
 def parse_element(obj: Any, path: str = "$") -> Element:

@@ -61,7 +61,7 @@ def arrangements(idx: tuple[int, ...]) -> int:
 
 
 # DP steps (state, point used next) one entry's plan may hold, as many
-# entries as a sampled check's first chunk gathers (`_intpath._CHUNK_WORK`);
+# entries as one fused kernel call may gather (`_intpath._CALL_WORK`);
 # a plan of that size is about 5 MB of tuples
 _DP_STEPS = 2**16
 

@@ -10,7 +10,7 @@ measure polynomials are compared with, an exact root of a rational that
 element in a principal ideal, a form's value read from its JSON alone,
 summed over every ordered index tuple, and the coefficientwise modulus,
 join, meet and sum of measures, forms and polynomials read from their JSON
-alone.
+alone, and an element's JSON written through Fractions.
 """
 
 from __future__ import annotations
@@ -215,3 +215,13 @@ def json_lattice(operation: str, first: dict, second: dict | None = None) -> tup
     op = {"join": max, "meet": min, "add": operator.add}[operation]
     merged = {k: op(a.get(k, Fraction(0)), b.get(k, Fraction(0))) for k in a.keys() | b.keys()}
     return shape, {k: v for k, v in merged.items() if v}
+
+
+def fraction_element_obj(x: Element) -> dict:
+    """`jsonio.element_to_obj` as written through Fractions: each value of
+    the row built as a `Fraction` (``values``, ``prefix``, ``tail``) and
+    written by ``str``."""
+    space = {"kind": "finite", "n": x.space.n} if x.space.is_finite else {"kind": "omega1"}
+    if x.space.is_finite:
+        return {"space": space, "values": [str(v) for v in x.values]}
+    return {"space": space, "prefix": [str(v) for v in x.prefix], "tail": str(x.tail)}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import functools
 import hashlib
 import inspect
 import io
@@ -56,10 +57,12 @@ from riesz_lab.checks import (
 from riesz_lab import cli
 from riesz_lab.cli import main
 from riesz_lab.errors import DegreeMismatchError, MalformedInstanceError, RieszLabError
-from riesz_lab.jsonio import matrix_from_rows, parse_rational
+from riesz_lab.jsonio import element_to_obj, matrix_from_rows, parse_rational, rational_str
 from riesz_lab.report import PropertyResult, Report
 from riesz_lab.sampling import element, matrix_form, measure, rng_for, sym_tensor
 from riesz_lab.suites import SUITES
+
+from oracles import fraction_element_obj
 
 F3 = Space.finite(3)
 OM = Space.omega_plus_one()
@@ -139,6 +142,57 @@ class TestRoundTrips:
             "excludedPoints": [3],
             "includesLimit": False,
         }
+
+
+# a row value: an integer, a fraction whose denominator may run to 40
+# digits, or zero
+_ROW_VALUES = st.one_of(st.integers(-10**30, 10**30), st.fractions(max_denominator=10**40), st.just(0))
+
+
+@st.composite
+def _json_elements(draw):
+    """An element on either backend, from rationals or from integers over a
+    denominator of up to 40 digits."""
+    size = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        values = draw(st.lists(_ROW_VALUES, min_size=size, max_size=size))
+    else:
+        den = draw(st.integers(1, 10**40))
+        nums = draw(st.lists(st.integers(-(10**45), 10**45), min_size=size, max_size=size))
+        values = [Fraction(v, den) for v in nums]
+    if draw(st.booleans()):
+        return Element.finite(values)
+    return Element.omega(values[:-1], values[-1])
+
+
+class TestElementJson:
+    """`element_to_obj` writes each value from the integer row; the
+    Fraction-based formatting it replaced is the oracle."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            Element.finite([Fraction(-3, 4), 0, Fraction(5, 10**30), -7]),
+            Element.finite([0, 0]),
+            Element.omega([Fraction(-1, 6), 0, 2], Fraction(-10**20, 3)),
+            Element.omega([], 0),
+            Element(F3, [-(10**40), 0, 6], 4 * 10**38),
+        ],
+        ids=["finite", "zeros", "omega1", "omega1-tail-only", "large-denominator"],
+    )
+    def test_rows_read_as_fractions(self, x):
+        assert element_to_obj(x) == fraction_element_obj(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_elements())
+    def test_every_row_reads_as_fractions(self, x):
+        assert element_to_obj(x) == fraction_element_obj(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions())
+    def test_every_rational_reads_as_its_fraction(self, value):
+        # a lone rational goes through the same integer formatter
+        assert rational_str(value) == str(value)
 
 
 class TestParseErrors:
@@ -411,10 +465,12 @@ class TestReverify:
             reverify_counterexample(payload)
 
 
-def _replayable_payloads():
+@functools.cache
+def _replayable_payloads() -> tuple[dict, ...]:
     """One failing counterexample per identity family: OA on a tensor
     polynomial and on a measure polynomial, OS on a tensor and on a matrix
-    form, and the Krivine product radical."""
+    form, and the Krivine product radical.  Built on first use, not at
+    import, so a check that raises fails the tests that read these alone."""
     tensor = SymTensor(F3, 2, {(1, 2): 1, (3, 3): 2})
     matrix = matrix_from_rows(F3, [[1, 0, 2], [0, 1, 0], [0, 0, 3]])
     poly = Polynomial.from_tensor(tensor)
@@ -431,11 +487,12 @@ def _replayable_payloads():
     mu = to_polynomial(Measure(OM, {1: 1, 8: -2}, limit_atom=1), 2)
     x, y = Element.omega([1, 0], 0), Element.omega([0, 2], 0)
     payloads.append({"mode": OA_VALUATION, "instance": to_obj(mu), "args": [to_obj(x), to_obj(y)], "lhs": "1", "rhs": "0"})
-    return payloads
+    return tuple(payloads)
 
 
-_PAYLOADS = _replayable_payloads()
-_PAYLOAD_INSTANCES = [p["instance"] for p in _PAYLOADS] + [to_obj(_PRODUCT_POLY), to_obj(Measure(F3, {1: 1}))]
+@functools.cache
+def _payload_instances() -> tuple[dict, ...]:
+    return (*[p["instance"] for p in _replayable_payloads()], to_obj(_PRODUCT_POLY), to_obj(Measure(F3, {1: 1})))
 
 
 @st.composite
@@ -443,7 +500,7 @@ def _payload_objects(draw):
     """A replayable counterexample after one to three mutations: a field
     swapped for another payload's mode, instance or argument list, or the
     JSON-level mutations of `_mutated`."""
-    payload = dict(draw(st.sampled_from(_PAYLOADS)))
+    payload = dict(draw(st.sampled_from(_replayable_payloads())))
     for _ in range(draw(st.integers(1, 3))):
         action = draw(st.sampled_from(["mode", "instance", "args", "json"]))
         if not isinstance(payload, dict):  # replaced outright by `_mutated`
@@ -451,9 +508,9 @@ def _payload_objects(draw):
         if action == "mode":
             payload["mode"] = draw(st.sampled_from([*OS_MODES, *OA_MODES]))
         elif action == "instance":
-            payload["instance"] = draw(st.sampled_from(_PAYLOAD_INSTANCES))
+            payload["instance"] = draw(st.sampled_from(_payload_instances()))
         elif action == "args":
-            pool = [arg for p in _PAYLOADS for arg in p["args"]]
+            pool = [arg for p in _replayable_payloads() for arg in p["args"]]
             payload["args"] = draw(st.lists(st.sampled_from(pool), max_size=4))
         else:
             payload = _mutated(draw, payload)
@@ -462,7 +519,7 @@ def _payload_objects(draw):
 
 class TestReverifyFuzz:
     def test_seed_payloads_replay(self):
-        assert [reverify_counterexample(p) for p in _PAYLOADS] == [True] * 6 + [False]
+        assert [reverify_counterexample(p) for p in _replayable_payloads()] == [True] * 6 + [False]
 
     @settings(max_examples=300, deadline=None)
     @given(_payload_objects())

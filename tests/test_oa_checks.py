@@ -57,7 +57,9 @@ from riesz_lab.checks import (
     OA_KRIVINE_PRODUCT,
     OA_KRIVINE_SUM,
     OA_MODES,
+    OA_POS_NEG,
     OA_POSITIVE_CONE,
+    OA_VALUATION,
     OS_BILINEAR,
     OS_DIAGONAL,
     OS_DISJOINT,
@@ -834,6 +836,7 @@ class TestChunkedDriver:
     @pytest.mark.parametrize("work", [1, 40])
     def test_every_mode_matches_object_path_in_small_chunks(self, monkeypatch, work):
         monkeypatch.setattr(checks, "_CHUNK_WORK", work)
+        monkeypatch.setattr(checks, "_CALL_WORK", work)
         rng = rng_for("chunks", work)
         polys = [
             to_polynomial(measure(rng, F3), 3),
@@ -866,12 +869,33 @@ class TestChunkedDriver:
             assert orthogonal_additivity_check(poly, mode, samples=96, seed=1).passed
             assert len(calls) == (3 if mode == OA_K_VALUATION else 1), mode
 
+    def test_first_chunk_budget_schedule(self):
+        # a table of weight sum 2**12 on two argument slots fills the
+        # 2**13-entry first chunk with one sample, so a 24-sample block runs
+        # in chunks of 1, 4, 16 and 3 samples
+        block = np.zeros((24, 2, 3), dtype=np.int64)
+        identity = checks._Identity(OS_DISJOINT, self.FORM, [block], checks.SCALE, lambda chunk: (), 2**12)
+        assert [len(chunk) for _, chunk in checks._chunks(identity)] == [1, 4, 16, 3]
+
 
 def _benchmark_items(monkeypatch, name, seeds):
     """The items of one rotation of a perfbench workload at each seed."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     workload = importlib.import_module("workloads").WORKLOADS[name]
     return [workload.make(seed, k) for seed in seeds for k in range(workload.rotation)]
+
+
+def _counting_gathers(monkeypatch):
+    """The list of entries (samples x rows x slots) each later
+    `_intpath._gather_product` call gathers."""
+    gathered, original = [], intpath._gather_product
+
+    def gather(points, coeffs, slots, max_abs, k=1):
+        gathered.append(slots[0].shape[0] * len(coeffs) * len(slots))
+        return original(points, coeffs, slots, max_abs, k)
+
+    monkeypatch.setattr(intpath, "_gather_product", gather)
+    return gathered
 
 
 def _single_checks(poly, samples, seed):
@@ -902,6 +926,7 @@ class TestMultiIdentityDriver:
         # budget of 12 make chunks of 3, 12, ... samples, and the pair
         # sweep reaches points (2, 3) at sample 6, inside the second chunk
         monkeypatch.setattr(checks, "_CHUNK_WORK", 12)
+        monkeypatch.setattr(checks, "_CALL_WORK", 12)
         poly = Polynomial.from_tensor(SymTensor(F3, 2, {(2, 3): 1}))
         samples = structured_pair_count(3, 2) + 10
         together = oa_mode_agreement(poly, samples, 7)
@@ -917,12 +942,8 @@ class TestMultiIdentityDriver:
                             ensure_off_diagonal=not diagonal)
         core, _ = dense_core(tensor)
         terms = len(core)  # the rows P sums
-        gathered, chunks = [], []
-        original_gather, original_sides = intpath._gather_product, checks._oa_int_sides
-
-        def gather(points, coeffs, slots, max_abs, k=1):
-            gathered.append(slots[0].shape[0] * len(coeffs) * len(slots))
-            return original_gather(points, coeffs, slots, max_abs, k)
+        gathered, chunks = _counting_gathers(monkeypatch), []
+        original_sides = checks._oa_int_sides
 
         def sides(mode, kernels, block):
             out = original_sides(mode, kernels, block)
@@ -934,11 +955,28 @@ class TestMultiIdentityDriver:
             )
             return out
 
-        monkeypatch.setattr(intpath, "_gather_product", gather)
         monkeypatch.setattr(checks, "_oa_int_sides", sides)
         oa_mode_agreement(Polynomial.from_tensor(tensor), structured_pair_count(n, m) + 26, 1)
         assert chunks and gathered
-        assert max(gathered) <= max(intpath._CHUNK_WORK, max(chunks))
+        assert max(gathered) <= max(intpath._CALL_WORK, max(chunks))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_failing_check_gathers_one_first_chunk(self, monkeypatch, seed):
+        # an off-diagonal tensor on the largest wide-forms cell fails these
+        # identities at sample 0; the check reads one first chunk, sized to
+        # 2**13 entries, on each side of the identity and stops
+        m, n = 4, 12
+        tensor = sym_tensor(rng_for("first-chunk", seed), Space.finite(n), m, ensure_off_diagonal=True)
+        poly = Polynomial.from_tensor(tensor)
+        gathered = _counting_gathers(monkeypatch)
+        runs = [partial(orthosymmetry_check, tensor, OS_J_IDENTITY, 200, seed)]
+        runs += [partial(orthogonal_additivity_check, poly, mode, structured_pair_count(n, m) + 26, seed)
+                 for mode in (OA_POS_NEG, OA_VALUATION, OA_K_VALUATION, OA_KRIVINE_PRODUCT)]
+        for run in runs:
+            gathered.clear()
+            verdict = run()
+            assert not verdict.passed and verdict.samples_checked == 1, verdict.mode
+            assert sum(gathered) <= 2 * 2**13, verdict.mode
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_measure_polynomial_kernel_calls(self, monkeypatch, seed):
