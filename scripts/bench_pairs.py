@@ -5,23 +5,32 @@
 
 Runs `perfbench/run.py --trace 0` from each checkout in turn, the parent
 first in even pairs and the change first in odd ones, so a host that drifts
-faster or slower touches both sides alike.  Each run's end-to-end metrics
-are added under "<workload> seed <seed>" in the output file, beside each
-side's median and quartiles, how many pairs the change won, whether the
-gain rule and the metric's bound hold (`summary`), each side's total
-operations attempted and failed over its runs, the commit and host each
-side reported, and a sha256 of each side's `src/` files, which names the
-code a side ran even where its checkout has no `.git` to read a commit
-from.  Runs already in the file for that key are kept, so a comparison can
-be extended by running the script again with the same --seconds; a
-different run length under the same key is refused with exit status 2,
-leaving the file as it was.
+faster or slower touches both sides alike.  The directory a checkout runs
+from can move a metric by itself (an A/A run of one commit from two fresh
+sibling directories read wide-forms 5% apart), so the two trees trade
+directories, by three renames, for half of the pairs: in the second and
+third pair of every four each side runs from the other's directory, and
+the trees are put back before the script exits.  Each run's end-to-end
+metrics and the directory it ran from ("dir", relative to the output
+file's directory) are added under "<workload> seed <seed>" in the output
+file, beside each side's median and quartiles, how many pairs the change
+won, whether the gain rule and the metric's bound hold (`summary`), each
+side's total operations attempted and failed over its runs, the commit and
+host each side reported, and a sha256 of each side's `src/` files, which
+names the code a side ran even where its checkout has no `.git` to read a
+commit from.  Runs already in the file for that key are kept, so a
+comparison can be extended by running the script again with the same
+--seconds; a different run length under the same key is refused with exit
+status 2, leaving the file as it was.
 
 Make both checkouts fresh sibling directories (for example `git clone` or
-`git archive` of each commit into one parent directory): the place of a
-checkout alone has moved a metric by a few percent, the same source reading
-slower from a long-used working tree than from a fresh copy beside the
-parent.  The script warns on stderr when the two are not siblings.
+`git archive` of each commit into one parent directory): the same source
+has read slower from a long-used working tree than from a fresh copy
+beside the parent, and the renames need one file system.  The script warns
+on stderr when the two are not siblings, and refuses (exit status 2) an
+output file inside either checkout.  A run killed outright (SIGKILL)
+can leave the trees traded; the last run's "dir" in the output file says
+where each side stood.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -54,6 +64,14 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict,
         "failed": result["failed"],
         "attempted": result["attempted"],
     }, env
+
+
+def _swap(a: Path, b: Path) -> None:
+    """Trade the trees at two directory paths by three renames."""
+    hold = a.with_name(a.name + ".bench-pairs-swap")
+    a.rename(hold)
+    b.rename(a)
+    hold.rename(b)
 
 
 def src_digest(checkout: Path) -> str:
@@ -111,8 +129,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    # absolute: a rename moves the cwd when it lies in a checkout, but none of these
+    args.parent, args.change, args.out = (p.resolve() for p in (args.parent, args.change, args.out))
 
-    if args.parent.resolve().parent != args.change.resolve().parent:
+    if args.out.is_relative_to(args.parent) or args.out.is_relative_to(args.change):
+        print(f"bench_pairs: {args.out} is inside a checkout, which the pairs move", file=sys.stderr)
+        return 2
+    if args.parent.parent != args.change.parent:
         print(f"bench_pairs: warning: {args.parent} and {args.change} are not sibling directories;"
               " the checkout's place alone can move the result", file=sys.stderr)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -124,17 +147,26 @@ def main(argv=None) -> int:
         print(f"bench_pairs: {args.out} holds {entry['seconds']} s runs under {key!r};"
               f" refusing to add {args.seconds} s runs to them", file=sys.stderr)
         return 2
-    checkouts = {"parent": args.parent, "change": args.change}
-    sources = {side: src_digest(checkouts[side]) for side in SIDES}
-    for _ in range(args.pairs):
-        order = SIDES if len(entry["runs"]["parent"]) % 2 == 0 else SIDES[::-1]
-        done = {side: run(checkouts[side], args.workload, args.seed, args.seconds) for side in order}
-        for side in SIDES:
-            entry["runs"][side].append(done[side][0])
-        entry["environment"] = {side: {**done[side][1], "src_sha256": sources[side]} for side in SIDES}
-        entry["summary"] = summary(entry["runs"], metrics)
-        args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")  # kept if a later pair is cut
-        print(key, {side: done[side][0]["metrics"] for side in SIDES}, flush=True)
+    home = {"parent": args.parent, "change": args.change}
+    sources = {side: src_digest(home[side]) for side in SIDES}
+    place = dict(home)
+    try:
+        for _ in range(args.pairs):
+            pair = len(entry["runs"]["parent"])
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            if (pair % 4 in (1, 2)) != (place != home):
+                _swap(args.parent, args.change)
+                place = {"parent": place["change"], "change": place["parent"]}
+            done = {side: run(place[side], args.workload, args.seed, args.seconds) for side in order}
+            for side in SIDES:
+                entry["runs"][side].append({**done[side][0], "dir": os.path.relpath(place[side], args.out.parent)})
+            entry["environment"] = {side: {**done[side][1], "src_sha256": sources[side]} for side in SIDES}
+            entry["summary"] = summary(entry["runs"], metrics)
+            args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")  # kept if a later pair is cut
+            print(key, {side: done[side][0]["metrics"] for side in SIDES}, flush=True)
+    finally:
+        if place != home:
+            _swap(args.parent, args.change)
     return 0
 
 

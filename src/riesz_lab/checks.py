@@ -30,7 +30,9 @@ stores its row as integers over one denominator, so a sample row enters it
 as drawn, with its block's denominator, and no Fraction is built per
 value; the object sweep converts each block to Python int rows with one
 ``tolist`` and builds every sample's Elements from those rows over the
-identity's own denominator (1 for the Krivine product, `SCALE` otherwise).
+identity's own denominator (1 for the Krivine product, `SCALE` otherwise),
+through `lattice._element`, which skips the checks the public constructor
+makes on outside input.
 Symmetric tensors and matrix forms are both `tensors.Form`s, with one row
 per entry that the exact evaluator and the int table
 (`_intpath.diagonal_core`) read alike, for P and for a multilinear value.
@@ -90,6 +92,7 @@ from .jsonio import element_to_obj
 from .lattice import (
     Element,
     Space,
+    _element as _build_element,
     _int_root,
     decreasing_rearrangements,
     krivine_radical,
@@ -282,8 +285,9 @@ def _columns(space: Space) -> int:
 
 
 def _element(space: Space, row: np.ndarray, denom: int = SCALE) -> Element:
-    """The sample row as an Element: its integers over ``denom``, as stored."""
-    return Element(space, row.tolist(), denom)
+    """The sample row as an Element: its integers over ``denom``, as stored,
+    built without the outside-input checks."""
+    return _build_element(space, row.tolist(), denom)
 
 
 def _first_diff(lhs: np.ndarray, rhs: np.ndarray) -> int | None:
@@ -441,7 +445,7 @@ def _object_sweep(identity: _Identity) -> CheckVerdict:
     Elements are built from those rows over the identity's denominator."""
     space, denom = identity.thing.space, identity.denom
     blocks = (block.tolist() for block in identity.blocks)
-    samples = ([Element(space, row, denom) for row in sample] for block in blocks for sample in block)
+    samples = ([_build_element(space, row, denom) for row in sample] for block in blocks for sample in block)
     for index, args in enumerate(samples):
         lhs, rhs = identity_sides(identity.thing, identity.mode, args)
         if lhs != rhs:
@@ -576,7 +580,7 @@ class _PolyKernels:
     def _core(self) -> tuple[np.ndarray, int]:
         return diagonal_core(self.poly.rep, self.poly.degree)
 
-    @property
+    @cached_property
     def rows(self) -> int:
         """The table's weight sum, which sizes the chunks."""
         return _weight_sum(self._core[0])

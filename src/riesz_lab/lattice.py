@@ -17,6 +17,14 @@ pointwise kernel is written once, in Python ints, for both backends.
 ``Element.values`` is the same row as a tuple of `fractions.Fraction`s,
 built on each read: the integer row is the one stored copy.
 
+Outside input is checked in one place, the public constructor
+``Element(space, values, den=None)``: each numerator and ``den`` through
+`operator.index`, ``den >= 1`` and the row length.  Every Element the
+package builds from integers it has just computed (the pointwise kernels,
+products and powers, exact roots, the constructors that hold ints, and the
+sample rows of `checks`) goes through `_element`, which skips those checks.
+Both end in `_canonicalise`, where the canonical form is written once.
+
 Decreasing rearrangements, defined as joins of subset meets, are built by
 an insertion recurrence of t(t-1) joins and meets for a t-tuple; its proof
 is in `decreasing_rearrangements`.
@@ -144,7 +152,10 @@ class Element:
 
     ``Element(space, values)`` takes rationals; ``Element(space, nums, den)``
     takes integer numerators over a positive integer ``den``, in any
-    scaling.  ``values`` is the row as Fractions, built on each read.
+    scaling.  Either checks its input as outside input and hands the row
+    to `_canonicalise`, which writes the canonical form; the package's own
+    integer rows reach it through `_element` without the checks.
+    ``values`` is the row as Fractions, built on each read.
     """
 
     __slots__ = ("space", "nums", "den")
@@ -159,19 +170,9 @@ class Element:
         if space.is_finite:
             if len(nums) != space.n:
                 raise ValueError(f"expected {space.n} values, got {len(nums)}")
-        else:
-            if not nums:
-                raise ValueError("omega1 element needs at least its tail value")
-            end, last = len(nums), nums[-1]
-            while end > 1 and nums[end - 2] == last:
-                end -= 1
-            del nums[end:]
-        g = math.gcd(den, *nums)
-        if g > 1:
-            nums, den = [v // g for v in nums], den // g
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den)
+        elif not nums:
+            raise ValueError("omega1 element needs at least its tail value")
+        _canonicalise(self, space, nums, den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Element is immutable")
@@ -192,7 +193,8 @@ class Element:
 
     @staticmethod
     def constant(space: Space, value: Rational) -> "Element":
-        return Element(space, [q(value)] * (space.n if space.is_finite else 1))
+        num, den = q(value).as_integer_ratio()
+        return _element(space, [num] * (space.n if space.is_finite else 1), den)
 
     @staticmethod
     def basis(space: Space, point: int) -> "Element":
@@ -200,10 +202,10 @@ class Element:
         if space.is_finite:
             if not 1 <= point <= space.n:
                 raise ValueError(f"point {point} outside 1..{space.n}")
-            return Element(space, [1 if t == point else 0 for t in space.points()], 1)
+            return _element(space, [1 if t == point else 0 for t in space.points()], 1)
         if point < 1:
             raise ValueError("isolated points are labelled 1, 2, ...")
-        return Element(space, [0] * (point - 1) + [1, 0], 1)
+        return _element(space, [0] * (point - 1) + [1, 0], 1)
 
     @staticmethod
     def tail_indicator(space: Space, start: int, scale: Rational = 1) -> "Element":
@@ -212,7 +214,8 @@ class Element:
             raise SpaceMismatchError("tail indicators live on omega1")
         if start < 1:
             raise ValueError("start index must be >= 1")
-        return Element(space, [0] * (start - 1) + [q(scale)])
+        num, den = q(scale).as_integer_ratio()
+        return _element(space, [0] * (start - 1) + [num], den)
 
     # -- accessors ---------------------------------------------------------
 
@@ -244,13 +247,13 @@ class Element:
     # -- pointwise kernels, in ints ------------------------------------------
 
     def _map(self, op: Callable[[int], int]) -> "Element":
-        return Element(self.space, list(map(op, self.nums)), self.den)
+        return _element(self.space, list(map(op, self.nums)), self.den)
 
     def _zip(self, other: "Element", op: Callable[[int, int], int]) -> "Element":
         """op on aligned rows; op must commute with a common positive
         scaling, as +, -, max and min do."""
         x, y, den = _aligned(self, other)
-        return Element(self.space, list(map(op, x, y)), den)
+        return _element(self.space, list(map(op, x, y)), den)
 
     # -- linear and multiplicative structure ---------------------------------
 
@@ -266,9 +269,9 @@ class Element:
     def __mul__(self, other: "Element | Rational") -> "Element":
         if isinstance(other, Element):
             x, y, den = _aligned(self, other)
-            return Element(self.space, list(map(operator.mul, x, y)), den * den)
+            return _element(self.space, list(map(operator.mul, x, y)), den * den)
         num, den = q(other).as_integer_ratio()
-        return Element(self.space, [v * num for v in self.nums], self.den * den)
+        return _element(self.space, [v * num for v in self.nums], self.den * den)
 
     def __rmul__(self, other: Rational) -> "Element":
         return self.__mul__(other)
@@ -276,7 +279,7 @@ class Element:
     def __pow__(self, m: int) -> "Element":
         if not isinstance(m, int) or m < 0:
             raise ValueError("pointwise powers take a nonnegative integer")
-        return Element(self.space, [v**m for v in self.nums], self.den**m)
+        return _element(self.space, [v**m for v in self.nums], self.den**m)
 
     # -- lattice structure ----------------------------------------------------
 
@@ -324,6 +327,39 @@ class Element:
             return f"Element([{', '.join(str(v) for v in self.values)}])"
         pre = ", ".join(str(v) for v in self.prefix)
         return f"Element(prefix=[{pre}], tail={self.tail})"
+
+
+_set_space, _set_nums, _set_den = (slot.__set__ for slot in (Element.space, Element.nums, Element.den))
+
+
+def _canonicalise(x: Element, space: Space, nums: list[int], den: int) -> None:
+    """Set the slots of ``x`` to the canonical form of the row ``nums`` over
+    ``den``: on omega1 the trailing entries equal to the last are stripped,
+    then nums and den are divided by their gcd.  The row is a nonempty list
+    of Python ints, of the space's length on a finite space, which this
+    takes over; den is a positive int.  The one place the canonical form is
+    written."""
+    if space.kind != FINITE:
+        end, last = len(nums), nums[-1]
+        while end > 1 and nums[end - 2] == last:
+            end -= 1
+        del nums[end:]
+    g = math.gcd(den, *nums)
+    if g > 1:
+        nums, den = [v // g for v in nums], den // g
+    _set_space(x, space)
+    _set_nums(x, tuple(nums))
+    _set_den(x, den)
+
+
+def _element(space: Space, nums: list[int], den: int) -> Element:
+    """The Element of integers the package has just computed: a fresh list
+    of Python ints over a positive int den, of the space's length on a
+    finite space and nonempty on omega1.  It skips the checks
+    `Element.__init__` makes on outside input and takes the list over."""
+    x = object.__new__(Element)
+    _canonicalise(x, space, nums, den)
+    return x
 
 
 class Coefficients:
@@ -473,7 +509,7 @@ class RadicalElement:
             if r is None:
                 return None
             roots.append(r)
-        return Element(self.base.space, roots, den)
+        return _element(self.base.space, roots, den)
 
 
 def krivine_radical(kind: str, degree: int, args: Sequence[Element]) -> RadicalElement:

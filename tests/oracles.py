@@ -10,7 +10,9 @@ measure polynomials are compared with, an exact root of a rational that
 element in a principal ideal, a form's value read from its JSON alone,
 summed over every ordered index tuple, and the coefficientwise modulus,
 join, meet and sum of measures, forms and polynomials read from their JSON
-alone, and an element's JSON written through Fractions.
+alone, an element's JSON written through Fractions, and the pointwise
+lattice, linear and multiplicative operations on elements computed point by
+point from their JSON alone.
 """
 
 from __future__ import annotations
@@ -225,3 +227,54 @@ def fraction_element_obj(x: Element) -> dict:
     if x.space.is_finite:
         return {"space": space, "values": [str(v) for v in x.values]}
     return {"space": space, "prefix": [str(v) for v in x.prefix], "tail": str(x.tail)}
+
+
+def json_point_values(obj: dict, width: int) -> dict:
+    """An element's value at each point, read from `jsonio.element_to_obj`
+    output alone: point -> Fraction for the n points of a finite space; on
+    omega1 for the isolated points 1..width, the prefix padded by its tail,
+    and for "limit", the tail."""
+    if obj["space"]["kind"] == "finite":
+        return {t: Fraction(v) for t, v in enumerate(obj["values"], 1)}
+    prefix, tail = [Fraction(v) for v in obj["prefix"]], Fraction(obj["tail"])
+    values = {t: prefix[t - 1] if t <= len(prefix) else tail for t in range(1, width + 1)}
+    values["limit"] = tail
+    return values
+
+
+_POINTWISE = {
+    "join": max,
+    "meet": min,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "abs": abs,
+    "pos_part": lambda a: a if a > 0 else Fraction(0),
+    "neg_part": lambda a: -a if a < 0 else Fraction(0),
+    "pow": operator.pow,
+}
+
+
+def json_pointwise(operation: str, first: dict, second: dict | int | None = None) -> dict:
+    """The `jsonio.element_to_obj` output of an operation on elements given
+    by their `element_to_obj` output, computed point by point: ``join``,
+    ``meet``, ``add``, ``sub`` and ``mul`` of two elements; ``abs``,
+    ``pos_part`` and ``neg_part`` of one; ``pow`` of one to a nonnegative
+    int ``second``.  On omega1 it reads one isolated point past the longer
+    prefix, where both elements already take their tails, and writes the
+    result's prefix without the trailing values equal to its tail."""
+    space = first["space"]
+    others = [second] if isinstance(second, dict) else []
+    width = 1 + max(len(obj.get("prefix", ())) for obj in (first, *others))
+    rows = [json_point_values(obj, width) for obj in (first, *others)]
+    op = _POINTWISE[operation]
+    if operation == "pow":
+        values = {t: op(a, second) for t, a in rows[0].items()}
+    else:
+        values = {t: op(*(row[t] for row in rows)) for t in rows[0]}
+    if space["kind"] == "finite":
+        return {"space": space, "values": [str(values[t]) for t in range(1, space["n"] + 1)]}
+    prefix, tail = [values[t] for t in range(1, width + 1)], values["limit"]
+    while prefix and prefix[-1] == tail:
+        prefix.pop()
+    return {"space": space, "prefix": [str(v) for v in prefix], "tail": str(tail)}

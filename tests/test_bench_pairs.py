@@ -1,4 +1,5 @@
-"""The paired benchmark script: its sibling warning, its summary and its source digests."""
+"""The paired benchmark script: its sibling warning, its summary, its source digests and its
+trading of directories."""
 
 from __future__ import annotations
 
@@ -22,6 +23,14 @@ def _checkout(path: Path) -> Path:
     return path
 
 
+def _marked(root: Path) -> tuple[Path, Path]:
+    """Sibling checkouts whose trees name their side in a file `side`."""
+    dirs = tuple(_checkout(root / side) for side in ("parent", "change"))
+    for side, path in zip(("parent", "change"), dirs):
+        (path / "side").write_text(side)
+    return dirs
+
+
 def _stderr(main, capsys, parent: Path, change: Path, out: Path) -> str:
     argv = ["--parent", str(parent), "--change", str(change), "--workload", "oa-grid",
             "--seed", "1", "--seconds", "1", "--pairs", "0", "--out", str(out)]
@@ -40,11 +49,11 @@ def test_warns_only_when_checkouts_are_not_siblings(tmp_path, capsys):
 
 def test_summary_sums_attempted_and_failed_per_side(tmp_path, monkeypatch):
     module = _module()
-    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
-    ops = {parent: iter([(10, 0), (12, 1), (14, 0)]), change: iter([(20, 2), (22, 0), (24, 3)])}
+    parent, change = _marked(tmp_path)
+    ops = {"parent": iter([(10, 0), (12, 1), (14, 0)]), "change": iter([(20, 2), (22, 0), (24, 3)])}
 
     def fake_run(checkout, workload, seed, seconds):
-        attempted, failed = next(ops[checkout])
+        attempted, failed = next(ops[(checkout / "side").read_text()])
         return {"metrics": {"items_per_s": attempted}, "failed": failed, "attempted": attempted}, {}
 
     monkeypatch.setattr(module, "run", fake_run)
@@ -155,3 +164,72 @@ def test_within_bound_reads_the_metric_bound_in_its_direction():
     assert within("item_p50_ms", 119) is True and within("item_p50_ms", 121) is False
     assert within("item_p50_ms", 50) is True
     assert summary(_runs("undeclared", parent, parent), _SPEC)["undeclared"]["within_bound"] is None
+
+
+def test_each_side_runs_from_each_directory_for_half_of_the_pairs(tmp_path, monkeypatch):
+    module = _module()
+    parent, change = _marked(tmp_path)
+    seen = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        seen.append(((checkout / "side").read_text(), checkout))
+        return {"metrics": {"items_per_s": 1}, "failed": 0, "attempted": 1}, {}
+
+    monkeypatch.setattr(module, "run", fake_run)
+    out = tmp_path / "out.json"
+
+    def main(pairs):
+        return module.main(["--parent", str(parent), "--change", str(change), "--workload", "oa-grid",
+                            "--seed", "1", "--seconds", "1", "--pairs", str(pairs), "--out", str(out)])
+
+    assert main(4) == 0
+    assert main(3) == 0  # an extension goes on with the schedule of the pairs already in the file
+    assert main(1) == 0
+    runs = json.loads(out.read_text())["oa-grid seed 1"]["runs"]
+    for side in ("parent", "change"):
+        ran = [checkout for name, checkout in seen if name == side]
+        assert [tmp_path / r["dir"] for r in runs[side]] == ran
+        assert ran.count(parent) == ran.count(change) == 4
+    # pairs 1 and 2 of every four trade directories; the order alternates every pair
+    away = [r["dir"] == "change" for r in runs["parent"]]
+    assert away == [False, True, True, False] * 2
+    assert [name for name, _ in seen][::2] == ["parent", "change"] * 4
+    assert (parent / "side").read_text() == "parent" and (change / "side").read_text() == "change"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["change", "out.json", "parent"]
+
+
+def test_trees_go_back_when_a_run_fails_while_they_are_traded(tmp_path, monkeypatch):
+    module = _module()
+    parent, change = _marked(tmp_path)
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append(checkout)
+        if len(calls) == 3:  # the second pair, run from the traded directories
+            assert (checkout / "side").read_text() == ("parent" if checkout == change else "change")
+            raise SystemExit("perfbench exited with 1")
+        return {"metrics": {"items_per_s": 1}, "failed": 0, "attempted": 1}, {}
+
+    monkeypatch.setattr(module, "run", fake_run)
+    out = tmp_path / "out.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "oa-grid",
+            "--seed", "1", "--seconds", "1", "--pairs", "4", "--out", str(out)]
+    try:
+        module.main(argv)
+    except SystemExit as exc:
+        assert "exited with 1" in str(exc)
+    else:
+        raise AssertionError("the failing run did not end the script")
+    assert (parent / "side").read_text() == "parent" and (change / "side").read_text() == "change"
+    assert len(json.loads(out.read_text())["oa-grid seed 1"]["runs"]["parent"]) == 1
+
+
+def test_refuses_an_output_file_inside_a_checkout(tmp_path, capsys):
+    main = _module().main
+    parent, change = _marked(tmp_path)
+    for inside in (parent / "BENCH.json", change / "sub" / "BENCH.json"):
+        argv = ["--parent", str(parent), "--change", str(change), "--workload", "oa-grid",
+                "--seed", "1", "--seconds", "1", "--pairs", "1", "--out", str(inside)]
+        assert main(argv) == 2
+        assert "inside a checkout" in capsys.readouterr().err
+        assert not inside.exists()

@@ -30,11 +30,12 @@ from riesz_lab.errors import (
     PositivityError,
     SpaceMismatchError,
 )
-from riesz_lab.jsonio import dumps_canonical, element_to_obj
+from riesz_lab.jsonio import dumps_canonical, element_to_obj, parse_element
+from riesz_lab.lattice import _element
 from riesz_lab.sampling import element, rational, rng_for
 from riesz_lab.suites import _sorted_columns_oracle
 
-from oracles import exact_fraction_root, membership_witness
+from oracles import exact_fraction_root, json_pointwise, membership_witness
 
 F2 = Space.finite(2)
 OM = Space.omega_plus_one()
@@ -259,6 +260,83 @@ class TestIntegerRows:
         big = Element(F2, np.array([2**62, 3], dtype=np.int64), np.int64(1))
         assert all(type(v) is int for v in big.nums) and type(big.den) is int
         assert (big * big).values == (Fraction(2**124), Fraction(9))
+
+
+_SPACES = st.one_of(st.integers(1, 5).map(Space.finite), st.just(OM))
+_ENTRIES = st.one_of(st.integers(-4, 4), st.integers(-(10**40), 10**40))
+_DENS = st.one_of(st.sampled_from([1, 2, 3, 4, 9, 12]), st.integers(1, 10**40))
+
+
+@st.composite
+def _int_row(draw, space):
+    """(nums, den) for ``Element(space, nums, den)``: small, negative, zero
+    and 40-digit entries, sometimes an all-zero row, on omega1 sometimes
+    ending in copies of the tail, and sometimes every entry and den scaled
+    by one common factor."""
+    size = space.n if space.is_finite else draw(st.integers(1, 6))
+    if draw(st.integers(0, 4)) == 0:
+        nums = [0] * size
+    else:
+        nums = draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+    if not space.is_finite:
+        nums += [nums[-1]] * draw(st.integers(0, 3))
+    k = draw(st.sampled_from([1, 2, 6, 10**20]))
+    return [v * k for v in nums], draw(_DENS) * k
+
+
+class TestInternalBuilder:
+    """`lattice._element`, the constructor for rows the package computed
+    itself, skips the outside-input checks but writes the same canonical
+    form as `Element(space, nums, den)`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_builder_matches_the_public_constructor(self, data):
+        space = data.draw(_SPACES)
+        nums, den = data.draw(_int_row(space))
+        built, public = _element(space, list(nums), den), Element(space, nums, den)
+        _assert_canonical(built)
+        assert (built.nums, built.den) == (public.nums, public.den)
+        assert built == public and hash(built) == hash(public)
+
+    def test_built_elements_are_canonical_and_immutable(self):
+        x = _element(OM, [6, 3, 3, 3], 12)
+        assert (x.nums, x.den) == ((2, 1), 4) and x == om([Fraction(1, 2)], Fraction(1, 4))
+        assert _element(F2, [0, 0], 7).den == 1
+        for built in (x, x + x, abs(x), x * x, x**2):
+            for name in ("space", "nums", "den", "values"):
+                with pytest.raises(AttributeError):
+                    setattr(built, name, 1)
+        assert (x.nums, x.den) == ((2, 1), 4)
+
+
+class TestPointwiseOracle:
+    """Every pointwise operation against `oracles.json_pointwise`, which
+    reads the operands' JSON point by point; the result must write the
+    oracle's JSON and equal, with its hash, the element parsed from it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_operations_match_the_pointwise_json_oracle(self, data):
+        space = data.draw(_SPACES)
+        x, y = (Element(space, *data.draw(_int_row(space))) for _ in range(2))
+        m = data.draw(st.integers(0, 4))
+        a, b = element_to_obj(x), element_to_obj(y)
+        for result, operation, second in (
+            (x.join(y), "join", b),
+            (x.meet(y), "meet", b),
+            (x + y, "add", b),
+            (x - y, "sub", b),
+            (x * y, "mul", b),
+            (abs(x), "abs", None),
+            (x.pos_part(), "pos_part", None),
+            (x.neg_part(), "neg_part", None),
+            (x**m, "pow", m),
+        ):
+            expected = json_pointwise(operation, a, second)
+            assert element_to_obj(result) == expected, operation
+            rebuilt = parse_element(expected)
+            assert result == rebuilt and hash(result) == hash(rebuilt), operation
 
 
 class TestAxiomsRandom:

@@ -708,6 +708,15 @@ class TestSharedKernels:
         oa_mode_agreement(Polynomial.from_tensor(tensor), samples=structured_pair_count(4, 3) + 10, seed=3)
         assert len(built) <= 1
 
+    @pytest.mark.parametrize("space", [F4, Space.omega_plus_one()])
+    def test_agreement_sums_the_table_weights_once(self, monkeypatch, space):
+        # every mode's chunks are sized by one weight sum of the one table;
+        # omega1 runs the object sweep and sums nothing
+        sums = _counting(monkeypatch, "_weight_sum")
+        poly = to_polynomial(Measure(space, {1: 2, 3: Fraction(-1, 3)}), 3)
+        assert all(v.passed for v in oa_mode_agreement(poly, 40, 4).values())
+        assert len(sums) == (1 if space.is_finite else 0)
+
     def test_agreement_builds_a_measure_table_once(self, monkeypatch):
         # P and the Krivine product's form side read one table
         original, calls = intpath.measure_weights, []
