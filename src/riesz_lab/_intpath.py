@@ -21,9 +21,9 @@ the byte budget (`polarised_work`).  The kernel,
 not its caller, bounds each sum in exact Python integers: int64 below
 `INT64_LIMIT`, otherwise `dtype=object` arrays of Python ints, the same
 gather at any size, over chunks of samples that fit a byte budget.  The
-reference the checks compare against stays `Form.evaluate` (with
-`SymTensor.evaluate_diagonal`) and `Measure.integrate`, exact and
-independent of NumPy.
+reference the checks compare against stays the integer cores of
+`Form.evaluate` (with `SymTensor.evaluate_diagonal`) and
+`Measure.integrate`, exact and independent of NumPy.
 """
 
 from __future__ import annotations

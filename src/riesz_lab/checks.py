@@ -21,7 +21,14 @@ where the object path reads them: the first failing sample, which
 `_failure` re-verifies; the first three samples of a passing Krivine
 check, which are spot-checked through genuine radical elements; and every
 sample when the object sweep runs, which it does only for omega1, under
-``force_object`` and for multilinear values left to the DP.  The Krivine modes draw
+``force_object`` and for multilinear values left to the DP.  The object
+path evaluates in integers: P and A give (numerator, denominator) pairs,
+not reduced (`Polynomial.evaluate_ratio`, `Form.evaluate_ratio`), each
+side of an identity is summed over a common denominator (`_oa_ratios`,
+`_os_ratios`), and the sweep and the spot checks compare the two sides by
+cross-multiplication (`_agrees`).  A Fraction is built only for a
+counterexample: `identity_sides` reduces both sides for `_failure`'s
+payload and for replay.  The Krivine modes draw
 alike for every polynomial: positive disjoint pairs, whose power-sum
 radical roots to x + y, and perfect-power tuples x_i = u g_i / g_{i+1},
 whose product radical roots to u.  So every radical roots exactly, and the int path compares P at the
@@ -70,9 +77,11 @@ re-verifications, list its rows no more; a measure's from its weights.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -141,61 +150,95 @@ class CheckVerdict:
 
 # -- the identities themselves -------------------------------------------------------
 
+# one side of an identity as integers (numerator, denominator), not reduced
+_Ratio = tuple[int, int]
 
-def os_identity_sides(form: Form, mode: str, args: Sequence[Element]) -> tuple[Fraction, Fraction]:
-    """Both sides of one orthosymmetry identity at explicit arguments."""
-    lhs = form.evaluate(list(args))
+
+def _sum(ratios) -> _Ratio:
+    """The sum of integer ratios over a common denominator: a term over the
+    denominator so far adds its numerator, any other cross-multiplies."""
+    num, den = 0, 1
+    for n, d in ratios:
+        if d == den:
+            num += n
+        else:
+            num, den = num * d + n * den, den * d
+    return num, den
+
+
+def _os_ratios(form: Form, mode: str, args: Sequence[Element]) -> tuple[_Ratio, _Ratio]:
+    """Both sides of one orthosymmetry identity at explicit arguments, as
+    integer ratios."""
+    lhs = form.evaluate_ratio(list(args))
     if mode in (OS_DIAGONAL, OS_DISJOINT):
-        return lhs, Fraction(0)
+        return lhs, (0, 1)
     if mode == OS_J_IDENTITY:
-        return lhs, form.evaluate(decreasing_rearrangements(list(args)))
+        return lhs, form.evaluate_ratio(decreasing_rearrangements(list(args)))
     if mode == OS_BILINEAR:
         if form.degree != 2:
             raise DegreeMismatchError("the join/meet identity is an order-2 check")
         x, y = args
-        return lhs, form.evaluate([x.join(y), x.meet(y)])
+        return lhs, form.evaluate_ratio([x.join(y), x.meet(y)])
     raise ValueError(f"unknown orthosymmetry mode {mode!r}")
 
 
-def oa_identity_sides(poly: Polynomial, mode: str, args: Sequence[Element]) -> tuple[Fraction, Fraction]:
+def _oa_ratios(poly: Polynomial, mode: str, args: Sequence[Element]) -> tuple[_Ratio, _Ratio]:
     """Both sides of one orthogonal-additivity identity at explicit
-    arguments, Krivine modes through genuine radical elements."""
-    m = poly.degree
+    arguments, as integer ratios, each side's P-values summed over a common
+    denominator; Krivine modes through genuine radical elements."""
+    m, P = poly.degree, poly.evaluate_ratio
     arity = _ARITY.get(mode)
     if arity is not None and len(args) != arity:
         raise DegreeMismatchError(f"{mode} expects {arity} arguments, got {len(args)}")
     if mode in (OA_DISJOINT_ADD, OA_POSITIVE_CONE):
         x, y = args
-        return poly.evaluate(x + y), poly.evaluate(x) + poly.evaluate(y)
+        return P(x + y), _sum([P(x), P(y)])
     if mode == OA_POS_NEG:
         (x,) = args
-        sign = -1 if m % 2 else 1
-        return poly.evaluate(x), poly.evaluate(x.pos_part()) + sign * poly.evaluate(x.neg_part())
+        neg, den = P(x.neg_part())
+        return P(x), _sum([P(x.pos_part()), (-neg if m % 2 else neg, den)])
     if mode == OA_VALUATION:
         x, y = args
-        lhs = poly.evaluate(x.join(y)) + poly.evaluate(x.meet(y))
-        return lhs, poly.evaluate(x) + poly.evaluate(y)
+        return _sum([P(x.join(y)), P(x.meet(y))]), _sum([P(x), P(y)])
     if mode == OA_K_VALUATION:
-        lhs = sum((poly.evaluate(j) for j in decreasing_rearrangements(list(args))), Fraction(0))
-        return lhs, sum((poly.evaluate(x) for x in args), Fraction(0))
+        return _sum(map(P, decreasing_rearrangements(list(args)))), _sum(map(P, args))
     if mode == OA_KRIVINE_SUM:
         x, y = args
-        lhs = poly.evaluate(krivine_radical("power-sum", m, [x, y]))
-        return lhs, poly.evaluate(x) + poly.evaluate(y)
+        return P(krivine_radical("power-sum", m, [x, y])), _sum([P(x), P(y)])
     if mode == OA_KRIVINE_PRODUCT:
         radical = krivine_radical("product", m, list(args))
-        lhs = poly.evaluate(radical)
-        return lhs, poly.rep.evaluate(list(args)) if poly.kind == TENSOR else poly.rep.integrate(radical.base)
+        rhs = poly.rep.evaluate_ratio(list(args)) if poly.kind == TENSOR else poly.rep.integrate_ratio(radical.base)
+        return P(radical), rhs
     raise ValueError(f"unknown orthogonal-additivity mode {mode!r}")
+
+
+def _agrees(thing, mode: str, args: Sequence[Element]) -> bool:
+    """Whether both sides of the identity ``mode`` names are equal at
+    ``args``: `_os_ratios` for an orthosymmetry mode, `_oa_ratios` otherwise
+    (the names are disjoint), compared by cross-multiplication, the
+    denominators being positive; no Fraction is built."""
+    (ln, ld), (rn, rd) = (_os_ratios if mode in OS_MODES else _oa_ratios)(thing, mode, args)
+    return ln * rd == rn * ld
+
+
+def os_identity_sides(form: Form, mode: str, args: Sequence[Element]) -> tuple[Fraction, Fraction]:
+    """Both sides of one orthosymmetry identity at explicit arguments."""
+    lhs, rhs = _os_ratios(form, mode, args)
+    return Fraction(*lhs), Fraction(*rhs)
+
+
+def oa_identity_sides(poly: Polynomial, mode: str, args: Sequence[Element]) -> tuple[Fraction, Fraction]:
+    """Both sides of one orthogonal-additivity identity at explicit
+    arguments, Krivine modes through genuine radical elements."""
+    lhs, rhs = _oa_ratios(poly, mode, args)
+    return Fraction(*lhs), Fraction(*rhs)
 
 
 def identity_sides(thing, mode: str, args: Sequence[Element]) -> tuple[Fraction, Fraction]:
     """Both sides of the identity ``mode`` names: `os_identity_sides` for an
     orthosymmetry mode, `oa_identity_sides` otherwise (the names are
     disjoint)."""
-    if mode in OS_MODES:
-        return os_identity_sides(thing, mode, args)
-    return oa_identity_sides(thing, mode, args)
+    return (os_identity_sides if mode in OS_MODES else oa_identity_sides)(thing, mode, args)
 
 
 # -- seeded sample construction ---------------------------------------------------
@@ -211,7 +254,7 @@ def _seedseq(seed) -> np.random.SeedSequence:
 
 
 def _values(rng: np.random.Generator, shape) -> np.ndarray:
-    num = rng.integers(-NUMERATOR_BOUND, NUMERATOR_BOUND + 1, size=shape).astype(np.int64)
+    num = rng.integers(-NUMERATOR_BOUND, NUMERATOR_BOUND + 1, size=shape)
     den = rng.integers(0, len(DENOMINATORS), size=shape)
     return num * _DEN_STEP[den]
 
@@ -369,7 +412,7 @@ def _sampled_check(identities: Sequence[_Identity], kernels: _PolyKernels | None
     the chunks nor on what shares a call.  Identities without ``sides``
     (omega1 instances, ``force_object``, multilinear values `_polarises`
     leaves to the DP) run the object sweep, each sample
-    built as Elements and compared through `identity_sides`.
+    built as Elements and compared through `_agrees`.
     """
     verdicts = {i: _object_sweep(identity) for i, identity in enumerate(identities) if identity.sides is None}
     schedules = {i: _chunks(identity) for i, identity in enumerate(identities) if identity.sides is not None}
@@ -428,27 +471,29 @@ def _kernel_calls(stacks: list[tuple[int, int, int]]):
 
 
 def _passed(identity: _Identity) -> CheckVerdict:
+    """The passing verdict of an identity whose samples ran out.  The int
+    identities of the Krivine modes skip radical objects, so the first
+    three samples are recomputed through them, and the fast route cannot
+    drift from the definition: both sides as integer ratios, compared by
+    cross-multiplication (`_agrees`), no Fraction built."""
     if identity.mode in (OA_KRIVINE_SUM, OA_KRIVINE_PRODUCT):
-        # the int identities skip radical objects; recompute the first
-        # samples through them so the fast route cannot drift from the
-        # definition
         for sample in identity.blocks[0][:3]:
-            lhs, rhs = identity_sides(identity.thing, identity.mode, identity.args(sample))
-            if lhs != rhs:
+            if not _agrees(identity.thing, identity.mode, identity.args(sample)):
                 raise InvariantViolation("vector path disagrees with radical evaluation")
     return CheckVerdict(identity.mode, True, sum(len(block) for block in identity.blocks))
 
 
 def _object_sweep(identity: _Identity) -> CheckVerdict:
-    """Every sample through `identity_sides` as Elements.  Each block is
+    """Every sample through `_agrees` as Elements: both sides as integer
+    ratios compared by cross-multiplication, so a passing sample builds no
+    Fraction, and only a failing one goes on to `_failure`.  Each block is
     converted to Python int rows by one ``tolist``, and each sample's
     Elements are built from those rows over the identity's denominator."""
     space, denom = identity.thing.space, identity.denom
     blocks = (block.tolist() for block in identity.blocks)
     samples = ([_build_element(space, row, denom) for row in sample] for block in blocks for sample in block)
     for index, args in enumerate(samples):
-        lhs, rhs = identity_sides(identity.thing, identity.mode, args)
-        if lhs != rhs:
+        if not _agrees(identity.thing, identity.mode, args):
             return _failure(identity.mode, identity.thing, args, index, index + 1)
     return CheckVerdict(identity.mode, True, sum(len(block) for block in identity.blocks))
 
@@ -645,11 +690,15 @@ def _oa_draw(mode: str, rng: np.random.Generator, samples: int, kernels: _PolyKe
         return [np.abs(_values(rng, (size, k, n))) for k, size in sizes.items()], SCALE
     if mode == OA_KRIVINE_PRODUCT:
         # factor a perfect m-th power pointwise: u = prod g_i, x_i = u g_i / g_{i+1},
-        # so the product radical roots to u; with g_i in {1, 2, 3} every x_i is at
-        # most 3 ** (m + 1), so g holds Python ints once that passes the int64 bound
+        # so the product radical roots to u; x_i is built by products alone, g_i
+        # times the products of the g_j before and after j = i + 1; with g_i in
+        # {1, 2, 3} every x_i is at most 3 ** (m + 1), so g holds Python ints once
+        # that passes the int64 bound
         g = rng.integers(1, 4, size=(samples, m, n)).astype(np.int64 if 3 ** (m + 1) < INT64_LIMIT else object)
-        u = g.prod(axis=1)
-        return [np.stack([(u // g[:, (i + 1) % m, :]) * g[:, i, :] for i in range(m)], axis=1)], 1
+        cols = [g[:, i, :] for i in range(m)]
+        before = list(accumulate(cols[:-1], operator.mul, initial=1))  # before[k] = prod_{j < k} g_j
+        after = list(accumulate(cols[:0:-1], operator.mul, initial=1))[::-1]  # after[k] = prod_{j > k} g_j
+        return [np.stack([cols[i] * before[(i + 1) % m] * after[(i + 1) % m] for i in range(m)], axis=1)], 1
     # valuation: positive pairs
     xs = np.abs(_values(rng, (samples, n)))
     ys = np.abs(_values(rng, (samples, n)))

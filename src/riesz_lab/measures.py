@@ -52,7 +52,13 @@ class Measure(Coefficients):
     # -- integration -----------------------------------------------------
 
     def integrate(self, x: Element, power: int = 1) -> Fraction:
-        """integral of x^power: sum of w_t * x(t)^power plus the limit term.
+        """integral of x^power: sum of w_t * x(t)^power plus the limit term,
+        the Fraction of `integrate_ratio`."""
+        return Fraction(*self.integrate_ratio(x, power))
+
+    def integrate_ratio(self, x: Element, power: int = 1) -> tuple[int, int]:
+        """The integral of x^power as integers (numerator, denominator),
+        not reduced.
 
         x is read as it is stored, integers ``x.nums`` over ``x.den``.  An
         atom at point t reads entry min(t, len(x.nums)) - 1 of the row, and
@@ -60,8 +66,8 @@ class Measure(Coefficients):
         an atom past the row, and the limit atom, read the tail, found by
         index arithmetic alone.  The weights, limit atom included, are
         scaled to integers over their common denominator once per measure,
-        on first use.  The sum runs in exact integers and one Fraction is
-        built from it.  ``power`` is a nonnegative int."""
+        on first use.  The sum runs in exact integers, over the weights'
+        scale times x.den**power.  ``power`` is a nonnegative int."""
         if not isinstance(power, int) or power < 0:
             raise ValueError(f"power must be a nonnegative integer, got {power!r}")
         if x.space is not self.space and x.space != self.space:
@@ -72,7 +78,7 @@ class Measure(Coefficients):
         total = 0
         for w, t in zip(weights, points):
             total += w * nums[last if t is LIMIT or t > last else t - 1] ** power
-        return Fraction(total, scale * x.den**power)
+        return total, scale * x.den**power
 
     def _integer_weights(self) -> tuple[list, list[int], int]:
         """(points, weights, scale): the coefficients' points (`_items`,

@@ -64,24 +64,36 @@ class Polynomial(Coefficients):
         return Polynomial(self.degree, self.rep._with(items))
 
     def evaluate(self, x: Element | RadicalElement) -> Fraction:
-        """P(x).  A radical that roots exactly is evaluated at its root.  An
-        irrational radical of matching degree is admitted for orthogonally
-        additive P (a measure, or a diagonal tensor): P(v^(1/m)) is the
-        integral of v against the representing measure, exactly.  Other
-        tensors raise `RepresentationError`."""
+        """P(x): at an Element the representation's integral of x^m or
+        diagonal value, each the Fraction of its integer core; a radical as
+        `evaluate_ratio` reads it."""
+        if isinstance(x, RadicalElement):
+            return Fraction(*self.evaluate_ratio(x))
+        if self.kind == MEASURE:
+            return self.rep.integrate(x, self.degree)
+        return self.rep.evaluate_diagonal(x)
+
+    def evaluate_ratio(self, x: Element | RadicalElement) -> tuple[int, int]:
+        """P(x) as integers (numerator, denominator), not reduced: the
+        representation's integral or diagonal value.  A radical that roots
+        exactly is evaluated at its root.  An irrational radical of matching
+        degree is admitted for orthogonally additive P (a measure, or a
+        diagonal tensor): P(v^(1/m)) is the integral of v against the
+        representing measure, exactly.  Other tensors raise
+        `RepresentationError`."""
         if isinstance(x, RadicalElement):
             root = x.exact_root()
             if root is not None:
-                return self.evaluate(root)
+                return self.evaluate_ratio(root)
             mu = to_measure(self)
             if x.degree != self.degree:
                 raise DegreeMismatchError(
                     f"radical degree {x.degree} differs from polynomial degree {self.degree}"
                 )
-            return mu.integrate(x.base, 1)
+            return mu.integrate_ratio(x.base, 1)
         if self.kind == MEASURE:
-            return self.rep.integrate(x, self.degree)
-        return self.rep.evaluate_diagonal(x)
+            return self.rep.integrate_ratio(x, self.degree)
+        return self.rep.evaluate_diagonal_ratio(x)
 
     def is_orthogonally_additive(self) -> bool:
         """Structural criterion: measures always; tensors iff diagonal."""

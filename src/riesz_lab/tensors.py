@@ -21,7 +21,10 @@ them (`_arranged`): its state counts how often each distinct point has been
 used, so an entry with multiplicities k_t has prod (k_t + 1) states, not
 m! / prod k_t! arrangements; an entry past `_DP_STEPS` is refused with
 `MemoryError`.  The diagonal A(x, .., x) is c * w * prod x(p_i) for every
-row (`evaluate_diagonal`).
+row (`evaluate_diagonal`).  Each value is computed in integers by one
+core that returns (numerator, denominator), not reduced (`evaluate_ratio`,
+`evaluate_diagonal_ratio`); `evaluate` and `evaluate_diagonal` return its
+Fraction.
 
 `_scaled_rows` scales a form's coefficients to integers and lists its rows
 once; they stay, with the int table `_intpath.diagonal_core` builds from
@@ -161,11 +164,16 @@ class Form(Coefficients):
         return type(self)(self.space, self.degree, items)
 
     def evaluate(self, args: Sequence[Element]) -> Fraction:
-        """A(x_1, .., x_m) in exact integers, one row per entry
-        (`_scaled_rows`): coeff * prod_i x_i(point_i) for a row of weight 1,
-        coeff times that product summed over the distinct arrangements
-        (`_arranged`) otherwise; each argument is read as stored, integers
-        ``nums`` over ``den``, into one Fraction."""
+        """A(x_1, .., x_m), the Fraction of `evaluate_ratio`."""
+        return Fraction(*self.evaluate_ratio(args))
+
+    def evaluate_ratio(self, args: Sequence[Element]) -> tuple[int, int]:
+        """A(x_1, .., x_m) as integers (numerator, denominator), not
+        reduced, one row per entry (`_scaled_rows`): coeff * prod_i
+        x_i(point_i) for a row of weight 1, coeff times that product summed
+        over the distinct arrangements (`_arranged`) otherwise; each
+        argument is read as stored, integers ``nums`` over ``den``, so the
+        denominator is the entries' scale times the product of the dens."""
         if len(args) != self.degree:
             raise DegreeMismatchError(f"expected {self.degree} arguments, got {len(args)}")
         for x in args:
@@ -174,7 +182,7 @@ class Form(Coefficients):
         rows, scale = _scaled_rows(self)[:2]
         xs = [x.nums for x in args]
         total = sum(math.prod(map(getitem, xs, p), start=c) if w == 1 else c * _arranged(p, xs) for p, c, w in rows)
-        return Fraction(total, scale * math.prod(x.den for x in args))
+        return total, scale * math.prod(x.den for x in args)
 
     def off_diagonal_entries(self) -> dict[tuple[int, ...], Fraction]:
         """The entries whose index names at least two distinct points."""
@@ -204,14 +212,19 @@ class SymTensor(Form):
         return Form.evaluate(self, args)
 
     def evaluate_diagonal(self, x: Element) -> Fraction:
-        """A(x, .., x).  Every arrangement of an entry contributes the same
-        product, so this is coeff * weight * prod_i x(point_i) summed over
-        the rows, read as `evaluate` reads."""
+        """A(x, .., x), the Fraction of `evaluate_diagonal_ratio`."""
+        return Fraction(*self.evaluate_diagonal_ratio(x))
+
+    def evaluate_diagonal_ratio(self, x: Element) -> tuple[int, int]:
+        """A(x, .., x) as integers (numerator, denominator), not reduced.
+        Every arrangement of an entry contributes the same product, so this
+        is coeff * weight * prod_i x(point_i) summed over the rows, read as
+        `evaluate_ratio` reads."""
         if x.space != self.space:
             raise SpaceMismatchError("argument on the wrong space")
         rows, scale = _scaled_rows(self)[:2]
         total = sum(math.prod(map(x.nums.__getitem__, p), start=c * w) for p, c, w in rows)
-        return Fraction(total, scale * x.den**self.degree)
+        return total, scale * x.den**self.degree
 
     # -- structure ------------------------------------------------------------
 

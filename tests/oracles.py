@@ -10,16 +10,19 @@ measure polynomials are compared with, an exact root of a rational that
 element in a principal ideal, a form's value read from its JSON alone,
 summed over every ordered index tuple, and the coefficientwise modulus,
 join, meet and sum of measures, forms and polynomials read from their JSON
-alone, an element's JSON written through Fractions, and the pointwise
+alone, an element's JSON written through Fractions, the pointwise
 lattice, linear and multiplicative operations on elements computed point by
-point from their JSON alone.
+point from their JSON alone, and from the same JSON a measure's integral
+and both sides of every orthogonal-additivity identity of a measure
+polynomial.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import permutations, product
+from functools import partial, reduce
+from itertools import combinations, permutations, product
 from math import prod
 from typing import Sequence
 
@@ -272,9 +275,86 @@ def json_pointwise(operation: str, first: dict, second: dict | int | None = None
         values = {t: op(a, second) for t, a in rows[0].items()}
     else:
         values = {t: op(*(row[t] for row in rows)) for t in rows[0]}
+    return _element_obj(space, values, width)
+
+
+def _element_obj(space: dict, values: dict, width: int) -> dict:
+    """The `jsonio.element_to_obj` output of the element with the given
+    point values (`json_point_values` at ``width``): on omega1 the prefix is
+    written without the trailing values equal to the tail."""
     if space["kind"] == "finite":
         return {"space": space, "values": [str(values[t]) for t in range(1, space["n"] + 1)]}
     prefix, tail = [values[t] for t in range(1, width + 1)], values["limit"]
     while prefix and prefix[-1] == tail:
         prefix.pop()
     return {"space": space, "prefix": [str(v) for v in prefix], "tail": str(tail)}
+
+
+def json_integral(measure: dict, x: dict, power: int = 1) -> Fraction:
+    """The integral of x^power against a measure, both read from
+    `jsonio.to_obj` output alone: the sum over the atoms of weight *
+    x(point)^power, plus the limit atom times the power of x's tail, read
+    point by point (`json_point_values`), so on omega1 an atom past the
+    prefix reads the tail."""
+    atoms = [(a["point"], Fraction(a["weight"])) for a in measure["atoms"]]
+    values = json_point_values(x, max([len(x.get("prefix", ())), *(t for t, _ in atoms)]))
+    total = sum((w * values[t] ** power for t, w in atoms), Fraction(0))
+    limit = Fraction(measure.get("limit_atom", "0"))
+    return total + limit * values["limit"] ** power if limit else total
+
+
+def json_rearrangements(args: Sequence[dict]) -> list[dict]:
+    """The decreasing rearrangements (J_1, .., J_t) of elements given by
+    their `element_to_obj` output, by the subset formula: J_k is the join,
+    over the k-element subsets, of their meets, each taken point by point
+    (`json_pointwise`)."""
+    meet, join = partial(json_pointwise, "meet"), partial(json_pointwise, "join")
+    return [reduce(join, (reduce(meet, subset) for subset in combinations(args, k))) for k in range(1, len(args) + 1)]
+
+
+def json_root(base: dict, degree: int) -> dict | None:
+    """The element whose degree-th power is the nonnegative ``base``, from
+    its `element_to_obj` output, rooted point by point by
+    `exact_fraction_root`, or None when a point does not root."""
+    width = len(base.get("prefix", ()))
+    roots = {t: exact_fraction_root(v, degree) for t, v in json_point_values(base, width).items()}
+    if None in roots.values():
+        return None
+    return _element_obj(base["space"], roots, width)
+
+
+def json_oa_sides(poly: dict, mode: str, args: Sequence[dict]) -> tuple[Fraction, Fraction]:
+    """Both sides of the orthogonal-additivity identity ``mode`` for a
+    measure polynomial P(x) = integral of x^m, at arguments, all read from
+    `jsonio.to_obj` output alone: every element operation is taken point by
+    point (`json_pointwise`), rearrangements by the subset formula
+    (`json_rearrangements`) and a Krivine radical by rooting its base point
+    by point (`json_root`); a radical that does not root is read as the
+    integral of its base, P(v^(1/m)) = integral of v."""
+    m, mu = poly["degree"], poly["measure"]
+
+    def value(x: dict) -> Fraction:
+        return json_integral(mu, x, m)
+
+    def radical(base: dict) -> Fraction:
+        root = json_root(base, m)
+        return json_integral(mu, base, 1) if root is None else value(root)
+
+    if mode in ("disjoint-additivity", "positive-cone-only"):
+        x, y = args
+        return value(json_pointwise("add", x, y)), value(x) + value(y)
+    if mode == "pos-neg-split":
+        (x,) = args
+        return value(x), value(json_pointwise("pos_part", x)) + (-1) ** m * value(json_pointwise("neg_part", x))
+    if mode == "valuation":
+        x, y = args
+        return value(json_pointwise("join", x, y)) + value(json_pointwise("meet", x, y)), value(x) + value(y)
+    if mode == "k-valuation":
+        return sum(map(value, json_rearrangements(args)), Fraction(0)), sum(map(value, args), Fraction(0))
+    if mode == "krivine-power-sum":
+        x, y = args
+        return radical(json_pointwise("add", json_pointwise("pow", x, m), json_pointwise("pow", y, m))), value(x) + value(y)
+    if mode == "krivine-product":
+        base = reduce(partial(json_pointwise, "mul"), args)
+        return radical(base), json_integral(mu, base, 1)
+    raise ValueError(f"unknown orthogonal-additivity mode {mode!r}")

@@ -72,6 +72,8 @@ from riesz_lab.polynomials import TENSOR, polarize
 from riesz_lab.sampling import matrix_form, measure, rational, rng_for, sym_tensor
 from riesz_lab.tensors import nondecreasing_indices
 
+from oracles import json_oa_sides
+
 F2, F3, F4 = Space.finite(2), Space.finite(3), Space.finite(4)
 OM = Space.omega_plus_one()
 
@@ -157,7 +159,7 @@ class TestOrthosymmetry:
                 assert fast == slow, (dict(form.entries), mode, samples)
 
     def test_passing_check_runs_no_object_identity(self, monkeypatch):
-        sides = _counting(monkeypatch, "os_identity_sides")
+        sides = _counting(monkeypatch, "_agrees")
         forms = [matrix_from_rows(F3, [[2, 0, 0], [0, -1, 0], [0, 0, Fraction(1, 3)]]),
                  SymTensor.diagonal(F3, 2, {1: 2, 3: -1}), SymTensor.diagonal(F4, 3, {2: 5})]
         for form in forms:
@@ -303,23 +305,36 @@ class TestOrthogonalAdditivity:
                     args = [checks._element(poly.space, x, denom) for x in row]
                     assert krivine_radical(kind, poly.degree, args).exact_root() is not None, (poly, row)
 
+    @pytest.mark.parametrize("space", [F3, OM], ids=["finite", "omega1"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 38, 39, 41])
+    def test_krivine_product_draw_matches_the_division_formula(self, space, m):
+        # the tuples are built by products alone; they equal u g_i // g_{i+1}
+        # on the same draw of g, also once g holds Python ints (m >= 39)
+        kernels = checks._PolyKernels(to_polynomial(Measure(space, {1: 1}), m))
+        dtype = np.int64 if 3 ** (m + 1) < intpath.INT64_LIMIT else object
+        assert (dtype is object) == (m >= 39)
+        for seed in range(4):
+            (block,), denom = checks._oa_draw(OA_KRIVINE_PRODUCT, np.random.default_rng(seed), 30, kernels)
+            g = np.random.default_rng(seed).integers(1, 4, size=(30, m, checks._columns(space))).astype(dtype)
+            u = g.prod(axis=1)
+            expected = np.stack([(u // g[:, (i + 1) % m, :]) * g[:, i, :] for i in range(m)], axis=1)
+            assert denom == 1 and block.dtype == expected.dtype and block.shape == expected.shape
+            assert np.array_equal(block, expected), (m, seed)
+
     def test_object_sweep_reads_each_block_over_its_own_denominator(self, monkeypatch):
         # the Krivine product draws over denominator 1, every other mode over
         # SCALE; the sweep's Elements are the ones a failure would report
+        # (each sample is compared through `_agrees`, the integer sides)
         poly = to_polynomial(Measure(OM, {1: 2, 3: Fraction(-1, 4)}, limit_atom=1), 3)
-        seen = []
-        sides = checks.identity_sides
-
-        def recorded(thing, mode, args):
-            seen.append(args)
-            return sides(thing, mode, args)
-
-        monkeypatch.setattr(checks, "identity_sides", recorded)
+        seen = _counting(monkeypatch, "_agrees")
         for mode in OA_MODES:
             identity = checks._oa_identity(mode, 12, 5, True, checks._PolyKernels(poly))
             seen.clear()
             assert checks._object_sweep(identity).passed, mode
-            assert seen == [identity.args(sample) for block in identity.blocks for sample in block], mode
+            expected = [[Element(OM, row.tolist(), identity.denom) for row in sample]
+                        for block in identity.blocks for sample in block]
+            assert [args for _, _, args in seen] == expected, mode
+            assert all(thing is poly and seen_mode == mode for thing, seen_mode, _ in seen)
             assert (identity.denom == 1) == (mode == OA_KRIVINE_PRODUCT)
 
     def test_sample_floor(self):
@@ -435,10 +450,11 @@ class TestLazyElements:
     @pytest.mark.parametrize("samples", [1, 2, 3, 200])
     @pytest.mark.parametrize("mode", [OA_KRIVINE_SUM, OA_KRIVINE_PRODUCT])
     def test_spot_checks_still_run(self, monkeypatch, mode, samples):
-        sides = _counting(monkeypatch, "oa_identity_sides")
+        sides = _counting(monkeypatch, "_agrees")
         verdict = orthogonal_additivity_check(KRIVINE_PASSING[0], mode, samples=samples, seed=4)
         assert verdict.passed
         assert len(sides) == min(3, samples)
+        assert all(thing is KRIVINE_PASSING[0] and seen_mode == mode for thing, seen_mode, _ in sides)
 
     def test_failure_that_does_not_reverify_is_an_invariant_violation(self):
         poly = to_polynomial(Measure(F2, {1: 1}), 2)
@@ -1145,3 +1161,50 @@ class TestIdentitySides:
         poly = to_polynomial(Measure(F2, {1: 1}), 2)
         with pytest.raises(ValueError):
             oa_identity_sides(poly, "nope", [fin(1, 1)])
+
+
+_ORACLE_SPACES = st.sampled_from([Space.finite(1), F2, F3, F4, OM])
+
+
+@st.composite
+def _oracle_measure(draw, space):
+    """A measure with up to four atoms; on omega1 at points 1..8, some past
+    the longest drawn row, and a limit atom, sometimes zero."""
+    points = st.integers(1, space.n if space.is_finite else 8)
+    weight = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+    atoms = draw(st.dictionaries(points, weight, max_size=4))
+    return Measure(space, atoms, 0 if space.is_finite else draw(weight))
+
+
+@st.composite
+def _oracle_row(draw, space, nonnegative):
+    """An Element row: entries up to 9 in absolute value, sometimes 30
+    digits, over a denominator in {1, 2, 3, 4, 6, 12}; on omega1 up to five
+    prefix values."""
+    entries = st.integers(0 if nonnegative else -9, 9) | st.integers(0 if nonnegative else -(10**30), 10**30)
+    size = space.n if space.is_finite else draw(st.integers(1, 6))
+    return Element(space, draw(st.lists(entries, min_size=size, max_size=size)), draw(st.sampled_from([1, 2, 3, 4, 6, 12])))
+
+
+class TestJsonOaOracle:
+    """`oa_identity_sides` and the integer comparison `_agrees` on measure
+    polynomials against `oracles.json_oa_sides`, which reads the polynomial
+    and the arguments from their JSON alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sides_match_the_json_oracle(self, data):
+        space, m, mode = data.draw(_ORACLE_SPACES), data.draw(st.integers(1, 4)), data.draw(st.sampled_from(OA_MODES))
+        poly = to_polynomial(data.draw(_oracle_measure(space)), m)
+        count = {OA_K_VALUATION: data.draw(st.integers(2, 4)), OA_KRIVINE_PRODUCT: m}.get(mode, checks._ARITY.get(mode))
+        krivine = mode in (OA_KRIVINE_SUM, OA_KRIVINE_PRODUCT)
+        args = [data.draw(_oracle_row(space, krivine)) for _ in range(count)]
+        if krivine and data.draw(st.booleans()):
+            # radicals that root: a positive disjoint pair's power sum, a power's product
+            x = args[0]
+            args = [x, Element(space, [0 if v else 5 for v in x.nums], 1)] if mode == OA_KRIVINE_SUM else [x] * m
+        lhs, rhs = oa_identity_sides(poly, mode, args)
+        expected = json_oa_sides(to_obj(poly), mode, [to_obj(x) for x in args])
+        assert (lhs, rhs) == expected, (mode, lhs, rhs, expected)
+        assert (str(lhs), str(rhs)) == tuple(map(str, expected))
+        assert checks._agrees(poly, mode, args) == (expected[0] == expected[1])
