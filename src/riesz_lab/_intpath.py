@@ -17,7 +17,11 @@ eps_1..eps_m P(sum_i eps_i x_i) is m! 2^(m-1) A(x_1, .., x_m), divided out
 exactly (`_polarised`, which `polarize_tensor_int` shares), the signs of
 the first arguments from one cached table and the rest in blocks;
 `form_eval_batch` refuses a table whose one sample would gather more than
-the byte budget (`polarised_work`).  The kernel,
+the byte budget (`polarised_work`).  A sampled check plans its work from
+three readers of a table's columns, kept here so that no other module
+reads them: `_weight_sum` sizes its chunks, and `polarised_work` against
+`dp_work`, the exact reference's DP steps, decides where its multilinear
+values are read (`checks._polarises`).  The kernel,
 not its caller, bounds each sum in exact Python integers: int64 below
 `INT64_LIMIT`, otherwise `dtype=object` arrays of Python ints, the same
 gather at any size, over chunks of samples that fit a byte budget.  The
@@ -36,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .measures import Measure
-from .tensors import Form, SymTensor, _scaled_rows, nondecreasing_indices
+from .tensors import Form, SymTensor, _scaled_rows, dp_steps, nondecreasing_indices
 
 INT64_LIMIT = 2**62
 _BYTE_CAP = 2**27  # largest array one gather may allocate (128 MiB)
@@ -129,6 +133,20 @@ def polarised_work(core: np.ndarray, n: int) -> int:
     m = core.shape[1] - 2
     heavy = int((core[:, m + 1] > 1).sum())
     return heavy and 2 ** (m - 1) * m * (heavy + n)
+
+
+def dp_work(core: np.ndarray) -> int:
+    """Steps the exact reference's multiplicity DP (`tensors.dp_steps`)
+    takes per sample of arguments over the table's rows of weight > 1, the
+    multilinear values `polarised_work` reads on the kernel."""
+    m = core.shape[1] - 2
+    return sum(dp_steps(tuple(row[:m])) for row in core.tolist() if row[m + 1] > 1)
+
+
+def _weight_sum(core: np.ndarray) -> int:
+    """The weights of a table's rows summed: the arrangements its entries
+    stand for, which size a sampled check's chunks."""
+    return int(core[:, -1].sum())
 
 
 @lru_cache

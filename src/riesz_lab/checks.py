@@ -1,77 +1,54 @@
 """Decisive and sampled checks.
 
-Orthosymmetry of multilinear forms and orthogonal additivity of polynomials
-each admit one structural criterion (no off-diagonal mass) and a family of
-sampled identities.  The sampled checks draw seeded instances, prepend a
+Orthosymmetry of multilinear forms is checked through four equivalent
+characterisations and orthogonal additivity of polynomials through seven.
+The diagonal criterion (no off-diagonal mass) is decisive; every other one
+is a sampled identity.  A sampled check draws seeded int arrays, prepends a
 deterministic sweep of scaled basis pairs that provably catches any order-2
-mixed entry, and compare both sides exactly.
+mixed entry, and compares both sides of the identity exactly.
 
-On finite spaces the samples are multiples of 1/12 (the `sampling` grammar:
-numerators in [-9, 9] over {1, 2, 3, 4}); every identity checked here is
-invariant under a common positive scaling, so the comparisons run on the
-scaled integers through the exact batch kernels of `_intpath`, on int64 when
-their overflow bound allows and on Python ints otherwise.  The kernels and
-the object path consume the same seeded arrays, and `os_identity_sides` /
+Samples.  On a finite space a value is a multiple of 1/12 (the `sampling`
+grammar: numerators in [-9, 9] over {1, 2, 3, 4}), drawn as its scaled
+integer; an omega1 row holds the values at points 1..6 and then the tail.
+Every identity checked here is invariant under a common positive scaling,
+so its sides compare on those integers.  The Krivine modes draw alike for
+every instance: positive disjoint pairs, whose power-sum radical roots to
+x + y, and perfect-power tuples x_i = u g_i / g_{i+1} over denominator 1,
+whose product radical roots to u.
+
+Routing.  A check call builds its instance's int table once
+(`_intpath.diagonal_core`: one weighted row per entry of a form, one
+diagonal row per atom of a measure), and none on omega1, which has no
+kernel, or under ``force_object`` (`_table`).  An identity runs on that
+table unless it reads multilinear values that `_polarises` leaves to the
+exact reference's multiplicity DP (`_routed`); otherwise it runs on the
+object path.
+
+The loop.  `_sampled_check` checks the identities of one instance in
+rounds, each identity still open handing in its next chunk of samples
+(`_chunks`).  A block's first chunk gathers `_CHUNK_WORK` = 2**13 entries
+(samples x the table's weight sum x argument slots; samples x slots
+without a table), each later chunk 4x the one before, so a check that
+fails early pays for little more than one kernel call.  On a table a
+chunk's sides are exact values, or stacks (S, k, n) of rows whose P-values
+are summed per sample, the round's stacks of one depth fused into kernel
+calls of at most `_CALL_WORK` = 2**16 entries gathered (`_evaluated`).
+Without a table each sample is built as Elements and compared through
+`_agrees`, up to the first that disagrees.  The first differing sample
+decides: `_failure` recomputes it on the object path, the one place a
+Fraction is built.  An identity whose samples run out passes; a Krivine
+identity that ran on a table first recomputes its first three samples
+through genuine radical elements (`_passed`).
+
+The object path.  P and A give integer ratios (numerator, denominator),
+not reduced (`Polynomial.evaluate_ratio`, `Form.evaluate_ratio`); each side
+sums its ratios over a common denominator (`_oa_ratios`, `_os_ratios`),
+and `_agrees` compares the sides by cross-multiplication.  A chunk's
+Elements come from its Python int rows (one ``tolist``) over the
+identity's denominator, through `lattice._element`, which skips the checks
+the public constructor makes on outside input.  `os_identity_sides` and
 `oa_identity_sides` recompute any reported counterexample from its
 serialised arguments alone.
-
-Every sampled check draws its arguments as int arrays and runs through one
-driver, `_sampled_check`.  `Element`s are built from those arrays only
-where the object path reads them: the first failing sample, which
-`_failure` re-verifies; the first three samples of a passing Krivine
-check, which are spot-checked through genuine radical elements; and every
-sample when the object sweep runs, which it does only for omega1, under
-``force_object`` and for multilinear values left to the DP.  The object
-path evaluates in integers: P and A give (numerator, denominator) pairs,
-not reduced (`Polynomial.evaluate_ratio`, `Form.evaluate_ratio`), each
-side of an identity is summed over a common denominator (`_oa_ratios`,
-`_os_ratios`), and the sweep and the spot checks compare the two sides by
-cross-multiplication (`_agrees`).  A Fraction is built only for a
-counterexample: `identity_sides` reduces both sides for `_failure`'s
-payload and for replay.  The Krivine modes draw
-alike for every polynomial: positive disjoint pairs, whose power-sum
-radical roots to x + y, and perfect-power tuples x_i = u g_i / g_{i+1},
-whose product radical roots to u.  So every radical roots exactly, and the int path compares P at the
-root, read from the polynomial's weighted rows, with the right side.  An `Element`
-stores its row as integers over one denominator, so a sample row enters it
-as drawn, with its block's denominator, and no Fraction is built per
-value; the object sweep converts each block to Python int rows with one
-``tolist`` and builds every sample's Elements from those rows over the
-identity's own denominator (1 for the Krivine product, `SCALE` otherwise),
-through `lattice._element`, which skips the checks the public constructor
-makes on outside input.
-Symmetric tensors and matrix forms are both `tensors.Form`s, with one row
-per entry that the exact evaluator and the int table
-(`_intpath.diagonal_core`) read alike, for P and for a multilinear value.
-A measure's table, one diagonal row per atom, has the same layout, so P
-runs on one kernel for either kind.  A multilinear value reads a tensor's
-rows of weight > 1 by polarisation, 2^(m-1) signed rows per sample; an
-identity for which that is slower than the exact reference's DP
-(`_polarises`) runs the object sweep, as omega1 and ``force_object`` do.
-omega1 samples come from the same arrays: each row, the values at points
-1..6 and then the tail, is an `Element` row as it stands.
-
-One failing sample decides an identity, so the driver hands the kernels
-each block in chunks and stops at the first chunk with a mismatch.  The
-first chunk is sized by kernel work against the fixed budget
-`_intpath._CHUNK_WORK` = 2**13 entries (samples x the table's weight sum x
-argument slots), about what one kernel call's fixed cost would gather, so
-an identity that fails in its first samples pays for little more than one
-call; each later chunk is 4x the one before, and a block inside the budget
-runs in one chunk.  The driver takes a list of identities and works in
-rounds: each identity still open hands in its next chunk, and an OA
-identity's sides are stacks (S, k, n) of rows whose P-values are summed per
-sample.  The round's stacks are grouped by depth k and each depth is
-evaluated in one kernel call, or in as few as keep every call within its
-own budget, `_intpath._CALL_WORK` = 2**16 entries gathered (stack rows x
-products P sums per row x m); a stack already past that budget runs alone.
-So `oa_mode_agreement` evaluates its seven modes in about five kernel calls
-on a small polynomial, and every mode still reads the samples, the first
-failure and the verdict its own check gives.
-Every check builds its int table once and reads it in every chunk.  A
-form's table is built from its scaled rows, which `tensors` keeps for the
-last form read, so the checks that follow on the same form, and its exact
-re-verifications, list its rows no more; a measure's from its weights.
 """
 
 from __future__ import annotations
@@ -80,9 +57,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,7 +68,9 @@ from ._intpath import (
     _CALL_WORK,
     _CHUNK_WORK,
     INT64_LIMIT,
+    _weight_sum,
     diagonal_core,
+    dp_work,
     form_eval_batch,
     polarised_work,
     poly_eval_batch,
@@ -108,7 +87,7 @@ from .lattice import (
 )
 from .polynomials import TENSOR, Polynomial
 from .sampling import DENOMINATORS, NUMERATOR_BOUND
-from .tensors import Form, GeneralMatrixForm, dp_steps
+from .tensors import Form, GeneralMatrixForm
 
 SCALE = math.lcm(*DENOMINATORS)  # 12, every sample value is a multiple of 1/SCALE
 
@@ -366,56 +345,53 @@ class _Identity:
 
     Each block is an int array (samples, slots, columns) in units of
     1/``denom``; sample i is row i counted across the blocks, and its slots
-    are the identity's arguments.  ``sides(chunk)`` gives both sides of the
-    identity for consecutive samples of one block, each either exact values
-    (S,) or a stack (S, k, n) whose P-values the driver sums per sample;
-    ``rows`` is the weight sum of the table the sides read and sizes the
-    chunks.  ``sides=None`` runs the object sweep.
+    are the identity's arguments.  ``table`` is the instance's int table
+    (`diagonal_core`) whose kernels give both sides of a chunk, or None for
+    the object path (`_routed`).
     """
 
     mode: str
     thing: Form | Polynomial
     blocks: list[np.ndarray]
     denom: int
-    sides: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-    rows: int = 0
+    table: np.ndarray | None
 
     def args(self, sample: np.ndarray) -> list[Element]:
         return [_element(self.thing.space, row, self.denom) for row in sample]
 
 
-def _chunks(identity: _Identity):
+def _chunks(identity: _Identity, rows: int):
     """(index of its first sample, chunk) over the blocks in order: the first
     chunk of a block holds ``_CHUNK_WORK // (rows * slots)`` samples (2**13
     entries gathered), at least one, and each later chunk 4x the one
-    before."""
+    before; ``rows`` is the weight sum of the identity's table, 1 without
+    one."""
     offset = 0
     for block in identity.blocks:
-        start, step = 0, max(_CHUNK_WORK // max(identity.rows * block.shape[1], 1), 1)
+        start, step = 0, max(_CHUNK_WORK // max(rows * block.shape[1], 1), 1)
         while start < len(block):
             yield offset + start, block[start : start + step]
             start, step = start + step, 4 * step
         offset += len(block)
 
 
-def _sampled_check(identities: Sequence[_Identity], kernels: _PolyKernels | None = None) -> list[CheckVerdict]:
-    """Check identities on seeded int samples, one verdict each.
+def _sampled_check(identities: Sequence[_Identity]) -> list[CheckVerdict]:
+    """Check identities of one instance on seeded int samples, one verdict
+    each.
 
     The driver works in rounds: every identity still open hands in the
-    sides of its next chunk (`_chunks`), the round's stacks are evaluated by
-    depth k, one ``kernels.evaluate`` call per depth unless `_kernel_calls`
-    splits it to keep each call within ``_CALL_WORK`` entries gathered,
-    and each identity reads its own slice.  At its first mismatch
-    `_failure` re-verifies the sample on the object path; when its blocks
-    run out it passes, the Krivine modes after three radical spot checks.
-    The values are exact in either dtype, so the verdict depends neither on
-    the chunks nor on what shares a call.  Identities without ``sides``
-    (omega1 instances, ``force_object``, multilinear values `_polarises`
-    leaves to the DP) run the object sweep, each sample
-    built as Elements and compared through `_agrees`.
+    sides of its next chunk (`_chunks`, `_sides`), the round's stacks are
+    evaluated by depth k (`_evaluated`), and each identity reads its own
+    slice.  At its first mismatch `_failure` re-verifies the sample on the
+    object path; when its blocks run out it passes (`_passed`).  The sides
+    are exact on either path, so the verdict depends neither on the chunks
+    nor on what shares a call.  The identities share the instance's one
+    table, whose weights are summed once.
     """
-    verdicts = {i: _object_sweep(identity) for i, identity in enumerate(identities) if identity.sides is None}
-    schedules = {i: _chunks(identity) for i, identity in enumerate(identities) if identity.sides is not None}
+    table = next((identity.table for identity in identities if identity.table is not None), None)
+    rows = 0 if table is None else _weight_sum(table)
+    schedules = {i: _chunks(identity, 1 if identity.table is None else rows) for i, identity in enumerate(identities)}
+    verdicts = {}
     while schedules:
         chunks, sides = {}, []
         for i, schedule in list(schedules.items()):
@@ -425,8 +401,8 @@ def _sampled_check(identities: Sequence[_Identity], kernels: _PolyKernels | None
                 del schedules[i]
             else:
                 chunks[i] = chunk
-                sides += identities[i].sides(chunk[1])
-        values = _evaluated(kernels, sides)
+                sides += _sides(identities[i], chunk[1])
+        values = _evaluated(table, sides)
         for (i, (offset, chunk)), lhs, rhs in zip(chunks.items(), values[0::2], values[1::2]):
             bad = _first_diff(lhs, rhs)
             if bad is not None:
@@ -436,18 +412,37 @@ def _sampled_check(identities: Sequence[_Identity], kernels: _PolyKernels | None
     return [verdicts[i] for i in range(len(identities))]
 
 
-def _evaluated(kernels: _PolyKernels | None, sides: list[np.ndarray]) -> list[np.ndarray]:
+def _sides(identity: _Identity, chunk: np.ndarray):
+    """Both sides of the identity on one chunk.  On a table, each is exact
+    values (S,) or a stack (S, k, n) whose P-values the driver sums per
+    sample.  Without one, each sample's Elements, built from the chunk's
+    Python int rows (one ``tolist``), are compared through `_agrees` up to
+    the first that disagrees: the sides are each sample's agreement and
+    True, which differ at that sample alone."""
+    thing, mode, table = identity.thing, identity.mode, identity.table
+    if table is not None:
+        return _os_int_sides(table, mode, chunk) if mode in OS_MODES else _oa_int_sides(mode, table, chunk)
+    space, denom, agreed = thing.space, identity.denom, np.ones(len(chunk), dtype=bool)
+    for index, sample in enumerate(chunk.tolist()):
+        if not _agrees(thing, mode, [_build_element(space, row, denom) for row in sample]):
+            agreed[index] = False
+            break
+    return agreed, np.True_
+
+
+def _evaluated(table: np.ndarray | None, sides: list[np.ndarray]) -> list[np.ndarray]:
     """Every side as values (S,): a stack (S, k, n) becomes sum_j P(x_j) per
-    sample, stacks of one depth concatenated into the calls that
-    `_kernel_calls` packs within ``_CALL_WORK`` entries gathered each, a
-    budget larger than a first chunk's so that a round's chunks still fuse."""
+    sample on the table, stacks of one depth concatenated into the calls
+    that `_kernel_calls` packs within ``_CALL_WORK`` entries gathered each,
+    a budget larger than a first chunk's so that a round's chunks still
+    fuse."""
     out = list(sides)
     stacks = sorted((side.shape[1], i) for i, side in enumerate(sides) if side.ndim == 3)
     if not stacks:
         return out
-    per_row = kernels.terms * kernels.poly.degree  # entries gathered per stack row
+    per_row = len(table) * (table.shape[1] - 2)  # entries gathered per stack row: rows x m
     for call in _kernel_calls([(i, k, len(sides[i]) * k * per_row) for k, i in stacks]):
-        values = kernels.evaluate(np.concatenate([sides[i] for i in call]))
+        values = poly_eval_batch(table, np.concatenate([sides[i] for i in call]))
         start = 0
         for i in call:
             out[i] = values[start : start + len(sides[i])]
@@ -471,31 +466,68 @@ def _kernel_calls(stacks: list[tuple[int, int, int]]):
 
 
 def _passed(identity: _Identity) -> CheckVerdict:
-    """The passing verdict of an identity whose samples ran out.  The int
-    identities of the Krivine modes skip radical objects, so the first
-    three samples are recomputed through them, and the fast route cannot
-    drift from the definition: both sides as integer ratios, compared by
+    """The passing verdict of an identity whose samples ran out.  On a
+    table the Krivine modes skip radical objects, so their first three
+    samples are recomputed through them, and the fast route cannot drift
+    from the definition: both sides as integer ratios, compared by
     cross-multiplication (`_agrees`), no Fraction built."""
-    if identity.mode in (OA_KRIVINE_SUM, OA_KRIVINE_PRODUCT):
+    if identity.table is not None and identity.mode in (OA_KRIVINE_SUM, OA_KRIVINE_PRODUCT):
         for sample in identity.blocks[0][:3]:
             if not _agrees(identity.thing, identity.mode, identity.args(sample)):
                 raise InvariantViolation("vector path disagrees with radical evaluation")
     return CheckVerdict(identity.mode, True, sum(len(block) for block in identity.blocks))
 
 
-def _object_sweep(identity: _Identity) -> CheckVerdict:
-    """Every sample through `_agrees` as Elements: both sides as integer
-    ratios compared by cross-multiplication, so a passing sample builds no
-    Fraction, and only a failing one goes on to `_failure`.  Each block is
-    converted to Python int rows by one ``tolist``, and each sample's
-    Elements are built from those rows over the identity's denominator."""
-    space, denom = identity.thing.space, identity.denom
-    blocks = (block.tolist() for block in identity.blocks)
-    samples = ([_build_element(space, row, denom) for row in sample] for block in blocks for sample in block)
-    for index, args in enumerate(samples):
-        if not _agrees(identity.thing, identity.mode, args):
-            return _failure(identity.mode, identity.thing, args, index, index + 1)
-    return CheckVerdict(identity.mode, True, sum(len(block) for block in identity.blocks))
+# -- routing -------------------------------------------------------------------------
+
+# the sampled modes that read multilinear values A(x_1, .., x_m), not P alone
+_MULTILINEAR = (OS_J_IDENTITY, OS_BILINEAR, OS_DISJOINT, OA_KRIVINE_PRODUCT)
+
+
+def _table(thing: Form | Polynomial, force_object: bool) -> np.ndarray | None:
+    """The int table of a check call's instance, built once for all its
+    identities; None on omega1, which has no kernel, and under
+    ``force_object``."""
+    if force_object or not thing.space.is_finite:
+        return None
+    return diagonal_core(thing.rep if isinstance(thing, Polynomial) else thing, thing.degree)[0]
+
+
+def _routed(
+    mode: str, thing: Form | Polynomial, blocks: list[np.ndarray], denom: int, table: np.ndarray | None
+) -> _Identity:
+    """The sampled identity, on ``table`` unless it reads multilinear values
+    that `_polarises` leaves to the exact reference's DP: the one routing
+    rule for every mode."""
+    if table is not None and mode in _MULTILINEAR and not _polarises(table, thing.space.n):
+        table = None
+    return _Identity(mode, thing, blocks, denom, table)
+
+
+# A sampled check reads a table's multilinear values on the polarised
+# kernel within 16 signed rows per sample (m <= 5, which covers every tensor
+# the benchmark's workloads read).  Past them it reads a
+# table while the entries the kernel gathers per sample stay within 6 times
+# the steps the object path takes per sample: the exact reference's DP
+# steps (`_intpath.dp_work`) for the rows of weight > 1, and 16 steps for
+# each of the m * n argument values it builds, rearranges and reads.  Fitted
+# on the 144 tensors of `check orthosymmetry` at n 4 to 40, m 6 to 12 (2-CPU
+# VM): 1.93 s on the paths this picks, 1.65 s on the faster path of each
+# tensor, 3.0 s all on the object path, 3.5 s all on the kernel.
+_SIGNED_ROWS = 16
+_DP_RATIO = 6
+_VALUE_STEPS = 16
+
+
+def _polarises(table: np.ndarray, n: int) -> bool:
+    """Whether a sampled check reads the multilinear values of this table,
+    on n points, on the kernel (`polarised_work`) rather than on the object
+    path; a table without rows of weight > 1 always."""
+    m = table.shape[1] - 2
+    work = polarised_work(table, n)
+    if work == 0 or 2 ** (m - 1) <= _SIGNED_ROWS:
+        return work <= _BYTE_CAP
+    return work <= min(_BYTE_CAP, _DP_RATIO * (dp_work(table) + _VALUE_STEPS * m * n))
 
 
 # -- orthosymmetry -----------------------------------------------------------------
@@ -529,12 +561,7 @@ def orthosymmetry_check(
     if isinstance(form, GeneralMatrixForm) and mode == OS_DISJOINT:
         # basis pairs are decisive for a matrix; keep the sampled tail anyway
         blocks.insert(0, _basis_pairs(form.space.n))
-    core = None if force_object else diagonal_core(form)[0]
-    if core is None or not _polarises(core, form.space.n):
-        identity = _Identity(mode, form, blocks, SCALE)
-    else:
-        identity = _Identity(mode, form, blocks, SCALE, partial(_os_int_sides, core, mode), _weight_sum(core))
-    (verdict,) = _sampled_check([identity])
+    (verdict,) = _sampled_check([_routed(mode, form, blocks, SCALE, _table(form, force_object))])
     return verdict
 
 
@@ -576,70 +603,6 @@ def _os_int_sides(core: np.ndarray, mode: str, block: np.ndarray) -> tuple[np.nd
 # -- orthogonal additivity ----------------------------------------------------------
 
 
-def _weight_sum(core: np.ndarray) -> int:
-    """The weights of a table's rows summed: the arrangements its entries
-    stand for, which size a check's chunks."""
-    return int(core[:, -1].sum())
-
-
-# A sampled check reads a table's multilinear values on the polarised
-# kernel within 16 signed rows per sample (m <= 5, which covers every tensor
-# the benchmark's workloads read).  Past them it reads a
-# table while the entries the kernel gathers per sample stay within 6 times
-# the steps the object sweep takes per sample: the exact reference's DP
-# steps (`tensors.dp_steps`) for the rows of weight > 1, and 16 steps for
-# each of the m * n argument values it builds, rearranges and reads.  Fitted
-# on the 144 tensors of `check orthosymmetry` at n 4 to 40, m 6 to 12 (2-CPU
-# VM): 1.93 s on the paths this picks, 1.65 s on the faster path of each
-# tensor, 3.0 s all on the object sweep, 3.5 s all on the kernel.
-_SIGNED_ROWS = 16
-_DP_RATIO = 6
-_VALUE_STEPS = 16
-
-
-def _polarises(core: np.ndarray, n: int) -> bool:
-    """Whether a sampled check reads the multilinear values of this table,
-    on n points, on the kernel (`polarised_work`) rather than on the object
-    sweep; a table without rows of weight > 1 always."""
-    m = core.shape[1] - 2
-    work = polarised_work(core, n)
-    if work == 0 or 2 ** (m - 1) <= _SIGNED_ROWS:
-        return work <= _BYTE_CAP
-    steps = sum(dp_steps(tuple(row[:m])) for row in core.tolist() if row[m + 1] > 1)
-    return work <= min(_BYTE_CAP, _DP_RATIO * (steps + _VALUE_STEPS * m * n))
-
-
-class _PolyKernels:
-    """The integer table of one polynomial, measure or tensor, built on
-    first use (`diagonal_core`): P reads its rows (`poly_eval_batch`), and
-    so does A(x_1, .., x_m) for the Krivine product (`form_eval_batch`).
-
-    One object serves every mode of one check call and is dropped when the
-    call returns, so `oa_mode_agreement` builds the integer table once.
-    """
-
-    def __init__(self, poly: Polynomial) -> None:
-        self.poly = poly
-
-    @cached_property
-    def _core(self) -> tuple[np.ndarray, int]:
-        return diagonal_core(self.poly.rep, self.poly.degree)
-
-    @cached_property
-    def rows(self) -> int:
-        """The table's weight sum, which sizes the chunks."""
-        return _weight_sum(self._core[0])
-
-    @property
-    def terms(self) -> int:
-        """Terms P sums per row, each a product of m values: the table's rows."""
-        return len(self._core[0])
-
-    def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        """sum_j P(x_j) on a batch of stacks (S, k, n), or P on rows (S, n)."""
-        return poly_eval_batch(self._core[0], xs)
-
-
 def orthogonal_additivity_check(
     poly: Polynomial,
     mode: str,
@@ -649,8 +612,7 @@ def orthogonal_additivity_check(
 ) -> CheckVerdict:
     """Sample one of the seven equivalent characterisations of orthogonal
     additivity against the given polynomial."""
-    kernels = _PolyKernels(poly)
-    (verdict,) = _sampled_check([_oa_identity(mode, samples, seed, force_object, kernels)], kernels)
+    (verdict,) = _sampled_check([_oa_identity(mode, samples, seed, poly, _table(poly, force_object))])
     return verdict
 
 
@@ -658,27 +620,23 @@ def oa_mode_agreement(poly: Polynomial, samples: int = 96, seed=0) -> dict[str, 
     """All seven sampled characterisations, seeded independently per mode
     and checked together."""
     children = _seedseq(seed).spawn(len(OA_MODES))
-    kernels = _PolyKernels(poly)
-    identities = [_oa_identity(mode, samples, child, False, kernels) for mode, child in zip(OA_MODES, children)]
-    return dict(zip(OA_MODES, _sampled_check(identities, kernels)))
+    table = _table(poly, False)
+    identities = [_oa_identity(mode, samples, child, poly, table) for mode, child in zip(OA_MODES, children)]
+    return dict(zip(OA_MODES, _sampled_check(identities)))
 
 
-def _oa_identity(mode: str, samples: int, seed, force_object: bool, kernels: _PolyKernels) -> _Identity:
+def _oa_identity(mode: str, samples: int, seed, poly: Polynomial, table: np.ndarray | None) -> _Identity:
     if mode not in OA_MODES:
         raise ValueError(f"unknown orthogonal-additivity mode {mode!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
-    poly = kernels.poly
-    rng = np.random.default_rng(_seedseq(seed))
-    blocks, denom = _oa_draw(mode, rng, samples, kernels)
-    if force_object or not poly.space.is_finite or (mode == OA_KRIVINE_PRODUCT and not _polarises(kernels._core[0], poly.space.n)):
-        return _Identity(mode, poly, blocks, denom)
-    return _Identity(mode, poly, blocks, denom, partial(_oa_int_sides, mode, kernels), kernels.rows)
+    blocks, denom = _oa_draw(mode, np.random.default_rng(_seedseq(seed)), samples, poly)
+    return _routed(mode, poly, blocks, denom, table)
 
 
-def _oa_draw(mode: str, rng: np.random.Generator, samples: int, kernels: _PolyKernels):
+def _oa_draw(mode: str, rng: np.random.Generator, samples: int, poly: Polynomial):
     """The seeded sample blocks of one mode and their denominator."""
-    n, m = _columns(kernels.poly.space), kernels.poly.degree
+    n, m = _columns(poly.space), poly.degree
     if mode in (OA_DISJOINT_ADD, OA_POSITIVE_CONE, OA_KRIVINE_SUM):
         # a positive disjoint pair's power-sum radical roots to x + y
         return [_disjoint_pairs(rng, samples, n, m, positive=mode != OA_DISJOINT_ADD)], SCALE
@@ -705,14 +663,14 @@ def _oa_draw(mode: str, rng: np.random.Generator, samples: int, kernels: _PolyKe
     return [np.stack([xs, ys], axis=1)], SCALE
 
 
-def _oa_int_sides(mode: str, kernels: _PolyKernels, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _oa_int_sides(mode: str, table: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of one mode's identity on an int block, in one common
     scale, as stacks (S, k, n) for the driver to sum P over; the Krivine
     product's form side comes as values."""
     if mode == OA_K_VALUATION:
         return -np.sort(-block, axis=1), block
     if mode == OA_KRIVINE_PRODUCT:
-        return _krivine_product_sides(kernels, block)
+        return _krivine_product_sides(table, block)
     if mode == OA_POS_NEG:
         # (-1)^m P(x^-) = P(-x^-) = P(x meet 0)
         x = block[:, 0, :]
@@ -725,16 +683,16 @@ def _oa_int_sides(mode: str, kernels: _PolyKernels, block: np.ndarray) -> tuple[
     return (xs + ys)[:, None, :], block
 
 
-def _krivine_product_sides(kernels: _PolyKernels, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _krivine_product_sides(table: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stack of roots (x_1 .. x_m)^(1/m), whose P-values are the left
-    side, and the values A(x_1, .., x_m), A the polarisation."""
-    rhs = form_eval_batch(kernels._core[0], block)
+    side, and the values A(x_1, .., x_m), A the polarisation; block (S, m, n)."""
+    rhs = form_eval_batch(table, block)
     # the dtype of rhs bounds every product of a row's m values; the rows
     # factor a perfect m-th power u**m, u a product of m values in {1, 2, 3}:
     # few distinct products, each rooted exactly once
     product = block.astype(rhs.dtype, copy=False).prod(axis=1)
     values, inverse = np.unique(product, return_inverse=True)
-    roots = [_int_root(int(value), kernels.poly.degree) for value in values]
+    roots = [_int_root(int(value), block.shape[1]) for value in values]
     if None in roots:
         raise InvariantViolation("row product is not an exact m-th power")
     u = np.array(roots, dtype=product.dtype)[inverse].reshape(product.shape)

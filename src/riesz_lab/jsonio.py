@@ -19,7 +19,7 @@ from .lattice import Element, Space
 from .measures import Measure
 from .order_continuity import Functional, ProductFunctionalPolynomial
 from .polynomials import MEASURE, Polynomial, TENSOR
-from .tensors import GeneralMatrixForm, SymTensor
+from .tensors import GeneralMatrixForm, SymTensor, matrix_from_rows
 
 PRODUCT = "product"
 
@@ -60,6 +60,12 @@ def _int_field(raw: Any, path: str) -> int:
     return raw
 
 
+def _list_field(raw: Any, path: str, expected: str = "a list") -> list:
+    if not isinstance(raw, list):
+        raise MalformedInstanceError(path, f"expected {expected}")
+    return raw
+
+
 # -- spaces ------------------------------------------------------------------------
 
 
@@ -96,16 +102,12 @@ def element_to_obj(x: Element) -> dict:
 def parse_element(obj: Any, path: str = "$") -> Element:
     space = parse_space(_require(obj, "space", path), f"{path}.space")
     if space.is_finite:
-        raw = _require(obj, "values", path)
-        if not isinstance(raw, list):
-            raise MalformedInstanceError(f"{path}.values", "expected a list")
+        raw = _list_field(_require(obj, "values", path), f"{path}.values")
         values = [parse_rational(v, f"{path}.values[{i}]") for i, v in enumerate(raw)]
         if len(values) != space.n:
             raise MalformedInstanceError(f"{path}.values", f"expected {space.n} values, got {len(values)}")
         return Element(space, values=values)
-    raw = _require(obj, "prefix", path)
-    if not isinstance(raw, list):
-        raise MalformedInstanceError(f"{path}.prefix", "expected a list")
+    raw = _list_field(_require(obj, "prefix", path), f"{path}.prefix")
     prefix = [parse_rational(v, f"{path}.prefix[{i}]") for i, v in enumerate(raw)]
     tail = parse_rational(_require(obj, "tail", path), f"{path}.tail")
     return Element.omega(prefix, tail)
@@ -127,15 +129,11 @@ def tensor_to_obj(t: SymTensor) -> dict:
 def parse_tensor(obj: Any, path: str = "$") -> SymTensor:
     degree = _int_field(_require(obj, "m", path), f"{path}.m")
     space = parse_space(_require(obj, "space", path), f"{path}.space")
-    raw = _require(obj, "entries", path)
-    if not isinstance(raw, list):
-        raise MalformedInstanceError(f"{path}.entries", "expected a list")
+    raw = _list_field(_require(obj, "entries", path), f"{path}.entries")
     entries: dict[tuple[int, ...], Fraction] = {}
     for i, item in enumerate(raw):
         here = f"{path}.entries[{i}]"
-        idx_raw = _require(item, "idx", here)
-        if not isinstance(idx_raw, list):
-            raise MalformedInstanceError(f"{here}.idx", "expected a list of points")
+        idx_raw = _list_field(_require(item, "idx", here), f"{here}.idx", "a list of points")
         idx = tuple(sorted(_int_field(t, f"{here}.idx[{j}]") for j, t in enumerate(idx_raw)))
         value = parse_rational(_require(item, "val", here), f"{here}.val")
         if idx in entries:
@@ -169,12 +167,6 @@ def parse_matrix(obj: Any, path: str = "$") -> GeneralMatrixForm:
     return matrix_from_rows(space, rows)
 
 
-def matrix_from_rows(space: Space, rows: list[list]) -> GeneralMatrixForm:
-    """The matrix form of the dense ``rows`` spelling: its (i, j) entry,
-    1-based, is rows[i - 1][j - 1]."""
-    return GeneralMatrixForm(space, 2, {(i, j): v for i, row in enumerate(rows, 1) for j, v in enumerate(row, 1)})
-
-
 # -- measures ----------------------------------------------------------------------
 
 
@@ -190,9 +182,7 @@ def measure_to_obj(mu: Measure) -> dict:
 
 def parse_measure(obj: Any, path: str = "$") -> Measure:
     space = parse_space(_require(obj, "space", path), f"{path}.space")
-    raw = _require(obj, "atoms", path)
-    if not isinstance(raw, list):
-        raise MalformedInstanceError(f"{path}.atoms", "expected a list")
+    raw = _list_field(_require(obj, "atoms", path), f"{path}.atoms")
     atoms: dict[int, Fraction] = {}
     for i, item in enumerate(raw):
         here = f"{path}.atoms[{i}]"

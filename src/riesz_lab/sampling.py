@@ -13,11 +13,10 @@ import math
 import random
 from fractions import Fraction
 
-from .jsonio import matrix_from_rows
 from .lattice import Element, Space
 from .measures import Measure
 from .polynomials import Polynomial, to_polynomial
-from .tensors import GeneralMatrixForm, SymTensor
+from .tensors import GeneralMatrixForm, SymTensor, matrix_from_rows
 
 NUMERATOR_BOUND = 9  # sample values n / d: |n| <= NUMERATOR_BOUND, d in DENOMINATORS
 DENOMINATORS = (1, 2, 3, 4)

@@ -261,6 +261,12 @@ class GeneralMatrixForm(Form):
         super().__init__(space, degree, entries)
 
 
+def matrix_from_rows(space: Space, rows: list[list]) -> GeneralMatrixForm:
+    """The matrix form of the dense ``rows`` spelling: its (i, j) entry,
+    1-based, is rows[i - 1][j - 1]."""
+    return GeneralMatrixForm(space, 2, {(i, j): v for i, row in enumerate(rows, 1) for j, v in enumerate(row, 1)})
+
+
 # (form, [rows, scale, table]) of the last form `_scaled_rows` read, or
 # None.  The form is held, not its id, so no other form can reuse the id
 # while its rows are cached; the slot is read once and replaced whole, so

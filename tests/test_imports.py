@@ -237,3 +237,12 @@ def test_evaluators_hold_no_float_arithmetic(name):
         or (isinstance(node, ast.Attribute) and node.attr == "rint")
     ]
     assert not floats, f"float arithmetic in an exact evaluator: {', '.join(floats)}"
+
+
+def test_sampling_reads_no_serialisation():
+    """The samplers build instances from the core modules alone, so importing
+    `sampling` does not pull in `jsonio` and, through it, the carriers,
+    order-continuity and convergence modules."""
+    tree = ast.parse((Path(riesz_lab.__file__).parent / "sampling.py").read_text())
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert modules == {"lattice", "measures", "polynomials", "tensors"}

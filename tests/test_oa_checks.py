@@ -8,6 +8,7 @@ import inspect
 import json
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -299,7 +300,7 @@ class TestOrthogonalAdditivity:
         ]
         for poly in polys:
             samples = structured_pair_count(checks._columns(poly.space), poly.degree) + 40
-            blocks, denom = checks._oa_draw(mode, np.random.default_rng(3), samples, checks._PolyKernels(poly))
+            blocks, denom = checks._oa_draw(mode, np.random.default_rng(3), samples, poly)
             for block in blocks:
                 for row in block:
                     args = [checks._element(poly.space, x, denom) for x in row]
@@ -310,11 +311,11 @@ class TestOrthogonalAdditivity:
     def test_krivine_product_draw_matches_the_division_formula(self, space, m):
         # the tuples are built by products alone; they equal u g_i // g_{i+1}
         # on the same draw of g, also once g holds Python ints (m >= 39)
-        kernels = checks._PolyKernels(to_polynomial(Measure(space, {1: 1}), m))
+        poly = to_polynomial(Measure(space, {1: 1}), m)
         dtype = np.int64 if 3 ** (m + 1) < intpath.INT64_LIMIT else object
         assert (dtype is object) == (m >= 39)
         for seed in range(4):
-            (block,), denom = checks._oa_draw(OA_KRIVINE_PRODUCT, np.random.default_rng(seed), 30, kernels)
+            (block,), denom = checks._oa_draw(OA_KRIVINE_PRODUCT, np.random.default_rng(seed), 30, poly)
             g = np.random.default_rng(seed).integers(1, 4, size=(30, m, checks._columns(space))).astype(dtype)
             u = g.prod(axis=1)
             expected = np.stack([(u // g[:, (i + 1) % m, :]) * g[:, i, :] for i in range(m)], axis=1)
@@ -323,14 +324,17 @@ class TestOrthogonalAdditivity:
 
     def test_object_sweep_reads_each_block_over_its_own_denominator(self, monkeypatch):
         # the Krivine product draws over denominator 1, every other mode over
-        # SCALE; the sweep's Elements are the ones a failure would report
-        # (each sample is compared through `_agrees`, the integer sides)
+        # SCALE; the driver's Elements for an identity without a table are
+        # the ones a failure would report (each sample is compared through
+        # `_agrees`, the integer sides)
         poly = to_polynomial(Measure(OM, {1: 2, 3: Fraction(-1, 4)}, limit_atom=1), 3)
         seen = _counting(monkeypatch, "_agrees")
         for mode in OA_MODES:
-            identity = checks._oa_identity(mode, 12, 5, True, checks._PolyKernels(poly))
+            identity = checks._oa_identity(mode, 12, 5, poly, None)
+            assert identity.table is None
             seen.clear()
-            assert checks._object_sweep(identity).passed, mode
+            (verdict,) = checks._sampled_check([identity])
+            assert verdict.passed, mode
             expected = [[Element(OM, row.tolist(), identity.denom) for row in sample]
                         for block in identity.blocks for sample in block]
             assert [args for _, _, args in seen] == expected, mode
@@ -549,8 +553,8 @@ class TestIntGuard:
     @pytest.mark.parametrize("m", [38, 39, 70])
     def test_krivine_product_draw_keeps_its_values(self, m):
         # every x_i is at most 3 ** (m + 1); past the int64 bound the same draw comes as Python ints
-        kernels = checks._PolyKernels(to_polynomial(Measure(F3, {1: 1}), m))
-        (block,), _ = checks._oa_draw(OA_KRIVINE_PRODUCT, np.random.default_rng(m), 4, kernels)
+        poly = to_polynomial(Measure(F3, {1: 1}), m)
+        (block,), _ = checks._oa_draw(OA_KRIVINE_PRODUCT, np.random.default_rng(m), 4, poly)
         g = np.random.default_rng(m).integers(1, 4, size=(4, m, 3)).tolist()
         u = [[math.prod(gs[i][t] for i in range(m)) for t in range(3)] for gs in g]
         expected = [[[us[t] // gs[(i + 1) % m][t] * gs[i][t] for t in range(3)] for i in range(m)] for gs, us in zip(g, u)]
@@ -570,10 +574,10 @@ class TestIntGuard:
     )
     def test_krivine_product_root_miss_is_an_invariant_violation(self, block):
         # the first point's row product, 2 or 2**41, is not a square
-        kernels = checks._PolyKernels(Polynomial.from_tensor(SymTensor(F2, 2, {(1, 2): 1})))
-        assert form_eval_batch(kernels._core[0], block).dtype == block.dtype
+        table = checks._table(Polynomial.from_tensor(SymTensor(F2, 2, {(1, 2): 1})), False)
+        assert form_eval_batch(table, block).dtype == block.dtype
         with pytest.raises(InvariantViolation, match="not an exact m-th power"):
-            checks._krivine_product_sides(kernels, block)
+            checks._krivine_product_sides(table, block)
 
     @pytest.mark.parametrize("mode", [OS_J_IDENTITY, OS_DISJOINT])
     def test_wide_tensor_takes_the_int_path(self, monkeypatch, mode):
@@ -753,11 +757,12 @@ class TestSharedKernels:
     )
     @pytest.mark.parametrize("m", [1, 3])
     def test_measure_table_matches_the_polarised_table(self, mu, m):
-        # a measure's tables, read from its weights, directly and through
-        # the polynomial's kernels, are the table of its polarisation
+        # a measure's tables, read from its weights, directly and as the
+        # table a check on the polynomial reads, are the table of its
+        # polarisation
         old_table, old_scale = dense_core(polarize(to_polynomial(mu, m)))
-        kernels = checks._PolyKernels(to_polynomial(mu, m))
-        for table, scale in (kernels._core, diagonal_core(mu, m), dense_core(mu, m)):
+        check_table = checks._table(to_polynomial(mu, m), False)
+        for table, scale in ((check_table, old_scale), diagonal_core(mu, m), dense_core(mu, m)):
             assert table.dtype == old_table.dtype and table.shape == old_table.shape
             assert np.array_equal(table, old_table) and scale == old_scale
             assert (table.dtype == object) == (mu.atoms.get(1) == 2**62)
@@ -775,17 +780,6 @@ def _whole_block_check(mode, thing, blocks, denom, int_sides, evaluate=lambda si
             return checks._failure(mode, thing, args, checked + bad, checked + bad + 1)
         checked += len(block)
     return checks.CheckVerdict(mode, True, checked)
-
-
-def _recording(int_sides):
-    """``int_sides`` plus the list of chunk lengths it was called on."""
-    lengths = []
-
-    def recorded(chunk):
-        lengths.append(len(chunk))
-        return int_sides(chunk)
-
-    return recorded, lengths
 
 
 class TestChunkedDriver:
@@ -823,13 +817,13 @@ class TestChunkedDriver:
         assert checks._weight_sum(core) == 2
         int_sides = partial(checks._os_int_sides, core, OS_DISJOINT)
         blocks = [self._plant(np.zeros((70, 2, 3), dtype=np.int64), failing)]
-        recorded, seen = _recording(int_sides)
-        identity = checks._Identity(OS_DISJOINT, self.FORM, blocks, checks.SCALE, recorded, checks._weight_sum(core))
+        calls = _counting(monkeypatch, "_os_int_sides")
+        identity = checks._Identity(OS_DISJOINT, self.FORM, blocks, checks.SCALE, core)
         (chunked,) = checks._sampled_check([identity])
         assert chunked == _whole_block_check(OS_DISJOINT, self.FORM, blocks, checks.SCALE, int_sides)
         assert chunked.passed == (not failing)
         assert chunked.samples_checked == (failing[0] + 1 if failing else 70)
-        assert seen == lengths  # stopped at the chunk holding the first failure
+        assert [len(chunk) for _, _, chunk in calls] == lengths  # stopped at the chunk holding the first failure
 
     @pytest.mark.parametrize(
         "failing, checked, lengths",
@@ -842,21 +836,22 @@ class TestChunkedDriver:
         # budget for each block's slots (3, 2 and 1 samples)
         monkeypatch.setattr(checks, "_CHUNK_WORK", self.WORK)
         poly = Polynomial.from_tensor(self.FORM)
-        kernels = checks._PolyKernels(poly)
-        assert kernels.rows == 2
+        table = checks._table(poly, False)
+        assert checks._weight_sum(table) == 2
         blocks = [np.zeros((10, 2, 3), dtype=np.int64), np.zeros((10, 3, 3), dtype=np.int64),
                   np.zeros((5, 4, 3), dtype=np.int64)]
         self._plant(blocks[1], failing)
-        int_sides = partial(checks._oa_int_sides, OA_K_VALUATION, kernels)
-        recorded, seen = _recording(int_sides)
-        identity = checks._Identity(OA_K_VALUATION, poly, blocks, checks.SCALE, recorded, kernels.rows)
-        (chunked,) = checks._sampled_check([identity], kernels)
-        assert chunked == _whole_block_check(OA_K_VALUATION, poly, blocks, checks.SCALE, int_sides, kernels.evaluate)
+        int_sides = partial(checks._oa_int_sides, OA_K_VALUATION, table)
+        calls = _counting(monkeypatch, "_oa_int_sides")
+        identity = checks._Identity(OA_K_VALUATION, poly, blocks, checks.SCALE, table)
+        (chunked,) = checks._sampled_check([identity])
+        evaluate = partial(poly_eval_batch, table)
+        assert chunked == _whole_block_check(OA_K_VALUATION, poly, blocks, checks.SCALE, int_sides, evaluate)
         assert chunked.samples_checked == checked
         assert chunked.passed == (not failing)
         if failing:
             assert chunked.counterexample["sampleIndex"] == checked - 1
-        assert seen == lengths
+        assert [len(chunk) for _, _, chunk in calls] == lengths
 
     @pytest.mark.parametrize("work", [1, 40])
     def test_every_mode_matches_object_path_in_small_chunks(self, monkeypatch, work):
@@ -899,8 +894,106 @@ class TestChunkedDriver:
         # 2**13-entry first chunk with one sample, so a 24-sample block runs
         # in chunks of 1, 4, 16 and 3 samples
         block = np.zeros((24, 2, 3), dtype=np.int64)
-        identity = checks._Identity(OS_DISJOINT, self.FORM, [block], checks.SCALE, lambda chunk: (), 2**12)
-        assert [len(chunk) for _, chunk in checks._chunks(identity)] == [1, 4, 16, 3]
+        identity = checks._Identity(OS_DISJOINT, self.FORM, [block], checks.SCALE, dense_core(self.FORM)[0])
+        assert [len(chunk) for _, chunk in checks._chunks(identity, 2**12)] == [1, 4, 16, 3]
+
+
+def _recorded_identities(monkeypatch):
+    """The list of identities each later `checks._sampled_check` call is given."""
+    seen, original = [], checks._sampled_check
+
+    def record(identities):
+        seen.extend(identities)
+        return original(identities)
+
+    monkeypatch.setattr(checks, "_sampled_check", record)
+    return seen
+
+
+# an off-diagonal tensor at m 8 on four points: its multilinear values are
+# left to the exact reference's DP, its P-values read on the kernel
+DP_ROUTED = sym_tensor(rng_for("dp-routed", 0), F4, 8, ensure_off_diagonal=True)
+_MULTILINEAR = (OS_J_IDENTITY, OS_BILINEAR, OS_DISJOINT, OA_KRIVINE_PRODUCT)
+
+
+class TestRouting:
+    """One routing rule for every sampled identity: it carries its
+    instance's int table, or None and runs on the object path."""
+
+    def test_dp_routed_instance(self):
+        table = checks._table(DP_ROUTED, False)
+        assert not checks._polarises(table, 4)
+        assert checks._polarises(checks._table(SymTensor(F4, 3, {(1, 2, 3): 1}), False), 4)
+
+    @pytest.mark.parametrize("force_object", [False, True])
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            Polynomial.from_tensor(SymTensor(F4, 3, {(1, 2, 3): 1, (2, 2, 4): -2})),
+            Polynomial.from_tensor(DP_ROUTED),
+            to_polynomial(Measure(F4, {1: 2, 3: Fraction(-1, 3)}), 8),
+            to_polynomial(Measure(OM, {1: 2, 3: Fraction(-1, 4)}, limit_atom=1), 3),
+            to_polynomial(Measure(OM, {2: 1}), 8),
+        ],
+        ids=["finite-m3", "finite-m8-dp", "finite-m8-measure", "omega1-m3", "omega1-m8"],
+    )
+    def test_which_oa_identities_carry_a_table(self, monkeypatch, poly, force_object):
+        seen = _recorded_identities(monkeypatch)
+        dp_routed = poly.rep is DP_ROUTED
+        for mode in OA_MODES:
+            orthogonal_additivity_check(poly, mode, 8, 1, force_object)
+        if not force_object:
+            oa_mode_agreement(poly, 8, 1)
+        for identity in seen:
+            on_table = poly.space.is_finite and not force_object and not (dp_routed and identity.mode in _MULTILINEAR)
+            assert (identity.table is not None) == on_table, identity.mode
+            if on_table:
+                assert np.array_equal(identity.table, diagonal_core(poly.rep, poly.degree)[0])
+        assert len(seen) == len(OA_MODES) * (1 if force_object else 2)
+
+    @pytest.mark.parametrize("force_object", [False, True])
+    @pytest.mark.parametrize(
+        "form",
+        [SymTensor(F4, 3, {(1, 2, 3): 1}), SymTensor(F3, 2, {(1, 2): 1}), matrix_from_rows(F2, [[0, 1], [0, 0]]),
+         DP_ROUTED],
+        ids=["tensor-m3", "tensor-m2", "matrix", "tensor-m8-dp"],
+    )
+    def test_which_os_identities_carry_a_table(self, monkeypatch, form, force_object):
+        seen = _recorded_identities(monkeypatch)
+        modes = [mode for mode in OS_MODES if mode != OS_DIAGONAL and (mode != OS_BILINEAR or form.degree == 2)]
+        for mode in modes:
+            orthosymmetry_check(form, mode, 8, 1, force_object)
+        assert [identity.mode for identity in seen] == modes
+        for identity in seen:
+            assert (identity.table is not None) == (not force_object and form is not DP_ROUTED), identity.mode
+
+    def test_a_passing_omega1_agreement_compares_each_sample_once(self, monkeypatch):
+        # no table: every sample through `_agrees` once, and no spot check
+        calls = _counting(monkeypatch, "_agrees")
+        poly = to_polynomial(Measure(OM, {1: 2, 3: Fraction(-1, 4)}, limit_atom=1), 3)
+        verdicts = oa_mode_agreement(poly, 24, 3)
+        assert all(v.passed for v in verdicts.values())
+        assert Counter(mode for _, mode, _ in calls) == {mode: v.samples_checked for mode, v in verdicts.items()}
+
+    def test_a_passing_finite_agreement_spot_checks_three_per_krivine_mode(self, monkeypatch):
+        calls = _counting(monkeypatch, "_agrees")
+        poly = to_polynomial(Measure(F4, {1: 2, 3: Fraction(-1, 3), 4: 5}), 3)
+        assert all(v.passed for v in oa_mode_agreement(poly, structured_pair_count(4, 3) + 10, 3).values())
+        assert Counter(mode for _, mode, _ in calls) == {OA_KRIVINE_SUM: 3, OA_KRIVINE_PRODUCT: 3}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dp_routed_identities_match_the_object_path(self, monkeypatch, seed):
+        # the multilinear identities of the DP-routed tensor fail; each
+        # compares its samples through `_agrees` up to the first failure
+        calls = _counting(monkeypatch, "_agrees")
+        runs = [partial(orthosymmetry_check, DP_ROUTED, mode, 12, seed) for mode in (OS_J_IDENTITY, OS_DISJOINT)]
+        runs.append(partial(orthogonal_additivity_check, Polynomial.from_tensor(DP_ROUTED), OA_KRIVINE_PRODUCT, 12, seed))
+        for run in runs:
+            calls.clear()
+            routed, forced = run(), run(force_object=True)
+            assert routed == forced and not routed.passed, routed.mode
+            assert routed.counterexample["sampleIndex"] == forced.counterexample["sampleIndex"]
+            assert len(calls) == 2 * routed.samples_checked, routed.mode
 
 
 def _benchmark_items(monkeypatch, name, seeds):
@@ -970,8 +1063,8 @@ class TestMultiIdentityDriver:
         gathered, chunks = _counting_gathers(monkeypatch), []
         original_sides = checks._oa_int_sides
 
-        def sides(mode, kernels, block):
-            out = original_sides(mode, kernels, block)
+        def sides(mode, table, block):
+            out = original_sides(mode, table, block)
             # what each side of this chunk gathers alone, the form side at
             # most 2**(m-1) signed rows per sample
             chunks.extend(
