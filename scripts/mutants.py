@@ -1,8 +1,6 @@
 """Hand-picked mutants of the package and the tests that kill them.
 
-    python3 scripts/mutants.py            # every record
-    python3 scripts/mutants.py --list     # the records, run nothing
-    python3 scripts/mutants.py NAME ...   # the named records
+    python3 scripts/mutants.py
 
 Each record names a file under `src/`, an exact text in it, the text that
 replaces it and a pytest selector.  For each record the script copies the
@@ -23,7 +21,6 @@ canonical, a rearrangement that is not one.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -129,24 +126,12 @@ def run(mutant: Mutant) -> bool:
     return proc.returncode == 1
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("names", nargs="*", help="records to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="print the records and run nothing")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown records: {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-    if args.list:
-        for m in chosen:
-            print(f"{m.name}: {m.file} -> {m.selector}" + (f" (equivalent: {m.reason})" if m.reason else ""))
-        return 0
-    if bad := misplaced(chosen):
+def main() -> int:
+    if bad := misplaced():
         print(f"old text not found exactly once: {', '.join(bad)}", file=sys.stderr)
         return 2
     unexpected = 0
-    for m in chosen:
+    for m in MUTANTS:
         killed = run(m)
         expected = killed != bool(m.reason)
         unexpected += not expected

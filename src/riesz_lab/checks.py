@@ -347,7 +347,8 @@ class _Identity:
     1/``denom``; sample i is row i counted across the blocks, and its slots
     are the identity's arguments.  ``table`` is the instance's int table
     (`diagonal_core`) whose kernels give both sides of a chunk, or None for
-    the object path (`_routed`).
+    the object path (`_routed`); the identities of one `_sampled_check`
+    call come from one instance and carry its one table or None.
     """
 
     mode: str
@@ -389,6 +390,8 @@ def _sampled_check(identities: Sequence[_Identity]) -> list[CheckVerdict]:
     table, whose weights are summed once.
     """
     table = next((identity.table for identity in identities if identity.table is not None), None)
+    if any(identity.table is not None and identity.table is not table for identity in identities):
+        raise InvariantViolation("the identities of one call carry different tables")
     rows = 0 if table is None else _weight_sum(table)
     schedules = {i: _chunks(identity, 1 if identity.table is None else rows) for i, identity in enumerate(identities)}
     verdicts = {}
@@ -612,6 +615,10 @@ def orthogonal_additivity_check(
 ) -> CheckVerdict:
     """Sample one of the seven equivalent characterisations of orthogonal
     additivity against the given polynomial."""
+    if mode not in OA_MODES:
+        raise ValueError(f"unknown orthogonal-additivity mode {mode!r}")
+    if samples < 1:
+        raise ValueError("need at least one sample")
     (verdict,) = _sampled_check([_oa_identity(mode, samples, seed, poly, _table(poly, force_object))])
     return verdict
 
@@ -619,6 +626,8 @@ def orthogonal_additivity_check(
 def oa_mode_agreement(poly: Polynomial, samples: int = 96, seed=0) -> dict[str, CheckVerdict]:
     """All seven sampled characterisations, seeded independently per mode
     and checked together."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
     children = _seedseq(seed).spawn(len(OA_MODES))
     table = _table(poly, False)
     identities = [_oa_identity(mode, samples, child, poly, table) for mode, child in zip(OA_MODES, children)]
@@ -626,10 +635,6 @@ def oa_mode_agreement(poly: Polynomial, samples: int = 96, seed=0) -> dict[str, 
 
 
 def _oa_identity(mode: str, samples: int, seed, poly: Polynomial, table: np.ndarray | None) -> _Identity:
-    if mode not in OA_MODES:
-        raise ValueError(f"unknown orthogonal-additivity mode {mode!r}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
     blocks, denom = _oa_draw(mode, np.random.default_rng(_seedseq(seed)), samples, poly)
     return _routed(mode, poly, blocks, denom, table)
 

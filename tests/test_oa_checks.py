@@ -351,6 +351,18 @@ class TestOrthogonalAdditivity:
         with pytest.raises(ValueError):
             orthogonal_additivity_check(poly, "nope")
 
+    def test_bad_arguments_raise_before_the_table_is_built(self, monkeypatch):
+        built = _counting(monkeypatch, "diagonal_core")
+        poly = to_polynomial(Measure(F2, {1: 1}), 2)
+        with pytest.raises(ValueError, match="unknown orthogonal-additivity mode"):
+            orthogonal_additivity_check(poly, "nope")
+        for samples in (0, -3):
+            with pytest.raises(ValueError, match="need at least one sample"):
+                orthogonal_additivity_check(poly, OA_DISJOINT_ADD, samples=samples)
+            with pytest.raises(ValueError, match="need at least one sample"):
+                oa_mode_agreement(poly, samples)
+        assert built == []
+
 
 def _far_omega_measures():
     """omega1 measures with atoms past point 6, the last column of an omega1
@@ -966,6 +978,14 @@ class TestRouting:
         assert [identity.mode for identity in seen] == modes
         for identity in seen:
             assert (identity.table is not None) == (not force_object and form is not DP_ROUTED), identity.mode
+
+    def test_identities_with_different_tables_are_refused(self):
+        poly = Polynomial.from_tensor(SymTensor(F4, 3, {(1, 2, 3): 1}))
+        table = checks._table(poly, False)
+        identities = [checks._oa_identity(OA_DISJOINT_ADD, 8, 1, poly, t) for t in (table, None, table.copy())]
+        with pytest.raises(InvariantViolation, match="different tables"):
+            checks._sampled_check(identities)
+        assert all(v.passed for v in checks._sampled_check(identities[:2]))
 
     def test_a_passing_omega1_agreement_compares_each_sample_once(self, monkeypatch):
         # no table: every sample through `_agrees` once, and no spot check
